@@ -90,3 +90,25 @@ pub trait Backend: Sync {
         arch: &GpuArch,
     ) -> Result<BackendRun, BackendError>;
 }
+
+/// A borrowed backend is a backend: a serving tier can own a lane that
+/// wraps `&engine` without cloning or re-tuning it.
+impl<B: Backend + ?Sized> Backend for &B {
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+
+    fn supports(&self, model: &ModelConfig) -> bool {
+        (**self).supports(model)
+    }
+
+    fn run(
+        &self,
+        model: &ModelConfig,
+        tables: &TableSet,
+        batch: &Batch,
+        arch: &GpuArch,
+    ) -> Result<BackendRun, BackendError> {
+        (**self).run(model, tables, batch, arch)
+    }
+}

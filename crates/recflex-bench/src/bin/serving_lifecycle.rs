@@ -45,11 +45,10 @@ use recflex_baselines::Backend;
 use recflex_bench::{CliOpts, Scale};
 use recflex_core::RecFlexEngine;
 use recflex_data::{shift_distribution, Batch, Dataset, ModelConfig, ModelPreset, Placement};
-use recflex_embedding::TableSet;
 use recflex_serve::{
     BatchPolicy, CanaryConfig, DriftConfig, LifecycleConfig, LifecycleEvent, LifecycleStats,
-    OutcomePlan, OutcomeSpec, Request, RetryPolicy, RetuneOutcome, RetunePolicy, ServeConfig,
-    ServeReport, ServeRuntime, ShardedRetunePolicy, ShardedServeRuntime, WorkloadSpec,
+    OutcomePlan, OutcomeSpec, Request, RetryPolicy, RetuneOutcome, ServeConfig,
+    ShardedRetunePolicy, ShardedServeRuntime, WorkloadSpec,
 };
 use recflex_sim::GpuArch;
 use serde::Serialize;
@@ -253,7 +252,6 @@ fn main() -> ExitCode {
     let scale = Scale::from_env();
     let arch = GpuArch::v100();
     let model = scale.model(ModelPreset::A);
-    let tables = TableSet::for_model(&model);
     let history = Dataset::synthesize(&model, 3, scale.batch_size, 7);
     let engine = RecFlexEngine::tune(&model, &history, &arch, &scale.tuner);
     let config = ServeConfig {
@@ -265,13 +263,7 @@ fn main() -> ExitCode {
     };
     let n_requests = (scale.eval_batches * 16).clamp(36, 96);
     let (_shifted, stream) = drifting_stream(&model, n_requests, 8);
-    let runtime = ServeRuntime {
-        backend: &engine,
-        model: &model,
-        tables: &tables,
-        arch: &arch,
-        config,
-    };
+    let runtime = ShardedServeRuntime::single_device(&model, &arch, config, &engine);
 
     println!(
         "== serving lifecycle: model {} ({} features), {n_requests} requests @ {GAP_US} us \
@@ -310,17 +302,18 @@ fn main() -> ExitCode {
                 canary: (mode == "canaried").then(canary),
                 ..lifecycle.clone()
             };
-            let mut policy = RetunePolicy {
+            let mut policy = ShardedRetunePolicy {
                 drift: drift(),
                 retune_latency_us: RETUNE_LATENCY_US,
+                stagger_us: 0.0,
                 lifecycle,
-                retuner: Box::new(|_: &[Batch]| {
+                retuner: Box::new(|_: &ModelConfig, _: &[Batch]| {
                     (Box::new(RecFlexEngine::tune(&model, &history, &arch, &scale.tuner))
                         as Box<dyn Backend>)
                         .into()
                 }),
             };
-            let report: ServeReport = runtime
+            let report = runtime
                 .serve_with_retune(&stream, &mut policy)
                 .expect("lifecycle config is valid");
             match (scenario.as_str(), mode) {

@@ -15,8 +15,7 @@ use recflex_baselines::{Backend, TensorFlowBackend, TorchRecBackend};
 use recflex_bench::{CliOpts, Scale};
 use recflex_core::{RecFlexEngine, ServingSimulator};
 use recflex_data::{Batch, Dataset, ModelConfig, ModelPreset};
-use recflex_embedding::TableSet;
-use recflex_serve::{BatchPolicy, ServeConfig, ServeRuntime, WorkloadSpec};
+use recflex_serve::{BatchPolicy, ServeConfig, ShardedServeRuntime, WorkloadSpec};
 use recflex_sim::GpuArch;
 use recflex_tuner::TunerConfig;
 use serde::Serialize;
@@ -54,7 +53,6 @@ struct SimReport {
 
 fn closed_loop_table(
     model: &ModelConfig,
-    tables: &TableSet,
     arch: &GpuArch,
     engine: &RecFlexEngine,
     torchrec: &TorchRecBackend,
@@ -81,7 +79,6 @@ fn closed_loop_table(
             let server = ServingSimulator {
                 backend,
                 model,
-                tables,
                 arch: arch.clone(),
                 max_batch: cap,
             };
@@ -110,7 +107,6 @@ fn closed_loop_table(
 
 fn load_sweep(
     model: &ModelConfig,
-    tables: &TableSet,
     arch: &GpuArch,
     backends: &[(&str, &dyn Backend)],
     n_requests: usize,
@@ -143,20 +139,16 @@ fn load_sweep(
         for (pname, policy) in &policies {
             for &gap in &gaps_us {
                 let stream = WorkloadSpec::long_tail(gap).stream(model, n_requests, 42);
-                let runtime = ServeRuntime {
-                    backend: *backend,
-                    model,
-                    tables,
-                    arch,
-                    config: ServeConfig {
-                        streams: 4,
-                        policy: *policy,
-                        slo_deadline_us: Some(slo_deadline_us),
-                        closed_loop: false,
-                        hot_shard_cap: None,
-                    },
+                let config = ServeConfig {
+                    streams: 4,
+                    policy: *policy,
+                    slo_deadline_us: Some(slo_deadline_us),
+                    closed_loop: false,
+                    hot_shard_cap: None,
                 };
-                let report = runtime.serve(&stream).unwrap();
+                let report = ShardedServeRuntime::single_device(model, arch, config, *backend)
+                    .serve(&stream)
+                    .unwrap();
                 println!(
                     "{:<28} {:>10.0} {:>12.1} {:>12.1} {:>12.1} {:>8.1}",
                     format!("{bname} {pname}"),
@@ -191,13 +183,12 @@ fn main() {
     let scale = Scale::from_env();
     let arch = GpuArch::v100();
     let model = scale.model(ModelPreset::A);
-    let tables = TableSet::for_model(&model);
     let history = Dataset::synthesize(&model, 3, scale.batch_size, 7);
     let engine = RecFlexEngine::tune(&model, &history, &arch, &TunerConfig::fast());
     let torchrec = TorchRecBackend::compile(&model);
     let tensorflow = TensorFlowBackend;
 
-    let closed_loop = closed_loop_table(&model, &tables, &arch, &engine, &torchrec);
+    let closed_loop = closed_loop_table(&model, &arch, &engine, &torchrec);
 
     let backends: Vec<(&str, &dyn Backend)> = vec![
         ("RecFlex", &engine),
@@ -207,7 +198,7 @@ fn main() {
     // Keep the sweep proportional to the configured scale so the smoke
     // run in CI stays fast while a full run gets a denser stream.
     let n_requests = (scale.eval_batches * 16).clamp(24, 96);
-    let load_sweep = load_sweep(&model, &tables, &arch, &backends, n_requests);
+    let load_sweep = load_sweep(&model, &arch, &backends, n_requests);
 
     opts.write_json(&SimReport {
         model: model.name.clone(),

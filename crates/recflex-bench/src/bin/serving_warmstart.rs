@@ -40,7 +40,6 @@ use recflex_baselines::Backend;
 use recflex_bench::{CliOpts, Scale};
 use recflex_core::{RecFlexEngine, DEFAULT_WARM_BUDGET_PER_FEATURE};
 use recflex_data::{shift_distribution, Batch, Dataset, ModelConfig, ModelPreset, Placement};
-use recflex_embedding::TableSet;
 use recflex_schedules::store::SCHEMA_VERSION;
 use recflex_schedules::{
     distribution_summary, MemVfs, ProfileKey, ProfileVault, ScheduleProfile, StoreFault,
@@ -48,8 +47,8 @@ use recflex_schedules::{
 };
 use recflex_serve::{
     BatchPolicy, DeviceClass, DriftConfig, EngineTuning, FleetMember, FleetRuntime,
-    LifecycleConfig, OutcomePlan, Request, RetryPolicy, RetunePolicy, ScenarioSpec, ServeConfig,
-    ServeRuntime, ShardedServeRuntime, TrafficShape, TunedCandidate, WorkloadSpec,
+    LifecycleConfig, OutcomePlan, Request, RetryPolicy, ScenarioSpec, ServeConfig,
+    ShardedRetunePolicy, ShardedServeRuntime, TrafficShape, TunedCandidate, WorkloadSpec,
 };
 use recflex_sim::GpuArch;
 use serde::Serialize;
@@ -208,7 +207,7 @@ fn plant_corruption(vault: &mut ProfileVault<MemVfs>, key: &ProfileKey, good: &S
 #[allow(clippy::too_many_arguments)]
 fn vault_run(
     label: &str,
-    runtime: &ServeRuntime<'_>,
+    runtime: &ShardedServeRuntime<'_>,
     stream: &[Request],
     model: &ModelConfig,
     history: &Dataset,
@@ -218,11 +217,12 @@ fn vault_run(
     plain_records: &str,
 ) -> (VaultRunRow, String) {
     let budget = DEFAULT_WARM_BUDGET_PER_FEATURE * model.features.len() as u64;
-    let mut policy = RetunePolicy {
+    let mut policy = ShardedRetunePolicy {
         drift: drift(),
         retune_latency_us: RETUNE_LATENCY_US,
+        stagger_us: 0.0,
         lifecycle: clean_lifecycle(),
-        retuner: Box::new(move |_: &[Batch]| {
+        retuner: Box::new(move |_: &ModelConfig, _: &[Batch]| {
             let mut vault = vault.borrow_mut();
             let (engine, rep) = RecFlexEngine::tune_with_vault(
                 model,
@@ -261,7 +261,6 @@ fn vault_run(
 fn run_all(scale: &Scale) -> WarmstartCore {
     let arch = GpuArch::v100();
     let model = scale.model(ModelPreset::A);
-    let tables = TableSet::for_model(&model);
     let history = Dataset::synthesize(&model, 3, scale.batch_size, 7);
     let budget = DEFAULT_WARM_BUDGET_PER_FEATURE * model.features.len() as u64;
     let config = ServeConfig {
@@ -282,32 +281,22 @@ fn run_all(scale: &Scale) -> WarmstartCore {
         RecFlexEngine::tune_with_vault(&model, &history, &arch, &scale.tuner, &mut vault, budget);
     let ident_stream = WorkloadSpec::long_tail(GAP_US).stream(&model, 12, 9);
     let serve_records = |engine: &RecFlexEngine| {
-        let rt = ServeRuntime {
-            backend: engine,
-            model: &model,
-            tables: &tables,
-            arch: &arch,
-            config,
-        };
-        let rep = rt.serve(&ident_stream).expect("warmstart config is valid");
+        let rep = ShardedServeRuntime::single_device(&model, &arch, config, engine)
+            .serve(&ident_stream)
+            .expect("warmstart config is valid");
         serde_json::to_string(&rep.records).expect("serialize records")
     };
     let economics_identical_records = serve_records(&cold_engine) == serve_records(&warm_engine);
 
     // ---- restart: plain baseline, first boot, replica restart. ----
     let base_engine = RecFlexEngine::tune(&model, &history, &arch, &scale.tuner);
-    let runtime = ServeRuntime {
-        backend: &base_engine,
-        model: &model,
-        tables: &tables,
-        arch: &arch,
-        config,
-    };
-    let mut plain_policy = RetunePolicy {
+    let runtime = ShardedServeRuntime::single_device(&model, &arch, config, &base_engine);
+    let mut plain_policy = ShardedRetunePolicy {
         drift: drift(),
         retune_latency_us: RETUNE_LATENCY_US,
+        stagger_us: 0.0,
         lifecycle: clean_lifecycle(),
-        retuner: Box::new(|_: &[Batch]| {
+        retuner: Box::new(|_: &ModelConfig, _: &[Batch]| {
             (Box::new(RecFlexEngine::tune(&model, &history, &arch, &scale.tuner))
                 as Box<dyn Backend>)
                 .into()

@@ -7,13 +7,12 @@
 //! dynamic batching, multi-stream execution, SLO shedding, drift-triggered
 //! retuning — lives in [`recflex_serve`]; this module keeps the original
 //! offline front-end as a thin compatibility wrapper: requests are served
-//! one at a time (closed loop, one stream), split at the configured cap,
-//! and summarized as [`ServingStats`].
+//! one at a time (closed loop, one stream) on a 1-shard tier, split at the
+//! configured cap, and summarized as [`ServingStats`].
 
 use recflex_baselines::{Backend, BackendError};
 use recflex_data::{Batch, ModelConfig};
-use recflex_embedding::TableSet;
-use recflex_serve::{BatchPolicy, Request, ServeConfig, ServeError, ServeRuntime};
+use recflex_serve::{BatchPolicy, Request, ServeConfig, ServeError, ShardedServeRuntime};
 use recflex_sim::GpuArch;
 
 /// Latency statistics over a served request stream.
@@ -50,10 +49,9 @@ impl ServingStats {
 pub struct ServingSimulator<'a> {
     /// The backend under test.
     pub backend: &'a dyn Backend,
-    /// The model served.
+    /// The model served (its tables are the deterministic
+    /// `TableSet::for_model` set).
     pub model: &'a ModelConfig,
-    /// Its tables.
-    pub tables: &'a TableSet,
     /// The simulated device.
     pub arch: GpuArch,
     /// Requests above this many samples are split into chunks of at most
@@ -67,8 +65,8 @@ impl ServingSimulator<'_> {
     /// Serve a request stream; each request is processed (split if
     /// configured) and its chunks run sequentially on the device.
     ///
-    /// Implemented as the closed-loop, single-stream special case of
-    /// [`ServeRuntime`]: request latency is the sum of its chunk
+    /// Implemented as the closed-loop, single-stream case of a 1-shard
+    /// [`ShardedServeRuntime`]: request latency is the sum of its chunk
     /// latencies, exactly the original offline semantics.
     pub fn serve(&self, requests: &[Batch]) -> Result<ServingStats, BackendError> {
         let stream: Vec<Request> = requests
@@ -80,29 +78,25 @@ impl ServingSimulator<'_> {
                 batch: b.clone(),
             })
             .collect();
-        let runtime = ServeRuntime {
-            backend: self.backend,
-            model: self.model,
-            tables: self.tables,
-            arch: &self.arch,
-            config: ServeConfig {
-                streams: 1,
-                policy: match self.max_batch {
-                    Some(cap) => BatchPolicy::Split { cap: cap.max(1) },
-                    None => BatchPolicy::Unsplit,
-                },
-                slo_deadline_us: None,
-                closed_loop: true,
-                hot_shard_cap: None,
+        let config = ServeConfig {
+            streams: 1,
+            policy: match self.max_batch {
+                Some(cap) => BatchPolicy::Split { cap: cap.max(1) },
+                None => BatchPolicy::Unsplit,
             },
+            slo_deadline_us: None,
+            closed_loop: true,
+            hot_shard_cap: None,
         };
+        let runtime =
+            ShardedServeRuntime::single_device(self.model, &self.arch, config, self.backend);
         let report = runtime.serve(&stream).map_err(|e| match e {
             ServeError::Backend(b) => b,
             // Policy errors are unreachable: the cap is saturated above.
             ServeError::Policy(m) | ServeError::Internal(m) => BackendError::Launch(m.into()),
         })?;
         Ok(ServingStats {
-            request_latencies: report.records.iter().map(|r| r.latency_us()).collect(),
+            request_latencies: report.records.iter().map(|r| r.base.latency_us()).collect(),
             kernel_launches: report.kernel_launches as u32,
         })
     }
@@ -122,16 +116,15 @@ mod tests {
     use super::*;
     use crate::engine::RecFlexEngine;
     use recflex_data::{shift_distribution, Dataset, ModelPreset};
-    use recflex_embedding::reference_pooled;
-    use recflex_serve::{DriftConfig, LifecycleConfig, RetunePolicy, WorkloadSpec};
+    use recflex_embedding::{reference_pooled, TableSet};
+    use recflex_serve::{DriftConfig, LifecycleConfig, ShardedRetunePolicy, WorkloadSpec};
     use recflex_tuner::TunerConfig;
 
-    fn setup() -> (ModelConfig, TableSet, RecFlexEngine) {
+    fn setup() -> (ModelConfig, RecFlexEngine) {
         let m = ModelPreset::A.scaled(0.01);
-        let t = TableSet::for_model(&m);
         let ds = Dataset::synthesize(&m, 2, 64, 5);
         let e = RecFlexEngine::tune(&m, &ds, &GpuArch::v100(), &TunerConfig::fast());
-        (m, t, e)
+        (m, e)
     }
 
     #[test]
@@ -172,11 +165,10 @@ mod tests {
 
     #[test]
     fn serving_splits_long_requests() {
-        let (m, t, e) = setup();
+        let (m, e) = setup();
         let server = ServingSimulator {
             backend: &e,
             model: &m,
-            tables: &t,
             arch: GpuArch::v100(),
             max_batch: Some(128),
         };
@@ -188,11 +180,10 @@ mod tests {
 
     #[test]
     fn unsplit_mode_forwards_whole_batches() {
-        let (m, t, e) = setup();
+        let (m, e) = setup();
         let server = ServingSimulator {
             backend: &e,
             model: &m,
-            tables: &t,
             arch: GpuArch::v100(),
             max_batch: None,
         };
@@ -203,7 +194,8 @@ mod tests {
 
     #[test]
     fn split_latency_is_the_sum_of_chunk_latencies() {
-        let (m, t, e) = setup();
+        let (m, e) = setup();
+        let t = TableSet::for_model(&m);
         let long = Batch::generate(&m, 512, 3);
         let mut expect = 0.0;
         for chunk in split_batch(&long, 128) {
@@ -214,7 +206,6 @@ mod tests {
         let server = ServingSimulator {
             backend: &e,
             model: &m,
-            tables: &t,
             arch: GpuArch::v100(),
             max_batch: Some(128),
         };
@@ -259,11 +250,10 @@ mod tests {
 
     #[test]
     fn empty_stream_is_fine() {
-        let (m, t, e) = setup();
+        let (m, e) = setup();
         let server = ServingSimulator {
             backend: &e,
             model: &m,
-            tables: &t,
             arch: GpuArch::v100(),
             max_batch: Some(64),
         };
@@ -274,11 +264,10 @@ mod tests {
 
     #[test]
     fn replaying_a_seeded_stream_reproduces_stats_exactly() {
-        let (m, t, e) = setup();
+        let (m, e) = setup();
         let server = ServingSimulator {
             backend: &e,
             model: &m,
-            tables: &t,
             arch: GpuArch::v100(),
             max_batch: Some(128),
         };
@@ -294,23 +283,23 @@ mod tests {
 
     #[test]
     fn drifted_traffic_retunes_the_engine_and_keeps_serving() {
-        let (m, _t, e) = setup();
+        let (m, e) = setup();
         let arch = GpuArch::v100();
-        let tables = TableSet::for_model(&m);
         // Live traffic from a much heavier distribution than the engine
         // was tuned on.
         let shifted = shift_distribution(&m, 2.5, 0.0);
         let reqs = WorkloadSpec::long_tail(500.0).stream(&shifted, 24, 17);
 
-        let mut policy = RetunePolicy {
+        let mut policy = ShardedRetunePolicy {
             drift: DriftConfig {
                 window: 8,
                 threshold: 0.3,
                 feature_threshold: 0.5,
             },
             retune_latency_us: 5_000.0,
+            stagger_us: 0.0,
             lifecycle: LifecycleConfig::default(),
-            retuner: Box::new(|recent: &[Batch]| {
+            retuner: Box::new(|_: &ModelConfig, recent: &[Batch]| {
                 // A real background retune: tune a fresh engine on the
                 // drift window, exactly what the paper's offline tuner
                 // would do on the new distribution.
@@ -323,21 +312,19 @@ mod tests {
         // The runtime's model is the one the engine was tuned on — the
         // drift monitor's reference — while the traffic itself comes
         // from the shifted distribution.
-        let runtime = ServeRuntime {
-            backend: &e,
-            model: &m,
-            tables: &tables,
-            arch: &arch,
-            config: ServeConfig {
-                streams: 2,
-                policy: BatchPolicy::Split { cap: 256 },
-                slo_deadline_us: None,
-                closed_loop: false,
-                hot_shard_cap: None,
-            },
+        let config = ServeConfig {
+            streams: 2,
+            policy: BatchPolicy::Split { cap: 256 },
+            slo_deadline_us: None,
+            closed_loop: false,
+            hot_shard_cap: None,
         };
+        let runtime = ShardedServeRuntime::single_device(&m, &arch, config, &e);
         let report = runtime.serve_with_retune(&reqs, &mut policy).unwrap();
-        assert!(report.retunes >= 1, "drift must trigger a hot swap");
+        assert!(
+            report.lifecycle.retunes_promoted >= 1,
+            "drift must trigger a hot swap"
+        );
         assert_eq!(
             report.records.len(),
             24,

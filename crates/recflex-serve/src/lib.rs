@@ -15,28 +15,29 @@
 //!   oversized ones,
 //! * [`DeviceExecutor`] — a deterministic processor-sharing model of a
 //!   multi-stream device time-sharing one GPU,
+//! * [`ShardedServeRuntime`] — the one serving event loop. A
+//!   [`recflex_data::Placement`] partitions the model's features over `N`
+//!   per-shard lanes (each with its own queue and processor-sharing
+//!   executor), and every chunk's latency appends a ring all-gather of
+//!   the pooled outputs gated by the slowest shard ([`ShardedReport`]
+//!   breaks latency into queue + device + gather and reports straggler
+//!   gaps and per-shard lane stats). A single GPU is the 1-shard tier
+//!   ([`ShardedServeRuntime::single_device`]), whose lane may borrow the
+//!   engine it serves; [`ShardedReport::flat`] projects a run onto the
+//!   per-request [`ServeReport`] shape,
 //! * SLO-aware admission control — requests that cannot meet the
 //!   deadline are shed at arrival ([`ServeConfig::slo_deadline_us`]),
-//! * [`DriftMonitor`] / [`RetunePolicy`] — distribution-drift detection
-//!   on live traffic triggering a *background* retune whose engine is
-//!   hot-swapped in at a later simulated timestamp,
+//! * [`DriftMonitor`] / [`ShardedRetunePolicy`] — distribution-drift
+//!   detection on live traffic triggering a *background* retune whose
+//!   engines are hot-swapped in at a later simulated timestamp,
 //! * [`LifecycleMachine`] ([`LifecycleConfig`]) — the schedule-lifecycle
 //!   state machine supervising that swap: seeded retune outcomes
 //!   (success / compile-fail / stall / regression via [`OutcomePlan`] /
 //!   [`OutcomeSpec`]), canaried promotion with shadow execution and
 //!   rollback ([`CanaryConfig`]), bounded retries with exponential
 //!   backoff and post-episode cooldown ([`RetryPolicy`]), staged
-//!   per-shard rollout in the sharded tier — all replayable, with
-//!   counters and a transition trace in the reports,
-//! * [`ServeReport`] — per-request latency breakdown (batching wait vs
-//!   device time) with nearest-rank percentiles and shed rate,
-//! * [`ShardedServeRuntime`] — the multi-GPU tier: a
-//!   [`recflex_data::Placement`] partitions the model's features over `N`
-//!   per-shard lanes (each with its own queue and processor-sharing
-//!   executor), and every chunk's latency appends a ring all-gather of
-//!   the pooled outputs gated by the slowest shard
-//!   ([`ShardedReport`] breaks latency into queue + device + gather and
-//!   reports straggler gaps and per-shard lane stats),
+//!   per-shard rollout across shards — all replayable, with counters
+//!   and a transition trace in the reports,
 //! * [`FaultPlan`] / [`FaultSpec`] — deterministic fault injection
 //!   (per-shard slowdown, stall, crash; interconnect degradation) with
 //!   the response side in [`ResilienceConfig`]: per-chunk deadlines with
@@ -116,9 +117,7 @@ pub use pipeline::{
     StageSpec,
 };
 pub use request::{Request, WorkloadSpec};
-pub use runtime::{
-    BatchPolicy, RetunePolicy, ServeConfig, ServeError, ServeRuntime, TunedCandidate,
-};
+pub use runtime::{BatchPolicy, ServeConfig, ServeError, TunedCandidate};
 pub use sharded::{ShardLane, ShardedRetunePolicy, ShardedServeRuntime};
 pub use stats::{
     RequestRecord, ServeReport, ShardLaneStats, ShardedReport, ShardedRequestRecord, ShedReason,
@@ -138,31 +137,13 @@ mod tests {
     use recflex_embedding::TableSet;
     use recflex_sim::GpuArch;
 
-    fn setup() -> (ModelConfig, TableSet, GpuArch) {
-        let m = ModelPreset::A.scaled(0.01);
-        let t = TableSet::for_model(&m);
-        (m, t, GpuArch::v100())
-    }
-
-    fn runtime<'a>(
-        backend: &'a dyn Backend,
-        m: &'a ModelConfig,
-        t: &'a TableSet,
-        arch: &'a GpuArch,
-        config: ServeConfig,
-    ) -> ServeRuntime<'a> {
-        ServeRuntime {
-            backend,
-            model: m,
-            tables: t,
-            arch,
-            config,
-        }
+    fn setup() -> (ModelConfig, GpuArch) {
+        (ModelPreset::A.scaled(0.01), GpuArch::v100())
     }
 
     #[test]
     fn replaying_a_seed_reproduces_the_report_bit_for_bit() {
-        let (m, t, arch) = setup();
+        let (m, arch) = setup();
         let backend = TorchRecBackend::compile(&m);
         let reqs = WorkloadSpec::long_tail(300.0).stream(&m, 48, 42);
         let config = ServeConfig {
@@ -175,16 +156,16 @@ mod tests {
             closed_loop: false,
             hot_shard_cap: None,
         };
-        let rt = runtime(&backend, &m, &t, &arch, config);
-        let a = rt.serve(&reqs).unwrap();
-        let b = rt.serve(&reqs).unwrap();
+        let rt = ShardedServeRuntime::single_device(&m, &arch, config, &backend);
+        let a = rt.serve(&reqs).unwrap().flat();
+        let b = rt.serve(&reqs).unwrap().flat();
         assert_eq!(a, b, "same seed, same config => identical report");
         assert_eq!(a.records.len(), 48);
     }
 
     #[test]
     fn all_policies_complete_every_request_without_slo() {
-        let (m, t, arch) = setup();
+        let (m, arch) = setup();
         let backend = TorchRecBackend::compile(&m);
         let reqs = WorkloadSpec::long_tail(500.0).stream(&m, 24, 7);
         for policy in [
@@ -195,10 +176,8 @@ mod tests {
                 max_wait_us: 150.0,
             },
         ] {
-            let rt = runtime(
-                &backend,
+            let rt = ShardedServeRuntime::single_device(
                 &m,
-                &t,
                 &arch,
                 ServeConfig {
                     streams: 2,
@@ -207,8 +186,9 @@ mod tests {
                     closed_loop: false,
                     hot_shard_cap: None,
                 },
+                &backend,
             );
-            let report = rt.serve(&reqs).unwrap();
+            let report = rt.serve(&reqs).unwrap().flat();
             assert_eq!(report.records.len(), 24);
             assert_eq!(report.shed_rate(), 0.0);
             assert!(report.records.iter().all(|r| r.done_us >= r.arrival_us));
@@ -218,7 +198,7 @@ mod tests {
 
     #[test]
     fn dynamic_batching_coalesces_under_load() {
-        let (m, t, arch) = setup();
+        let (m, arch) = setup();
         let backend = TorchRecBackend::compile(&m);
         // A dense burst of small requests: dynamic batching should need
         // strictly fewer device launches than one-launch-per-request.
@@ -229,10 +209,8 @@ mod tests {
                 batch: Batch::generate(&m, 16, 1000 + i),
             })
             .collect();
-        let unsplit = runtime(
-            &backend,
+        let unsplit = ShardedServeRuntime::single_device(
             &m,
-            &t,
             &arch,
             ServeConfig {
                 streams: 1,
@@ -241,13 +219,13 @@ mod tests {
                 closed_loop: false,
                 hot_shard_cap: None,
             },
+            &backend,
         )
         .serve(&reqs)
-        .unwrap();
-        let dynamic = runtime(
-            &backend,
+        .unwrap()
+        .flat();
+        let dynamic = ShardedServeRuntime::single_device(
             &m,
-            &t,
             &arch,
             ServeConfig {
                 streams: 1,
@@ -259,9 +237,11 @@ mod tests {
                 closed_loop: false,
                 hot_shard_cap: None,
             },
+            &backend,
         )
         .serve(&reqs)
-        .unwrap();
+        .unwrap()
+        .flat();
         assert!(
             dynamic.kernel_launches < unsplit.kernel_launches,
             "coalescing must reduce launches: dynamic {} vs unsplit {}",
@@ -273,7 +253,7 @@ mod tests {
 
     #[test]
     fn packed_dynamic_batching_fills_batches_tighter() {
-        let (m, t, arch) = setup();
+        let (m, arch) = setup();
         let backend = TorchRecBackend::compile(&m);
         // 60-sample requests against a 100-sample target: plain Dynamic
         // flushes at 60 (the next request would overflow), packed splits
@@ -287,10 +267,8 @@ mod tests {
             })
             .collect();
         let serve = |policy| {
-            runtime(
-                &backend,
+            ShardedServeRuntime::single_device(
                 &m,
-                &t,
                 &arch,
                 ServeConfig {
                     streams: 1,
@@ -299,9 +277,11 @@ mod tests {
                     closed_loop: false,
                     hot_shard_cap: None,
                 },
+                &backend,
             )
             .serve(&reqs)
             .unwrap()
+            .flat()
         };
         let loose = serve(BatchPolicy::Dynamic {
             max_batch: 100,
@@ -332,7 +312,7 @@ mod tests {
 
     #[test]
     fn packed_request_straddling_two_batches_completes_once() {
-        let (m, t, arch) = setup();
+        let (m, arch) = setup();
         let backend = TorchRecBackend::compile(&m);
         // Request 1 (70 samples) lands in a buffer already holding 50 of
         // request 0: its head tops batch one off at 100, its 20-sample
@@ -366,10 +346,8 @@ mod tests {
             })
             .collect();
         all.append(&mut shifted);
-        let report = runtime(
-            &backend,
+        let report = ShardedServeRuntime::single_device(
             &m,
-            &t,
             &arch,
             ServeConfig {
                 streams: 1,
@@ -381,9 +359,11 @@ mod tests {
                 closed_loop: false,
                 hot_shard_cap: None,
             },
+            &backend,
         )
         .serve(&all)
-        .unwrap();
+        .unwrap()
+        .flat();
         assert_eq!(report.records.len(), 3);
         assert_eq!(report.shed_rate(), 0.0);
         let r0 = &report.records[1];
@@ -397,7 +377,7 @@ mod tests {
 
     #[test]
     fn multi_stream_overlap_conserves_work_and_removes_queue_wait() {
-        let (m, t, arch) = setup();
+        let (m, arch) = setup();
         let backend = TorchRecBackend::compile(&m);
         // Four equal requests arriving together.
         let reqs: Vec<Request> = (0..4)
@@ -408,10 +388,8 @@ mod tests {
             })
             .collect();
         let serve = |streams: u32| {
-            runtime(
-                &backend,
+            ShardedServeRuntime::single_device(
                 &m,
-                &t,
                 &arch,
                 ServeConfig {
                     streams,
@@ -420,9 +398,11 @@ mod tests {
                     closed_loop: false,
                     hot_shard_cap: None,
                 },
+                &backend,
             )
             .serve(&reqs)
             .unwrap()
+            .flat()
         };
         let serial = serve(1);
         let overlapped = serve(4);
@@ -439,7 +419,7 @@ mod tests {
 
     #[test]
     fn slo_shedding_kicks_in_under_overload_and_bounds_tail() {
-        let (m, t, arch) = setup();
+        let (m, arch) = setup();
         let backend = TorchRecBackend::compile(&m);
         // Offered load far beyond capacity: everything arrives at once.
         let reqs: Vec<Request> = (0..40)
@@ -450,10 +430,8 @@ mod tests {
             })
             .collect();
         let mk = |slo: Option<f64>| {
-            runtime(
-                &backend,
+            ShardedServeRuntime::single_device(
                 &m,
-                &t,
                 &arch,
                 ServeConfig {
                     streams: 2,
@@ -462,9 +440,11 @@ mod tests {
                     closed_loop: false,
                     hot_shard_cap: None,
                 },
+                &backend,
             )
             .serve(&reqs)
             .unwrap()
+            .flat()
         };
         let open = mk(None);
         let slo = mk(Some(2_000.0));
@@ -487,7 +467,7 @@ mod tests {
 
     #[test]
     fn drift_triggers_background_retune_and_hot_swap() {
-        let (m, t, arch) = setup();
+        let (m, arch) = setup();
         let backend = TorchRecBackend::compile(&m);
         // First half in-distribution, second half with far heavier
         // pooling — mean lookups-per-sample jumps past the threshold.
@@ -502,25 +482,24 @@ mod tests {
         reqs.append(&mut tail);
 
         let retune_inputs = Cell::new(0usize);
-        let mut policy = RetunePolicy {
+        let mut policy = ShardedRetunePolicy {
             drift: DriftConfig {
                 window: 8,
                 threshold: 0.3,
                 feature_threshold: 0.5,
             },
             retune_latency_us: 1_000.0,
+            stagger_us: 0.0,
             lifecycle: LifecycleConfig::default(),
-            retuner: Box::new(|recent: &[Batch]| {
+            retuner: Box::new(|_: &ModelConfig, recent: &[Batch]| {
                 retune_inputs.set(recent.len());
                 TunedCandidate::from(
                     Box::new(TorchRecBackend::compile(&shifted_model)) as Box<dyn Backend>
                 )
             }),
         };
-        let rt = runtime(
-            &backend,
+        let rt = ShardedServeRuntime::single_device(
             &m,
-            &t,
             &arch,
             ServeConfig {
                 streams: 2,
@@ -529,8 +508,9 @@ mod tests {
                 closed_loop: false,
                 hot_shard_cap: None,
             },
+            &backend,
         );
-        let report = rt.serve_with_retune(&reqs, &mut policy).unwrap();
+        let report = rt.serve_with_retune(&reqs, &mut policy).unwrap().flat();
         assert!(report.retunes >= 1, "drift must trigger a retune");
         assert!(retune_inputs.get() > 0, "retuner sees the recent window");
         assert_eq!(
@@ -543,30 +523,32 @@ mod tests {
 
     #[test]
     fn in_distribution_traffic_never_retunes() {
-        let (m, t, arch) = setup();
+        let (m, arch) = setup();
         let backend = TorchRecBackend::compile(&m);
         let reqs = WorkloadSpec::long_tail(400.0).stream(&m, 40, 9);
-        let mut policy = RetunePolicy {
+        let mut policy = ShardedRetunePolicy {
             drift: DriftConfig {
                 window: 8,
                 threshold: 0.3,
                 feature_threshold: 0.5,
             },
             retune_latency_us: 1_000.0,
+            stagger_us: 0.0,
             lifecycle: LifecycleConfig::default(),
-            retuner: Box::new(|_: &[Batch]| {
+            retuner: Box::new(|_: &ModelConfig, _: &[Batch]| {
                 panic!("retuner must not fire on in-distribution traffic")
             }),
         };
-        let rt = runtime(&backend, &m, &t, &arch, ServeConfig::default());
-        let report = rt.serve_with_retune(&reqs, &mut policy).unwrap();
+        let rt = ShardedServeRuntime::single_device(&m, &arch, ServeConfig::default(), &backend);
+        let report = rt.serve_with_retune(&reqs, &mut policy).unwrap().flat();
         assert_eq!(report.retunes, 0);
     }
 
     #[test]
     fn closed_loop_split_matches_sum_of_chunk_latencies() {
-        let (m, t, arch) = setup();
+        let (m, arch) = setup();
         let backend = TorchRecBackend::compile(&m);
+        let t = TableSet::for_model(&m);
         let big = Batch::generate(&m, 512, 3);
         // Reference: run the four 128-sample chunks directly.
         let mut expect = 0.0;
@@ -581,10 +563,8 @@ mod tests {
             arrival_us: 0.0,
             batch: big,
         }];
-        let rt = runtime(
-            &backend,
+        let rt = ShardedServeRuntime::single_device(
             &m,
-            &t,
             &arch,
             ServeConfig {
                 streams: 1,
@@ -593,35 +573,15 @@ mod tests {
                 closed_loop: true,
                 hot_shard_cap: None,
             },
+            &backend,
         );
-        let report = rt.serve(&reqs).unwrap();
+        let report = rt.serve(&reqs).unwrap().flat();
         assert_eq!(report.kernel_launches, expect_launches);
         let lat = report.records[0].latency_us();
         assert!(
             (lat - expect).abs() < 1e-6,
             "closed-loop split latency {lat} != chunk-sum {expect}"
         );
-    }
-
-    #[test]
-    fn zero_split_cap_is_a_policy_error() {
-        let (m, t, arch) = setup();
-        let backend = TorchRecBackend::compile(&m);
-        let rt = runtime(
-            &backend,
-            &m,
-            &t,
-            &arch,
-            ServeConfig {
-                streams: 1,
-                policy: BatchPolicy::Split { cap: 0 },
-                slo_deadline_us: None,
-                closed_loop: false,
-                hot_shard_cap: None,
-            },
-        );
-        let reqs = WorkloadSpec::long_tail(100.0).stream(&m, 2, 1);
-        assert!(matches!(rt.serve(&reqs), Err(ServeError::Policy(_))));
     }
 
     #[test]
@@ -641,19 +601,19 @@ mod tests {
                 Err(BackendError::Unsupported("always".into()))
             }
         }
-        let (m, t, arch) = setup();
+        let (m, arch) = setup();
         let backend = Refuses;
-        let rt = runtime(&backend, &m, &t, &arch, ServeConfig::default());
+        let rt = ShardedServeRuntime::single_device(&m, &arch, ServeConfig::default(), &backend);
         let reqs = WorkloadSpec::long_tail(100.0).stream(&m, 1, 1);
         assert!(matches!(rt.serve(&reqs), Err(ServeError::Backend(_))));
     }
 
     #[test]
     fn empty_stream_yields_empty_report() {
-        let (m, t, arch) = setup();
+        let (m, arch) = setup();
         let backend = TorchRecBackend::compile(&m);
-        let rt = runtime(&backend, &m, &t, &arch, ServeConfig::default());
-        let report = rt.serve(&[]).unwrap();
+        let rt = ShardedServeRuntime::single_device(&m, &arch, ServeConfig::default(), &backend);
+        let report = rt.serve(&[]).unwrap().flat();
         assert!(report.records.is_empty());
         assert_eq!(report.kernel_launches, 0);
         assert_eq!(report.makespan_us, 0.0);
@@ -672,7 +632,7 @@ mod tests {
             base_backoff_us in 500.0f64..3_000.0,
             cooldown_us in 1_000.0f64..6_000.0,
         ) {
-            let (m, t, arch) = setup();
+            let (m, arch) = setup();
             let backend = TorchRecBackend::compile(&m);
             // Every request comes from a heavily shifted distribution,
             // so the monitor window trips on every verdict.
@@ -691,23 +651,25 @@ mod tests {
                 },
                 ..LifecycleConfig::default()
             };
-            let mk_policy = || RetunePolicy {
+            let mk_policy = || ShardedRetunePolicy {
                 drift: DriftConfig { window: 4, threshold: 0.3, feature_threshold: 0.5 },
                 retune_latency_us: 800.0,
+                stagger_us: 0.0,
                 lifecycle: lifecycle.clone(),
-                retuner: Box::new(|_: &[Batch]| {
+                retuner: Box::new(|_: &ModelConfig, _: &[Batch]| {
                     unreachable!("a compile-fail attempt never reaches the retuner")
                 }),
             };
-            let rt = runtime(&backend, &m, &t, &arch, ServeConfig {
+            let config = ServeConfig {
                 streams: 2,
                 policy: BatchPolicy::Split { cap: 256 },
                 slo_deadline_us: None,
                 closed_loop: false,
                 hot_shard_cap: None,
-            });
-            let a = rt.serve_with_retune(&reqs, &mut mk_policy()).unwrap();
-            let b = rt.serve_with_retune(&reqs, &mut mk_policy()).unwrap();
+            };
+            let rt = ShardedServeRuntime::single_device(&m, &arch, config, &backend);
+            let a = rt.serve_with_retune(&reqs, &mut mk_policy()).unwrap().flat();
+            let b = rt.serve_with_retune(&reqs, &mut mk_policy()).unwrap().flat();
 
             prop_assert!(a.lifecycle.retunes_attempted >= 1, "the stream must drift");
             prop_assert_eq!(a.lifecycle.retunes_promoted, 0);

@@ -21,7 +21,7 @@
 //!   along the stage's degradation ladder;
 //! * **fall back** once the per-stage [`CircuitBreaker`] trips
 //!   (closed → open → half-open on the leaky-bucket
-//!   [`PressureSignal`](crate::PressureSignal) idiom): ranking falls
+//!   [`PressureSignal`] idiom): ranking falls
 //!   back to retrieval-order scores, filtering is skipped — the answer
 //!   arrives *within its budget share*, flagged in the per-stage
 //!   `degraded` mask, instead of shedding.

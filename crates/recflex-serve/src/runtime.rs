@@ -1,37 +1,14 @@
-//! The discrete-event serving runtime.
+//! The serving configuration shared by every tier.
 //!
-//! Ties the pieces together: a seeded request stream enters an admission
-//! gate (SLO-aware load shedding), flows through the batching policy
-//! (forward unsplit, split at a cap, or coalesce dynamically), executes
-//! on the multi-stream processor-sharing device, and leaves a full
-//! latency record behind. A drift monitor watches admitted traffic and
-//! can trigger a *background* retune — supervised by the
-//! [`LifecycleMachine`](crate::lifecycle): the attempt
-//! may fail or stall, a successful candidate may be canaried against the
-//! incumbent before promotion, and failures retry with exponential
-//! backoff — all at later simulated timestamps, so serving never pauses.
-//!
-//! Everything is event-driven over simulated time. Simultaneous events
-//! resolve in a fixed priority (completion, then lifecycle transition,
-//! then arrival, then batcher flush), so a run is a pure function of
-//! `(config, request stream, backend, lifecycle plan)` — replaying the
-//! same seed yields a bit-identical [`ServeReport`].
-
-use std::collections::HashMap;
+//! The event loop itself lives in [`crate::sharded`]: a single-GPU
+//! deployment is a 1-shard [`ShardedServeRuntime`](crate::ShardedServeRuntime).
+//! This module holds what every tier is configured and judged with: the
+//! batching policy, the run configuration, the retuner's return type and
+//! the error a run can fail with.
 
 use recflex_baselines::{Backend, BackendError};
-use recflex_data::{Batch, ModelConfig};
-use recflex_embedding::TableSet;
-use recflex_sim::GpuArch;
 
-use crate::drift::{DriftConfig, DriftMonitor};
-use crate::executor::DeviceExecutor;
-use crate::lifecycle::{
-    CanaryVerdict, EngineTuning, LifecycleConfig, LifecycleMachine, RegressedBackend,
-    RetuneOutcome, TimerAction,
-};
-use crate::request::Request;
-use crate::stats::{RequestRecord, ServeReport, ShedReason};
+use crate::lifecycle::EngineTuning;
 
 /// How the runtime shapes request batches before launching them.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,11 +37,11 @@ pub enum BatchPolicy {
     /// [`BatchPolicy::Dynamic`] with padding-free partial merges: when a
     /// request straddles the `max_batch` boundary, the head samples top
     /// the open batch off to *exactly* `max_batch` and the tail rolls
-    /// into the next coalesced batch ([`Batch::split`] wired into the
-    /// merge path). `Dynamic` instead flushes the open batch short and
-    /// starts the request fresh — tight packing costs a request a second
-    /// chunk boundary, so it is opt-in and `Dynamic` keeps the old
-    /// behavior bit-for-bit.
+    /// into the next coalesced batch ([`recflex_data::Batch::split`]
+    /// wired into the merge path). `Dynamic` instead flushes the open
+    /// batch short and starts the request fresh — tight packing costs a
+    /// request a second chunk boundary, so it is opt-in and `Dynamic`
+    /// keeps the old behavior bit-for-bit.
     DynamicPacked {
         /// Exact coalesced batch size to fill, samples (≥ 1).
         max_batch: u32,
@@ -82,19 +59,20 @@ pub struct ServeConfig {
     pub policy: BatchPolicy,
     /// SLO deadline, µs: a request arriving while the device backlog
     /// already exceeds this is shed immediately (it could not possibly
-    /// finish in time). `None` admits everything.
+    /// finish in time). `None` admits everything; NaN is rejected at run
+    /// start.
     pub slo_deadline_us: Option<f64>,
     /// Closed-loop mode: ignore arrival timestamps and admit each
-    /// request the moment the previous one finished — the offline
-    /// semantics of `ServingSimulator`. Open-loop (`false`) replays the
-    /// stream's own arrival times.
+    /// request the moment the previous one fully finished (every chunk
+    /// retired, gathers included), so one request is in flight at a time.
+    /// Open-loop (`false`) replays the stream's own arrival times.
     pub closed_loop: bool,
-    /// Sharded-tier straggler cap: chunks bigger than this are re-split
-    /// into sub-chunks of at most `cap` samples *after* the batching
-    /// policy shapes them, narrowing the per-chunk work the hottest
-    /// shard gates on. `Some(0)` is rejected at run start. `None` (the
-    /// default) reproduces the un-capped tier bit-for-bit; the
-    /// single-device runtime ignores the knob entirely.
+    /// Straggler cap: chunks bigger than this are re-split into
+    /// sub-chunks of at most `cap` samples *after* the batching policy
+    /// shapes them, narrowing the per-chunk work the hottest shard gates
+    /// on. `Some(0)` is rejected at run start. `None` (the default)
+    /// reproduces the un-capped tier bit-for-bit. On a 1-shard tier a
+    /// cap only adds chunk boundaries.
     pub hot_shard_cap: Option<u32>,
 }
 
@@ -108,29 +86,6 @@ impl Default for ServeConfig {
             hot_shard_cap: None,
         }
     }
-}
-
-/// Drift-triggered background retuning.
-///
-/// When the [`DriftMonitor`] fires, `retuner` is handed the most recent
-/// window of admitted batches and must produce a freshly tuned backend.
-/// The retune costs `retune_latency_us` of simulated wall time — the old
-/// engine keeps serving meanwhile. What happens when it completes is
-/// governed by `lifecycle`: with the default [`LifecycleConfig`] the new
-/// engine is swapped in unconditionally at the completion timestamp (the
-/// historical blind swap, bit-for-bit); otherwise the attempt may fail,
-/// stall, canary against the incumbent, roll back and retry with
-/// backoff.
-pub struct RetunePolicy<'a> {
-    /// Drift-detection window and threshold.
-    pub drift: DriftConfig,
-    /// Simulated cost of one background retune, µs.
-    pub retune_latency_us: f64,
-    /// Outcome injection, canarying, and retry/backoff for each attempt.
-    pub lifecycle: LifecycleConfig,
-    /// Builds a new backend from recent traffic.
-    #[allow(clippy::type_complexity)]
-    pub retuner: Box<dyn FnMut(&[Batch]) -> TunedCandidate + 'a>,
 }
 
 /// What a retuner hands back: the freshly tuned backend, plus how the
@@ -181,637 +136,5 @@ impl std::error::Error for ServeError {}
 impl From<BackendError> for ServeError {
     fn from(e: BackendError) -> Self {
         ServeError::Backend(e)
-    }
-}
-
-/// The serving runtime: one backend, one model, one device.
-pub struct ServeRuntime<'a> {
-    /// Engine serving the traffic (may be hot-swapped by a retune).
-    pub backend: &'a dyn Backend,
-    /// The model served.
-    pub model: &'a ModelConfig,
-    /// Its embedding tables.
-    pub tables: &'a TableSet,
-    /// The simulated device.
-    pub arch: &'a GpuArch,
-    /// Runtime configuration.
-    pub config: ServeConfig,
-}
-
-/// The engine currently serving: the caller's borrowed backend until a
-/// retune completes, then the owned replacement.
-enum Active<'a> {
-    Borrowed(&'a dyn Backend),
-    Owned(Box<dyn Backend>),
-}
-
-impl Active<'_> {
-    fn get(&self) -> &dyn Backend {
-        match self {
-            Active::Borrowed(b) => *b,
-            Active::Owned(b) => b.as_ref(),
-        }
-    }
-}
-
-/// Which event fires next; declaration order is tie-break priority.
-/// `Lifecycle` sits in the slot the engine swap used to occupy, so the
-/// all-success no-canary path fires its promotion at the exact priority
-/// of the historical blind swap.
-#[derive(PartialEq, Eq, PartialOrd, Ord, Clone, Copy, Debug)]
-enum EventKind {
-    Completion,
-    Lifecycle,
-    Arrival,
-    Flush,
-}
-
-impl ServeRuntime<'_> {
-    /// Serve a request stream with a fixed engine.
-    pub fn serve(&self, requests: &[Request]) -> Result<ServeReport, ServeError> {
-        self.run(requests, None, None)
-    }
-
-    /// Serve with a per-request **absolute** admission deadline
-    /// (`deadlines[i]` is the wall-clock µs instant request `i` must
-    /// finish by). Overrides the uniform [`ServeConfig::slo_deadline_us`]
-    /// gate: a request whose remaining time is already spent, or whose
-    /// remaining time the device backlog exceeds, sheds at admission.
-    /// The plumbing a pipeline stage uses to thread its share of the
-    /// end-to-end SLO through this runtime.
-    pub fn serve_with_deadlines(
-        &self,
-        requests: &[Request],
-        deadlines: &[f64],
-    ) -> Result<ServeReport, ServeError> {
-        if deadlines.len() != requests.len() {
-            return Err(ServeError::Policy(
-                "deadlines must be given for every request",
-            ));
-        }
-        self.run(requests, None, Some(deadlines))
-    }
-
-    /// Serve a request stream with drift-triggered background retuning.
-    pub fn serve_with_retune(
-        &self,
-        requests: &[Request],
-        retune: &mut RetunePolicy<'_>,
-    ) -> Result<ServeReport, ServeError> {
-        self.run(requests, Some(retune), None)
-    }
-
-    fn run(
-        &self,
-        requests: &[Request],
-        mut retune: Option<&mut RetunePolicy<'_>>,
-        deadlines: Option<&[f64]>,
-    ) -> Result<ServeReport, ServeError> {
-        match self.config.policy {
-            BatchPolicy::Split { cap: 0 } => {
-                return Err(ServeError::Policy("split cap must be at least 1"))
-            }
-            BatchPolicy::Dynamic {
-                max_batch,
-                max_wait_us,
-            }
-            | BatchPolicy::DynamicPacked {
-                max_batch,
-                max_wait_us,
-            } => {
-                if max_batch == 0 {
-                    return Err(ServeError::Policy("dynamic max_batch must be at least 1"));
-                }
-                if !max_wait_us.is_finite() || max_wait_us < 0.0 {
-                    return Err(ServeError::Policy(
-                        "dynamic max_wait_us must be finite and >= 0",
-                    ));
-                }
-            }
-            _ => {}
-        }
-
-        let n = requests.len();
-        let mut st = RunState {
-            executor: DeviceExecutor::new(self.config.streams),
-            records: vec![None; n],
-            remaining_chunks: vec![0u32; n],
-            first_start_us: vec![f64::INFINITY; n],
-            last_done_us: vec![0.0f64; n],
-            arrival_eff_us: requests.iter().map(|r| r.arrival_us).collect(),
-            chunk_owners: HashMap::new(),
-            next_job: 0,
-            launches: 0,
-            buffer: Vec::new(),
-            buffer_size: 0,
-            buffer_oldest_us: f64::INFINITY,
-            active: Active::Borrowed(self.backend),
-            monitor: retune
-                .as_ref()
-                .map(|r| DriftMonitor::for_model(r.drift, self.model)),
-            recent: Vec::new(),
-            machine: retune
-                .as_ref()
-                .map(|r| LifecycleMachine::new(r.lifecycle.clone(), r.retune_latency_us, 1, 0.0)),
-            candidate: None,
-            retunes: 0,
-        };
-
-        let mut cursor = 0usize;
-        let mut now = 0.0f64;
-
-        loop {
-            // Candidate events, probed in tie-break priority order.
-            let mut next: Option<(f64, EventKind)> = None;
-            let mut consider = |t: Option<f64>, kind: EventKind| {
-                if let Some(t) = t {
-                    if next.is_none_or(|(bt, _)| t < bt) {
-                        next = Some((t, kind));
-                    }
-                }
-            };
-            consider(st.executor.next_completion_us(), EventKind::Completion);
-            consider(
-                st.machine
-                    .as_ref()
-                    .and_then(LifecycleMachine::next_timer_us),
-                EventKind::Lifecycle,
-            );
-            let arrival_t = if cursor < n {
-                if self.config.closed_loop {
-                    // Admit only when the previous request fully drained.
-                    (st.executor.is_idle() && st.buffer.is_empty()).then_some(now)
-                } else {
-                    Some(requests[cursor].arrival_us.max(now))
-                }
-            } else {
-                None
-            };
-            consider(arrival_t, EventKind::Arrival);
-            let flush_t = match self.config.policy {
-                BatchPolicy::Dynamic { max_wait_us, .. }
-                | BatchPolicy::DynamicPacked { max_wait_us, .. }
-                    if !st.buffer.is_empty() =>
-                {
-                    Some((st.buffer_oldest_us + max_wait_us).max(now))
-                }
-                _ => None,
-            };
-            consider(flush_t, EventKind::Flush);
-
-            let Some((t, kind)) = next else { break };
-            now = t;
-
-            match kind {
-                EventKind::Completion => {
-                    st.executor.advance_to(now);
-                    st.note_starts();
-                    let done = st.executor.drain_completed();
-                    for (t_done, job) in done {
-                        let owners = st
-                            .chunk_owners
-                            .remove(&job)
-                            .ok_or(ServeError::Internal("completion for unknown chunk"))?;
-                        for ri in owners {
-                            st.remaining_chunks[ri] -= 1;
-                            st.last_done_us[ri] = st.last_done_us[ri].max(t_done);
-                            if st.remaining_chunks[ri] == 0 {
-                                st.finalize(ri, requests);
-                            }
-                        }
-                    }
-                    // Work-conserving: an idle device drains the batcher.
-                    if st.executor.is_idle() && !st.buffer.is_empty() {
-                        st.flush_buffer(now, self, requests)?;
-                    }
-                }
-                EventKind::Lifecycle => {
-                    let action = match st.machine.as_mut() {
-                        Some(m) => m.on_timer(now),
-                        None => TimerAction::Noop,
-                    };
-                    match action {
-                        TimerAction::PromoteAll | TimerAction::PromoteShard(_) => {
-                            st.install_candidate()?;
-                        }
-                        TimerAction::DropCandidate | TimerAction::RollBackAll => {
-                            st.candidate = None;
-                        }
-                        TimerAction::Retry => {
-                            if let Some(policy) = retune.as_deref_mut() {
-                                st.launch_attempt(now, policy);
-                            }
-                        }
-                        TimerAction::BeginCanary | TimerAction::Noop => {}
-                    }
-                }
-                EventKind::Arrival => {
-                    st.admit(cursor, now, self, requests, &mut retune, deadlines)?;
-                    cursor += 1;
-                }
-                EventKind::Flush => {
-                    st.flush_buffer(now, self, requests)?;
-                }
-            }
-        }
-
-        debug_assert!(st.records.iter().all(Option::is_some));
-        let (lifecycle, lifecycle_trace) = st
-            .machine
-            .map(LifecycleMachine::into_parts)
-            .unwrap_or_default();
-        Ok(ServeReport {
-            records: st.records.into_iter().flatten().collect(),
-            kernel_launches: st.launches,
-            retunes: st.retunes,
-            makespan_us: now,
-            lifecycle,
-            lifecycle_trace,
-        })
-    }
-}
-
-/// Mutable state of one run, split out so admission/flush helpers can
-/// borrow it whole while the runtime stays shared.
-struct RunState<'a> {
-    executor: DeviceExecutor,
-    records: Vec<Option<RequestRecord>>,
-    remaining_chunks: Vec<u32>,
-    first_start_us: Vec<f64>,
-    last_done_us: Vec<f64>,
-    arrival_eff_us: Vec<f64>,
-    chunk_owners: HashMap<u64, Vec<usize>>,
-    next_job: u64,
-    launches: u64,
-    /// Requests waiting in the dynamic batcher: owner index plus the
-    /// samples it has parked there (the whole batch under `Dynamic`, a
-    /// boundary-split head or tail under `DynamicPacked`).
-    buffer: Vec<(usize, Batch)>,
-    buffer_size: u32,
-    buffer_oldest_us: f64,
-    active: Active<'a>,
-    monitor: Option<DriftMonitor>,
-    /// Most recent admitted batches (drift window), oldest first.
-    recent: Vec<Batch>,
-    /// The lifecycle state machine (present iff retuning is on). Owns
-    /// the timers: an in-flight retune, a backoff, a staged promotion.
-    machine: Option<LifecycleMachine>,
-    /// The engine the current attempt produced, awaiting canary verdict
-    /// or promotion.
-    candidate: Option<Box<dyn Backend>>,
-    retunes: u32,
-}
-
-impl RunState<'_> {
-    fn admit(
-        &mut self,
-        ri: usize,
-        now: f64,
-        rt: &ServeRuntime<'_>,
-        requests: &[Request],
-        retune: &mut Option<&mut RetunePolicy<'_>>,
-        deadlines: Option<&[f64]>,
-    ) -> Result<(), ServeError> {
-        let req = &requests[ri];
-        self.arrival_eff_us[ri] = if rt.config.closed_loop {
-            now
-        } else {
-            req.arrival_us
-        };
-
-        // SLO admission: if the device already owes more work than the
-        // deadline, this request cannot finish in time — shed it now
-        // rather than poison the queue for everyone behind it. A
-        // per-request absolute deadline (the pipeline's remaining
-        // budget share) overrides the uniform config gate.
-        let admission_window = match deadlines {
-            Some(d) => Some(d[ri] - self.arrival_eff_us[ri]),
-            None => rt.config.slo_deadline_us,
-        };
-        if let Some(deadline) = admission_window {
-            if deadline < 0.0 || self.executor.backlog_us() > deadline {
-                self.records[ri] = Some(RequestRecord {
-                    id: req.id,
-                    batch_size: req.batch.batch_size,
-                    arrival_us: self.arrival_eff_us[ri],
-                    queue_us: 0.0,
-                    service_us: 0.0,
-                    done_us: self.arrival_eff_us[ri],
-                    shed: ShedReason::Admission,
-                });
-                return Ok(());
-            }
-        }
-
-        // Drift monitoring sees every admitted batch.
-        if let Some(policy) = retune.as_deref_mut() {
-            self.recent.push(req.batch.clone());
-            let window = policy.drift.window.max(1);
-            if self.recent.len() > window {
-                self.recent.drain(..self.recent.len() - window);
-            }
-            let drifted = self
-                .monitor
-                .as_mut()
-                .map(|m| m.observe(&req.batch))
-                .unwrap_or(false);
-            // The machine absorbs fires while an attempt, canary,
-            // backoff or cooldown is active — drift re-firing every
-            // window cannot launch overlapping retunes.
-            let wants = drifted
-                && self
-                    .machine
-                    .as_mut()
-                    .is_some_and(|m| m.wants_drift_retune(now));
-            if wants {
-                self.launch_attempt(now, policy);
-            }
-        }
-
-        match rt.config.policy {
-            BatchPolicy::Unsplit => {
-                self.submit_chunk(req.batch.clone(), vec![ri], now, rt, requests)?;
-            }
-            BatchPolicy::Split { cap } => {
-                let chunks = req
-                    .batch
-                    .split(cap)
-                    .map_err(|_| ServeError::Policy("split cap must be at least 1"))?;
-                if chunks.is_empty() {
-                    self.finalize_empty(ri, now, requests);
-                } else {
-                    for chunk in chunks {
-                        self.submit_chunk(chunk, vec![ri], now, rt, requests)?;
-                    }
-                }
-            }
-            BatchPolicy::Dynamic { max_batch, .. } => {
-                if req.batch.batch_size == 0 {
-                    self.finalize_empty(ri, now, requests);
-                } else if req.batch.batch_size >= max_batch {
-                    // Oversized: flush waiting small requests first so
-                    // device order stays FIFO, then split the big one.
-                    self.flush_buffer(now, rt, requests)?;
-                    let chunks = req
-                        .batch
-                        .split(max_batch)
-                        .map_err(|_| ServeError::Policy("dynamic max_batch must be at least 1"))?;
-                    for chunk in chunks {
-                        self.submit_chunk(chunk, vec![ri], now, rt, requests)?;
-                    }
-                } else {
-                    if self.buffer_size + req.batch.batch_size > max_batch {
-                        self.flush_buffer(now, rt, requests)?;
-                    }
-                    self.buffer.push((ri, req.batch.clone()));
-                    self.buffer_size += req.batch.batch_size;
-                    self.buffer_oldest_us = self.buffer_oldest_us.min(self.arrival_eff_us[ri]);
-                    if self.buffer_size == max_batch || self.executor.is_idle() {
-                        self.flush_buffer(now, rt, requests)?;
-                    }
-                }
-            }
-            BatchPolicy::DynamicPacked { max_batch, .. } => {
-                if req.batch.batch_size == 0 {
-                    self.finalize_empty(ri, now, requests);
-                } else {
-                    // Padding-free coalescing: top the open batch off to
-                    // exactly `max_batch`, rolling the remainder of a
-                    // boundary-straddling request into the next batch.
-                    // The invariant `buffer_size < max_batch` holds on
-                    // entry and exit, so `room >= 1` always.
-                    let mut part = req.batch.clone();
-                    loop {
-                        let room = max_batch - self.buffer_size;
-                        if part.batch_size < room {
-                            self.buffer_size += part.batch_size;
-                            self.buffer.push((ri, part));
-                            self.buffer_oldest_us =
-                                self.buffer_oldest_us.min(self.arrival_eff_us[ri]);
-                            break;
-                        }
-                        let mut pieces = part
-                            .split(room)
-                            .map_err(|_| {
-                                ServeError::Policy("dynamic max_batch must be at least 1")
-                            })?
-                            .into_iter();
-                        let head = pieces.next().ok_or(ServeError::Internal(
-                            "split of a non-empty batch yielded nothing",
-                        ))?;
-                        self.buffer.push((ri, head));
-                        self.buffer_size = max_batch;
-                        self.buffer_oldest_us = self.buffer_oldest_us.min(self.arrival_eff_us[ri]);
-                        self.flush_buffer(now, rt, requests)?;
-                        let rest: Vec<Batch> = pieces.collect();
-                        if rest.is_empty() {
-                            break;
-                        }
-                        part = Batch::merge(&rest);
-                    }
-                    if !self.buffer.is_empty() && self.executor.is_idle() {
-                        self.flush_buffer(now, rt, requests)?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn flush_buffer(
-        &mut self,
-        now: f64,
-        rt: &ServeRuntime<'_>,
-        requests: &[Request],
-    ) -> Result<(), ServeError> {
-        if self.buffer.is_empty() {
-            return Ok(());
-        }
-        let entries = std::mem::take(&mut self.buffer);
-        self.buffer_size = 0;
-        self.buffer_oldest_us = f64::INFINITY;
-        let owners: Vec<usize> = entries.iter().map(|&(ri, _)| ri).collect();
-        let parts: Vec<Batch> = entries.into_iter().map(|(_, b)| b).collect();
-        let merged = Batch::merge(&parts);
-        self.submit_chunk(merged, owners, now, rt, requests)
-    }
-
-    fn submit_chunk(
-        &mut self,
-        batch: Batch,
-        owners: Vec<usize>,
-        now: f64,
-        rt: &ServeRuntime<'_>,
-        requests: &[Request],
-    ) -> Result<(), ServeError> {
-        let run = self
-            .active
-            .get()
-            .run(rt.model, rt.tables, &batch, rt.arch)?;
-        self.launches += u64::from(run.kernel_launches);
-        // Canary: the candidate sees a deterministic fraction of chunks.
-        // In shadow mode (the default) its cost is accounted in the
-        // lifecycle stats, never submitted to the device — shadowing
-        // cannot perturb latencies. In split-traffic mode
-        // ([`CanaryConfig::split_traffic`]) the canaried chunk is
-        // *served by the candidate*: its device time enters the real
-        // queue, so the verdict reflects the candidate under actual
-        // queueing, while the incumbent's cost for the same chunk is a
-        // free cost-model query used only as the comparator.
-        let wants_shadow = self
-            .machine
-            .as_mut()
-            .is_some_and(LifecycleMachine::should_shadow);
-        let mut served_latency_us = run.latency_us;
-        if wants_shadow {
-            let shadow_run = self
-                .candidate
-                .as_ref()
-                .map(|c| c.run(rt.model, rt.tables, &batch, rt.arch));
-            let split = self
-                .machine
-                .as_ref()
-                .is_some_and(LifecycleMachine::split_traffic);
-            if let (Some(machine), Some(result)) = (self.machine.as_mut(), shadow_run) {
-                match result {
-                    Ok(cand_run) => {
-                        let verdict =
-                            machine.observe_canary(now, &[run.latency_us], &[cand_run.latency_us]);
-                        if split {
-                            served_latency_us = cand_run.latency_us;
-                        }
-                        if verdict == CanaryVerdict::RollBack {
-                            self.candidate = None;
-                        }
-                        // Promote arrives as a lifecycle timer event at
-                        // this same timestamp.
-                    }
-                    Err(_) => {
-                        // A candidate that refuses traffic loses its
-                        // canary on the spot.
-                        machine.force_rollback(now);
-                        self.candidate = None;
-                    }
-                }
-            }
-        }
-        for &ri in &owners {
-            self.remaining_chunks[ri] += 1;
-        }
-        let job = self.next_job;
-        self.next_job += 1;
-        self.chunk_owners.insert(job, owners);
-        self.executor.submit(now, job, served_latency_us);
-        self.note_starts();
-        // Zero-cost chunks retire inside `submit`; collect them here so
-        // their owners don't wait for a completion event that may never
-        // have a distinct timestamp.
-        let done = self.executor.drain_completed();
-        for (t_done, job) in done {
-            let owners = self
-                .chunk_owners
-                .remove(&job)
-                .ok_or(ServeError::Internal("completion for unknown chunk"))?;
-            for ri in owners {
-                self.remaining_chunks[ri] -= 1;
-                self.last_done_us[ri] = self.last_done_us[ri].max(t_done);
-                if self.remaining_chunks[ri] == 0 {
-                    self.finalize(ri, requests);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Launch a retune attempt: draw its injected outcome, build the
-    /// candidate when the tuner "returns" one (wrapping regressions so
-    /// they really serve slower), and start the lifecycle timers.
-    fn launch_attempt(&mut self, now: f64, policy: &mut RetunePolicy<'_>) {
-        let outcome = match self.machine.as_mut() {
-            Some(m) => m.begin_attempt(now),
-            None => return,
-        };
-        // A fresh observation window: the verdict that follows should
-        // reflect traffic seen after this attempt launched.
-        if let Some(mon) = self.monitor.as_mut() {
-            mon.reset_window();
-        }
-        self.candidate = match outcome {
-            RetuneOutcome::Success | RetuneOutcome::Regression { .. } => {
-                let tuned = (policy.retuner)(&self.recent);
-                if let (Some(t), Some(m)) = (tuned.tuning, self.machine.as_mut()) {
-                    m.record_tuning(t);
-                }
-                Some(match outcome {
-                    RetuneOutcome::Regression { slowdown } => {
-                        Box::new(RegressedBackend::new(tuned.backend, slowdown))
-                    }
-                    _ => tuned.backend,
-                })
-            }
-            RetuneOutcome::CompileFail | RetuneOutcome::Stall => None,
-        };
-    }
-
-    /// Promote the candidate: it becomes the active engine and the drift
-    /// monitor rebases onto the traffic it was tuned for.
-    fn install_candidate(&mut self) -> Result<(), ServeError> {
-        let backend = self
-            .candidate
-            .take()
-            .ok_or(ServeError::Internal("promotion without a candidate engine"))?;
-        self.active = Active::Owned(backend);
-        self.retunes += 1;
-        if let Some(mon) = self.monitor.as_mut() {
-            // The new engine is tuned on recent traffic; its reference
-            // is what that traffic actually looked like.
-            let (lk, sm) = self.recent.iter().fold((0.0, 0.0), |(l, s), b| {
-                (l + b.total_lookups() as f64, s + b.batch_size as f64)
-            });
-            if sm > 0.0 {
-                mon.rebase(lk / sm);
-            }
-        }
-        Ok(())
-    }
-
-    /// Fold freshly drained kernel-start events into per-request first
-    /// start times, so `queue_us` covers batching delay *and* stream
-    /// queueing.
-    fn note_starts(&mut self) {
-        for (t_start, job) in self.executor.drain_started() {
-            if let Some(owners) = self.chunk_owners.get(&job) {
-                for &ri in owners {
-                    self.first_start_us[ri] = self.first_start_us[ri].min(t_start);
-                }
-            }
-        }
-    }
-
-    fn finalize(&mut self, ri: usize, requests: &[Request]) {
-        let arrival = self.arrival_eff_us[ri];
-        let first = self.first_start_us[ri];
-        let done = self.last_done_us[ri];
-        self.records[ri] = Some(RequestRecord {
-            id: requests[ri].id,
-            batch_size: requests[ri].batch.batch_size,
-            arrival_us: arrival,
-            queue_us: first - arrival,
-            service_us: done - first,
-            done_us: done,
-            shed: ShedReason::None,
-        });
-    }
-
-    fn finalize_empty(&mut self, ri: usize, now: f64, requests: &[Request]) {
-        self.records[ri] = Some(RequestRecord {
-            id: requests[ri].id,
-            batch_size: 0,
-            arrival_us: self.arrival_eff_us[ri],
-            queue_us: 0.0,
-            service_us: 0.0,
-            done_us: now,
-            shed: ShedReason::None,
-        });
     }
 }

@@ -1,7 +1,9 @@
-//! The multi-shard serving tier.
+//! The serving tier: the one discrete-event loop every deployment runs.
 //!
-//! Scales the single-device [`crate::ServeRuntime`] across `N` simulated
-//! GPUs the TorchRec way: the model's features are partitioned by a
+//! A seeded request stream enters an admission gate (SLO-aware load
+//! shedding), flows through the batching policy (forward unsplit, split
+//! at a cap, or coalesce dynamically), and executes on `N` simulated GPUs
+//! the TorchRec way: the model's features are partitioned by a
 //! [`Placement`], every admitted device batch is *projected* onto each
 //! shard's feature subset, and the per-shard fused kernels run
 //! concurrently on independent devices — each with its own FIFO launch
@@ -14,10 +16,24 @@
 //! fastest and slowest shard for its chunks, and the report breaks
 //! latency into queue + device + gather.
 //!
-//! With one shard the projection is the identity, the gather is skipped
-//! entirely, and the event sequence degenerates to the single-device
-//! runtime's — a 1-shard tier reproduces [`crate::ServeRuntime`]
-//! latencies bit-for-bit (tested in this module).
+//! A single-GPU deployment is a 1-shard tier
+//! ([`ShardedServeRuntime::single_device`]): the projection is the
+//! identity, the gather is free, and there are no gather, fault or hedge
+//! events, so a request's latency is its queue wait plus device time.
+//!
+//! A drift monitor watches admitted traffic and can trigger a
+//! *background* retune supervised by the
+//! [`LifecycleMachine`](crate::lifecycle): the attempt may fail or stall,
+//! a successful candidate may be canaried against the incumbent before a
+//! (staged) promotion, and failures retry with exponential backoff — all
+//! at later simulated timestamps, so serving never pauses.
+//!
+//! Everything is event-driven over simulated time. Simultaneous events
+//! resolve in the fixed priority of `EventKind` — completion ≺ gather ≺
+//! lifecycle ≺ fault ≺ hedge ≺ arrival ≺ flush — so a run is a pure
+//! function of `(config, request stream, backends, fault plan, lifecycle
+//! plan)`: replaying the same seed yields a bit-identical
+//! [`ShardedReport`].
 //!
 //! Batch shaping (unsplit / split / dynamic coalescing) happens *before*
 //! the fan-out, on whole requests: all shards always see the same sample
@@ -74,16 +90,17 @@ use crate::stats::{
     RequestRecord, ShardLaneStats, ShardedReport, ShardedRequestRecord, ShedReason,
 };
 
-/// Drift-triggered background retuning for the sharded tier — the
-/// multi-shard analogue of [`crate::RetunePolicy`]. One drift monitor
-/// watches the *full* admitted batches; when it fires (and the
-/// [`LifecycleConfig`] machine is in steady state) the retuner is invoked
-/// once per shard with that shard's sub-model and the recent window
-/// projected onto its features. A successful candidate set is promoted
-/// per the lifecycle config: blindly at the retune timestamp, or —
-/// canaried — shadow-executed, compared per shard, and rolled out
-/// **staged** shard-by-shard (`stagger_us` apart), aborting and rolling
-/// every shard back if any canary regresses.
+/// Drift-triggered background retuning. One drift monitor watches the
+/// *full* admitted batches; when it fires (and the [`LifecycleConfig`]
+/// machine is in steady state) the retuner is invoked once per shard with
+/// that shard's sub-model and the recent window projected onto its
+/// features (on a 1-shard tier: the whole model and the window itself).
+/// The retune costs `retune_latency_us` of simulated time while the old
+/// engines keep serving. A successful candidate set is promoted per the
+/// lifecycle config: blindly at the retune timestamp, or — canaried —
+/// shadow-executed, compared per shard, and rolled out **staged**
+/// shard-by-shard (`stagger_us` apart), aborting and restoring every
+/// already-swapped shard if any canary regresses.
 pub struct ShardedRetunePolicy<'a> {
     /// Drift-detection window and threshold (full-batch traffic).
     pub drift: DriftConfig,
@@ -101,14 +118,25 @@ pub struct ShardedRetunePolicy<'a> {
 }
 
 /// One shard's serving lane: the sub-model it owns, its tables and the
-/// engine compiled for it.
-pub struct ShardLane {
+/// engine compiled for it. The engine may borrow (`Box::new(&engine)`),
+/// so a tier can serve an engine it does not own.
+pub struct ShardLane<'a> {
     /// The features this shard serves, as a model.
     pub model: ModelConfig,
     /// The shard's embedding tables.
     pub tables: TableSet,
     /// The engine serving this shard.
-    pub backend: Box<dyn Backend>,
+    pub backend: Box<dyn Backend + 'a>,
+}
+
+impl<'a> ShardLane<'a> {
+    fn new(model: ModelConfig, backend: Box<dyn Backend + 'a>) -> Self {
+        ShardLane {
+            tables: TableSet::for_model(&model),
+            model,
+            backend,
+        }
+    }
 }
 
 /// The sharded serving runtime: one model partitioned over `N` devices.
@@ -116,9 +144,9 @@ pub struct ShardedServeRuntime<'a> {
     /// Feature → device partition.
     pub placement: Placement,
     /// Per-device lanes, indexed by device.
-    pub lanes: Vec<ShardLane>,
+    pub lanes: Vec<ShardLane<'a>>,
     /// Standby replica lanes, parallel to [`Self::replica_of`].
-    pub replicas: Vec<ShardLane>,
+    pub replicas: Vec<ShardLane<'a>>,
     /// Which shard each replica lane mirrors.
     pub replica_of: Vec<usize>,
     /// The full model (for gather sizing).
@@ -135,6 +163,31 @@ pub struct ShardedServeRuntime<'a> {
 }
 
 impl<'a> ShardedServeRuntime<'a> {
+    /// A single-GPU deployment: a 1-shard tier serving `backend` over the
+    /// whole model, with no replicas and no faults.
+    pub fn single_device(
+        model: &'a ModelConfig,
+        arch: &'a GpuArch,
+        config: ServeConfig,
+        backend: impl Backend + 'a,
+    ) -> Self {
+        let placement = Placement::balance(model, 1);
+        ShardedServeRuntime {
+            lanes: vec![ShardLane::new(
+                placement.sub_model(model, 0),
+                Box::new(backend),
+            )],
+            placement,
+            replicas: Vec::new(),
+            replica_of: Vec::new(),
+            model,
+            arch,
+            config,
+            interconnect: Interconnect::ideal(),
+            resilience: ResilienceConfig::default(),
+        }
+    }
+
     /// Build the tier: partition `model` by `placement` and compile one
     /// lane per device with `make_backend`. No faults, no replication —
     /// use [`Self::build_resilient`] for the chaos-capable tier.
@@ -144,7 +197,7 @@ impl<'a> ShardedServeRuntime<'a> {
         placement: Placement,
         config: ServeConfig,
         interconnect: Interconnect,
-        make_backend: impl Fn(&ModelConfig) -> Box<dyn Backend>,
+        make_backend: impl Fn(&ModelConfig) -> Box<dyn Backend + 'a>,
     ) -> Self {
         Self::build_resilient(
             model,
@@ -172,18 +225,13 @@ impl<'a> ShardedServeRuntime<'a> {
         interconnect: Interconnect,
         resilience: ResilienceConfig,
         costs: &[f64],
-        make_backend: impl Fn(&ModelConfig) -> Box<dyn Backend>,
+        make_backend: impl Fn(&ModelConfig) -> Box<dyn Backend + 'a>,
     ) -> Self {
         assert_eq!(placement.device_of.len(), model.features.len());
         let make_lane = |dev: usize| {
             let sub_model = placement.sub_model(model, dev);
-            let tables = TableSet::for_model(&sub_model);
             let backend = make_backend(&sub_model);
-            ShardLane {
-                model: sub_model,
-                tables,
-                backend,
-            }
+            ShardLane::new(sub_model, backend)
         };
         let lanes = (0..placement.num_devices).map(make_lane).collect();
         let replica_of = resilience.replication.mirrored_shards(&placement, costs);
@@ -212,17 +260,13 @@ impl<'a> ShardedServeRuntime<'a> {
     /// gate: a request sheds at admission when its remaining time is
     /// already spent or the worst per-shard backlog exceeds it. This is
     /// the plumbing a pipeline stage uses to thread its share of the
-    /// end-to-end SLO budget through the tier.
+    /// end-to-end SLO budget through the tier. The vector must have one
+    /// non-NaN entry per request.
     pub fn serve_with_deadlines(
         &self,
         requests: &[Request],
         deadlines: &[f64],
     ) -> Result<ShardedReport, ServeError> {
-        if deadlines.len() != requests.len() {
-            return Err(ServeError::Policy(
-                "deadlines must be given for every request",
-            ));
-        }
         self.run(requests, None, Some(deadlines))
     }
 
@@ -267,6 +311,21 @@ impl<'a> ShardedServeRuntime<'a> {
         }
         if self.config.hot_shard_cap == Some(0) {
             return Err(ServeError::Policy("hot_shard_cap must be at least 1"));
+        }
+        // `backlog > NaN` is false, so a NaN deadline would silently
+        // admit everything.
+        if self.config.slo_deadline_us.is_some_and(f64::is_nan) {
+            return Err(ServeError::Policy("slo_deadline_us must not be NaN"));
+        }
+        if let Some(d) = deadlines {
+            if d.len() != requests.len() {
+                return Err(ServeError::Policy(
+                    "deadlines must be given for every request",
+                ));
+            }
+            if d.iter().any(|t| t.is_nan()) {
+                return Err(ServeError::Policy("deadlines must not be NaN"));
+            }
         }
 
         let n = requests.len();
@@ -318,6 +377,7 @@ impl<'a> ShardedServeRuntime<'a> {
             }),
             candidates: (0..num_shards).map(|_| None).collect(),
             promoted: (0..num_shards).map(|_| None).collect(),
+            displaced: Vec::new(),
             pressure: PressureTracker::default(),
         };
 
@@ -327,9 +387,7 @@ impl<'a> ShardedServeRuntime<'a> {
         let mut now = 0.0f64;
 
         loop {
-            // Candidate events, probed in tie-break priority order:
-            // completion, gather, lifecycle transition, fault transition,
-            // hedge deadline, arrival, flush.
+            // Candidate events, probed in `EventKind` priority order.
             st.pending_deadlines
                 .retain(|&(_, c)| st.chunks.contains_key(&c));
             let mut next: Option<(f64, EventKind)> = None;
@@ -477,10 +535,10 @@ impl<'a> ShardedServeRuntime<'a> {
     }
 }
 
-/// Which event fires next; declaration order is tie-break priority.
-/// With one shard there are never gather, fault or hedge events, so the
-/// order degenerates to the single-device runtime's (completion,
-/// lifecycle, arrival, flush) — the 1-shard equivalence the tests gate.
+/// Which event fires next; declaration order is the tie-break priority
+/// for simultaneous events. `Lifecycle` follows `Completion` (and the
+/// gathers that completions start), so a blind-swap promotion lands at
+/// the same priority whatever the shard count.
 #[derive(PartialEq, Eq, PartialOrd, Ord, Clone, Copy, Debug)]
 enum EventKind {
     Completion,
@@ -545,8 +603,8 @@ struct ChunkState {
     any_start: bool,
     /// Latest gating kernel start seen so far. A chunk only counts as
     /// "on the device" once its *gating* (last-starting) lane picked it
-    /// up; until then it is queue time, exactly as the single-device
-    /// runtime counts its one lane's launch-queue wait.
+    /// up; until then it is queue time, just as a 1-shard tier counts
+    /// its one lane's launch-queue wait.
     start_max_us: f64,
     /// Earliest / latest real per-shard completion seen so far.
     done_min_us: f64,
@@ -607,6 +665,9 @@ struct ShardedRunState {
     /// Per-shard promoted engines. `None` means the lane's built-in
     /// backend serves; run-local so `serve` stays `&self` and replayable.
     promoted: Vec<Option<Box<dyn Backend>>>,
+    /// Engines the current staged rollout swapped out, restored if it
+    /// aborts: `(shard, engine that served before)`.
+    displaced: Vec<(usize, Option<Box<dyn Backend>>)>,
     /// Leaky-bucket state for the degradation ladder's pressure signal.
     pressure: PressureTracker,
 }
@@ -723,38 +784,38 @@ impl ShardedRunState {
     /// window that cleared with no stagger).
     fn promote_all_shards(&mut self) -> Result<(), ServeError> {
         for s in 0..self.candidates.len() {
-            self.promoted[s] = Some(
-                self.candidates[s]
-                    .take()
-                    .ok_or(ServeError::Internal("promotion without a candidate engine"))?,
-            );
+            self.promote_shard(s)?;
         }
-        self.rebase_monitor();
         Ok(())
     }
 
-    /// Install one shard's candidate during a staged rollout; the drift
-    /// monitor rebases only when the last shard lands.
+    /// Install one shard's candidate. During a staged rollout the engine
+    /// it replaces is kept for an abort; once the rollout is complete the
+    /// drift monitor rebases and the candidate set is the incumbent.
     fn promote_shard(&mut self, s: usize) -> Result<(), ServeError> {
-        self.promoted[s] = Some(
-            self.candidates[s]
-                .take()
-                .ok_or(ServeError::Internal("promotion without a candidate engine"))?,
-        );
-        if self.machine.as_ref().is_some_and(|m| !m.in_canary()) {
+        let candidate = self.candidates[s]
+            .take()
+            .ok_or(ServeError::Internal("promotion without a candidate engine"))?;
+        let previous = self.promoted[s].replace(candidate);
+        if self.machine.as_ref().is_some_and(|m| m.in_canary()) {
+            self.displaced.push((s, previous));
+        } else if self.candidates.iter().all(Option::is_none) {
+            // The last shard landed (a blind swap installs every shard
+            // first): the rollout can no longer abort.
+            self.displaced.clear();
             self.rebase_monitor();
         }
         Ok(())
     }
 
-    /// Drop every candidate *and* every promoted engine: a mid-rollout
-    /// abort must restore the incumbent on shards already swapped.
+    /// Drop every candidate and put back the engines the current rollout
+    /// displaced. Engines promoted by earlier, completed rollouts stay.
     fn roll_back_engines(&mut self) {
         for c in &mut self.candidates {
             *c = None;
         }
-        for p in &mut self.promoted {
-            *p = None;
+        for (s, previous) in self.displaced.drain(..) {
+            self.promoted[s] = previous;
         }
     }
 
@@ -1512,8 +1573,7 @@ impl ShardedRunState {
             self.chunks.insert(chunk_id, chunk);
         } else {
             // One shard (or an ideal link): the chunk is done the
-            // moment the device finishes — exactly the
-            // single-device runtime's event sequence.
+            // moment the device finishes, with no gather event.
             self.retire_chunk(&chunk, base_t, requests);
         }
         Ok(())
@@ -1668,7 +1728,6 @@ mod tests {
     };
     use crate::lifecycle::{CanaryConfig, LifecycleEvent, OutcomePlan};
     use crate::request::WorkloadSpec;
-    use crate::runtime::{RetunePolicy, ServeRuntime};
     use proptest::prelude::*;
     use recflex_baselines::TorchRecBackend;
     use recflex_data::shift_distribution;
@@ -1730,88 +1789,6 @@ mod tests {
             end_us: end,
             kind: FaultKind::Crash { shard },
         }
-    }
-
-    #[test]
-    fn one_shard_reproduces_single_device_latencies_bit_for_bit() -> Result<(), ServeError> {
-        let (m, arch) = setup();
-        let reqs = WorkloadSpec::long_tail(300.0).stream(&m, 40, 42);
-        for policy in [
-            BatchPolicy::Unsplit,
-            BatchPolicy::Split { cap: 128 },
-            BatchPolicy::Dynamic {
-                max_batch: 256,
-                max_wait_us: 200.0,
-            },
-            BatchPolicy::DynamicPacked {
-                max_batch: 256,
-                max_wait_us: 200.0,
-            },
-        ] {
-            let config = ServeConfig {
-                streams: 4,
-                policy,
-                slo_deadline_us: Some(20_000.0),
-                closed_loop: false,
-                hot_shard_cap: None,
-            };
-            let sharded = tier(&m, &arch, 1, config, Interconnect::nvlink()).serve(&reqs)?;
-            let backend = TorchRecBackend::compile(&m);
-            let tables = TableSet::for_model(&m);
-            let single = ServeRuntime {
-                backend: &backend,
-                model: &m,
-                tables: &tables,
-                arch: &arch,
-                config,
-            }
-            .serve(&reqs)?;
-            assert_eq!(sharded.flat(), single, "policy {policy:?}");
-            assert!(sharded.records.iter().all(|r| r.gather_us == 0.0));
-            assert!(sharded.records.iter().all(|r| r.straggler_us == 0.0));
-        }
-        Ok(())
-    }
-
-    #[test]
-    fn one_shard_with_explicit_empty_resilience_matches_serve_runtime_bit_for_bit(
-    ) -> Result<(), ServeError> {
-        // The satellite guard: ReplicationPolicy::None + an empty
-        // FaultPlan through the resilient constructor must still be the
-        // single-device runtime, record for record.
-        let (m, arch) = setup();
-        let reqs = WorkloadSpec::long_tail(300.0).stream(&m, 32, 11);
-        let config = ServeConfig {
-            streams: 4,
-            policy: BatchPolicy::Split { cap: 128 },
-            slo_deadline_us: Some(20_000.0),
-            closed_loop: false,
-            hot_shard_cap: None,
-        };
-        let resilience = ResilienceConfig {
-            plan: FaultPlan::none(),
-            chunk_deadline_us: None,
-            replication: ReplicationPolicy::None,
-            ladder: None,
-            replica_reads: false,
-        };
-        let sharded = resilient_tier(&m, &arch, 1, config, resilience).serve(&reqs)?;
-        let backend = TorchRecBackend::compile(&m);
-        let tables = TableSet::for_model(&m);
-        let single = ServeRuntime {
-            backend: &backend,
-            model: &m,
-            tables: &tables,
-            arch: &arch,
-            config,
-        }
-        .serve(&reqs)?;
-        assert_eq!(sharded.flat(), single);
-        assert!(sharded.records.iter().all(|r| !r.degraded));
-        assert_eq!(sharded.hedge_fires, 0);
-        assert_eq!(sharded.failovers, 0);
-        assert!(sharded.per_replica.is_empty());
-        Ok(())
     }
 
     #[test]
@@ -2034,6 +2011,40 @@ mod tests {
         let rt = tier(&m, &arch, 2, config, Interconnect::nvlink());
         let reqs = WorkloadSpec::long_tail(100.0).stream(&m, 2, 1);
         assert!(matches!(rt.serve(&reqs), Err(ServeError::Policy(_))));
+    }
+
+    #[test]
+    fn nan_slo_is_a_policy_error() {
+        // `backlog > NaN` is false: unchecked, a NaN SLO admits everything.
+        let (m, arch) = setup();
+        let config = ServeConfig {
+            slo_deadline_us: Some(f64::NAN),
+            ..slo_config()
+        };
+        let reqs = WorkloadSpec::long_tail(100.0).stream(&m, 4, 1);
+        for shards in [1, 2] {
+            let rt = tier(&m, &arch, shards, config, Interconnect::nvlink());
+            assert!(matches!(rt.serve(&reqs), Err(ServeError::Policy(_))));
+        }
+    }
+
+    #[test]
+    fn nan_deadline_entry_is_a_policy_error() {
+        let (m, arch) = setup();
+        let reqs = WorkloadSpec::long_tail(100.0).stream(&m, 4, 1);
+        let mut deadlines: Vec<f64> = reqs.iter().map(|r| r.arrival_us + 1e6).collect();
+        deadlines[2] = f64::NAN;
+        for shards in [1, 2] {
+            let rt = tier(&m, &arch, shards, load_config(), Interconnect::nvlink());
+            assert!(matches!(
+                rt.serve_with_deadlines(&reqs, &deadlines),
+                Err(ServeError::Policy(_))
+            ));
+            assert!(matches!(
+                rt.serve_with_deadlines(&reqs, &deadlines[..3]),
+                Err(ServeError::Policy(_))
+            ));
+        }
     }
 
     fn slo_config() -> ServeConfig {
@@ -2302,7 +2313,7 @@ mod tests {
     }
 
     /// In-distribution head, heavily shifted tail: the drift monitor
-    /// fires partway through, exactly like the single-device retune test.
+    /// fires partway through.
     fn drifting_stream(m: &ModelConfig) -> (ModelConfig, Vec<Request>) {
         let shifted = shift_distribution(m, 2.5, 0.0);
         let mut reqs = WorkloadSpec::long_tail(400.0).stream(m, 16, 5);
@@ -2325,68 +2336,64 @@ mod tests {
     }
 
     #[test]
-    fn one_shard_retune_tier_matches_single_device_retune_bit_for_bit() -> Result<(), ServeError> {
+    fn a_failed_attempt_after_a_promotion_keeps_the_promoted_engine() -> Result<(), ServeError> {
+        // Drift fires twice (in-distribution → shifted → back): attempt 1
+        // promotes a 4x-regressed engine, attempt 2 fails to compile. The
+        // failure must drop only its own (absent) candidate — the served
+        // records equal a run whose second attempt never launched.
         let (m, arch) = setup();
-        let (shifted, reqs) = drifting_stream(&m);
-        let config = ServeConfig {
-            streams: 2,
-            policy: BatchPolicy::Split { cap: 256 },
-            slo_deadline_us: None,
-            closed_loop: false,
-            hot_shard_cap: None,
-        };
-        // Blind swap and full-canary must both degenerate to the
-        // single-device lifecycle with one shard.
-        for lifecycle in [
-            LifecycleConfig::default(),
-            LifecycleConfig {
-                canary: Some(CanaryConfig {
-                    shadow_fraction: 1.0,
-                    window: 4,
-                    min_win_margin: 0.0,
-                    split_traffic: false,
-                }),
-                ..LifecycleConfig::default()
-            },
-        ] {
-            let mut sharded_policy = ShardedRetunePolicy {
+        let (_shifted, mut reqs) = drifting_stream(&m);
+        let mut back = WorkloadSpec::long_tail(400.0).stream(&m, 24, 8);
+        let t0 = reqs.last().map_or(0.0, |r| r.arrival_us);
+        for (k, r) in back.iter_mut().enumerate() {
+            r.arrival_us += t0;
+            r.id = 40 + k as u64;
+        }
+        reqs.append(&mut back);
+        let regress = RetuneOutcome::Regression { slowdown: 4.0 };
+        let run = |shards: usize, lifecycle: LifecycleConfig| {
+            let mut policy = ShardedRetunePolicy {
                 drift: drift_config(),
                 retune_latency_us: 1_000.0,
                 stagger_us: 0.0,
-                lifecycle: lifecycle.clone(),
-                retuner: Box::new(|_: &ModelConfig, _: &[Batch]| {
-                    TunedCandidate::from(
-                        Box::new(TorchRecBackend::compile(&shifted)) as Box<dyn Backend>
-                    )
+                lifecycle,
+                retuner: Box::new(|sm: &ModelConfig, _: &[Batch]| {
+                    TunedCandidate::from(Box::new(TorchRecBackend::compile(sm)) as Box<dyn Backend>)
                 }),
             };
-            let sharded = tier(&m, &arch, 1, config, Interconnect::nvlink())
-                .serve_with_retune(&reqs, &mut sharded_policy)?;
-            let backend = TorchRecBackend::compile(&m);
-            let tables = TableSet::for_model(&m);
-            let mut single_policy = RetunePolicy {
-                drift: drift_config(),
-                retune_latency_us: 1_000.0,
-                lifecycle: lifecycle.clone(),
-                retuner: Box::new(|_: &[Batch]| {
-                    TunedCandidate::from(
-                        Box::new(TorchRecBackend::compile(&shifted)) as Box<dyn Backend>
-                    )
-                }),
-            };
-            let single = ServeRuntime {
-                backend: &backend,
-                model: &m,
-                tables: &tables,
-                arch: &arch,
-                config,
-            }
-            .serve_with_retune(&reqs, &mut single_policy)?;
+            tier(&m, &arch, shards, load_config(), Interconnect::nvlink())
+                .serve_with_retune(&reqs, &mut policy)
+        };
+        for shards in [1, 2] {
+            let failed_retry = run(
+                shards,
+                LifecycleConfig {
+                    outcomes: OutcomePlan::scripted(
+                        std::iter::once(regress)
+                            .chain(std::iter::repeat_n(RetuneOutcome::CompileFail, 8))
+                            .collect(),
+                    ),
+                    ..LifecycleConfig::default()
+                },
+            )?;
+            let one_attempt = run(
+                shards,
+                LifecycleConfig {
+                    outcomes: OutcomePlan::scripted(vec![regress]),
+                    retry: crate::lifecycle::RetryPolicy {
+                        cooldown_us: 1e12,
+                        ..Default::default()
+                    },
+                    ..LifecycleConfig::default()
+                },
+            )?;
             assert!(
-                single.lifecycle.retunes_attempted >= 1,
-                "the stream must drift"
+                failed_retry.lifecycle.retunes_failed >= 1,
+                "attempt 2 must run"
             );
-            assert_eq!(sharded.flat(), single);
+            assert_eq!(failed_retry.lifecycle.retunes_promoted, 1);
+            assert_eq!(one_attempt.lifecycle.retunes_attempted, 1);
+            assert_eq!(failed_retry.records, one_attempt.records, "{shards} shards");
         }
         Ok(())
     }

@@ -4,10 +4,11 @@
 //! end-to-end latency under concurrent long-tail requests), so the
 //! runtime records a full breakdown for every request — queue wait
 //! versus device time — and the report exposes nearest-rank percentiles
-//! over completed requests plus the shed rate for SLO accounting. The
-//! sharded tier adds the fault observables (downtime, hedge fires and
-//! wins, failovers, degraded-request rate, availability) that the chaos
-//! harness gates on.
+//! over completed requests plus the shed rate for SLO accounting.
+//! [`ShardedReport`] adds the cross-shard terms and the fault observables
+//! (downtime, hedge fires and wins, failovers, degraded-request rate,
+//! availability) that the chaos harness gates on; [`ServeReport`] is its
+//! per-request projection ([`ShardedReport::flat`]).
 
 use serde::{Deserialize, Serialize};
 
@@ -105,8 +106,10 @@ impl RequestRecord {
     }
 }
 
-/// Aggregate outcome of one serving run. `PartialEq` so replay tests can
-/// assert two runs of the same seed are *identical*, not merely close.
+/// The request-level view of one serving run, projected from a
+/// [`ShardedReport`] by [`ShardedReport::flat`]. `PartialEq` so replay
+/// tests can assert two runs of the same seed are *identical*, not
+/// merely close.
 #[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct ServeReport {
     /// One record per request, in arrival order (shed included).
@@ -157,12 +160,12 @@ impl ServeReport {
     }
 }
 
-/// What happened to one request in the sharded tier: the single-device
+/// What happened to one request in the serving tier: the per-request
 /// breakdown plus the cross-shard terms.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ShardedRequestRecord {
-    /// The single-device-shaped record (`service_us` and `done_us`
-    /// include the all-gather; latency = queue + device + gather).
+    /// The per-request record (`service_us` and `done_us` include the
+    /// all-gather; latency = queue + device + gather).
     pub base: RequestRecord,
     /// Gating launch to last per-shard kernel completion, µs — the pure
     /// device share of service time. A chunk is "launched" once its
@@ -352,9 +355,8 @@ impl ShardedReport {
         out
     }
 
-    /// The run flattened to the single-device report shape, for code that
-    /// only cares about the request-level outcome (and for the 1-shard
-    /// equivalence tests).
+    /// The run flattened to the per-request [`ServeReport`] shape, for
+    /// code that only cares about the request-level outcome.
     pub fn flat(&self) -> ServeReport {
         ServeReport {
             records: self.records.iter().map(|r| r.base.clone()).collect(),

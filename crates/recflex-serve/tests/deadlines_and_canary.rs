@@ -1,9 +1,9 @@
 //! Integration tests for the two request-path extensions the pipeline
 //! tier leans on:
 //!
-//! * [`ShardedServeRuntime::serve_with_deadlines`] /
-//!   [`ServeRuntime::serve_with_deadlines`] — per-request admission
-//!   deadlines overriding the tier-level SLO, used to thread per-stage
+//! * [`ShardedServeRuntime::serve_with_deadlines`] — per-request
+//!   admission deadlines overriding the tier-level SLO, used to thread
+//!   per-stage
 //!   [`DeadlineBudget`](recflex_serve::DeadlineBudget) shares through a
 //!   pipeline;
 //! * [`CanaryConfig::split_traffic`] — serving the canaried fraction
@@ -13,11 +13,10 @@
 
 use recflex_baselines::{Backend, TorchRecBackend};
 use recflex_data::{Batch, ModelConfig, ModelPreset, Placement};
-use recflex_embedding::TableSet;
 use recflex_serve::{
     BatchPolicy, CanaryConfig, DriftConfig, LifecycleConfig, OutcomePlan, RetuneOutcome,
-    ServeConfig, ServeError, ServeRuntime, ShardedRetunePolicy, ShardedServeRuntime, ShedReason,
-    TunedCandidate, WorkloadSpec,
+    ServeConfig, ServeError, ShardedRetunePolicy, ShardedServeRuntime, ShedReason, TunedCandidate,
+    WorkloadSpec,
 };
 use recflex_sim::{GpuArch, Interconnect};
 
@@ -94,31 +93,17 @@ fn zero_window_deadlines_shed_queued_requests_at_admission() -> Result<(), Serve
 fn deadline_vector_length_must_match_the_stream() {
     let (m, arch) = setup();
     let reqs = WorkloadSpec::long_tail(300.0).stream(&m, 4, 1);
-    let rt = tier(&m, &arch, 2);
-    assert!(matches!(
-        rt.serve_with_deadlines(&reqs, &[1_000.0]),
-        Err(ServeError::Policy(_))
-    ));
-    let backend = TorchRecBackend::compile(&m);
-    let tables = TableSet::for_model(&m);
-    let single = ServeRuntime {
-        backend: &backend,
-        model: &m,
-        tables: &tables,
-        arch: &arch,
-        config: config(None),
-    };
-    assert!(matches!(
-        single.serve_with_deadlines(&reqs, &[1_000.0]),
-        Err(ServeError::Policy(_))
-    ));
+    for shards in [1, 2] {
+        assert!(matches!(
+            tier(&m, &arch, shards).serve_with_deadlines(&reqs, &[1_000.0]),
+            Err(ServeError::Policy(_))
+        ));
+    }
 }
 
 #[test]
 fn single_device_deadlines_override_the_config_slo() -> Result<(), ServeError> {
     let (m, arch) = setup();
-    let backend = TorchRecBackend::compile(&m);
-    let tables = TableSet::for_model(&m);
     let reqs: Vec<recflex_serve::Request> = (0..10)
         .map(|i| recflex_serve::Request {
             id: i,
@@ -127,13 +112,12 @@ fn single_device_deadlines_override_the_config_slo() -> Result<(), ServeError> {
         })
         .collect();
     // A tight tier-level SLO sheds under this burst…
-    let tight = ServeRuntime {
-        backend: &backend,
-        model: &m,
-        tables: &tables,
-        arch: &arch,
-        config: config(Some(500.0)),
-    };
+    let tight = ShardedServeRuntime::single_device(
+        &m,
+        &arch,
+        config(Some(500.0)),
+        TorchRecBackend::compile(&m),
+    );
     let slo_report = tight.serve(&reqs)?;
     assert!(slo_report.shed_rate() > 0.0);
     // …but generous per-request deadlines on the same config admit

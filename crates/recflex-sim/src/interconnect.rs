@@ -77,7 +77,7 @@ impl Interconnect {
     /// Time for an all-gather of `total_bytes` of pooled output spread
     /// across `num_devices`, µs. With one (or zero) devices there is
     /// nothing to exchange and the cost is exactly zero — a 1-shard
-    /// deployment must reproduce single-device latencies bit-for-bit.
+    /// deployment pays no gather term at all.
     ///
     /// Ring all-gather moves `(n-1)/n` of the total payload through every
     /// link in parallel, so the bandwidth term scales with the slice each

@@ -29,21 +29,16 @@ fn main() {
 
     // Online: a Poisson long-tail stream under dynamic batching + an SLO.
     let stream = WorkloadSpec::long_tail(800.0).stream(&model, 32, 9);
-    let runtime = ServeRuntime {
-        backend: &engine,
-        model: &model,
-        tables: &tables,
-        arch: &arch,
-        config: ServeConfig {
-            streams: 4,
-            policy: BatchPolicy::Dynamic {
-                max_batch: 256,
-                max_wait_us: 200.0,
-            },
-            slo_deadline_us: Some(20_000.0),
-            ..ServeConfig::default()
+    let config = ServeConfig {
+        streams: 4,
+        policy: BatchPolicy::Dynamic {
+            max_batch: 256,
+            max_wait_us: 200.0,
         },
+        slo_deadline_us: Some(20_000.0),
+        ..ServeConfig::default()
     };
+    let runtime = ShardedServeRuntime::single_device(&model, &arch, config, &engine);
     let served = runtime.serve(&stream).expect("serve");
     println!(
         "served {} requests: p50 {:.1} us, p99 {:.1} us, mean queue {:.1} us, \

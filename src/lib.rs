@@ -16,8 +16,8 @@
 //! * [`baselines`] — TensorFlow/RECom/TorchRec/HugeCTR comparison backends,
 //! * [`dnn`] — the dense MLP stage for end-to-end experiments,
 //! * [`core`] — the tuned, compiled, servable [`RecFlexEngine`],
-//! * [`serve`] — the deterministic online-serving runtime (dynamic batching,
-//!   SLO-aware scheduling, drift-triggered retuning).
+//! * [`serve`] — the deterministic online-serving tier (dynamic batching,
+//!   SLO-aware scheduling, drift-triggered retuning) for one GPU or many.
 
 pub use recflex_baselines as baselines;
 pub use recflex_compiler as compiler;
@@ -42,8 +42,8 @@ pub mod prelude {
     pub use recflex_embedding::TableSet;
     pub use recflex_serve::{
         BatchPolicy, CanaryConfig, DriftConfig, LifecycleConfig, OutcomePlan, OutcomeSpec, Request,
-        RetryPolicy, RetuneOutcome, RetunePolicy, ServeConfig, ServeReport, ServeRuntime,
-        WorkloadSpec,
+        RetryPolicy, RetuneOutcome, ServeConfig, ServeReport, ShardedReport, ShardedRetunePolicy,
+        ShardedServeRuntime, WorkloadSpec,
     };
     pub use recflex_sim::GpuArch;
     pub use recflex_tuner::TunerConfig;

@@ -6,18 +6,17 @@
 use recflex::data::shift_distribution;
 use recflex::prelude::*;
 
-fn tuned() -> (ModelConfig, TableSet, GpuArch, RecFlexEngine) {
+fn tuned() -> (ModelConfig, GpuArch, RecFlexEngine) {
     let model = ModelPreset::A.scaled(0.01);
-    let tables = TableSet::for_model(&model);
     let arch = GpuArch::v100();
     let history = Dataset::synthesize(&model, 2, 64, 5);
     let engine = RecFlexEngine::tune(&model, &history, &arch, &TunerConfig::fast());
-    (model, tables, arch, engine)
+    (model, arch, engine)
 }
 
 #[test]
 fn facade_tune_then_serve_all_policies() {
-    let (model, tables, arch, engine) = tuned();
+    let (model, arch, engine) = tuned();
     let stream = WorkloadSpec::long_tail(600.0).stream(&model, 16, 11);
     for policy in [
         BatchPolicy::Unsplit,
@@ -27,19 +26,14 @@ fn facade_tune_then_serve_all_policies() {
             max_wait_us: 200.0,
         },
     ] {
-        let runtime = ServeRuntime {
-            backend: &engine,
-            model: &model,
-            tables: &tables,
-            arch: &arch,
-            config: ServeConfig {
-                streams: 2,
-                policy,
-                slo_deadline_us: None,
-                closed_loop: false,
-                hot_shard_cap: None,
-            },
+        let config = ServeConfig {
+            streams: 2,
+            policy,
+            slo_deadline_us: None,
+            closed_loop: false,
+            hot_shard_cap: None,
         };
+        let runtime = ShardedServeRuntime::single_device(&model, &arch, config, &engine);
         let report = runtime.serve(&stream).unwrap();
         assert_eq!(report.records.len(), 16);
         assert_eq!(report.shed_rate(), 0.0);
@@ -50,11 +44,10 @@ fn facade_tune_then_serve_all_policies() {
 
 #[test]
 fn facade_offline_wrapper_matches_paper_splitting_semantics() {
-    let (model, tables, arch, engine) = tuned();
+    let (model, arch, engine) = tuned();
     let server = ServingSimulator {
         backend: &engine,
         model: &model,
-        tables: &tables,
         arch,
         max_batch: Some(128),
     };
@@ -66,18 +59,19 @@ fn facade_offline_wrapper_matches_paper_splitting_semantics() {
 
 #[test]
 fn facade_drift_retune_hot_swaps_a_fresh_engine() {
-    let (model, tables, arch, engine) = tuned();
+    let (model, arch, engine) = tuned();
     let shifted = shift_distribution(&model, 2.5, 0.0);
     let stream = WorkloadSpec::long_tail(600.0).stream(&shifted, 20, 23);
-    let mut policy = RetunePolicy {
+    let mut policy = ShardedRetunePolicy {
         drift: DriftConfig {
             window: 6,
             threshold: 0.3,
             feature_threshold: 0.5,
         },
         retune_latency_us: 2_000.0,
+        stagger_us: 0.0,
         lifecycle: LifecycleConfig::default(),
-        retuner: Box::new(|recent: &[Batch]| {
+        retuner: Box::new(|_: &ModelConfig, recent: &[Batch]| {
             let ds = Dataset::from_batches(recent.to_vec());
             (Box::new(RecFlexEngine::tune(
                 &ModelPreset::A.scaled(0.01),
@@ -88,21 +82,19 @@ fn facade_drift_retune_hot_swaps_a_fresh_engine() {
                 .into()
         }),
     };
-    let runtime = ServeRuntime {
-        backend: &engine,
-        model: &model,
-        tables: &tables,
-        arch: &arch,
-        config: ServeConfig {
-            streams: 2,
-            policy: BatchPolicy::Split { cap: 256 },
-            slo_deadline_us: None,
-            closed_loop: false,
-            hot_shard_cap: None,
-        },
+    let config = ServeConfig {
+        streams: 2,
+        policy: BatchPolicy::Split { cap: 256 },
+        slo_deadline_us: None,
+        closed_loop: false,
+        hot_shard_cap: None,
     };
+    let runtime = ShardedServeRuntime::single_device(&model, &arch, config, &engine);
     let report = runtime.serve_with_retune(&stream, &mut policy).unwrap();
-    assert!(report.retunes >= 1, "shifted traffic must trigger a retune");
+    assert!(
+        report.lifecycle.retunes_promoted >= 1,
+        "shifted traffic must trigger a retune"
+    );
     assert_eq!(
         report.records.len(),
         20,
