@@ -15,7 +15,7 @@ use recflex_sim::{
     launch, BlockProfile, BlockResources, GpuArch, LaunchConfig, ProfileCtx, SimKernel,
 };
 
-use crate::{Backend, BackendError, BackendRun};
+use crate::{Backend, BackendError, BackendRun, CostReport};
 
 /// The HugeCTR fused pooling kernel bound to a batch.
 struct HugeCtrKernel<'a> {
@@ -110,6 +110,17 @@ impl Backend for HugeCtrBackend {
         batch: &Batch,
         arch: &GpuArch,
     ) -> Result<BackendRun, BackendError> {
+        let cost = self.cost(model, tables, batch, arch)?;
+        Ok(cost.with_output(reference_model_output(model, tables, batch)))
+    }
+
+    fn cost(
+        &self,
+        model: &ModelConfig,
+        _tables: &TableSet,
+        batch: &Batch,
+        arch: &GpuArch,
+    ) -> Result<CostReport, BackendError> {
         let dim = model
             .uniform_dim()
             .ok_or_else(|| BackendError::Unsupported("HugeCTR needs one embedding dim".into()))?;
@@ -130,13 +141,8 @@ impl Backend for HugeCtrBackend {
             threads: 128,
             unique_fracs,
         };
-        let report = launch(&kern, arch, &LaunchConfig::default())
-            .map_err(|e| BackendError::Launch(e.to_string()))?;
-        Ok(BackendRun {
-            output: reference_model_output(model, tables, batch),
-            latency_us: report.latency_us,
-            kernel_launches: 1,
-        })
+        let report = launch(&kern, arch, &LaunchConfig::default())?;
+        Ok(CostReport::one_launch(&report))
     }
 }
 

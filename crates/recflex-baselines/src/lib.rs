@@ -23,6 +23,19 @@
 //!
 //! All backends return bit-identical outputs to the scalar reference; they
 //! differ exclusively in simulated execution strategy.
+//!
+//! # The `Backend` contract
+//!
+//! [`Backend::run`] is the functional path: pooled output plus simulated
+//! timing. [`Backend::cost`] is the timing half alone — the same
+//! host-side analysis, task map and launch simulation, without the
+//! pooling. For every model, batch and architecture, `cost` must return
+//! the `latency_us` (bit for bit) and `kernel_launches` that `run`
+//! reports, and the same error when `run` fails. Serving reads only
+//! `cost`: no tier, canary or retune comparator ever looks at pooled
+//! output, so functional correctness is checked where it is produced (the
+//! backend tests against [`recflex_embedding::reference_model_output`] and
+//! `fig9_kernel_perf --check`).
 
 pub mod hugectr;
 pub mod recom;
@@ -36,7 +49,8 @@ pub use torchrec::TorchRecBackend;
 
 use recflex_data::{Batch, ModelConfig};
 use recflex_embedding::{FusedOutput, TableSet};
-use recflex_sim::GpuArch;
+use recflex_sim::launch::LaunchError;
+use recflex_sim::{GpuArch, LaunchReport};
 
 /// One backend invocation: functional output + simulated timing.
 #[derive(Debug, Clone)]
@@ -47,6 +61,45 @@ pub struct BackendRun {
     pub latency_us: f64,
     /// Number of kernel launches performed.
     pub kernel_launches: u32,
+}
+
+impl BackendRun {
+    /// The timing half of this run.
+    pub fn cost(&self) -> CostReport {
+        CostReport {
+            latency_us: self.latency_us,
+            kernel_launches: self.kernel_launches,
+        }
+    }
+}
+
+/// The simulated timing of one backend invocation — everything a serving
+/// tier reads. See [`Backend::cost`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CostReport {
+    /// Total simulated embedding-stage latency (all kernels), µs.
+    pub latency_us: f64,
+    /// Number of kernel launches performed.
+    pub kernel_launches: u32,
+}
+
+impl CostReport {
+    /// The cost of a backend that launches one kernel.
+    pub fn one_launch(report: &LaunchReport) -> Self {
+        CostReport {
+            latency_us: report.latency_us,
+            kernel_launches: 1,
+        }
+    }
+
+    /// The full run: this timing plus the pooled `output` it produced.
+    pub fn with_output(self, output: FusedOutput) -> BackendRun {
+        BackendRun {
+            output,
+            latency_us: self.latency_us,
+            kernel_launches: self.kernel_launches,
+        }
+    }
 }
 
 /// Why a backend refused a model/batch.
@@ -70,7 +123,18 @@ impl std::fmt::Display for BackendError {
 
 impl std::error::Error for BackendError {}
 
+impl From<LaunchError> for BackendError {
+    fn from(e: LaunchError) -> Self {
+        BackendError::Launch(e.to_string())
+    }
+}
+
 /// A recommendation embedding execution strategy.
+///
+/// `run` is the one required method; `cost` defaults to projecting it.
+/// A backend whose functional output is expensive overrides `cost` with
+/// its launch simulation alone and writes `run` as that path plus the
+/// pooling, so the two cannot drift apart.
 pub trait Backend: Sync {
     /// Display name ("TensorFlow", "RECom", …).
     fn name(&self) -> &'static str;
@@ -89,6 +153,19 @@ pub trait Backend: Sync {
         batch: &Batch,
         arch: &GpuArch,
     ) -> Result<BackendRun, BackendError>;
+
+    /// Simulate the embedding stage of one batch without producing its
+    /// output. Must return exactly `run`'s `latency_us` bits and
+    /// `kernel_launches`, or `run`'s error; serving calls only this.
+    fn cost(
+        &self,
+        model: &ModelConfig,
+        tables: &TableSet,
+        batch: &Batch,
+        arch: &GpuArch,
+    ) -> Result<CostReport, BackendError> {
+        self.run(model, tables, batch, arch).map(|run| run.cost())
+    }
 }
 
 /// A borrowed backend is a backend: a serving tier can own a lane that
@@ -110,5 +187,15 @@ impl<B: Backend + ?Sized> Backend for &B {
         arch: &GpuArch,
     ) -> Result<BackendRun, BackendError> {
         (**self).run(model, tables, batch, arch)
+    }
+
+    fn cost(
+        &self,
+        model: &ModelConfig,
+        tables: &TableSet,
+        batch: &Batch,
+        arch: &GpuArch,
+    ) -> Result<CostReport, BackendError> {
+        (**self).cost(model, tables, batch, arch)
     }
 }

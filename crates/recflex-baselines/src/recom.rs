@@ -9,13 +9,13 @@
 //! sub-warp schedule and the same compile-time block count derived from
 //! historical batches, so heavy features serialize and light ones idle.
 
-use recflex_compiler::{FusedKernelObject, FusedSpec, MappingStrategy};
+use recflex_compiler::{BoundFusedKernel, FusedKernelObject, FusedSpec, MappingStrategy};
 use recflex_data::{Batch, Dataset, ModelConfig};
 use recflex_embedding::{analyze_batch, FeatureWorkload, TableSet};
 use recflex_schedules::{ScheduleInstance, ScheduleKind, ScheduleParams};
 use recflex_sim::{launch, GpuArch};
 
-use crate::{Backend, BackendError, BackendRun};
+use crate::{Backend, BackendError, BackendRun, CostReport};
 
 /// The single schedule RECom compiles for every feature.
 fn uniform_schedule(dim: u32) -> ScheduleInstance {
@@ -57,6 +57,26 @@ impl RecomBackend {
             .collect();
         RecomBackend { object, history }
     }
+
+    /// Bind `batch` with the static compile-time mapping and simulate the
+    /// fused launch: everything but the pooling.
+    fn launch<'a>(
+        &'a self,
+        model: &'a ModelConfig,
+        tables: &'a TableSet,
+        batch: &'a Batch,
+        arch: &GpuArch,
+    ) -> Result<(BoundFusedKernel<'a>, CostReport), BackendError> {
+        let bound = self.object.bind_static(
+            model,
+            tables,
+            batch,
+            &self.history,
+            MappingStrategy::StaticAverage,
+        );
+        let report = launch(&bound, arch, &self.object.launch_config())?;
+        Ok((bound, CostReport::one_launch(&report)))
+    }
 }
 
 impl Backend for RecomBackend {
@@ -71,20 +91,18 @@ impl Backend for RecomBackend {
         batch: &Batch,
         arch: &GpuArch,
     ) -> Result<BackendRun, BackendError> {
-        let bound = self.object.bind_static(
-            model,
-            tables,
-            batch,
-            &self.history,
-            MappingStrategy::StaticAverage,
-        );
-        let report = launch(&bound, arch, &self.object.launch_config())
-            .map_err(|e| BackendError::Launch(e.to_string()))?;
-        Ok(BackendRun {
-            output: bound.execute(),
-            latency_us: report.latency_us,
-            kernel_launches: 1,
-        })
+        let (bound, cost) = self.launch(model, tables, batch, arch)?;
+        Ok(cost.with_output(bound.execute()))
+    }
+
+    fn cost(
+        &self,
+        model: &ModelConfig,
+        tables: &TableSet,
+        batch: &Batch,
+        arch: &GpuArch,
+    ) -> Result<CostReport, BackendError> {
+        Ok(self.launch(model, tables, batch, arch)?.1)
     }
 }
 

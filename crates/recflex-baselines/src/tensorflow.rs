@@ -10,7 +10,7 @@ use recflex_embedding::{analyze_batch, reference_model_output, TableSet};
 use recflex_schedules::{ScheduleInstance, ScheduleKind, ScheduleParams};
 use recflex_sim::{launch, GpuArch, LaunchConfig, ProfileCtx, SimKernel};
 
-use crate::{Backend, BackendError, BackendRun};
+use crate::{Backend, BackendError, BackendRun, CostReport};
 
 /// The fixed generic schedule TensorFlow's kernels correspond to: one warp
 /// per sample, unvectorized — reasonable everywhere, optimal nowhere.
@@ -68,6 +68,17 @@ impl Backend for TensorFlowBackend {
         batch: &Batch,
         arch: &GpuArch,
     ) -> Result<BackendRun, BackendError> {
+        let cost = self.cost(model, tables, batch, arch)?;
+        Ok(cost.with_output(reference_model_output(model, tables, batch)))
+    }
+
+    fn cost(
+        &self,
+        model: &ModelConfig,
+        _tables: &TableSet,
+        batch: &Batch,
+        arch: &GpuArch,
+    ) -> Result<CostReport, BackendError> {
         let workloads = analyze_batch(model, batch);
         let mut latency = 0.0f64;
         let mut launches = 0u32;
@@ -80,13 +91,11 @@ impl Backend for TensorFlowBackend {
                 w,
                 blocks: sched.required_blocks(w),
             };
-            let report = launch(&kern, arch, &LaunchConfig::default())
-                .map_err(|e| BackendError::Launch(e.to_string()))?;
+            let report = launch(&kern, arch, &LaunchConfig::default())?;
             latency += report.latency_us;
             launches += 1;
         }
-        Ok(BackendRun {
-            output: reference_model_output(model, tables, batch),
+        Ok(CostReport {
             latency_us: latency,
             kernel_launches: launches,
         })

@@ -11,13 +11,13 @@
 //! (the Table II thread-utilization gap), and nothing adapts to per-feature
 //! pooling behaviour.
 
-use recflex_compiler::{FusedKernelObject, FusedSpec};
+use recflex_compiler::{BoundFusedKernel, FusedKernelObject, FusedSpec};
 use recflex_data::{Batch, ModelConfig};
 use recflex_embedding::TableSet;
 use recflex_schedules::{ScheduleInstance, ScheduleKind, ScheduleParams};
 use recflex_sim::{launch, GpuArch};
 
-use crate::{Backend, BackendError, BackendRun};
+use crate::{Backend, BackendError, BackendRun, CostReport};
 
 /// TorchRec baseline.
 pub struct TorchRecBackend {
@@ -61,6 +61,22 @@ impl TorchRecBackend {
     pub fn object(&self) -> &FusedKernelObject {
         &self.object
     }
+
+    /// Bind `batch` and simulate the fused launch: everything but the
+    /// pooling. FBGEMM sizes its grid from the live batch (warp per
+    /// sample), so TorchRec gets runtime mapping — its strength in the
+    /// paper.
+    fn launch<'a>(
+        &'a self,
+        model: &'a ModelConfig,
+        tables: &'a TableSet,
+        batch: &'a Batch,
+        arch: &GpuArch,
+    ) -> Result<(BoundFusedKernel<'a>, CostReport), BackendError> {
+        let bound = self.object.bind(model, tables, batch);
+        let report = launch(&bound, arch, &self.object.launch_config())?;
+        Ok((bound, CostReport::one_launch(&report)))
+    }
 }
 
 impl Backend for TorchRecBackend {
@@ -75,16 +91,18 @@ impl Backend for TorchRecBackend {
         batch: &Batch,
         arch: &GpuArch,
     ) -> Result<BackendRun, BackendError> {
-        // FBGEMM sizes its grid from the live batch (warp per sample), so
-        // TorchRec gets runtime mapping — its strength in the paper.
-        let bound = self.object.bind(model, tables, batch);
-        let report = launch(&bound, arch, &self.object.launch_config())
-            .map_err(|e| BackendError::Launch(e.to_string()))?;
-        Ok(BackendRun {
-            output: bound.execute(),
-            latency_us: report.latency_us,
-            kernel_launches: 1,
-        })
+        let (bound, cost) = self.launch(model, tables, batch, arch)?;
+        Ok(cost.with_output(bound.execute()))
+    }
+
+    fn cost(
+        &self,
+        model: &ModelConfig,
+        tables: &TableSet,
+        batch: &Batch,
+        arch: &GpuArch,
+    ) -> Result<CostReport, BackendError> {
+        Ok(self.launch(model, tables, batch, arch)?.1)
     }
 }
 

@@ -6,13 +6,14 @@
 //! that look fast in isolation (full bandwidth, empty L2, idle SMs) but
 //! collapse inside the busy fused kernel.
 
+use recflex_baselines::BackendError;
 use recflex_bench::{geomean, Fixture, Scale};
 use recflex_core::RecFlexEngine;
 use recflex_data::ModelPreset;
 use recflex_sim::GpuArch;
 use recflex_tuner::tune_separate_combine;
 
-fn main() {
+fn main() -> Result<(), BackendError> {
     let scale = Scale::from_env();
     let arch = GpuArch::v100();
     println!("== Fig.11: two-stage vs separate-combine tuning (V100) ==");
@@ -28,8 +29,12 @@ fn main() {
         let straw = tune_separate_combine(&fixture.model, &fixture.history, &arch, &scale.tuner);
         let straw_engine = RecFlexEngine::from_tune_result(&fixture.model, &arch, straw);
 
-        let a = fixture.total_latency(&two_stage).unwrap();
-        let b = fixture.total_latency(&straw_engine).unwrap();
+        let a = fixture
+            .total_latency(&two_stage)?
+            .expect("RecFlex supports every model");
+        let b = fixture
+            .total_latency(&straw_engine)?
+            .expect("RecFlex supports every model");
         let ratio = b / a;
         ratios.push(ratio);
         println!(
@@ -44,4 +49,5 @@ fn main() {
         "\naverage improvement: {:.2}x  (paper: 4.82x)",
         geomean(&ratios)
     );
+    Ok(())
 }

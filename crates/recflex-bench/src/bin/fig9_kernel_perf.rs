@@ -6,14 +6,22 @@
 //! headline cites (35.40×/11.31×/20.77×/2.64×).
 //!
 //! `--json <path>` writes every table plus the pooled speedups as a JSON
-//! report for CI artifact upload. `--check` arms the perf gate: the fused
-//! RecFlex kernel must be at least as fast as the *slowest* baseline on
-//! every (architecture, model) cell — a deliberately loose floor that
-//! still catches a regression that wrecks the fused schedule, while
-//! staying meaningful at CI smoke scale.
+//! report for CI artifact upload. `--check` arms two gates:
+//!
+//! * perf: the fused RecFlex kernel must be at least as fast as the
+//!   *slowest* baseline on every (architecture, model) cell — a
+//!   deliberately loose floor that still catches a regression that wrecks
+//!   the fused schedule, while staying meaningful at CI smoke scale;
+//! * correctness: on every cell, each supported backend's pooled output
+//!   on the first eval batch is bit-identical to the scalar reference.
+//!   Latencies come from the timing-only `Backend::cost`, so this is where
+//!   the functional path is exercised.
+//!
+//! A backend error (as opposed to an unsupported model) exits non-zero.
 
 use std::process::ExitCode;
 
+use recflex_baselines::{Backend, BackendError};
 use recflex_bench::{
     both_archs, geomean, print_average_speedups, print_normalized, CliOpts, Fixture, Row, Scale,
 };
@@ -39,28 +47,30 @@ struct KernelReport {
     average_speedups: Vec<(String, f64)>,
 }
 
-fn main() -> ExitCode {
+fn main() -> Result<ExitCode, BackendError> {
     let opts = CliOpts::from_args();
     let scale = Scale::from_env();
     let mut pools: BTreeMap<String, Vec<f64>> = BTreeMap::new();
     let mut cells = Vec::new();
+    let mut outputs_exact = true;
 
     for arch in both_archs() {
         println!("\n#### {} ####", arch.name);
         for preset in ModelPreset::TABLE1 {
             let fixture = Fixture::prepare(preset, &arch, &scale);
             let engine = fixture.tune_recflex(&scale);
+            let baselines = fixture.baselines();
 
             let mut rows = Vec::new();
             let ours = fixture
-                .total_latency(&engine)
+                .total_latency(&engine)?
                 .expect("RecFlex always supports the model");
             rows.push(Row {
                 name: "RecFlex".into(),
                 latency_us: ours,
             });
-            for b in fixture.baselines() {
-                if let Some(lat) = fixture.total_latency(b.as_ref()) {
+            for b in &baselines {
+                if let Some(lat) = fixture.total_latency(b.as_ref())? {
                     pools
                         .entry(b.name().to_string())
                         .or_default()
@@ -86,6 +96,22 @@ fn main() -> ExitCode {
                 batch_size: scale.batch_size,
                 rows: rows.into_iter().map(|r| (r.name, r.latency_us)).collect(),
             });
+            if opts.check {
+                let systems = std::iter::once(&engine as &dyn Backend)
+                    .chain(baselines.iter().map(|b| b.as_ref()))
+                    .filter(|b| b.supports(&fixture.model));
+                for b in systems {
+                    if !fixture.output_is_bit_exact(b)? {
+                        eprintln!(
+                            "check FAILED: {} output differs from the reference on {} / model {}",
+                            b.name(),
+                            arch.name,
+                            preset.name()
+                        );
+                        outputs_exact = false;
+                    }
+                }
+            }
         }
     }
 
@@ -103,10 +129,20 @@ fn main() -> ExitCode {
     };
     opts.write_json(&report);
 
-    if opts.check && !perf_gate_holds(&report) {
-        return ExitCode::FAILURE;
+    if opts.check {
+        let perf_ok = perf_gate_holds(&report);
+        if outputs_exact {
+            println!(
+                "check passed: every supported backend's output bit-exact on \
+                 all {} cells",
+                report.cells.len()
+            );
+        }
+        if !(perf_ok && outputs_exact) {
+            return Ok(ExitCode::FAILURE);
+        }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The CI perf gate: in every cell, the fused kernel must not be slower

@@ -3,12 +3,12 @@
 //! land at ≈ parity with TorchRec (paper: "nearly the same kernel
 //! performance").
 
-use recflex_baselines::{Backend, TorchRecBackend};
+use recflex_baselines::{Backend, BackendError, TorchRecBackend};
 use recflex_bench::{print_normalized, Fixture, Row, Scale};
 use recflex_data::ModelPreset;
 use recflex_sim::GpuArch;
 
-fn main() {
+fn main() -> Result<(), BackendError> {
     let mut scale = Scale::from_env();
     scale.model_frac = 1.0; // 26 features is already laptop-size
     let arch = GpuArch::v100();
@@ -20,8 +20,12 @@ fn main() {
     let engine = fixture.tune_recflex(&scale);
     let torchrec = TorchRecBackend::compile(&fixture.model);
 
-    let ours = fixture.total_latency(&engine).unwrap();
-    let theirs = fixture.total_latency(&torchrec).unwrap();
+    let ours = fixture
+        .total_latency(&engine)?
+        .expect("RecFlex supports every model");
+    let theirs = fixture
+        .total_latency(&torchrec)?
+        .expect("TorchRec supports every model");
     print_normalized(
         "MLPerf-like kernel latency",
         &[
@@ -37,4 +41,5 @@ fn main() {
     );
     let ratio = theirs / ours;
     println!("\nRecFlex vs TorchRec: {ratio:.2}x  (paper: ~1.0x — low heterogeneity, no edge)");
+    Ok(())
 }

@@ -33,7 +33,7 @@ fn main() {
             .batches()
             .iter()
             .map(|b| {
-                Backend::run(engine, &model, &tables, b, &arch)
+                Backend::cost(engine, &model, &tables, b, &arch)
                     .unwrap()
                     .latency_us
             })

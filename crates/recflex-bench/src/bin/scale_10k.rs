@@ -2,12 +2,12 @@
 //! features (10 000 at full scale). Paper: RecFlex keeps a 4.2× speedup
 //! over TorchRec.
 
-use recflex_baselines::{Backend, TorchRecBackend};
+use recflex_baselines::{Backend, BackendError, TorchRecBackend};
 use recflex_bench::{print_normalized, Fixture, Row, Scale};
 use recflex_data::ModelPreset;
 use recflex_sim::GpuArch;
 
-fn main() {
+fn main() -> Result<(), BackendError> {
     let mut scale = Scale::from_env();
     // Scale10k at the harness default would already be paper-scale; halve
     // it so the experiment stays in the regime where the analytic model
@@ -24,8 +24,12 @@ fn main() {
     let engine = fixture.tune_recflex(&scale);
     let torchrec = TorchRecBackend::compile(&fixture.model);
 
-    let ours = fixture.total_latency(&engine).unwrap();
-    let theirs = fixture.total_latency(&torchrec).unwrap();
+    let ours = fixture
+        .total_latency(&engine)?
+        .expect("RecFlex supports every model");
+    let theirs = fixture
+        .total_latency(&torchrec)?
+        .expect("TorchRec supports every model");
     print_normalized(
         "Scale10k kernel latency",
         &[
@@ -43,4 +47,5 @@ fn main() {
         "\nspeedup over TorchRec: {:.2}x  (paper: 4.2x)",
         theirs / ours
     );
+    Ok(())
 }

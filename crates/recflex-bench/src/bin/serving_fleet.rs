@@ -193,7 +193,7 @@ fn cost_matrix(
                 .iter()
                 .map(|arch| {
                     let engine = RecFlexEngine::tune(model, &history, arch, &scale.tuner);
-                    recflex_baselines::Backend::run(&engine, model, &tables, &probe, arch)
+                    recflex_baselines::Backend::cost(&engine, model, &tables, &probe, arch)
                         .expect("probe batch runs")
                         .latency_us
                 })
@@ -340,7 +340,7 @@ fn chaos_summary(scale: &Scale) -> ChaosSummary {
             let tables = recflex_embedding::TableSet::for_model(model);
             let backend = TorchRecBackend::compile(model);
             let probe = Batch::generate(model, 32, 0xF1EE7);
-            recflex_baselines::Backend::run(&backend, model, &tables, &probe, archs[class])
+            recflex_baselines::Backend::cost(&backend, model, &tables, &probe, archs[class])
                 .expect("probe batch runs")
                 .latency_us
         })

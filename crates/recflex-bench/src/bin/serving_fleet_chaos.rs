@@ -137,7 +137,7 @@ fn probe_cost(model: &ModelConfig, arch: &GpuArch, mean_size: f64) -> f64 {
     let tables = recflex_embedding::TableSet::for_model(model);
     let backend = TorchRecBackend::compile(model);
     let probe = Batch::generate(model, (mean_size as u32).max(1), 0xF1EE7);
-    recflex_baselines::Backend::run(&backend, model, &tables, &probe, arch)
+    recflex_baselines::Backend::cost(&backend, model, &tables, &probe, arch)
         .expect("probe batch runs")
         .latency_us
 }

@@ -21,11 +21,11 @@
 //! stable across scales because every backend sees the same inputs.
 
 use recflex_baselines::{
-    Backend, HugeCtrBackend, RecomBackend, TensorFlowBackend, TorchRecBackend,
+    Backend, BackendError, HugeCtrBackend, RecomBackend, TensorFlowBackend, TorchRecBackend,
 };
 use recflex_core::RecFlexEngine;
 use recflex_data::{Batch, Dataset, ModelConfig, ModelPreset};
-use recflex_embedding::TableSet;
+use recflex_embedding::{reference_model_output, TableSet};
 use recflex_sim::{GpuArch, Interconnect};
 use recflex_tuner::TunerConfig;
 
@@ -148,19 +148,40 @@ impl Fixture {
         RecFlexEngine::tune(&self.model, &self.history, &self.arch, &scale.tuner)
     }
 
-    /// Total embedding-stage latency of `backend` over all eval batches.
-    pub fn total_latency(&self, backend: &dyn Backend) -> Option<f64> {
+    /// Total embedding-stage latency of `backend` over all eval batches:
+    /// `Ok(None)` only when the backend does not support the model. A
+    /// backend that supports it but fails to launch is an error, never a
+    /// silently missing row.
+    pub fn total_latency(&self, backend: &dyn Backend) -> Result<Option<f64>, BackendError> {
         if !backend.supports(&self.model) {
-            return None;
+            return Ok(None);
         }
         let mut total = 0.0;
         for b in self.eval.batches() {
             total += backend
-                .run(&self.model, &self.tables, b, &self.arch)
-                .ok()?
+                .cost(&self.model, &self.tables, b, &self.arch)?
                 .latency_us;
         }
-        Some(total)
+        Ok(Some(total))
+    }
+
+    /// Whether `backend`'s pooled output on the first eval batch is
+    /// bit-identical to the scalar reference (vacuously true without eval
+    /// batches).
+    pub fn output_is_bit_exact(&self, backend: &dyn Backend) -> Result<bool, BackendError> {
+        let Some(batch) = self.eval.batches().first() else {
+            return Ok(true);
+        };
+        let out = backend
+            .run(&self.model, &self.tables, batch, &self.arch)?
+            .output;
+        let golden = reference_model_output(&self.model, &self.tables, batch);
+        let (got, want) = (out.data(), golden.data());
+        let same_bits = got
+            .iter()
+            .zip(want)
+            .all(|(a, b)| a.to_bits() == b.to_bits());
+        Ok(out.batch_size() == golden.batch_size() && got.len() == want.len() && same_bits)
     }
 
     /// All baselines applicable to this model, freshly compiled.
@@ -470,6 +491,17 @@ pub mod trajectory {
 mod tests {
     use super::*;
 
+    fn tiny_scale(eval_batches: usize) -> Scale {
+        Scale {
+            model_frac: 0.005,
+            batch_size: 32,
+            eval_batches,
+            interconnect_name: "nvlink".to_string(),
+            interconnect: Interconnect::nvlink(),
+            tuner: TunerConfig::fast(),
+        }
+    }
+
     #[test]
     fn cli_opts_parse_json_and_check() {
         let opts =
@@ -493,14 +525,7 @@ mod tests {
 
     #[test]
     fn fixture_prepares_consistent_shapes() {
-        let scale = Scale {
-            model_frac: 0.005,
-            batch_size: 32,
-            eval_batches: 2,
-            interconnect_name: "nvlink".to_string(),
-            interconnect: Interconnect::nvlink(),
-            tuner: TunerConfig::fast(),
-        };
+        let scale = tiny_scale(2);
         let f = Fixture::prepare(ModelPreset::A, &GpuArch::v100(), &scale);
         assert_eq!(f.tables.len(), f.model.features.len());
         assert_eq!(f.eval.len(), 2);
@@ -509,19 +534,51 @@ mod tests {
 
     #[test]
     fn total_latency_none_for_unsupported() {
-        let scale = Scale {
-            model_frac: 0.005,
-            batch_size: 32,
-            eval_batches: 1,
-            interconnect_name: "nvlink".to_string(),
-            interconnect: Interconnect::nvlink(),
-            tuner: TunerConfig::fast(),
-        };
+        let scale = tiny_scale(1);
         let f = Fixture::prepare(ModelPreset::A, &GpuArch::v100(), &scale);
-        assert!(
-            f.total_latency(&HugeCtrBackend).is_none(),
+        assert_eq!(
+            f.total_latency(&HugeCtrBackend),
+            Ok(None),
             "mixed dims unsupported"
         );
-        assert!(f.total_latency(&TensorFlowBackend).is_some());
+        assert!(matches!(f.total_latency(&TensorFlowBackend), Ok(Some(_))));
+    }
+
+    #[test]
+    fn total_latency_propagates_launch_failures() {
+        struct FailsToLaunch;
+        impl Backend for FailsToLaunch {
+            fn name(&self) -> &'static str {
+                "fails-to-launch"
+            }
+            fn run(
+                &self,
+                _: &ModelConfig,
+                _: &TableSet,
+                _: &Batch,
+                _: &GpuArch,
+            ) -> Result<recflex_baselines::BackendRun, BackendError> {
+                Err(recflex_sim::launch::LaunchError::EmptyGrid.into())
+            }
+        }
+        let scale = tiny_scale(1);
+        let f = Fixture::prepare(ModelPreset::A, &GpuArch::v100(), &scale);
+        assert_eq!(
+            f.total_latency(&FailsToLaunch),
+            Err(BackendError::Launch("kernel grid is empty".into())),
+            "a supported backend's launch failure is not an unsupported row"
+        );
+        assert!(f.output_is_bit_exact(&FailsToLaunch).is_err());
+    }
+
+    #[test]
+    fn every_backend_output_is_bit_exact_on_the_first_eval_batch() {
+        let scale = tiny_scale(1);
+        let f = Fixture::prepare(ModelPreset::E, &GpuArch::v100(), &scale);
+        let engine = f.tune_recflex(&scale);
+        assert_eq!(f.output_is_bit_exact(&engine), Ok(true));
+        for b in f.baselines() {
+            assert_eq!(f.output_is_bit_exact(b.as_ref()), Ok(true), "{}", b.name());
+        }
     }
 }

@@ -54,12 +54,13 @@ impl<'a> EndToEndModel<'a> {
         }
     }
 
-    /// Simulated end-to-end latency of one batch.
+    /// Simulated end-to-end latency of one batch (timing only: the
+    /// embedding stage is costed, not pooled).
     pub fn latency(&self, batch: &Batch, arch: &GpuArch) -> Result<E2eTiming, BackendError> {
-        let run = self.backend.run(self.model, self.tables, batch, arch)?;
+        let cost = self.backend.cost(self.model, self.tables, batch, arch)?;
         let dnn_us = self.mlp.latency_us(batch.batch_size, arch);
         Ok(E2eTiming {
-            embedding_us: run.latency_us,
+            embedding_us: cost.latency_us,
             dnn_us,
         })
     }

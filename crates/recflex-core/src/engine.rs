@@ -1,7 +1,7 @@
 //! The tuned, compiled, servable RecFlex engine.
 
-use recflex_baselines::{Backend, BackendError, BackendRun};
-use recflex_compiler::{DispatchMode, FusedKernelObject, FusedSpec};
+use recflex_baselines::{Backend, BackendError, BackendRun, CostReport};
+use recflex_compiler::{BoundFusedKernel, DispatchMode, FusedKernelObject, FusedSpec};
 use recflex_data::{Batch, Dataset, ModelConfig};
 use recflex_embedding::{FusedOutput, TableSet};
 use recflex_schedules::store::{
@@ -71,10 +71,23 @@ impl RecFlexEngine {
     /// Serve one batch: host-side workload analysis, runtime thread
     /// mapping, fused launch, functional execution.
     pub fn run(&self, batch: &Batch) -> Result<(FusedOutput, LaunchReport), BackendError> {
-        let bound = self.object.bind(&self.model, &self.tables, batch);
-        let report = launch(&bound, &self.arch, &self.object.launch_config())
-            .map_err(|e| BackendError::Launch(e.to_string()))?;
+        let (bound, report) = self.launch(&self.model, &self.tables, batch, &self.arch)?;
         Ok((bound.execute(), report))
+    }
+
+    /// Everything [`RecFlexEngine::run`] does but the pooling: host-side
+    /// workload analysis, runtime thread mapping and the simulated fused
+    /// launch.
+    fn launch<'a>(
+        &'a self,
+        model: &'a ModelConfig,
+        tables: &'a TableSet,
+        batch: &'a Batch,
+        arch: &GpuArch,
+    ) -> Result<(BoundFusedKernel<'a>, LaunchReport), BackendError> {
+        let bound = self.object.bind(model, tables, batch);
+        let report = launch(&bound, arch, &self.object.launch_config())?;
+        Ok((bound, report))
     }
 
     /// Tune through a profile vault: try to warm-start from the nearest
@@ -160,14 +173,19 @@ impl Backend for RecFlexEngine {
         batch: &Batch,
         arch: &GpuArch,
     ) -> Result<BackendRun, BackendError> {
-        let bound = self.object.bind(model, tables, batch);
-        let report = launch(&bound, arch, &self.object.launch_config())
-            .map_err(|e| BackendError::Launch(e.to_string()))?;
-        Ok(BackendRun {
-            output: bound.execute(),
-            latency_us: report.latency_us,
-            kernel_launches: 1,
-        })
+        let (bound, report) = self.launch(model, tables, batch, arch)?;
+        Ok(CostReport::one_launch(&report).with_output(bound.execute()))
+    }
+
+    fn cost(
+        &self,
+        model: &ModelConfig,
+        tables: &TableSet,
+        batch: &Batch,
+        arch: &GpuArch,
+    ) -> Result<CostReport, BackendError> {
+        let (_, report) = self.launch(model, tables, batch, arch)?;
+        Ok(CostReport::one_launch(&report))
     }
 }
 

@@ -70,6 +70,10 @@
 //!   the stage fallback, flagged in a per-stage `degraded` mask instead
 //!   of shedding.
 //!
+//! Serving is timing-only: every chunk, canary replay included, is priced
+//! with [`recflex_baselines::Backend::cost`], never `run`, so no pooled
+//! embeddings are computed for reports that would not read them.
+//!
 //! Simulated time is the only clock; ties resolve in a fixed priority.
 //! A run is a pure function of `(config, stream, backend, fault plan)`,
 //! so replaying a seed reproduces the report bit-for-bit — the property

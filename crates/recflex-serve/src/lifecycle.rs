@@ -46,7 +46,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
 
-use recflex_baselines::{Backend, BackendError, BackendRun};
+use recflex_baselines::{Backend, BackendError, BackendRun, CostReport};
 use recflex_data::{Batch, ModelConfig};
 use recflex_embedding::TableSet;
 use recflex_sim::GpuArch;
@@ -911,6 +911,18 @@ impl Backend for RegressedBackend {
         let mut run = self.inner.run(model, tables, batch, arch)?;
         run.latency_us *= self.slowdown;
         Ok(run)
+    }
+
+    fn cost(
+        &self,
+        model: &ModelConfig,
+        tables: &TableSet,
+        batch: &Batch,
+        arch: &GpuArch,
+    ) -> Result<CostReport, BackendError> {
+        let mut cost = self.inner.cost(model, tables, batch, arch)?;
+        cost.latency_us *= self.slowdown;
+        Ok(cost)
     }
 }
 

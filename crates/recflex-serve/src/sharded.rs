@@ -1068,11 +1068,11 @@ impl ShardedRunState {
         for dev in 0..num_shards {
             let sub_batch = rt.placement.project_batch(&batch, dev);
             let lane = &rt.lanes[dev];
-            let run =
+            let cost =
                 self.engine_of(rt, dev)
-                    .run(&lane.model, &lane.tables, &sub_batch, rt.arch)?;
-            work_us.push(run.latency_us);
-            launches_of.push(run.kernel_launches);
+                    .cost(&lane.model, &lane.tables, &sub_batch, rt.arch)?;
+            work_us.push(cost.latency_us);
+            launches_of.push(cost.kernel_launches);
         }
 
         // Canary: candidate engines replay the same shard slices so
@@ -1106,7 +1106,7 @@ impl ShardedRunState {
                 };
                 let sub_batch = rt.placement.project_batch(&batch, s);
                 let lane = &rt.lanes[s];
-                match engine.run(&lane.model, &lane.tables, &sub_batch, rt.arch) {
+                match engine.cost(&lane.model, &lane.tables, &sub_batch, rt.arch) {
                     Ok(r) => {
                         inc[s] = work_us[s];
                         cand[s] = r.latency_us;

@@ -36,7 +36,7 @@ pub use recflex_sim::GpuArch;
 
 /// Everything a typical tune → compile → serve session needs.
 pub mod prelude {
-    pub use recflex_baselines::{Backend, BackendError, BackendRun};
+    pub use recflex_baselines::{Backend, BackendError, BackendRun, CostReport};
     pub use recflex_core::{RecFlexEngine, ServingSimulator};
     pub use recflex_data::{Batch, Dataset, FeatureSpec, ModelConfig, ModelPreset, PoolingDist};
     pub use recflex_embedding::TableSet;
