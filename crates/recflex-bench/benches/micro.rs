@@ -6,17 +6,34 @@
 //! * `tuning/local_stage_one_feature` — the unit cost behind the
 //!   `O(F·K + K)` tuning complexity argument;
 //! * simulator primitives (occupancy calculation, block scheduling,
-//!   fused-kernel launch) that bound how fast experiments replay.
+//!   fused-kernel launch) that bound how fast experiments replay;
+//! * `host/cost_small_chunk` and `host/unique_rows_35k` — the per-chunk
+//!   price of timing-only serving on small requests, and the distinct-row
+//!   count behind its workload analysis;
+//! * `sim/profile_blocks/*` — block profiling inline and on a 2-worker
+//!   pool around the grid size below which `launch` stays inline.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
+use rayon::prelude::*;
 use recflex_compiler::{FusedKernelObject, FusedSpec, TaskMap};
-use recflex_data::{Batch, Dataset, ModelPreset};
+use recflex_data::{
+    Batch, Dataset, FeatureBatch, FeatureSpec, ModelConfig, ModelPreset, Placement, PoolingDist,
+};
 use recflex_embedding::{analyze_batch, TableSet};
-use recflex_schedules::enumerate_candidates;
-use recflex_sim::{launch, occupancy, BlockResources, GpuArch};
+use recflex_schedules::{enumerate_candidates, ScheduleInstance};
+use recflex_sim::{launch, occupancy, BlockResources, GpuArch, ProfileCtx, SimKernel};
 use recflex_tuner::{local, TunerConfig, TuningContext};
+
+/// Every feature's first candidate schedule.
+fn first_candidates(m: &ModelConfig) -> Vec<ScheduleInstance> {
+    m.features
+        .iter()
+        .enumerate()
+        .map(|(i, f)| enumerate_candidates(i, f).unwrap().candidates[0])
+        .collect()
+}
 
 fn bench_occupancy(c: &mut Criterion) {
     let arch = GpuArch::v100();
@@ -52,12 +69,7 @@ fn bench_thread_map(c: &mut Criterion) {
     let m = ModelPreset::A.scaled(0.1);
     let batch = Batch::generate(&m, 256, 7);
     let workloads = analyze_batch(&m, &batch);
-    let schedules: Vec<_> = m
-        .features
-        .iter()
-        .enumerate()
-        .map(|(i, f)| enumerate_candidates(i, f).unwrap().candidates[0])
-        .collect();
+    let schedules = first_candidates(&m);
     c.bench_function("host/thread_map_runtime_build", |b| {
         b.iter(|| black_box(TaskMap::runtime(&schedules, &workloads)))
     });
@@ -67,12 +79,7 @@ fn bench_fused_launch(c: &mut Criterion) {
     let m = ModelPreset::A.scaled(0.1);
     let tables = TableSet::for_model(&m);
     let batch = Batch::generate(&m, 256, 7);
-    let schedules: Vec<_> = m
-        .features
-        .iter()
-        .enumerate()
-        .map(|(i, f)| enumerate_candidates(i, f).unwrap().candidates[0])
-        .collect();
+    let schedules = first_candidates(&m);
     let obj = FusedKernelObject::compile(FusedSpec::new(schedules));
     let arch = GpuArch::v100();
     let mut g = c.benchmark_group("sim");
@@ -87,6 +94,91 @@ fn bench_fused_launch(c: &mut Criterion) {
             )
         })
     });
+    g.finish();
+}
+
+fn bench_cost_small_chunk(c: &mut Criterion) {
+    // One shard of model A at 0.05 split 8 ways, pricing a 14-sample chunk
+    // (the typical merged chunk of many small requests): what
+    // `Backend::cost` pays per chunk — analysis, task map, launch.
+    let arch = GpuArch::v100();
+    let m = ModelPreset::A.scaled(0.05);
+    let history = Dataset::synthesize(&m, 3, 256, 1);
+    let costs = recflex_core::feature_cost_estimates(&m, &history, &arch);
+    let shard = Placement::balance_by_cost(8, &costs).sub_model(&m, 0);
+    let tables = TableSet::for_model(&shard);
+    let chunk = Batch::generate(&shard, 14, 7);
+    let schedules = first_candidates(&shard);
+    let obj = FusedKernelObject::compile(FusedSpec::new(schedules));
+    c.bench_function("host/cost_small_chunk", |b| {
+        b.iter(|| {
+            let bound = obj.bind(&shard, &tables, black_box(&chunk));
+            black_box(
+                launch(&bound, &arch, &obj.launch_config())
+                    .unwrap()
+                    .latency_us,
+            )
+        })
+    });
+}
+
+fn bench_unique_rows(c: &mut Criterion) {
+    // 256 samples × 137 lookups over a table of model A's largest size:
+    // the order of one serving backend call's lookups.
+    let spec = FeatureSpec {
+        name: "f".into(),
+        table_rows: 500_000,
+        emb_dim: 16,
+        pooling: PoolingDist::Fixed(137),
+        coverage: 1.0,
+        row_skew: 0.0,
+    };
+    let fb = FeatureBatch::generate(&spec, 256, 7);
+    c.bench_function("host/unique_rows_35k", |b| {
+        b.iter(|| black_box(black_box(&fb).unique_rows(spec.table_rows)))
+    });
+}
+
+fn bench_profile_crossover(c: &mut Criterion) {
+    // Block profiling, the part of `launch` that may run on the pool, for
+    // one tuned serving shard (model A at 0.03 over 2 shards) at 16 to 256
+    // samples: where the pool starts to pay.
+    let arch = GpuArch::v100();
+    let m = ModelPreset::A.scaled(0.03);
+    let shard = Placement::balance(&m, 2).sub_model(&m, 0);
+    let history = Dataset::synthesize(&shard, 3, 256, 1);
+    let cfg = TunerConfig {
+        occupancy_levels: Some(vec![1, 2, 4, 8, 16]),
+        tuning_batches: 3,
+        pad_fill: 2.0,
+    };
+    let engine = recflex_core::RecFlexEngine::tune(&shard, &history, &arch, &cfg);
+    let pool = rayon::ThreadPool::new(2);
+    let ctx = ProfileCtx::default();
+    let mut g = c.benchmark_group("sim/profile_blocks");
+    g.sample_size(2000);
+    for samples in [16, 32, 64, 96, 128, 192, 256] {
+        let batch = Batch::generate(&shard, samples, 7);
+        let bound = engine.object.bind(&shard, &engine.tables, &batch);
+        let grid = bound.grid_blocks();
+        g.bench_function(&format!("{grid}_inline"), |b| {
+            b.iter(|| {
+                (0..grid)
+                    .map(|i| bound.profile_block(i, &ctx))
+                    .collect::<Vec<_>>()
+            })
+        });
+        g.bench_function(&format!("{grid}_pool2"), |b| {
+            b.iter(|| {
+                pool.install(|| {
+                    (0..grid)
+                        .into_par_iter()
+                        .map(|i| bound.profile_block(i, &ctx))
+                        .collect::<Vec<_>>()
+                })
+            })
+        });
+    }
     g.finish();
 }
 
@@ -144,6 +236,9 @@ criterion_group!(
     bench_workload_analysis,
     bench_thread_map,
     bench_fused_launch,
+    bench_cost_small_chunk,
+    bench_unique_rows,
+    bench_profile_crossover,
     bench_local_stage,
     bench_cache_plan,
     bench_batch_split,

@@ -92,6 +92,7 @@ impl ServingSimulator<'_> {
             ShardedServeRuntime::single_device(self.model, &self.arch, config, self.backend);
         let report = runtime.serve(&stream).map_err(|e| match e {
             ServeError::Backend(b) => b,
+            ServeError::Request { .. } => BackendError::Launch(e.to_string()),
             // Policy errors are unreachable: the cap is saturated above.
             ServeError::Policy(m) | ServeError::Internal(m) => BackendError::Launch(m.into()),
         })?;

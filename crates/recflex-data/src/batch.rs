@@ -10,6 +10,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
+
+thread_local! {
+    /// [`FeatureBatch::unique_rows`]'s row bitmap: all zero between calls.
+    static SEEN_ROWS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Lookup indices of one feature for one batch, in CSR form.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -59,19 +65,52 @@ impl FeatureBatch {
             .unwrap_or(0)
     }
 
-    /// Count of distinct rows touched (sort-based, exact).
-    pub fn unique_rows(&self) -> u32 {
+    /// Exact count of distinct rows touched in a table of `table_rows`
+    /// rows, in time linear in the lookups.
+    ///
+    /// One pass sets each in-range row's bit in a reusable per-thread
+    /// bitmap and counts the bits it newly sets; a second pass zeroes the
+    /// words the first touched, so the cost never depends on the table
+    /// size. The bitmap is sized by `table_rows`, never by an index value,
+    /// and grows to the largest table counted on its thread: at most
+    /// `table_rows / 8` bytes, 1/32 of an embedding table of that many
+    /// rows. Indices `>= table_rows`, which [`FeatureBatch::validate`]
+    /// rejects, are still counted exactly, by sorting just those.
+    pub fn unique_rows(&self, table_rows: u32) -> u32 {
         if self.indices.is_empty() {
             return 0;
         }
-        let mut v = self.indices.clone();
-        v.sort_unstable();
-        v.dedup();
-        v.len() as u32
+        SEEN_ROWS.with(|seen| {
+            let mut bitmap = seen.borrow_mut();
+            let words = (table_rows as usize).div_ceil(64);
+            if bitmap.len() < words {
+                bitmap.resize(words, 0);
+            }
+            let bits = &mut bitmap[..words];
+            let mut unique = 0u32;
+            let mut stray = Vec::new();
+            for &row in &self.indices {
+                if row < table_rows {
+                    let (word, bit) = ((row / 64) as usize, 1u64 << (row % 64));
+                    unique += u32::from(bits[word] & bit == 0);
+                    bits[word] |= bit;
+                } else {
+                    stray.push(row);
+                }
+            }
+            for &row in &self.indices {
+                if row < table_rows {
+                    bits[(row / 64) as usize] = 0;
+                }
+            }
+            stray.sort_unstable();
+            stray.dedup();
+            unique + stray.len() as u32
+        })
     }
 
-    /// Validate CSR invariants against a table size; used by tests and the
-    /// debug asserts of the kernels.
+    /// Validate CSR invariants against a table size; used by serving
+    /// admission ([`Batch::validate`]), tests and the kernels' debug asserts.
     pub fn validate(&self, table_rows: u32) -> Result<(), String> {
         if self.offsets.is_empty() {
             return Err("offsets empty".into());
@@ -85,8 +124,18 @@ impl FeatureBatch {
         if *self.offsets.last().unwrap() as usize != self.indices.len() {
             return Err("last offset must equal indices length".into());
         }
-        if let Some(&bad) = self.indices.iter().find(|&&i| i >= table_rows) {
-            return Err(format!("index {bad} out of table range {table_rows}"));
+        // Serving validates every request, so the scan is branch-free and
+        // vectorises; the first offender is looked up only if there is one.
+        if !self
+            .indices
+            .iter()
+            .fold(true, |ok, &i| ok & (i < table_rows))
+        {
+            let bad = self.indices.iter().find(|&&i| i >= table_rows);
+            return Err(format!(
+                "index {} out of table range {table_rows}",
+                bad.expect("the scan above saw one")
+            ));
         }
         Ok(())
     }
@@ -260,11 +309,12 @@ impl Batch {
             return Err("feature count mismatch".into());
         }
         for (i, (fb, spec)) in self.features.iter().zip(&model.features).enumerate() {
+            // The CSR check first: `batch_size` assumes non-empty offsets.
+            fb.validate(spec.table_rows)
+                .map_err(|e| format!("feature {i}: {e}"))?;
             if fb.batch_size() != self.batch_size {
                 return Err(format!("feature {i} batch size mismatch"));
             }
-            fb.validate(spec.table_rows)
-                .map_err(|e| format!("feature {i}: {e}"))?;
         }
         Ok(())
     }
@@ -324,7 +374,7 @@ mod tests {
         let mut skewed_spec = spec(PoolingDist::Fixed(50), 1.0);
         skewed_spec.row_skew = 3.0;
         let skewed = FeatureBatch::generate(&skewed_spec, 256, 11);
-        assert!(skewed.unique_rows() < uniform.unique_rows());
+        assert!(skewed.unique_rows(1000) < uniform.unique_rows(1000));
     }
 
     #[test]
@@ -360,6 +410,33 @@ mod tests {
         let mut fb2 = FeatureBatch::generate(&s, 8, 1);
         fb2.offsets[3] = fb2.offsets[4] + 1; // non-monotone
         assert!(fb2.validate(1000).is_err());
+        let mut edge = FeatureBatch::generate(&s, 8, 1);
+        edge.indices[5] = 999; // the last row
+        assert!(edge.validate(1000).is_ok());
+        edge.indices[5] = 1000; // one past it
+        assert_eq!(
+            edge.validate(1000),
+            Err("index 1000 out of table range 1000".to_string())
+        );
+    }
+
+    #[test]
+    fn batch_validate_rejects_empty_offsets_without_panicking() {
+        let model = ModelConfig {
+            name: "m".into(),
+            features: vec![spec(PoolingDist::OneHot, 1.0)],
+        };
+        let batch = Batch {
+            batch_size: 4,
+            features: vec![FeatureBatch {
+                offsets: Vec::new(),
+                indices: Vec::new(),
+            }],
+        };
+        assert_eq!(
+            batch.validate(&model),
+            Err("feature 0: offsets empty".to_string())
+        );
     }
 
     #[test]

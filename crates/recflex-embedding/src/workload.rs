@@ -5,8 +5,16 @@
 //! at < 0.1 % of data-loading time. The scan yields a [`FeatureWorkload`]
 //! per feature: everything the runtime thread mapping, the schedules'
 //! block-count formulas and the simulator's memory model need.
+//!
+//! Serving analyses every chunk it prices, so the scan is linear in the
+//! lookups. The exact distinct-row count comes from
+//! [`FeatureBatch::unique_rows`]: one pass over a reusable per-thread
+//! bitmap of the feature's `table_rows` bits (at most `table_rows / 8`
+//! bytes per thread, sized by the table and never by an index value), then
+//! a pass zeroing only the words it touched. [`analyze_batch`] walks the
+//! features in order on the calling thread: for chunks of a few dozen
+//! samples, dispatching features to the pool costs more than the scan.
 
-use rayon::prelude::*;
 use recflex_data::{Batch, FeatureBatch, ModelConfig};
 
 /// Workload statistics of one feature in one batch.
@@ -52,7 +60,7 @@ impl FeatureWorkload {
             feature_idx,
             batch_size,
             total_lookups,
-            unique_rows: fb.unique_rows(),
+            unique_rows: fb.unique_rows(table_rows),
             max_pf,
             mean_pf: if batch_size == 0 {
                 0.0
@@ -98,12 +106,12 @@ impl FeatureWorkload {
     }
 }
 
-/// Analyze every feature of a batch in parallel.
+/// Analyze every feature of a batch, in feature order.
 pub fn analyze_batch(model: &ModelConfig, batch: &Batch) -> Vec<FeatureWorkload> {
     model
         .features
-        .par_iter()
-        .zip(batch.features.par_iter())
+        .iter()
+        .zip(&batch.features)
         .enumerate()
         .map(|(i, (spec, fb))| FeatureWorkload::analyze(i, fb, spec.emb_dim, spec.table_rows))
         .collect()
@@ -165,6 +173,78 @@ mod tests {
             assert!(w.unique_bytes() <= w.bytes_read());
             assert!(w.unique_rows <= w.total_lookups);
             assert!(w.present_samples <= w.batch_size);
+        }
+    }
+}
+
+#[cfg(test)]
+mod unique_rows_props {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The oracle: sort and deduplicate a copy of the indices.
+    fn unique_by_sort(fb: &FeatureBatch) -> u32 {
+        let mut rows = fb.indices.clone();
+        rows.sort_unstable();
+        rows.dedup();
+        rows.len() as u32
+    }
+
+    /// A CSR over a `table_rows`-row table: up to 40 samples (none at all,
+    /// or every sample empty, now and then), each drawing its lookups from
+    /// the edge rows 0 and `table_rows - 1`, rows just past the table, rows
+    /// near `u32::MAX` and uniform in-range rows, which repeat often on
+    /// small tables.
+    fn arb_csr(rng: &mut StdRng, table_rows: u32) -> FeatureBatch {
+        let batch_size = rng.gen_range(0..40u32);
+        let max_pf = if rng.gen_range(0..4u32) == 0 {
+            0
+        } else {
+            rng.gen_range(1..30u32)
+        };
+        let mut offsets = vec![0u32];
+        let mut indices = Vec::new();
+        for _ in 0..batch_size {
+            for _ in 0..rng.gen_range(0..=max_pf) {
+                indices.push(match rng.gen_range(0..10u32) {
+                    0 => 0,
+                    1 => table_rows - 1,
+                    2 => table_rows + rng.gen_range(0..3u32),
+                    3 => u32::MAX - rng.gen_range(0..2u32),
+                    _ => rng.gen_range(0..table_rows),
+                });
+            }
+            offsets.push(indices.len() as u32);
+        }
+        FeatureBatch { offsets, indices }
+    }
+
+    proptest! {
+        #[test]
+        fn linear_count_equals_sort_dedup(seed in 0u64..u64::MAX, features in 1usize..12) {
+            // Features of different table sizes analysed back to back on
+            // one thread: a bit one left set would undercount the next.
+            let mut rng = StdRng::seed_from_u64(seed);
+            for f in 0..features {
+                let table_rows = match rng.gen_range(0..4u32) {
+                    0 => 1,
+                    1 => rng.gen_range(2..130u32),
+                    2 => rng.gen_range(130..5_000u32),
+                    _ => rng.gen_range(5_000..600_000u32),
+                };
+                let fb = arb_csr(&mut rng, table_rows);
+                let w = FeatureWorkload::analyze(f, &fb, 8, table_rows);
+                prop_assert_eq!(
+                    w.unique_rows,
+                    unique_by_sort(&fb),
+                    "seed {} feature {} table_rows {}",
+                    seed,
+                    f,
+                    table_rows
+                );
+            }
         }
     }
 }

@@ -115,6 +115,14 @@ pub enum ServeError {
     Backend(BackendError),
     /// The configuration is unusable (e.g. a zero batch cap).
     Policy(&'static str),
+    /// A request's batch does not fit the served model (see
+    /// [`recflex_data::Batch::validate`]); nothing was served.
+    Request {
+        /// The offending request's id.
+        id: u64,
+        /// What [`recflex_data::Batch::validate`] rejected.
+        reason: String,
+    },
     /// The event schedule reached a state that should be unreachable
     /// (e.g. a completion for a chunk nobody owns). Surfaced as an error
     /// so a malformed schedule degrades instead of aborting the process.
@@ -126,6 +134,7 @@ impl std::fmt::Display for ServeError {
         match self {
             ServeError::Backend(e) => write!(f, "backend error: {e}"),
             ServeError::Policy(m) => write!(f, "invalid serving policy: {m}"),
+            ServeError::Request { id, reason } => write!(f, "malformed request {id}: {reason}"),
             ServeError::Internal(m) => write!(f, "inconsistent event schedule: {m}"),
         }
     }

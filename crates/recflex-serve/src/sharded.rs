@@ -327,6 +327,11 @@ impl<'a> ShardedServeRuntime<'a> {
                 return Err(ServeError::Policy("deadlines must not be NaN"));
             }
         }
+        for r in requests {
+            r.batch
+                .validate(self.model)
+                .map_err(|reason| ServeError::Request { id: r.id, reason })?;
+        }
 
         let n = requests.len();
         let num_shards = self.placement.num_devices;
@@ -2044,6 +2049,42 @@ mod tests {
                 rt.serve_with_deadlines(&reqs, &deadlines[..3]),
                 Err(ServeError::Policy(_))
             ));
+        }
+    }
+
+    #[test]
+    fn malformed_requests_are_errors_not_panics() {
+        let (m, arch) = setup();
+        let valid = WorkloadSpec::long_tail(100.0).stream(&m, 4, 1);
+        let bad = 2;
+        let mut missing_feature = valid.clone();
+        missing_feature[bad].batch.features.pop();
+        let mut out_of_range = valid.clone();
+        let fb = out_of_range[bad]
+            .batch
+            .features
+            .iter_mut()
+            .find(|fb| !fb.indices.is_empty())
+            .expect("a request with lookups");
+        fb.indices[0] = u32::MAX - 1;
+        let mut non_monotone = valid.clone();
+        let offsets = &mut non_monotone[bad].batch.features[0].offsets;
+        offsets[1] = offsets[2] + 1;
+        for shards in [1, 2] {
+            let rt = tier(&m, &arch, shards, load_config(), Interconnect::nvlink());
+            for (reqs, why) in [
+                (&missing_feature, "feature count mismatch"),
+                (&out_of_range, "out of table range"),
+                (&non_monotone, "offsets not monotone"),
+            ] {
+                match rt.serve(reqs).map(|_| ()) {
+                    Err(ServeError::Request { id, reason }) => {
+                        assert_eq!(id, reqs[bad].id);
+                        assert!(reason.contains(why), "{shards} shards: {reason}");
+                    }
+                    other => panic!("{shards} shards, {why}: {other:?}"),
+                }
+            }
         }
     }
 

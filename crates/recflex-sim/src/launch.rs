@@ -33,6 +33,16 @@ use crate::metrics::KernelMetrics;
 use crate::occupancy::{control_occupancy, occupancy, Occupancy};
 use crate::profile::BlockProfile;
 
+/// Grids smaller than this are profiled on the calling thread, where
+/// dispatching their blocks to a pool costs more than profiling them.
+/// `sim/profile_blocks` in `recflex-bench`'s micro-benchmarks (a tuned
+/// shard of model A at 0.03 over 2 devices, 2-worker pool, 2-vCPU x86-64
+/// VM, three runs) puts the crossover near 500 blocks: time on the pool
+/// over time inline was 1.05–1.33 at 332 blocks, 0.96–1.03 at 498 and
+/// 0.88–0.94 at 664. Whole launches of 200-feature kernels crossed between
+/// 744 blocks (1.13) and 1 488 (0.81).
+const INLINE_PROFILE_BLOCKS: u32 = 512;
+
 /// Launch-time options.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LaunchConfig {
@@ -205,11 +215,13 @@ pub fn launch<K: SimKernel>(
         1.0
     };
 
-    // Phase 1: profile all blocks in parallel (pure, deterministic).
-    let profiles: Vec<BlockProfile> = (0..grid)
-        .into_par_iter()
-        .map(|b| kernel.profile_block(b, &ctx))
-        .collect();
+    // Phase 1: profile every block (pure, so the pool changes no bit).
+    let profile = |b| kernel.profile_block(b, &ctx);
+    let profiles: Vec<BlockProfile> = if grid < INLINE_PROFILE_BLOCKS {
+        (0..grid).map(profile).collect()
+    } else {
+        (0..grid).into_par_iter().map(profile).collect()
+    };
 
     // Phase 2: grid-level memory behaviour.
     let total_bytes: u64 = profiles.iter().map(|p| p.bytes_accessed).sum();
@@ -588,6 +600,60 @@ mod tests {
         let b = launch(&k, &arch, &LaunchConfig::default()).unwrap();
         assert_eq!(a.latency_us, b.latency_us);
         assert_eq!(a.block_times, b.block_times);
+    }
+
+    /// Block `b` does `b + 1` units of work, so block times must rise with
+    /// the index: a profile merged at the wrong index shows.
+    struct RampKernel(u32);
+
+    impl SimKernel for RampKernel {
+        fn name(&self) -> &str {
+            "ramp"
+        }
+        fn grid_blocks(&self) -> u32 {
+            self.0
+        }
+        fn resources(&self) -> BlockResources {
+            BlockResources::new(128, 40, 0)
+        }
+        fn profile_block(&self, b: u32, _ctx: &ProfileCtx) -> BlockProfile {
+            let w = 1 + u64::from(b);
+            BlockProfile {
+                issue_cycles: 40.0 + w as f64 * 3.7,
+                mem_transactions: 40 * w,
+                bytes_accessed: 1280 * w,
+                unique_bytes: 320 * w,
+                active_warps: 4,
+                thread_active_sum: 1000 * w,
+                thread_useful_sum: 900 * w,
+                thread_slot_sum: 1024 * w,
+                mlp: 2.0,
+                critical_mem_chain: w,
+                ..Default::default()
+            }
+        }
+    }
+
+    #[test]
+    fn reports_are_bit_equal_at_one_and_two_threads_around_the_inline_threshold() {
+        let arch = GpuArch::v100();
+        let cfg = LaunchConfig::default();
+        let (one, two) = (rayon::ThreadPool::new(1), rayon::ThreadPool::new(2));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for grid in [
+            INLINE_PROFILE_BLOCKS - 1,
+            INLINE_PROFILE_BLOCKS,
+            INLINE_PROFILE_BLOCKS + 1,
+        ] {
+            let k = RampKernel(grid);
+            let a = one.install(|| launch(&k, &arch, &cfg)).unwrap();
+            let b = two.install(|| launch(&k, &arch, &cfg)).unwrap();
+            assert_eq!(a.latency_us.to_bits(), b.latency_us.to_bits(), "{grid}");
+            assert_eq!(bits(&a.block_times), bits(&b.block_times), "{grid}");
+            assert_eq!(bits(&a.block_solo_times), bits(&b.block_solo_times));
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "grid {grid}");
+            assert!(a.block_times.windows(2).all(|t| t[0] < t[1]), "{grid}");
+        }
     }
 
     #[test]

@@ -3,7 +3,10 @@
 //! For every occupancy level, fuse that level's local-stage winners with
 //! explicit occupancy control and measure the real fused kernel on the
 //! sampled historical batches; keep the level with the lowest mean latency.
+//! The measurements are independent, so they run on the pool; the argmin
+//! is then taken in level order, exactly as a sequential sweep would.
 
+use rayon::prelude::*;
 use recflex_compiler::{FusedKernelObject, FusedSpec};
 use recflex_schedules::ScheduleInstance;
 use recflex_sim::launch;
@@ -23,22 +26,23 @@ pub fn tune_global_stage(
     assert_eq!(levels.len(), winners.len());
     let tables = recflex_embedding::TableSet::for_model(ctx.model);
 
-    let mut global_latencies = Vec::with_capacity(levels.len());
-    let mut evaluations = local_evaluations;
-    // (level index, occupancy decision) → measured mean latency.
-    let mut best: Option<(usize, Option<u32>, f64)> = None;
-
-    for (li, (&k, choice)) in levels.iter().zip(&winners).enumerate() {
-        let schedules: Vec<ScheduleInstance> = choice
-            .iter()
-            .enumerate()
-            .map(|(f, &c)| ctx.candidates[f].candidates[c])
-            .collect();
-        // Measure the winner set both with explicit control at `O_k` and
-        // at the union's natural occupancy: controlling occupancy must
-        // never be a regression over simply fusing the winners.
-        for occ in [Some(k), None] {
-            let mut spec = FusedSpec::new(schedules.clone());
+    // Measure each level's winner set both with explicit control at `O_k`
+    // and at the union's natural occupancy: controlling occupancy must
+    // never be a regression over simply fusing the winners.
+    let variants: Vec<(usize, Option<u32>)> = levels
+        .iter()
+        .enumerate()
+        .flat_map(|(li, &k)| [(li, Some(k)), (li, None)])
+        .collect();
+    let means: Vec<Option<f64>> = variants
+        .par_iter()
+        .map(|&(li, occ)| {
+            let schedules: Vec<ScheduleInstance> = winners[li]
+                .iter()
+                .enumerate()
+                .map(|(f, &c)| ctx.candidates[f].candidates[c])
+                .collect();
+            let mut spec = FusedSpec::new(schedules);
             spec.occupancy_target = occ;
             let obj = FusedKernelObject::compile(spec);
 
@@ -46,22 +50,27 @@ pub fn tune_global_stage(
             let mut measured = 0usize;
             for batch in ctx.tuning_batches() {
                 let bound = obj.bind(ctx.model, &tables, batch);
-                evaluations += 1;
                 if let Ok(report) = launch(&bound, ctx.arch, &obj.launch_config()) {
                     total += report.latency_us;
                     measured += 1;
                 }
             }
-            if measured == 0 {
-                continue; // infeasible for the union kernel
-            }
-            let mean = total / measured as f64;
-            if occ.is_some() {
-                global_latencies.push((k, mean));
-            }
-            if best.map(|(_, _, b)| mean < b).unwrap_or(true) {
-                best = Some((li, occ, mean));
-            }
+            // `None`: infeasible for the union kernel.
+            (measured > 0).then(|| total / measured as f64)
+        })
+        .collect();
+    let evaluations = local_evaluations + variants.len() * ctx.tuning_batches().len();
+
+    let mut global_latencies = Vec::with_capacity(levels.len());
+    // (level index, occupancy decision) → measured mean latency.
+    let mut best: Option<(usize, Option<u32>, f64)> = None;
+    for (&(li, occ), mean) in variants.iter().zip(means) {
+        let Some(mean) = mean else { continue };
+        if occ.is_some() {
+            global_latencies.push((levels[li], mean));
+        }
+        if best.map(|(_, _, b)| mean < b).unwrap_or(true) {
+            best = Some((li, occ, mean));
         }
     }
 
