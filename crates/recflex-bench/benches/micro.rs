@@ -3,8 +3,9 @@
 //! * `thread_map/runtime_build` — the host-side workload analysis + task
 //!   map construction that the paper measures at < 0.1 % of data-loading
 //!   time;
-//! * `tuning/local_stage_one_feature` — the unit cost behind the
-//!   `O(F·K + K)` tuning complexity argument;
+//! * `tuning/local_stage_20f` and `tuning/local_stages_20f_5levels` — the
+//!   local stage at one occupancy level and at five in one pass, the unit
+//!   cost behind the `O(F·K + K)` tuning complexity argument;
 //! * simulator primitives (occupancy calculation, block scheduling,
 //!   fused-kernel launch) that bound how fast experiments replay;
 //! * `host/cost_small_chunk` and `host/unique_rows_35k` — the per-chunk
@@ -193,6 +194,15 @@ fn bench_local_stage(c: &mut Criterion) {
         b.iter_batched(
             || TuningContext::new(&m, &ds, &arch, &cfg),
             |ctx| black_box(local::tune_local_stage(&ctx, 4, &cfg)),
+            BatchSize::LargeInput,
+        )
+    });
+    // The two-stage tuner's call: every level of the experiment harness's
+    // tuner in one pass.
+    g.bench_function("local_stages_20f_5levels", |b| {
+        b.iter_batched(
+            || TuningContext::new(&m, &ds, &arch, &cfg),
+            |ctx| black_box(local::tune_local_stages(&ctx, &[1, 2, 4, 8, 16], &cfg)),
             BatchSize::LargeInput,
         )
     });

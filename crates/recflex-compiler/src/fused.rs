@@ -120,7 +120,18 @@ impl FusedKernelObject {
         tables: &'a TableSet,
         batch: &'a Batch,
     ) -> BoundFusedKernel<'a> {
-        let workloads = analyze_batch(model, batch);
+        self.bind_analyzed(model, tables, batch, analyze_batch(model, batch))
+    }
+
+    /// [`Self::bind`] for a batch whose `workloads` (one per feature, as
+    /// [`analyze_batch`] returns them) are already known.
+    pub fn bind_analyzed<'a>(
+        &'a self,
+        model: &'a ModelConfig,
+        tables: &'a TableSet,
+        batch: &'a Batch,
+        workloads: Vec<FeatureWorkload>,
+    ) -> BoundFusedKernel<'a> {
         let task_map = TaskMap::runtime(&self.spec.schedules, &workloads);
         BoundFusedKernel {
             obj: self,

@@ -39,6 +39,7 @@ pub mod registry;
 pub mod store;
 pub mod template;
 
+pub use profile::BaseBlockProfile;
 pub use registry::{enumerate_candidates, CandidateError, CandidateSet};
 pub use store::{
     distribution_summary, DirVfs, MemVfs, ProfileKey, ProfileVault, ScheduleProfile, StoreError,

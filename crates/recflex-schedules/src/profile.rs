@@ -36,12 +36,39 @@ fn sectors_per_row(dim: u32, lanes: u32, vec: u32) -> u64 {
     sectors.max(1)
 }
 
+/// The feature's first-touch share of its table bytes: a block's
+/// grid-level reuse, exact at feature granularity.
+fn unique_fraction(w: &FeatureWorkload) -> f64 {
+    if w.bytes_read() == 0 {
+        1.0
+    } else {
+        w.unique_bytes() as f64 / w.bytes_read() as f64
+    }
+}
+
+/// Largest pooling factor among samples `s0..s1`.
+fn max_pf(fb: &FeatureBatch, s0: u32, s1: u32) -> u32 {
+    (s0..s1).map(|s| fb.pooling_factor(s)).max().unwrap_or(0)
+}
+
+/// A block's demands before occupancy control touches it: no register
+/// cap, every table row on the device. Everything a launch changes about
+/// the block afterwards is in [`ScheduleInstance::finish_block_profile`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BaseBlockProfile {
+    /// The block's demands with every register resident.
+    pub(crate) profile: BlockProfile,
+    /// Largest pooling factor among the block's samples, which sets the
+    /// pooling-loop rounds a register cap spills over; `None` for an idle
+    /// block, which has no samples and is never finished.
+    pub(crate) max_pf: Option<u32>,
+}
+
 impl ScheduleInstance {
-    /// Profile block `rel_bidx` of this schedule over feature batch `fb`.
-    ///
-    /// `reg_cap` is the occupancy-control register budget (spill modelling).
-    /// Blocks whose sample range is empty (possible under static
-    /// over-allocation) report an idle profile.
+    /// Profile block `rel_bidx` of this schedule over feature batch `fb`:
+    /// the base profile finished for `reg_cap`, the occupancy-control
+    /// register budget. Blocks whose sample range is empty (possible under
+    /// static over-allocation) report an idle profile.
     pub fn block_profile(
         &self,
         fb: &FeatureBatch,
@@ -49,42 +76,98 @@ impl ScheduleInstance {
         rel_bidx: u32,
         reg_cap: Option<u32>,
     ) -> BlockProfile {
+        let Some((s0, s1)) = self.block_samples(fb, rel_bidx) else {
+            return BlockProfile::idle();
+        };
+        let mut p = self.unfinished_profile(fb, w, s0, s1);
+        let threads = self.params.threads_per_block;
+        self.finish(&mut p, || max_pf(fb, s0, s1), threads, w, reg_cap);
+        p
+    }
+
+    /// The part of [`Self::block_profile`] no register cap changes.
+    pub fn base_block_profile(
+        &self,
+        fb: &FeatureBatch,
+        w: &FeatureWorkload,
+        rel_bidx: u32,
+    ) -> BaseBlockProfile {
+        match self.block_samples(fb, rel_bidx) {
+            None => BaseBlockProfile {
+                profile: BlockProfile::idle(),
+                max_pf: None,
+            },
+            Some((s0, s1)) => BaseBlockProfile {
+                profile: self.unfinished_profile(fb, w, s0, s1),
+                max_pf: Some(max_pf(fb, s0, s1)),
+            },
+        }
+    }
+
+    /// Finish `base` for a launch that capped registers at `reg_cap`:
+    /// add the spill traffic, then demote `w`'s cold share of all traffic
+    /// to UVM, in that order.
+    pub fn finish_block_profile(
+        &self,
+        base: &BaseBlockProfile,
+        w: &FeatureWorkload,
+        reg_cap: Option<u32>,
+    ) -> BlockProfile {
+        let mut p = base.profile;
+        if let Some(max_pf) = base.max_pf {
+            let threads = self.params.threads_per_block;
+            self.finish(&mut p, || max_pf, threads, w, reg_cap);
+        }
+        p
+    }
+
+    /// Samples `s0..s1` of block `rel_bidx`, or `None` past the batch.
+    fn block_samples(&self, fb: &FeatureBatch, rel_bidx: u32) -> Option<(u32, u32)> {
         let batch = fb.batch_size();
         let spb = self.samples_per_block();
         let s0 = rel_bidx.saturating_mul(spb);
-        if s0 >= batch {
-            return BlockProfile::idle();
-        }
-        let s1 = (s0 + spb).min(batch);
+        (s0 < batch).then(|| (s0, (s0 + spb).min(batch)))
+    }
 
-        // Grid-level reuse: the block's first-touch table bytes scale with
-        // the feature's unique/total ratio (exact at feature granularity).
-        let unique_frac = if w.bytes_read() == 0 {
-            1.0
-        } else {
-            w.unique_bytes() as f64 / w.bytes_read() as f64
-        };
-
-        let mut p = match self.kind {
+    /// The profile of samples `s0..s1` before the finishing step.
+    fn unfinished_profile(
+        &self,
+        fb: &FeatureBatch,
+        w: &FeatureWorkload,
+        s0: u32,
+        s1: u32,
+    ) -> BlockProfile {
+        let unique_frac = unique_fraction(w);
+        match self.kind {
             ScheduleKind::SamplePerBlock => self.profile_sample_per_block(fb, s0, unique_frac),
             ScheduleKind::GatherScatter => self.profile_gather(fb, s0, s1, unique_frac),
             _ => self.profile_grouped(fb, s0, s1, unique_frac),
-        };
+        }
+    }
 
+    /// The finishing step shared by block and warp profiles of `threads`
+    /// threads. `max_pf` yields the longest sample's pooling factor; it
+    /// is called only when the cap spills.
+    fn finish(
+        &self,
+        p: &mut BlockProfile,
+        max_pf: impl FnOnce() -> u32,
+        threads: u32,
+        w: &FeatureWorkload,
+        reg_cap: Option<u32>,
+    ) {
         // Register spilling under occupancy control: the register set is
         // cycled once per pooling-loop round.
         if let Some(cap) = reg_cap {
             let natural = self.natural_regs();
             if cap < natural {
-                let max_pf = (s0..s1).map(|s| fb.pooling_factor(s)).max().unwrap_or(0);
-                let rounds = (max_pf as u64).div_ceil(self.params.unroll as u64).max(1);
-                p.add_spill(natural - cap, self.params.threads_per_block, rounds);
+                let rounds = (max_pf() as u64).div_ceil(self.params.unroll as u64).max(1);
+                p.add_spill(natural - cap, threads, rounds);
             }
         }
         // Host-resident table rows missing the GPU hot cache travel over
         // the interconnect (paper Section VII's UVM schedules).
         p.demote_to_uvm(w.uvm_cold_frac);
-        p
     }
 
     /// Whether this schedule can be dispatched at *warp* granularity
@@ -121,21 +204,8 @@ impl ScheduleInstance {
             return BlockProfile::idle();
         }
         let s1 = (s0 + spw).min(fb.batch_size());
-        let unique_frac = if w.bytes_read() == 0 {
-            1.0
-        } else {
-            w.unique_bytes() as f64 / w.bytes_read() as f64
-        };
-        let mut p = self.profile_grouped(fb, s0, s1, unique_frac);
-        if let Some(cap) = reg_cap {
-            let natural = self.natural_regs();
-            if cap < natural {
-                let max_pf = (s0..s1).map(|s| fb.pooling_factor(s)).max().unwrap_or(0);
-                let rounds = (max_pf as u64).div_ceil(self.params.unroll as u64).max(1);
-                p.add_spill(natural - cap, 32, rounds);
-            }
-        }
-        p.demote_to_uvm(w.uvm_cold_frac);
+        let mut p = self.profile_grouped(fb, s0, s1, unique_fraction(w));
+        self.finish(&mut p, || max_pf(fb, s0, s1), 32, w, reg_cap);
         p
     }
 
@@ -487,6 +557,67 @@ mod tests {
         let wf = warp.block_profile(&fb, &w, 0, None);
         let wc = warp.block_profile(&fb, &w, 0, Some(32));
         assert_eq!(wf, wc);
+    }
+
+    #[test]
+    fn block_profile_is_the_base_profile_plus_the_finishing_step() {
+        // The finishing step spelled out as block_profile applied it before
+        // the base profile was split off: spill for the cap over the
+        // block's longest sample's pooling-loop rounds, then demote the
+        // cold share to UVM. Idle blocks past the batch are never finished.
+        let mut s = spec(64, 0);
+        s.pooling = PoolingDist::PowerLaw {
+            alpha: 1.2,
+            max: 90,
+        };
+        let fb = FeatureBatch::generate(&s, 300, 11);
+        let schedules = [
+            inst(ScheduleKind::RowPerThread, 128, 1, 1, 2, 0, 64),
+            inst(ScheduleKind::SubWarp, 128, 8, 2, 1, 0, 64),
+            inst(ScheduleKind::SamplePerWarp, 256, 32, 4, 2, 0, 64),
+            inst(ScheduleKind::SamplePerBlock, 128, 128, 2, 4, 0, 64),
+            inst(ScheduleKind::SmemStaged, 128, 32, 4, 1, 16, 64),
+            inst(ScheduleKind::GatherScatter, 128, 32, 2, 1, 0, 64),
+        ];
+        let mut spilled = 0;
+        for cold in [0.0, 0.3] {
+            let w = workload(&fb, 64).with_uvm_cold_frac(cold);
+            for sched in &schedules {
+                let spb = sched.samples_per_block();
+                for b in 0..sched.required_blocks(&w) + 2 {
+                    let base = sched.base_block_profile(&fb, &w, b);
+                    for cap in [None, Some(32), Some(16)] {
+                        let mut expect = base.profile;
+                        let s0 = b * spb;
+                        if s0 < fb.batch_size() {
+                            let s1 = (s0 + spb).min(fb.batch_size());
+                            let natural = sched.natural_regs();
+                            if let Some(cap) = cap.filter(|&c| c < natural) {
+                                let max_pf = (s0..s1).map(|s| fb.pooling_factor(s)).max();
+                                let rounds = (max_pf.unwrap() as u64)
+                                    .div_ceil(sched.params.unroll as u64)
+                                    .max(1);
+                                expect.add_spill(
+                                    natural - cap,
+                                    sched.params.threads_per_block,
+                                    rounds,
+                                );
+                                spilled += 1;
+                            }
+                            expect.demote_to_uvm(cold);
+                        } else {
+                            assert_eq!(expect, BlockProfile::idle());
+                        }
+                        let got = sched.block_profile(&fb, &w, b, cap);
+                        let what = format!("{:?} block {b} cap {cap:?} cold {cold}", sched.kind);
+                        assert_eq!(got, expect, "{what}");
+                        let finished = sched.finish_block_profile(&base, &w, cap);
+                        assert_eq!(finished, expect, "{what}, finished from the base");
+                    }
+                }
+            }
+        }
+        assert!(spilled > 0, "the caps must spill some schedule");
     }
 
     #[test]

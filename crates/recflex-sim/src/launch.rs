@@ -175,6 +175,121 @@ impl LaunchReport {
     }
 }
 
+/// One block's times under a launch environment, in cycles.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BlockTime {
+    /// Steady-state time `l_b`, sharing its SM with `B_eff` co-residents.
+    pub steady: f64,
+    /// Solo time: the same block with the machine to itself.
+    pub solo: f64,
+    /// The memory-pipe part of the steady time (LSU, DRAM or L2 bound).
+    pub mem: f64,
+}
+
+/// The environment every block of one launch is timed under: grid-level
+/// memory behaviour, effective co-residency `B_eff` and dispatch overhead.
+/// [`launch`] times its blocks with it, and so does any caller that needs
+/// block times without a full report.
+#[derive(Debug, Clone, Copy)]
+pub struct BlockTimer<'a> {
+    arch: &'a GpuArch,
+    /// Grid-level memory behaviour.
+    pub(crate) mem: MemorySystem,
+    /// Co-residents a block shares its SM with: `min(B, ceil(grid/#SM))`.
+    pub(crate) b_eff: f64,
+    /// Multiplier on issue cycles (dispatch overhead).
+    pub(crate) issue_mult: f64,
+    /// DRAM bytes per SM-cycle.
+    pub(crate) dram_rate: f64,
+    /// L2 bytes per SM-cycle.
+    pub(crate) l2_rate: f64,
+}
+
+impl<'a> BlockTimer<'a> {
+    /// The environment of a `grid_blocks`-block launch under `cfg` at
+    /// `blocks_per_sm` residency whose blocks request `total_bytes`, of
+    /// which `unique_bytes` are first touches.
+    #[inline]
+    pub fn new(
+        arch: &'a GpuArch,
+        cfg: &LaunchConfig,
+        blocks_per_sm: u32,
+        grid_blocks: u64,
+        total_bytes: u64,
+        unique_bytes: u64,
+    ) -> Self {
+        BlockTimer {
+            arch,
+            mem: MemorySystem::from_traffic(arch, total_bytes, unique_bytes, cfg.extra_l2_pressure),
+            b_eff: (blocks_per_sm as f64)
+                .min((grid_blocks as f64 / arch.num_sms as f64).ceil())
+                .max(1.0),
+            issue_mult: if cfg.issue_multiplier > 0.0 {
+                cfg.issue_multiplier
+            } else {
+                1.0
+            },
+            dram_rate: arch.dram_bytes_per_sm_cycle(),
+            l2_rate: arch.l2_bytes_per_sm_cycle(),
+        }
+    }
+
+    /// Time one block with profile `p`. Inlined into `launch`, which is
+    /// generic and so compiled in its callers' crates.
+    #[inline]
+    pub fn time(&self, p: &BlockProfile) -> BlockTime {
+        let arch = self.arch;
+        let (mem, b_eff, issue_mult) = (&self.mem, self.b_eff, self.issue_mult);
+        let aw = p.active_warps.max(1) as f64;
+        let mlp = p.mlp.max(1.0);
+        // The block retires with its slowest warp: prefer the explicit
+        // critical chain; fall back to the uniform average for kernels
+        // that do not report one.
+        let chain = if p.critical_mem_chain > 0 {
+            p.critical_mem_chain as f64
+        } else {
+            p.mem_transactions as f64 / aw
+        };
+        // Little's law per block: its warps sustain `aw × mlp` requests in
+        // flight, so its memory work cannot drain faster than that supply,
+        // and never faster than its slowest warp's chain.
+        let t_lat = chain.max(p.mem_transactions as f64 / aw) * mem.avg_latency / mlp;
+        // UVM misses: high-latency host accesses, hidden by the same
+        // warp-level parallelism but with a far longer round trip.
+        let t_uvm = (p.uvm_transactions as f64 / aw) * arch.uvm_latency / mlp;
+        let dram_b = mem.dram_bytes(p);
+        let l2_b = mem.l2_bytes(p);
+        let barrier_cost = p.barriers as f64 * arch.barrier_cycles;
+
+        // Steady-state time: the block shares its SM with `b_eff`
+        // co-residents (the contention environment the tuner must rank
+        // schedules under — these are the `l_b` of Equations 2/3).
+        let t_issue = p.issue_cycles * issue_mult * b_eff / arch.warp_schedulers as f64;
+        let t_lsu = p.mem_transactions as f64 * b_eff / arch.lsu_per_sm;
+        let t_dram = dram_b * b_eff / self.dram_rate;
+        let t_l2 = l2_b * b_eff / self.l2_rate;
+        let t_mem = t_lsu.max(t_dram).max(t_l2);
+        let l_b = t_issue.max(t_mem).max(t_lat).max(t_uvm) + barrier_cost;
+
+        // Solo time: the same block with the machine to itself — how fast
+        // a straggler drains once its co-residents have retired. DRAM and
+        // issue bandwidth are fluid across the chip, so the kernel can
+        // never finish before its longest solo block.
+        let t_solo = (p.issue_cycles * issue_mult / arch.warp_schedulers as f64)
+            .max(p.mem_transactions as f64 / arch.lsu_per_sm)
+            .max(dram_b / self.dram_rate)
+            .max(l2_b / self.l2_rate)
+            .max(t_lat)
+            .max(t_uvm)
+            + barrier_cost;
+        BlockTime {
+            steady: l_b,
+            solo: t_solo,
+            mem: t_mem,
+        }
+    }
+}
+
 /// Launch `kernel` on `arch` under `cfg`.
 pub fn launch<K: SimKernel>(
     kernel: &K,
@@ -209,11 +324,6 @@ pub fn launch<K: SimKernel>(
     };
 
     let ctx = ProfileCtx { reg_cap };
-    let issue_mult = if cfg.issue_multiplier > 0.0 {
-        cfg.issue_multiplier
-    } else {
-        1.0
-    };
 
     // Phase 1: profile every block (pure, so the pool changes no bit).
     let profile = |b| kernel.profile_block(b, &ctx);
@@ -226,66 +336,27 @@ pub fn launch<K: SimKernel>(
     // Phase 2: grid-level memory behaviour.
     let total_bytes: u64 = profiles.iter().map(|p| p.bytes_accessed).sum();
     let unique_bytes: u64 = profiles.iter().map(|p| p.unique_bytes).sum();
-    let mem = MemorySystem::from_traffic(arch, total_bytes, unique_bytes, cfg.extra_l2_pressure);
+    let timer = BlockTimer::new(
+        arch,
+        cfg,
+        blocks_per_sm,
+        u64::from(grid),
+        total_bytes,
+        unique_bytes,
+    );
+    let (mem, b_eff, issue_mult) = (timer.mem, timer.b_eff, timer.issue_mult);
 
     // Phase 3: block times under the launch environment.
-    let b_eff = (blocks_per_sm as f64)
-        .min((grid as f64 / arch.num_sms as f64).ceil())
-        .max(1.0);
-    let dram_rate = arch.dram_bytes_per_sm_cycle();
-    let l2_rate = arch.l2_bytes_per_sm_cycle();
-
     let mut mem_bound_cycles = 0.0f64;
     let mut block_times = Vec::with_capacity(grid as usize);
     let mut block_solo_times = Vec::with_capacity(grid as usize);
     let mut straggler = 0.0f64;
     for p in &profiles {
-        let aw = p.active_warps.max(1) as f64;
-        let mlp = p.mlp.max(1.0);
-        // The block retires with its slowest warp: prefer the explicit
-        // critical chain; fall back to the uniform average for kernels
-        // that do not report one.
-        let chain = if p.critical_mem_chain > 0 {
-            p.critical_mem_chain as f64
-        } else {
-            p.mem_transactions as f64 / aw
-        };
-        // Little's law per block: its warps sustain `aw × mlp` requests in
-        // flight, so its memory work cannot drain faster than that supply,
-        // and never faster than its slowest warp's chain.
-        let t_lat = chain.max(p.mem_transactions as f64 / aw) * mem.avg_latency / mlp;
-        // UVM misses: high-latency host accesses, hidden by the same
-        // warp-level parallelism but with a far longer round trip.
-        let t_uvm = (p.uvm_transactions as f64 / aw) * arch.uvm_latency / mlp;
-        let dram_b = mem.dram_bytes(p);
-        let l2_b = mem.l2_bytes(p);
-        let barrier_cost = p.barriers as f64 * arch.barrier_cycles;
-
-        // Steady-state time: the block shares its SM with `b_eff`
-        // co-residents (the contention environment the tuner must rank
-        // schedules under — these are the `l_b` of Equations 2/3).
-        let t_issue = p.issue_cycles * issue_mult * b_eff / arch.warp_schedulers as f64;
-        let t_lsu = p.mem_transactions as f64 * b_eff / arch.lsu_per_sm;
-        let t_dram = dram_b * b_eff / dram_rate;
-        let t_l2 = l2_b * b_eff / l2_rate;
-        let t_mem = t_lsu.max(t_dram).max(t_l2);
-        let l_b = t_issue.max(t_mem).max(t_lat).max(t_uvm) + barrier_cost;
-        mem_bound_cycles += t_mem;
-        block_times.push(l_b);
-
-        // Solo time: the same block with the machine to itself — how fast
-        // a straggler drains once its co-residents have retired. DRAM and
-        // issue bandwidth are fluid across the chip, so the kernel can
-        // never finish before its longest solo block.
-        let t_solo = (p.issue_cycles * issue_mult / arch.warp_schedulers as f64)
-            .max(p.mem_transactions as f64 / arch.lsu_per_sm)
-            .max(dram_b / dram_rate)
-            .max(l2_b / l2_rate)
-            .max(t_lat)
-            .max(t_uvm)
-            + barrier_cost;
-        block_solo_times.push(t_solo);
-        straggler = straggler.max(t_solo);
+        let t = timer.time(p);
+        mem_bound_cycles += t.mem;
+        block_times.push(t.steady);
+        block_solo_times.push(t.solo);
+        straggler = straggler.max(t.solo);
     }
 
     // Phase 4: kernel time = the maximum of all lower bounds.
@@ -298,6 +369,7 @@ pub fn launch<K: SimKernel>(
     //   small grids, without over-penalizing underfull final waves where
     //   the fluid DRAM share speeds survivors up.
     let slots = arch.num_sms * blocks_per_sm;
+    let (dram_rate, l2_rate) = (timer.dram_rate, timer.l2_rate);
     let total_shared: f64 = block_times.iter().sum();
     let throughput_bound = total_shared / slots as f64;
     let sms = arch.num_sms as f64;

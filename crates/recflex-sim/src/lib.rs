@@ -39,7 +39,7 @@ pub mod scheduler;
 pub use arch::GpuArch;
 pub use interconnect::Interconnect;
 pub use kernel::{ProfileCtx, SimKernel};
-pub use launch::{launch, LaunchConfig, LaunchReport};
+pub use launch::{launch, BlockTime, BlockTimer, LaunchConfig, LaunchReport};
 pub use memory::MemorySystem;
 pub use metrics::KernelMetrics;
 pub use occupancy::{BlockResources, Occupancy};

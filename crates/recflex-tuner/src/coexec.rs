@@ -10,7 +10,7 @@
 
 use recflex_data::FeatureBatch;
 use recflex_embedding::FeatureWorkload;
-use recflex_schedules::ScheduleInstance;
+use recflex_schedules::{BaseBlockProfile, ScheduleInstance};
 use recflex_sim::{BlockProfile, BlockResources, ProfileCtx, SimKernel};
 use std::ops::Range;
 
@@ -118,6 +118,19 @@ impl<'a> CoExecKernel<'a> {
     pub fn work_blocks(&self) -> u32 {
         self.segments.last().map(|r| r.end).unwrap_or(0)
     }
+
+    /// Every work block's profile before occupancy control, in grid order:
+    /// what the local stage profiles once and finishes per level.
+    pub fn base_profiles(&self) -> Vec<BaseBlockProfile> {
+        let mut out = Vec::with_capacity(self.work_blocks() as usize);
+        for (cand, seg) in self.candidates.iter().zip(&self.segments) {
+            out.extend(
+                seg.clone()
+                    .map(|b| cand.base_block_profile(self.fb, self.workload, b - seg.start)),
+            );
+        }
+        out
+    }
 }
 
 impl SimKernel for CoExecKernel<'_> {
@@ -126,7 +139,7 @@ impl SimKernel for CoExecKernel<'_> {
     }
 
     fn grid_blocks(&self) -> u32 {
-        self.work_blocks() + self.pad_blocks
+        self.work_blocks().saturating_add(self.pad_blocks)
     }
 
     fn resources(&self) -> BlockResources {

@@ -4,7 +4,9 @@
 //! explicit occupancy control and measure the real fused kernel on the
 //! sampled historical batches; keep the level with the lowest mean latency.
 //! The measurements are independent, so they run on the pool; the argmin
-//! is then taken in level order, exactly as a sequential sweep would.
+//! is then taken in level order, exactly as a sequential sweep would. They
+//! bind the tuning batches with the context's analyses instead of
+//! analysing each batch again per variant.
 
 use rayon::prelude::*;
 use recflex_compiler::{FusedKernelObject, FusedSpec};
@@ -48,8 +50,8 @@ pub fn tune_global_stage(
 
             let mut total = 0.0f64;
             let mut measured = 0usize;
-            for batch in ctx.tuning_batches() {
-                let bound = obj.bind(ctx.model, &tables, batch);
+            for (batch, workloads) in ctx.tuning_batches().iter().zip(&ctx.history) {
+                let bound = obj.bind_analyzed(ctx.model, &tables, batch, workloads.clone());
                 if let Ok(report) = launch(&bound, ctx.arch, &obj.launch_config()) {
                     total += report.latency_us;
                     measured += 1;

@@ -12,7 +12,8 @@
 //!    duplicated inputs, pad the grid with blocks that emulate the other
 //!    features' SM- and L2-level pressure (Figure 7), and rank candidates
 //!    by their summed block times (Equation 3). Cost: one kernel per
-//!    `(f, k)` — `O(F·K)`.
+//!    `(f, k)` — `O(F·K)` — simulated in one pass over each feature's
+//!    candidate blocks for all `k`.
 //! 2. **Global stage** ([`global`]): fuse each occupancy's winners, measure
 //!    the real fused kernel on sampled historical batches (Equation 5),
 //!    keep the best occupancy (Equation 4). Cost: `O(K)`.
@@ -163,12 +164,9 @@ pub fn tune_two_stage(
         .occupancy_levels
         .clone()
         .unwrap_or_else(|| arch.occupancy_levels());
-    // Local stage: winners per occupancy level. Each level launches one
-    // co-execution kernel per (feature, batch) pair.
-    let winners_per_level: Vec<Vec<usize>> = levels
-        .iter()
-        .map(|&k| local::tune_local_stage(&ctx, k, cfg))
-        .collect();
+    // Local stage: winners per occupancy level. Each level simulates one
+    // co-execution kernel per (feature, batch) pair, all levels in one pass.
+    let winners_per_level = local::tune_local_stages(&ctx, &levels, cfg);
     let local_evaluations = levels.len() * ctx.candidates.len() * ctx.history.len();
     // Global stage: pick the occupancy whose fused kernel is fastest.
     global::tune_global_stage(&ctx, &levels, winners_per_level, local_evaluations)

@@ -145,8 +145,8 @@ pub fn resume_from_profile(
     let mut total = 0.0f64;
     let mut measured = 0usize;
     let mut evaluations = 0usize;
-    for batch in ctx.tuning_batches() {
-        let bound = obj.bind(ctx.model, &tables, batch);
+    for (batch, workloads) in ctx.tuning_batches().iter().zip(&ctx.history) {
+        let bound = obj.bind_analyzed(ctx.model, &tables, batch, workloads.clone());
         evaluations += 1;
         if let Ok(report) = launch(&bound, ctx.arch, &obj.launch_config()) {
             total += report.latency_us;
