@@ -222,7 +222,7 @@ fn bench_batch_split(c: &mut Criterion) {
     let m = ModelPreset::A.scaled(0.05);
     let batch = Batch::generate(&m, 2560, 7);
     c.bench_function("host/split_2560_at_512", |b| {
-        b.iter(|| black_box(recflex_core::serving::split_batch(&batch, 512)))
+        b.iter(|| black_box(batch.split(512)))
     });
 }
 

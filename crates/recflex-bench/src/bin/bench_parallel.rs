@@ -8,15 +8,16 @@
 //! * **tuning_sweep** — `RecFlexEngine::tune` on the Model-A fixture (the
 //!   paper's per-feature candidate sweep, the workload RecFlex farms over
 //!   eight GPUs), and
-//! * **shard_fanout** — `ShardedEngine::tune` + evaluation over four
-//!   shards (the serving tier's per-device fan-out),
+//! * **shard_fanout** — per-device tuning of a 4-shard placement, then
+//!   the evaluation set served one request at a time on the sharded tier
+//!   (the serving tier's per-device fan-out),
 //!
 //! each executed under an explicitly sized [`rayon::ThreadPool`] via
 //! `install`, so one process compares thread counts directly. Every run
-//! folds its results (schedule choices, occupancy, latency bits, pooled
-//! output bits) into a digest; **any digest mismatch across thread counts
-//! aborts with a non-zero exit even without `--check`** — nondeterminism
-//! is never a soft failure.
+//! folds its results (schedule choices, occupancy, latency bits, and the
+//! tuning sweep's pooled output bits) into a digest; **any digest
+//! mismatch across thread counts aborts with a non-zero exit even without
+//! `--check`** — nondeterminism is never a soft failure.
 //!
 //! `BENCH_parallel.json` in the repo root tracks this trajectory at smoke
 //! scale; the CI `bench-trajectory` job regenerates it and gates the
@@ -31,9 +32,9 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use recflex_bench::{CliOpts, Fixture, Scale};
-use recflex_core::ShardedEngine;
+use recflex_bench::{one_at_a_time_tier, place_and_tune, CliOpts, Fixture, Scale};
 use recflex_data::ModelPreset;
+use recflex_serve::Request;
 use recflex_sim::GpuArch;
 
 /// Thread counts the trajectory sweeps.
@@ -95,9 +96,11 @@ fn tuning_sweep(fixture: &Fixture, scale: &Scale) -> u64 {
     h
 }
 
-/// Digest of the 4-shard tier: per-device tuning plus evaluation fan-out.
+/// Digest of the 4-shard tier: each shard's tuned choices plus every
+/// evaluation request's latency. Serving is timing-only, so there is no
+/// pooled output to fold.
 fn shard_fanout(fixture: &Fixture, scale: &Scale) -> u64 {
-    let sharded = ShardedEngine::tune(
+    let (placement, engines) = place_and_tune(
         &fixture.model,
         &fixture.history,
         &fixture.arch,
@@ -105,12 +108,32 @@ fn shard_fanout(fixture: &Fixture, scale: &Scale) -> u64 {
         4,
     );
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for batch in fixture.eval.batches() {
-        let (out, latency_us) = sharded.run(batch).expect("shard run");
-        h = fold(h, latency_us.to_bits());
-        for v in out.data() {
-            h = fold(h, v.to_bits() as u64);
+    for engine in &engines {
+        for &c in &engine.tune_result.choices {
+            h = fold(h, c as u64);
         }
+    }
+    let tier = one_at_a_time_tier(
+        &fixture.model,
+        &fixture.arch,
+        placement,
+        scale.interconnect.clone(),
+        &engines,
+    );
+    let requests: Vec<Request> = fixture
+        .eval
+        .batches()
+        .iter()
+        .enumerate()
+        .map(|(i, batch)| Request {
+            id: i as u64,
+            arrival_us: 0.0,
+            batch: batch.clone(),
+        })
+        .collect();
+    let report = tier.serve(&requests).expect("shard serve");
+    for record in &report.records {
+        h = fold(h, record.base.latency_us().to_bits());
     }
     h
 }

@@ -13,9 +13,9 @@
 
 use recflex_baselines::{Backend, TensorFlowBackend, TorchRecBackend};
 use recflex_bench::{CliOpts, Scale};
-use recflex_core::{RecFlexEngine, ServingSimulator};
+use recflex_core::RecFlexEngine;
 use recflex_data::{Batch, Dataset, ModelConfig, ModelPreset};
-use recflex_serve::{BatchPolicy, ServeConfig, ShardedServeRuntime, WorkloadSpec};
+use recflex_serve::{BatchPolicy, Request, ServeConfig, ShardedServeRuntime, WorkloadSpec};
 use recflex_sim::GpuArch;
 use recflex_tuner::TunerConfig;
 use serde::Serialize;
@@ -28,7 +28,7 @@ struct ClosedLoopRow {
     mean_us: f64,
     p99_us: f64,
     max_us: f64,
-    kernel_launches: u32,
+    kernel_launches: u64,
 }
 
 /// One row of the open-loop load sweep, as written to `--json`.
@@ -58,12 +58,21 @@ fn closed_loop_table(
     torchrec: &TorchRecBackend,
 ) -> Vec<ClosedLoopRow> {
     // Request stream: mostly moderate requests, one 2 560-sample tail.
-    let mut requests: Vec<Batch> = [64u32, 128, 256, 96, 512, 32, 192, 256]
+    let mut batches: Vec<Batch> = [64u32, 128, 256, 96, 512, 32, 192, 256]
         .iter()
         .enumerate()
         .map(|(i, &bs)| Batch::generate(model, bs, 1000 + i as u64))
         .collect();
-    requests.push(Batch::generate(model, 2560, 9999));
+    batches.push(Batch::generate(model, 2560, 9999));
+    let requests: Vec<Request> = batches
+        .into_iter()
+        .enumerate()
+        .map(|(i, batch)| Request {
+            id: i as u64,
+            arrival_us: 0.0,
+            batch,
+        })
+        .collect();
 
     println!(
         "== serving simulation: {} requests incl. one 2560-sample tail ==",
@@ -75,30 +84,38 @@ fn closed_loop_table(
     );
     let mut rows = Vec::new();
     for (name, backend) in [("RecFlex", engine as &dyn Backend), ("TorchRec", torchrec)] {
-        for (mode, cap) in [("split@512", Some(512u32)), ("unsplit", None)] {
-            let server = ServingSimulator {
-                backend,
-                model,
-                arch: arch.clone(),
-                max_batch: cap,
+        for (mode, policy) in [
+            ("split@512", BatchPolicy::Split { cap: 512 }),
+            ("unsplit", BatchPolicy::Unsplit),
+        ] {
+            // Closed loop on one stream: each request runs alone, its
+            // chunks back to back.
+            let config = ServeConfig {
+                streams: 1,
+                policy,
+                closed_loop: true,
+                ..ServeConfig::default()
             };
-            let stats = server.serve(&requests).unwrap();
+            let report = ShardedServeRuntime::single_device(model, arch, config, backend)
+                .serve(&requests)
+                .unwrap();
+            let row = ClosedLoopRow {
+                backend: name.to_string(),
+                mode: mode.to_string(),
+                mean_us: report.mean_latency_us(),
+                p99_us: report.percentile_us(0.99),
+                max_us: report.percentile_us(1.0),
+                kernel_launches: report.kernel_launches,
+            };
             println!(
                 "{:<22} {:>12.1} {:>12.1} {:>12.1} {:>10}",
                 format!("{name} {mode}"),
-                stats.mean_us(),
-                stats.percentile_us(0.99),
-                stats.percentile_us(1.0),
-                stats.kernel_launches
+                row.mean_us,
+                row.p99_us,
+                row.max_us,
+                row.kernel_launches
             );
-            rows.push(ClosedLoopRow {
-                backend: name.to_string(),
-                mode: mode.to_string(),
-                mean_us: stats.mean_us(),
-                p99_us: stats.percentile_us(0.99),
-                max_us: stats.percentile_us(1.0),
-                kernel_launches: stats.kernel_launches,
-            });
+            rows.push(row);
         }
     }
     println!("\n(runtime thread mapping lets RecFlex absorb the unsplit tail, Section VI-D)\n");

@@ -20,12 +20,16 @@
 //! the paper-size experiments. Relative results (who wins, by how much) are
 //! stable across scales because every backend sees the same inputs.
 
+use std::cell::Cell;
+
+use rayon::prelude::*;
 use recflex_baselines::{
     Backend, BackendError, HugeCtrBackend, RecomBackend, TensorFlowBackend, TorchRecBackend,
 };
-use recflex_core::RecFlexEngine;
-use recflex_data::{Batch, Dataset, ModelConfig, ModelPreset};
+use recflex_core::{feature_cost_estimates, RecFlexEngine};
+use recflex_data::{Batch, Dataset, ModelConfig, ModelPreset, Placement};
 use recflex_embedding::{reference_model_output, TableSet};
+use recflex_serve::{BatchPolicy, ServeConfig, ShardedServeRuntime};
 use recflex_sim::{GpuArch, Interconnect};
 use recflex_tuner::TunerConfig;
 
@@ -196,6 +200,59 @@ impl Fixture {
         }
         v
     }
+}
+
+/// Paper §VII's composition of RecFlex with table placement: LPT-place
+/// `model`'s tables over `num_devices` GPUs by their measured costs
+/// ([`feature_cost_estimates`] on `history`), then tune one engine per
+/// device on the history projected onto its features. The tunes are
+/// independent, so they run in parallel over devices.
+pub fn place_and_tune(
+    model: &ModelConfig,
+    history: &Dataset,
+    arch: &GpuArch,
+    tuner: &TunerConfig,
+    num_devices: usize,
+) -> (Placement, Vec<RecFlexEngine>) {
+    let costs = feature_cost_estimates(model, history, arch);
+    let placement = Placement::balance_by_cost(num_devices, &costs);
+    let engines = (0..num_devices)
+        .into_par_iter()
+        .map(|dev| {
+            let batches = history
+                .batches()
+                .iter()
+                .map(|b| placement.project_batch(b, dev))
+                .collect();
+            let sub_model = placement.sub_model(model, dev);
+            RecFlexEngine::tune(&sub_model, &Dataset::from_batches(batches), arch, tuner)
+        })
+        .collect();
+    (placement, engines)
+}
+
+/// A tier serving `engines` (one per device of `placement`, in device
+/// order) one request at a time: closed loop, one stream, unsplit. Each
+/// request then takes its slowest shard's cost plus a ring all-gather of
+/// the pooled output over `interconnect`.
+pub fn one_at_a_time_tier<'a>(
+    model: &'a ModelConfig,
+    arch: &'a GpuArch,
+    placement: Placement,
+    interconnect: Interconnect,
+    engines: &'a [RecFlexEngine],
+) -> ShardedServeRuntime<'a> {
+    let config = ServeConfig {
+        streams: 1,
+        policy: BatchPolicy::Unsplit,
+        closed_loop: true,
+        ..ServeConfig::default()
+    };
+    // `build` asks for one backend per device, in device order.
+    let next = Cell::new(0);
+    ShardedServeRuntime::build(model, arch, placement, config, interconnect, |_| {
+        Box::new(&engines[next.replace(next.get() + 1)])
+    })
 }
 
 /// One row of a comparison table.

@@ -14,10 +14,8 @@
 
 pub mod end_to_end;
 pub mod engine;
-pub mod serving;
 pub mod sharding;
 
 pub use end_to_end::EndToEndModel;
 pub use engine::{RecFlexEngine, VaultTuneReport, DEFAULT_WARM_BUDGET_PER_FEATURE};
-pub use serving::{ServingSimulator, ServingStats};
-pub use sharding::{feature_cost_estimates, Placement, ShardedEngine};
+pub use sharding::feature_cost_estimates;

@@ -1,26 +1,20 @@
-//! Multi-GPU table sharding (paper Section VII, "Larger model sizes").
+//! Measured per-feature costs for multi-GPU table placement (paper
+//! Section VII, "Larger model sizes").
 //!
 //! When embedding tables exceed one GPU's memory, the paper proposes
 //! placing tables on multiple GPUs "through heuristics" and then using
-//! RecFlex to optimize the embedding operations *on each GPU*. This module
-//! implements that composition over the shared [`Placement`] partition
-//! from the data layer: per-feature device-time estimates measured on the
-//! tuning history drive an LPT placement ([`Placement::balance_by_cost`]),
-//! each shard is tuned independently with the two-stage tuner, and a
-//! request is served by launching every shard's fused kernel concurrently
-//! (latency = slowest shard + a ring all-gather of the pooled outputs over
-//! a configurable [`Interconnect`]).
+//! RecFlex to optimize the embedding operations *on each GPU*. The
+//! heuristic here is LPT ([`Placement::balance_by_cost`]) over the
+//! per-feature device-time estimates this module measures on the tuning
+//! history; the sharded serving tier (`recflex_serve::ShardedServeRuntime`)
+//! then serves one tuned engine per device, gating each chunk on the
+//! slowest shard plus a ring all-gather of the pooled outputs.
+//!
+//! [`Placement::balance_by_cost`]: recflex_data::Placement::balance_by_cost
 
-use rayon::prelude::*;
-use recflex_baselines::BackendError;
-use recflex_data::{Batch, Dataset, ModelConfig};
-use recflex_embedding::{analyze_batch, FusedOutput};
-use recflex_sim::{GpuArch, Interconnect};
-use recflex_tuner::TunerConfig;
-
-use crate::engine::RecFlexEngine;
-
-pub use recflex_data::Placement;
+use recflex_data::{Dataset, ModelConfig};
+use recflex_embedding::analyze_batch;
+use recflex_sim::GpuArch;
 
 /// Per-feature device-time estimates (µs per tuning batch), measured on
 /// the historical dataset rather than read off the feature specs.
@@ -53,143 +47,10 @@ pub fn feature_cost_estimates(model: &ModelConfig, dataset: &Dataset, arch: &Gpu
     costs
 }
 
-/// A model sharded over several simulated GPUs, each with its own tuned
-/// RecFlex engine.
-pub struct ShardedEngine {
-    /// The placement in force.
-    pub placement: Placement,
-    /// Per-device engines over the per-device sub-models.
-    pub shards: Vec<RecFlexEngine>,
-    /// The original model (for output layout).
-    pub model: ModelConfig,
-    /// The link the pooled outputs are gathered over.
-    pub interconnect: Interconnect,
-}
-
-impl ShardedEngine {
-    /// Shard `model` over `num_devices` simulated `arch` GPUs using the
-    /// cost-model-driven placement and tune each shard on its slice of
-    /// `dataset`. Gathers are accounted over NVLink.
-    pub fn tune(
-        model: &ModelConfig,
-        dataset: &Dataset,
-        arch: &GpuArch,
-        cfg: &TunerConfig,
-        num_devices: usize,
-    ) -> Self {
-        let costs = feature_cost_estimates(model, dataset, arch);
-        let placement = Placement::balance_by_cost(num_devices, &costs);
-        Self::tune_with_placement(model, dataset, arch, cfg, placement, Interconnect::nvlink())
-    }
-
-    /// Shard under an explicit placement and interconnect — the entry the
-    /// placement-policy sweeps use.
-    pub fn tune_with_placement(
-        model: &ModelConfig,
-        dataset: &Dataset,
-        arch: &GpuArch,
-        cfg: &TunerConfig,
-        placement: Placement,
-        interconnect: Interconnect,
-    ) -> Self {
-        assert_eq!(placement.device_of.len(), model.features.len());
-        let shards: Vec<RecFlexEngine> = (0..placement.num_devices)
-            .into_par_iter()
-            .map(|dev| {
-                let sub_model = placement.sub_model(model, dev);
-                let sub_data = project_dataset(dataset, &placement, dev);
-                RecFlexEngine::tune(&sub_model, &sub_data, arch, cfg)
-            })
-            .collect();
-        ShardedEngine {
-            placement,
-            shards,
-            model: model.clone(),
-            interconnect,
-        }
-    }
-
-    /// Serve one batch: every shard launches concurrently; shard outputs
-    /// are scattered back into the model's feature order.
-    pub fn run(&self, batch: &Batch) -> Result<(FusedOutput, f64), BackendError> {
-        let shard_results: Vec<(FusedOutput, f64)> = self
-            .shards
-            .par_iter()
-            .enumerate()
-            .map(|(dev, engine)| {
-                let sub_batch = self.placement.project_batch(batch, dev);
-                engine
-                    .run(&sub_batch)
-                    .map(|(out, report)| (out, report.latency_us))
-            })
-            .collect::<Result<_, _>>()?;
-
-        // Latency: slowest shard plus the all-gather of the pooled output.
-        let slowest = shard_results.iter().map(|(_, l)| *l).fold(0.0f64, f64::max);
-        let out_bytes = self.model.concat_dim() as u64 * batch.batch_size as u64 * 4;
-        let latency = slowest
-            + self
-                .interconnect
-                .all_gather_us(out_bytes, self.placement.num_devices);
-
-        // Scatter shard outputs into model feature order.
-        let mut out = FusedOutput::zeros(&self.model, batch.batch_size);
-        {
-            let parts = out.split_features_mut();
-            let mut parts: Vec<Option<&mut [f32]>> = parts.into_iter().map(Some).collect();
-            for (dev, (shard_out, _)) in shard_results.iter().enumerate() {
-                for (local, &global) in self.placement.features_on(dev).iter().enumerate() {
-                    let dst = parts[global].take().expect("each feature scattered once");
-                    dst.copy_from_slice(shard_out.feature(local));
-                }
-            }
-        }
-        Ok((out, latency))
-    }
-}
-
-/// Project a dataset onto one device's features (per-device tuning data).
-fn project_dataset(dataset: &Dataset, placement: &Placement, device: usize) -> Dataset {
-    let batches: Vec<Batch> = dataset
-        .batches()
-        .iter()
-        .map(|b| placement.project_batch(b, device))
-        .collect();
-    Dataset::from_batches(batches)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recflex_data::ModelPreset;
-    use recflex_embedding::{reference_model_output, TableSet};
-
-    #[test]
-    fn placement_covers_all_features_once() {
-        let m = ModelPreset::A.scaled(0.02);
-        let p = Placement::balance(&m, 4);
-        assert_eq!(p.device_of.len(), m.features.len());
-        let total: usize = (0..4).map(|d| p.features_on(d).len()).sum();
-        assert_eq!(total, m.features.len());
-    }
-
-    #[test]
-    fn lpt_balances_traffic() {
-        let m = ModelPreset::C.scaled(0.05);
-        let p = Placement::balance(&m, 4);
-        let weights: Vec<f64> = m
-            .features
-            .iter()
-            .map(|f| f.expected_lookups_per_sample() * f.row_bytes() as f64)
-            .collect();
-        assert!(
-            p.imbalance(&weights) < 1.3,
-            "LPT imbalance {}",
-            p.imbalance(&weights)
-        );
-        // A single device is trivially balanced.
-        assert_eq!(Placement::balance(&m, 1).imbalance(&weights), 1.0);
-    }
+    use recflex_data::{ModelPreset, Placement};
 
     #[test]
     fn cost_driven_placement_beats_round_robin_on_measured_costs() {
@@ -207,64 +68,6 @@ mod tests {
             "LPT {} vs round-robin {}",
             by_cost.imbalance(&costs),
             naive.imbalance(&costs)
-        );
-    }
-
-    #[test]
-    fn sharded_output_matches_reference() {
-        let m = ModelPreset::A.scaled(0.015);
-        let ds = Dataset::synthesize(&m, 2, 48, 5);
-        let arch = GpuArch::v100();
-        let sharded = ShardedEngine::tune(&m, &ds, &arch, &TunerConfig::fast(), 3);
-        let batch = Batch::generate(&m, 48, 77);
-        let (out, latency) = sharded.run(&batch).unwrap();
-
-        // Note: the shards' tables are seeded from the *sub-model* names,
-        // so compare against a reference built from the same tables.
-        assert!(latency > 0.0);
-        assert_eq!(out.num_features(), m.features.len());
-        for dev in 0..3 {
-            let feats = sharded.placement.features_on(dev);
-            let sub_model = &sharded.shards[dev].model;
-            let tables = TableSet::for_model(sub_model);
-            let sub_batch = sharded.placement.project_batch(&batch, dev);
-            let golden = reference_model_output(sub_model, &tables, &sub_batch);
-            for (local, &global) in feats.iter().enumerate() {
-                assert_eq!(
-                    out.feature(global),
-                    golden.feature(local),
-                    "feature {global}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn more_devices_cut_latency() {
-        let m = ModelPreset::C.scaled(0.03);
-        let ds = Dataset::synthesize(&m, 2, 96, 5);
-        let arch = GpuArch::v100();
-        let batch = Batch::generate(&m, 96, 9);
-        let one = ShardedEngine::tune(&m, &ds, &arch, &TunerConfig::fast(), 1);
-        let four = ShardedEngine::tune(&m, &ds, &arch, &TunerConfig::fast(), 4);
-        let (_, l1) = one.run(&batch).unwrap();
-        let (_, l4) = four.run(&batch).unwrap();
-        assert!(l4 < l1, "4 devices {l4} vs 1 device {l1}");
-    }
-
-    #[test]
-    fn single_device_gather_is_free_and_matches_unsharded() {
-        let m = ModelPreset::A.scaled(0.01);
-        let ds = Dataset::synthesize(&m, 2, 32, 3);
-        let arch = GpuArch::v100();
-        let sharded = ShardedEngine::tune(&m, &ds, &arch, &TunerConfig::fast(), 1);
-        let plain = RecFlexEngine::tune(&m, &ds, &arch, &TunerConfig::fast());
-        let batch = Batch::generate(&m, 32, 11);
-        let (_, sharded_lat) = sharded.run(&batch).unwrap();
-        let (_, plain_report) = plain.run(&batch).unwrap();
-        assert_eq!(
-            sharded_lat, plain_report.latency_us,
-            "1-shard latency must equal the unsharded engine bit-for-bit"
         );
     }
 }

@@ -4,7 +4,7 @@
 //! on multiple GPUs "through heuristics" and optimizes each GPU's share
 //! independently (Section VII). The placement itself is a pure partition
 //! of the model's feature list, so it lives here in the data layer where
-//! both the offline engine (`recflex-core::sharding`) and the online
+//! both the per-feature cost estimates (`recflex-core::sharding`) and the
 //! serving tier (`recflex-serve::sharded`) can reach it.
 //!
 //! Three policies, from naive to informed:
@@ -335,6 +335,33 @@ mod tests {
         assert_eq!(sub.features, m.features);
         let p4 = Placement::balance(&m, 4);
         assert!(p4.sub_model(&m, 2).name.ends_with("@shard2"));
+    }
+
+    #[test]
+    fn placement_covers_all_features_once() {
+        let m = ModelPreset::A.scaled(0.02);
+        let p = Placement::balance(&m, 4);
+        assert_eq!(p.device_of.len(), m.features.len());
+        let total: usize = (0..4).map(|d| p.features_on(d).len()).sum();
+        assert_eq!(total, m.features.len());
+    }
+
+    #[test]
+    fn lpt_balances_traffic() {
+        let m = ModelPreset::C.scaled(0.05);
+        let p = Placement::balance(&m, 4);
+        let weights: Vec<f64> = m
+            .features
+            .iter()
+            .map(|f| f.expected_lookups_per_sample() * f.row_bytes() as f64)
+            .collect();
+        assert!(
+            p.imbalance(&weights) < 1.3,
+            "LPT imbalance {}",
+            p.imbalance(&weights)
+        );
+        // A single device is trivially balanced.
+        assert_eq!(Placement::balance(&m, 1).imbalance(&weights), 1.0);
     }
 
     #[test]

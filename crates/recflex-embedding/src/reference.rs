@@ -111,6 +111,26 @@ mod tests {
     }
 
     #[test]
+    fn pooling_survives_a_batch_split() {
+        // Splitting a request at a cap (the industrial serving practice)
+        // must not change any sample's pooled row: the chunks' outputs
+        // stitch back into the whole batch's, bit for bit.
+        let m = ModelPreset::C.scaled(0.01);
+        let tables = TableSet::for_model(&m);
+        let batch = Batch::generate(&m, 100, 7);
+        let dim = m.features[0].emb_dim as usize;
+        let mut whole = vec![0.0f32; 100 * dim];
+        reference_pooled(tables.table(0), &batch.features[0], &mut whole);
+        let mut stitched = Vec::new();
+        for c in batch.split(32).unwrap() {
+            let mut part = vec![0.0f32; c.batch_size as usize * dim];
+            reference_pooled(tables.table(0), &c.features[0], &mut part);
+            stitched.extend(part);
+        }
+        assert_eq!(whole, stitched);
+    }
+
+    #[test]
     fn model_output_deterministic() {
         let m = ModelPreset::C.scaled(0.005);
         let ts = TableSet::for_model(&m);

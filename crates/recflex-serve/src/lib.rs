@@ -23,8 +23,7 @@
 //!   breaks latency into queue + device + gather and reports straggler
 //!   gaps and per-shard lane stats). A single GPU is the 1-shard tier
 //!   ([`ShardedServeRuntime::single_device`]), whose lane may borrow the
-//!   engine it serves; [`ShardedReport::flat`] projects a run onto the
-//!   per-request [`ServeReport`] shape,
+//!   engine it serves,
 //! * SLO-aware admission control — requests that cannot meet the
 //!   deadline are shed at arrival ([`ServeConfig::slo_deadline_us`]),
 //! * [`DriftMonitor`] / [`ShardedRetunePolicy`] — distribution-drift
@@ -123,9 +122,7 @@ pub use pipeline::{
 pub use request::{Request, WorkloadSpec};
 pub use runtime::{BatchPolicy, ServeConfig, ServeError, TunedCandidate};
 pub use sharded::{ShardLane, ShardedRetunePolicy, ShardedServeRuntime};
-pub use stats::{
-    RequestRecord, ServeReport, ShardLaneStats, ShardedReport, ShardedRequestRecord, ShedReason,
-};
+pub use stats::{RequestRecord, ShardLaneStats, ShardedReport, ShardedRequestRecord, ShedReason};
 pub use workload::{
     DiurnalCurve, FlashCrowd, FleetArrival, FleetWorkload, ScenarioSpec, TrafficShape,
 };
@@ -161,8 +158,8 @@ mod tests {
             hot_shard_cap: None,
         };
         let rt = ShardedServeRuntime::single_device(&m, &arch, config, &backend);
-        let a = rt.serve(&reqs).unwrap().flat();
-        let b = rt.serve(&reqs).unwrap().flat();
+        let a = rt.serve(&reqs).unwrap();
+        let b = rt.serve(&reqs).unwrap();
         assert_eq!(a, b, "same seed, same config => identical report");
         assert_eq!(a.records.len(), 48);
     }
@@ -192,10 +189,13 @@ mod tests {
                 },
                 &backend,
             );
-            let report = rt.serve(&reqs).unwrap().flat();
+            let report = rt.serve(&reqs).unwrap();
             assert_eq!(report.records.len(), 24);
             assert_eq!(report.shed_rate(), 0.0);
-            assert!(report.records.iter().all(|r| r.done_us >= r.arrival_us));
+            assert!(report
+                .records
+                .iter()
+                .all(|r| r.base.done_us >= r.base.arrival_us));
             assert!(report.makespan_us > 0.0);
         }
     }
@@ -226,8 +226,7 @@ mod tests {
             &backend,
         )
         .serve(&reqs)
-        .unwrap()
-        .flat();
+        .unwrap();
         let dynamic = ShardedServeRuntime::single_device(
             &m,
             &arch,
@@ -244,8 +243,7 @@ mod tests {
             &backend,
         )
         .serve(&reqs)
-        .unwrap()
-        .flat();
+        .unwrap();
         assert!(
             dynamic.kernel_launches < unsplit.kernel_launches,
             "coalescing must reduce launches: dynamic {} vs unsplit {}",
@@ -285,7 +283,6 @@ mod tests {
             )
             .serve(&reqs)
             .unwrap()
-            .flat()
         };
         let loose = serve(BatchPolicy::Dynamic {
             max_batch: 100,
@@ -303,7 +300,10 @@ mod tests {
         );
         assert_eq!(packed.records.len(), 10);
         assert_eq!(packed.shed_rate(), 0.0);
-        assert!(packed.records.iter().all(|r| r.done_us >= r.arrival_us));
+        assert!(packed
+            .records
+            .iter()
+            .all(|r| r.base.done_us >= r.base.arrival_us));
         // A request split across two coalesced batches completes only
         // when its second half does, so done_us is still monotone with
         // full batch accounting.
@@ -366,12 +366,11 @@ mod tests {
             &backend,
         )
         .serve(&all)
-        .unwrap()
-        .flat();
+        .unwrap();
         assert_eq!(report.records.len(), 3);
         assert_eq!(report.shed_rate(), 0.0);
-        let r0 = &report.records[1];
-        let r1 = &report.records[2];
+        let r0 = &report.records[1].base;
+        let r1 = &report.records[2].base;
         assert_eq!(r0.batch_size, 50);
         assert_eq!(r1.batch_size, 70);
         // The straddler cannot finish before the request whose batch it
@@ -406,7 +405,6 @@ mod tests {
             )
             .serve(&reqs)
             .unwrap()
-            .flat()
         };
         let serial = serve(1);
         let overlapped = serve(4);
@@ -448,7 +446,6 @@ mod tests {
             )
             .serve(&reqs)
             .unwrap()
-            .flat()
         };
         let open = mk(None);
         let slo = mk(Some(2_000.0));
@@ -463,7 +460,7 @@ mod tests {
             "shedding bounds the tail"
         );
         // Shed records keep their identity for accounting.
-        for r in slo.records.iter().filter(|r| r.is_shed()) {
+        for r in slo.records.iter().map(|r| &r.base).filter(|r| r.is_shed()) {
             assert_eq!(r.done_us, r.arrival_us);
             assert_eq!(r.service_us, 0.0);
         }
@@ -514,8 +511,11 @@ mod tests {
             },
             &backend,
         );
-        let report = rt.serve_with_retune(&reqs, &mut policy).unwrap().flat();
-        assert!(report.retunes >= 1, "drift must trigger a retune");
+        let report = rt.serve_with_retune(&reqs, &mut policy).unwrap();
+        assert!(
+            report.lifecycle.retunes_promoted >= 1,
+            "drift must trigger a retune"
+        );
         assert!(retune_inputs.get() > 0, "retuner sees the recent window");
         assert_eq!(
             report.records.len(),
@@ -544,8 +544,8 @@ mod tests {
             }),
         };
         let rt = ShardedServeRuntime::single_device(&m, &arch, ServeConfig::default(), &backend);
-        let report = rt.serve_with_retune(&reqs, &mut policy).unwrap().flat();
-        assert_eq!(report.retunes, 0);
+        let report = rt.serve_with_retune(&reqs, &mut policy).unwrap();
+        assert_eq!(report.lifecycle.retunes_promoted, 0);
     }
 
     #[test]
@@ -579,9 +579,9 @@ mod tests {
             },
             &backend,
         );
-        let report = rt.serve(&reqs).unwrap().flat();
+        let report = rt.serve(&reqs).unwrap();
         assert_eq!(report.kernel_launches, expect_launches);
-        let lat = report.records[0].latency_us();
+        let lat = report.records[0].base.latency_us();
         assert!(
             (lat - expect).abs() < 1e-6,
             "closed-loop split latency {lat} != chunk-sum {expect}"
@@ -617,7 +617,7 @@ mod tests {
         let (m, arch) = setup();
         let backend = TorchRecBackend::compile(&m);
         let rt = ShardedServeRuntime::single_device(&m, &arch, ServeConfig::default(), &backend);
-        let report = rt.serve(&[]).unwrap().flat();
+        let report = rt.serve(&[]).unwrap();
         assert!(report.records.is_empty());
         assert_eq!(report.kernel_launches, 0);
         assert_eq!(report.makespan_us, 0.0);
@@ -672,8 +672,8 @@ mod tests {
                 hot_shard_cap: None,
             };
             let rt = ShardedServeRuntime::single_device(&m, &arch, config, &backend);
-            let a = rt.serve_with_retune(&reqs, &mut mk_policy()).unwrap().flat();
-            let b = rt.serve_with_retune(&reqs, &mut mk_policy()).unwrap().flat();
+            let a = rt.serve_with_retune(&reqs, &mut mk_policy()).unwrap();
+            let b = rt.serve_with_retune(&reqs, &mut mk_policy()).unwrap();
 
             prop_assert!(a.lifecycle.retunes_attempted >= 1, "the stream must drift");
             prop_assert_eq!(a.lifecycle.retunes_promoted, 0);

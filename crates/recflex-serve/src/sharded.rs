@@ -189,8 +189,9 @@ impl<'a> ShardedServeRuntime<'a> {
     }
 
     /// Build the tier: partition `model` by `placement` and compile one
-    /// lane per device with `make_backend`. No faults, no replication —
-    /// use [`Self::build_resilient`] for the chaos-capable tier.
+    /// lane per device with `make_backend`, called once per device in
+    /// device order. No faults, no replication — use
+    /// [`Self::build_resilient`] for the chaos-capable tier.
     pub fn build(
         model: &'a ModelConfig,
         arch: &'a GpuArch,
@@ -216,6 +217,12 @@ impl<'a> ShardedServeRuntime<'a> {
     /// [`Placement::balance_by_cost`]) used to size replication —
     /// [`crate::ReplicationPolicy::MirrorHottest`] puts the one standby
     /// lane behind the costliest shard.
+    ///
+    /// `make_backend` receives each lane's sub-model
+    /// ([`Placement::sub_model`]) and is called in a fixed order: once per
+    /// device in device order, then once per replica lane in
+    /// [`Self::replica_of`] order. A caller holding engines tuned ahead of
+    /// time can therefore hand them out by counting calls.
     #[allow(clippy::too_many_arguments)]
     pub fn build_resilient(
         model: &'a ModelConfig,
@@ -1728,6 +1735,8 @@ impl ShardedRunState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+
     use crate::faults::{
         Fault, FaultKind, FaultPlan, FaultSpec, LadderConfig, PressureSignal, ReplicationPolicy,
     };
@@ -1852,10 +1861,10 @@ mod tests {
         assert_eq!(warm.shed_rate(), 0.0);
         assert_eq!(warm.records.len(), 48);
         assert!(
-            warm.flat().mean_latency_us() <= cold.flat().mean_latency_us() + 1e-9,
+            warm.mean_latency_us() <= cold.mean_latency_us() + 1e-9,
             "doubling serving lanes must not slow the tier: warm {} vs cold {}",
-            warm.flat().mean_latency_us(),
-            cold.flat().mean_latency_us()
+            warm.mean_latency_us(),
+            cold.mean_latency_us()
         );
         let replay = warm_rt.serve(&reqs)?;
         assert_eq!(warm, replay, "replica reads replay bit-for-bit");
@@ -1947,6 +1956,98 @@ mod tests {
             );
         }
         Ok(())
+    }
+
+    #[test]
+    fn an_idle_tier_serves_in_the_slowest_lane_cost_plus_gather() -> Result<(), ServeError> {
+        // One request, closed loop on one stream and unsplit: nothing
+        // queues, so latency is the slowest lane's cost plus a ring
+        // all-gather of the whole pooled output.
+        let (m, arch) = setup();
+        let batch = Batch::generate(&m, 96, 9);
+        let config = ServeConfig {
+            streams: 1,
+            policy: BatchPolicy::Unsplit,
+            closed_loop: true,
+            ..ServeConfig::default()
+        };
+        for shards in [1, 2, 4] {
+            let rt = tier(&m, &arch, shards, config, Interconnect::nvlink());
+            let mut slowest = 0.0f64;
+            for (s, lane) in rt.lanes.iter().enumerate() {
+                let sub = rt.placement.project_batch(&batch, s);
+                let cost = lane.backend.cost(&lane.model, &lane.tables, &sub, &arch)?;
+                slowest = slowest.max(cost.latency_us);
+            }
+            let out_bytes = u64::from(batch.batch_size) * u64::from(m.concat_dim()) * 4;
+            let expect = slowest + rt.interconnect.all_gather_us(out_bytes, shards);
+            let report = rt.serve(&[Request {
+                id: 0,
+                arrival_us: 0.0,
+                batch: batch.clone(),
+            }])?;
+            let record = &report.records[0];
+            let latency = record.base.latency_us();
+            if shards == 1 {
+                assert_eq!(record.gather_us, 0.0, "one shard gathers nothing");
+                assert_eq!(latency, expect, "1 shard: the lane's cost, bit for bit");
+            } else {
+                assert!(
+                    ((latency - expect) / expect).abs() < 1e-12,
+                    "{shards} shards: latency {latency} vs slowest + gather {expect}"
+                );
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn make_backend_runs_per_device_then_per_replica_in_order() {
+        let (m, arch) = setup();
+        let placement = Placement::balance(&m, 3);
+        let features_of = |dev: usize| {
+            placement
+                .features_on(dev)
+                .iter()
+                .map(|&f| m.features[f].clone())
+                .collect::<Vec<_>>()
+        };
+        let calls = RefCell::new(Vec::new());
+        let record = |sub: &ModelConfig| {
+            calls.borrow_mut().push(sub.features.clone());
+            TorchRecBackend::compile(sub)
+        };
+        ShardedServeRuntime::build(
+            &m,
+            &arch,
+            placement.clone(),
+            ServeConfig::default(),
+            Interconnect::nvlink(),
+            |sub| Box::new(record(sub)),
+        );
+        assert_eq!(calls.take(), [0, 1, 2].map(features_of));
+        // Shard 1 is the costliest, so the one mirrored replica is not
+        // shard 0 and its call is told apart from the first device's.
+        let costs: Vec<f64> = placement
+            .device_of
+            .iter()
+            .map(|&d| if d == 1 { 10.0 } else { 1.0 })
+            .collect();
+        let rt = ShardedServeRuntime::build_resilient(
+            &m,
+            &arch,
+            placement.clone(),
+            ServeConfig::default(),
+            Interconnect::nvlink(),
+            ResilienceConfig {
+                replication: ReplicationPolicy::MirrorHottest,
+                ..ResilienceConfig::default()
+            },
+            &costs,
+            |sub| Box::new(record(sub)),
+        );
+        assert_eq!(rt.replica_of, vec![1]);
+        assert_eq!(calls.take(), [0, 1, 2, 1].map(features_of));
     }
 
     #[test]

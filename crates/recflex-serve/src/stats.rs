@@ -7,8 +7,7 @@
 //! over completed requests plus the shed rate for SLO accounting.
 //! [`ShardedReport`] adds the cross-shard terms and the fault observables
 //! (downtime, hedge fires and wins, failovers, degraded-request rate,
-//! availability) that the chaos harness gates on; [`ServeReport`] is its
-//! per-request projection ([`ShardedReport::flat`]).
+//! availability) that the chaos harness gates on.
 
 use serde::{Deserialize, Serialize};
 
@@ -106,60 +105,6 @@ impl RequestRecord {
     }
 }
 
-/// The request-level view of one serving run, projected from a
-/// [`ShardedReport`] by [`ShardedReport::flat`]. `PartialEq` so replay
-/// tests can assert two runs of the same seed are *identical*, not
-/// merely close.
-#[derive(Debug, Clone, PartialEq, Default, Serialize)]
-pub struct ServeReport {
-    /// One record per request, in arrival order (shed included).
-    pub records: Vec<RequestRecord>,
-    /// Device kernel launches across the run.
-    pub kernel_launches: u64,
-    /// Background retunes promoted to the active engine during the run.
-    pub retunes: u32,
-    /// Timestamp of the last completion (or last arrival if all shed).
-    pub makespan_us: f64,
-    /// Schedule-lifecycle counters (attempts, failures, rollbacks,
-    /// promotions, canary overhead, engine version).
-    pub lifecycle: LifecycleStats,
-    /// The lifecycle trace: every state-machine transition, in order, so
-    /// replay tests can assert two runs walked the same path.
-    pub lifecycle_trace: Vec<LifecycleEvent>,
-}
-
-impl ServeReport {
-    /// Records of requests that actually ran.
-    pub fn completed(&self) -> impl Iterator<Item = &RequestRecord> {
-        self.records.iter().filter(|r| !r.is_shed())
-    }
-
-    /// Fraction of requests shed by admission control, in `[0, 1]`.
-    pub fn shed_rate(&self) -> f64 {
-        if self.records.is_empty() {
-            return 0.0;
-        }
-        self.records.iter().filter(|r| r.is_shed()).count() as f64 / self.records.len() as f64
-    }
-
-    /// Mean end-to-end latency over completed requests, µs.
-    pub fn mean_latency_us(&self) -> f64 {
-        mean(self.completed().map(|r| r.latency_us()))
-    }
-
-    /// Nearest-rank latency percentile over completed requests, µs.
-    /// `q` in `[0, 1]`; `q = 0` is the minimum, `q = 1` the maximum.
-    pub fn percentile_us(&self, q: f64) -> f64 {
-        percentile(self.completed().map(|r| r.latency_us()), q)
-    }
-
-    /// Mean queue wait over completed requests, µs — the batching +
-    /// stream-contention share of latency.
-    pub fn mean_queue_us(&self) -> f64 {
-        mean(self.completed().map(|r| r.queue_us))
-    }
-}
-
 /// What happened to one request in the serving tier: the per-request
 /// breakdown plus the cross-shard terms.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -205,7 +150,8 @@ pub struct ShardLaneStats {
     pub failovers: u64,
 }
 
-/// Aggregate outcome of one sharded serving run.
+/// Aggregate outcome of one serving run on the tier (a single GPU is the
+/// 1-shard case).
 #[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct ShardedReport {
     /// One record per request, in arrival order (shed included).
@@ -282,7 +228,14 @@ impl ShardedReport {
         }
     }
 
-    /// Nearest-rank percentile of end-to-end latency, µs.
+    /// Mean end-to-end latency over completed requests, µs.
+    pub fn mean_latency_us(&self) -> f64 {
+        mean(self.completed().map(|r| r.base.latency_us()))
+    }
+
+    /// Nearest-rank percentile of end-to-end latency over completed
+    /// requests, µs. `q` in `[0, 1]`; `q = 0` is the minimum, `q = 1` the
+    /// maximum.
     pub fn percentile_us(&self, q: f64) -> f64 {
         percentile(self.completed().map(|r| r.base.latency_us()), q)
     }
@@ -354,19 +307,6 @@ impl ShardedReport {
         });
         out
     }
-
-    /// The run flattened to the per-request [`ServeReport`] shape, for
-    /// code that only cares about the request-level outcome.
-    pub fn flat(&self) -> ServeReport {
-        ServeReport {
-            records: self.records.iter().map(|r| r.base.clone()).collect(),
-            kernel_launches: self.kernel_launches,
-            retunes: self.lifecycle.retunes_promoted,
-            makespan_us: self.makespan_us,
-            lifecycle: self.lifecycle,
-            lifecycle_trace: self.lifecycle_trace.clone(),
-        }
-    }
 }
 
 fn mean(xs: impl Iterator<Item = f64>) -> f64 {
@@ -416,14 +356,30 @@ mod tests {
         }
     }
 
-    #[test]
-    fn percentiles_over_known_latencies() {
-        let report = ServeReport {
-            records: (0..10)
-                .map(|i| rec(i, 0.0, 0.0, (i + 1) as f64 * 10.0))
+    /// A tier report over `records`, with no cross-shard terms.
+    fn report(records: Vec<RequestRecord>) -> ShardedReport {
+        ShardedReport {
+            records: records
+                .into_iter()
+                .map(|base| ShardedRequestRecord {
+                    base,
+                    device_us: 0.0,
+                    gather_us: 0.0,
+                    straggler_us: 0.0,
+                    degraded: false,
+                })
                 .collect(),
             ..Default::default()
-        };
+        }
+    }
+
+    #[test]
+    fn percentiles_over_known_latencies() {
+        let report = report(
+            (0..10)
+                .map(|i| rec(i, 0.0, 0.0, (i + 1) as f64 * 10.0))
+                .collect(),
+        );
         assert_eq!(report.percentile_us(0.5), 50.0);
         assert_eq!(report.percentile_us(0.9), 90.0);
         assert_eq!(report.percentile_us(1.0), 100.0);
@@ -431,19 +387,13 @@ mod tests {
 
     #[test]
     fn percentile_zero_is_the_minimum() {
-        let report = ServeReport {
-            records: vec![rec(0, 0.0, 0.0, 30.0), rec(1, 0.0, 0.0, 10.0)],
-            ..Default::default()
-        };
+        let report = report(vec![rec(0, 0.0, 0.0, 30.0), rec(1, 0.0, 0.0, 10.0)]);
         assert_eq!(report.percentile_us(0.0), 10.0);
     }
 
     #[test]
     fn single_record_percentiles_all_agree() {
-        let report = ServeReport {
-            records: vec![rec(0, 5.0, 2.0, 40.0)],
-            ..Default::default()
-        };
+        let report = report(vec![rec(0, 5.0, 2.0, 40.0)]);
         for q in [0.0, 0.5, 0.99, 1.0] {
             assert_eq!(report.percentile_us(q), 42.0);
         }
@@ -451,15 +401,12 @@ mod tests {
 
     #[test]
     fn shed_requests_count_in_shed_rate_not_latency() {
-        let report = ServeReport {
-            records: vec![
-                rec(0, 0.0, 0.0, 100.0),
-                shed(1, 1.0),
-                shed(2, 2.0),
-                rec(3, 3.0, 0.0, 100.0),
-            ],
-            ..Default::default()
-        };
+        let report = report(vec![
+            rec(0, 0.0, 0.0, 100.0),
+            shed(1, 1.0),
+            shed(2, 2.0),
+            rec(3, 3.0, 0.0, 100.0),
+        ]);
         assert_eq!(report.shed_rate(), 0.5);
         assert_eq!(report.mean_latency_us(), 100.0);
         assert_eq!(report.percentile_us(0.99), 100.0);
@@ -467,7 +414,7 @@ mod tests {
 
     #[test]
     fn empty_report_is_all_zero() {
-        let report = ServeReport::default();
+        let report = ShardedReport::default();
         assert_eq!(report.shed_rate(), 0.0);
         assert_eq!(report.mean_latency_us(), 0.0);
         assert_eq!(report.percentile_us(0.5), 0.0);
@@ -529,15 +476,7 @@ mod tests {
 
     #[test]
     fn merge_interleaves_records_and_sums_counters() {
-        let wrap = |base: RequestRecord| ShardedRequestRecord {
-            base,
-            device_us: 0.0,
-            gather_us: 0.0,
-            straggler_us: 0.0,
-            degraded: false,
-        };
         let a = ShardedReport {
-            records: vec![wrap(rec(0, 0.0, 0.0, 10.0)), wrap(rec(2, 20.0, 0.0, 10.0))],
             per_shard: vec![ShardLaneStats {
                 jobs: 2,
                 ..Default::default()
@@ -550,10 +489,9 @@ mod tests {
                 engine_version: 1,
                 ..Default::default()
             },
-            ..Default::default()
+            ..report(vec![rec(0, 0.0, 0.0, 10.0), rec(2, 20.0, 0.0, 10.0)])
         };
         let b = ShardedReport {
-            records: vec![wrap(rec(1, 10.0, 0.0, 10.0))],
             per_shard: vec![ShardLaneStats {
                 jobs: 1,
                 ..Default::default()
@@ -566,7 +504,7 @@ mod tests {
                 engine_version: 0,
                 ..Default::default()
             },
-            ..Default::default()
+            ..report(vec![rec(1, 10.0, 0.0, 10.0)])
         };
         let merged = ShardedReport::merge(vec![a, b]);
         assert_eq!(
@@ -604,24 +542,15 @@ mod tests {
 
     #[test]
     fn availability_counts_degraded_answers_but_not_sheds() {
-        let wrap = |base: RequestRecord, degraded: bool| ShardedRequestRecord {
-            base,
-            device_us: 0.0,
-            gather_us: 0.0,
-            straggler_us: 0.0,
-            degraded,
-        };
         let mut fault_shed = shed(2, 2.0);
         fault_shed.shed = ShedReason::Fault;
-        let report = ShardedReport {
-            records: vec![
-                wrap(rec(0, 0.0, 0.0, 10.0), false),
-                wrap(rec(1, 1.0, 0.0, 10.0), true),
-                wrap(fault_shed, false),
-                wrap(shed(3, 3.0), false),
-            ],
-            ..Default::default()
-        };
+        let mut report = report(vec![
+            rec(0, 0.0, 0.0, 10.0),
+            rec(1, 1.0, 0.0, 10.0),
+            fault_shed,
+            shed(3, 3.0),
+        ]);
+        report.records[1].degraded = true;
         assert_eq!(report.availability(), 0.5);
         assert_eq!(report.degraded_rate(), 0.5);
         assert_eq!(report.shed_rate_for(ShedReason::Fault), 0.25);

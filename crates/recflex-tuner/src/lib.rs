@@ -80,8 +80,10 @@ pub struct TuneResult {
     /// Index of the winning candidate within each feature's candidate set.
     pub choices: Vec<usize>,
     /// The winning occupancy target `O_k` (blocks/SM), if occupancy
-    /// control is in force (always for the two-stage tuner, never for the
-    /// straw man).
+    /// control is in force. The two-stage tuner returns `None` when a
+    /// level's winners fused at the union's natural occupancy beat every
+    /// controlled variant in the global stage; the straw man always
+    /// returns `None`.
     pub occupancy: Option<u32>,
     /// Global-stage measurements: `(O_k, mean fused latency in µs)` —
     /// the data behind the Equation 4 argmin.

@@ -37,12 +37,12 @@ pub use recflex_sim::GpuArch;
 /// Everything a typical tune → compile → serve session needs.
 pub mod prelude {
     pub use recflex_baselines::{Backend, BackendError, BackendRun, CostReport};
-    pub use recflex_core::{RecFlexEngine, ServingSimulator};
+    pub use recflex_core::RecFlexEngine;
     pub use recflex_data::{Batch, Dataset, FeatureSpec, ModelConfig, ModelPreset, PoolingDist};
     pub use recflex_embedding::TableSet;
     pub use recflex_serve::{
         BatchPolicy, CanaryConfig, DriftConfig, LifecycleConfig, OutcomePlan, OutcomeSpec, Request,
-        RetryPolicy, RetuneOutcome, ServeConfig, ServeReport, ShardedReport, ShardedRetunePolicy,
+        RetryPolicy, RetuneOutcome, ServeConfig, ShardedReport, ShardedRetunePolicy,
         ShardedServeRuntime, WorkloadSpec,
     };
     pub use recflex_sim::GpuArch;

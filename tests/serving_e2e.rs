@@ -44,17 +44,24 @@ fn facade_tune_then_serve_all_policies() {
 
 #[test]
 fn facade_offline_wrapper_matches_paper_splitting_semantics() {
+    // The offline setting: one request at a time on one stream, split
+    // at the industrial cap.
     let (model, arch, engine) = tuned();
-    let server = ServingSimulator {
-        backend: &engine,
-        model: &model,
-        arch,
-        max_batch: Some(128),
+    let config = ServeConfig {
+        streams: 1,
+        policy: BatchPolicy::Split { cap: 128 },
+        closed_loop: true,
+        ..ServeConfig::default()
     };
-    let long = Batch::generate(&model, 512, 3);
-    let stats = server.serve(std::slice::from_ref(&long)).unwrap();
-    assert_eq!(stats.request_latencies.len(), 1);
-    assert_eq!(stats.kernel_launches, 4, "512 samples split into 4 chunks");
+    let runtime = ShardedServeRuntime::single_device(&model, &arch, config, &engine);
+    let long = Request {
+        id: 0,
+        arrival_us: 0.0,
+        batch: Batch::generate(&model, 512, 3),
+    };
+    let report = runtime.serve(&[long]).unwrap();
+    assert_eq!(report.records.len(), 1);
+    assert_eq!(report.kernel_launches, 4, "512 samples split into 4 chunks");
 }
 
 #[test]
