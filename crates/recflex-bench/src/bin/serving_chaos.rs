@@ -17,7 +17,7 @@
 //! Every cell reports availability, fault-vs-admission shed rates, the
 //! degraded-answer rate, tail latency, hedge fires/wins, failovers and
 //! per-shard downtime. Everything is seeded: two runs print identical
-//! numbers, and the CI `chaos-replay` job asserts it by diffing `--json`
+//! numbers, and the CI `threads-replay` job asserts it by diffing `--json`
 //! outputs.
 //!
 //! `--check` enforces the two robustness gates:
@@ -36,9 +36,8 @@ use recflex_bench::{CliOpts, Scale};
 use recflex_core::{feature_cost_estimates, RecFlexEngine};
 use recflex_data::{Dataset, ModelPreset, Placement};
 use recflex_serve::{
-    BatchPolicy, Fault, FaultKind, FaultPlan, FaultSpec, LadderConfig, PressureSignal,
-    ReplicationPolicy, Request, ResilienceConfig, ServeConfig, ShardedServeRuntime, ShedReason,
-    WorkloadSpec,
+    BatchPolicy, Fault, FaultKind, FaultPlan, FaultSpec, LadderConfig, ReplicationPolicy, Request,
+    ResilienceConfig, ServeConfig, ShardedServeRuntime, ShedReason, WorkloadSpec,
 };
 use recflex_sim::GpuArch;
 use serde::Serialize;
@@ -140,7 +139,6 @@ fn policy(name: &str, plan: FaultPlan, slo_deadline_us: f64) -> ResilienceConfig
             chunk_deadline_us: None,
             replication: ReplicationPolicy::None,
             ladder: None,
-            replica_reads: false,
         },
         "mitigated" => ResilienceConfig {
             plan,
@@ -149,9 +147,7 @@ fn policy(name: &str, plan: FaultPlan, slo_deadline_us: f64) -> ResilienceConfig
             ladder: Some(LadderConfig {
                 drop_hedge_backlog_us: slo_deadline_us / 2.0,
                 partial_backlog_us: 0.75 * slo_deadline_us,
-                pressure: PressureSignal::Instantaneous,
             }),
-            replica_reads: false,
         },
         other => unreachable!("unknown policy {other}"),
     }
@@ -205,7 +201,6 @@ fn main() -> ExitCode {
         config,
         scale.interconnect.clone(),
         policy("none", FaultPlan::none(), slo_deadline_us),
-        &costs,
         make_backend,
     );
     let mut armed = ShardedServeRuntime::build_resilient(
@@ -215,7 +210,6 @@ fn main() -> ExitCode {
         config,
         scale.interconnect.clone(),
         policy("mitigated", FaultPlan::none(), slo_deadline_us),
-        &costs,
         make_backend,
     );
 

@@ -25,7 +25,7 @@
 //! fleet-wide number the strategies are graded on.
 //!
 //! Everything is seeded: two runs print identical numbers, and the CI
-//! `fleet-replay` job asserts it by diffing `--json` outputs. `--check`
+//! `threads-replay` job asserts it by diffing `--json` outputs. `--check`
 //! enforces the acceptance gates:
 //!
 //! 1. **Placement wins** — `hetero` fleet-wide SLO attainment is strictly
@@ -420,7 +420,6 @@ fn chaos_summary(scale: &Scale) -> ChaosSummary {
                     tau_us: epoch_us / 2.0,
                 },
                 max_shortfall: 0.5,
-                max_backlog_us: f64::INFINITY,
             },
             drain_stagger_us: epoch_us / 8.0,
             handoff_us: epoch_us / 2.0,

@@ -292,7 +292,6 @@ fn chaos_config(b: &Bench, elastic: bool, brownout: bool) -> FleetChaosConfig {
                     tau_us: b.epoch_us / 2.0,
                 },
                 max_shortfall: 0.5,
-                max_backlog_us: f64::INFINITY,
             },
             drain_stagger_us: b.epoch_us / 8.0,
             handoff_us: b.epoch_us / 2.0,

@@ -10,10 +10,10 @@
 //!
 //! * `blind` — the pre-lifecycle behavior: a finished retune is promoted
 //!   immediately, whatever it compiled to.
-//! * `canaried` — the candidate shadow-executes a fraction of admitted
-//!   chunks (cost accounted, never served) and is promoted only if it
-//!   wins the canary window; otherwise it is rolled back and the machine
-//!   walks retry → backoff → cooldown.
+//! * `canaried` — the candidate shadow-executes every admitted chunk of
+//!   the canary window (cost accounted, never served) and is promoted
+//!   only if it is no slower on every shard; otherwise it is rolled back
+//!   and the machine walks retry → backoff → cooldown.
 //!
 //! A final sharded cell repeats the regression scenario on a two-shard
 //! tier with a staggered per-shard rollout.
@@ -73,24 +73,17 @@ fn drift() -> DriftConfig {
     DriftConfig {
         window: 6,
         threshold: 0.3,
-        feature_threshold: 0.5,
     }
 }
 
 fn canary() -> CanaryConfig {
-    CanaryConfig {
-        shadow_fraction: 1.0,
-        window: 4,
-        min_win_margin: 0.0,
-        split_traffic: false,
-    }
+    CanaryConfig { window: 4 }
 }
 
 fn retry(cooldown_us: f64) -> RetryPolicy {
     RetryPolicy {
         max_attempts: MAX_ATTEMPTS,
         base_backoff_us: BASE_BACKOFF_US,
-        backoff_multiplier: 2.0,
         cooldown_us,
     }
 }

@@ -189,7 +189,6 @@ fn main() -> ExitCode {
             stage_config,
             scale.interconnect.clone(),
             ResilienceConfig::default(),
-            &costs,
             make_backend,
         )
     };

@@ -66,7 +66,6 @@ fn drift() -> DriftConfig {
     DriftConfig {
         window: 6,
         threshold: 0.3,
-        feature_threshold: 0.5,
     }
 }
 
@@ -78,7 +77,6 @@ fn clean_lifecycle() -> LifecycleConfig {
         retry: RetryPolicy {
             max_attempts: MAX_ATTEMPTS,
             base_backoff_us: 2_000.0,
-            backoff_multiplier: 2.0,
             cooldown_us: 0.0,
         },
         ..LifecycleConfig::default()

@@ -317,7 +317,7 @@ pub fn both_archs() -> Vec<GpuArch> {
 /// Command-line options shared by the experiment binaries.
 ///
 /// * `--json <path>` — also write the run's results as a JSON report, for
-///   CI artifact upload and the determinism-replay diff.
+///   CI artifact upload and the `threads-replay` diff.
 /// * `--check` — after printing, verify the run's acceptance thresholds
 ///   and exit non-zero on violation (the CI perf gate).
 #[derive(Debug, Clone, Default, PartialEq)]

@@ -51,7 +51,6 @@ fn stage_tier<'a>(
             plan,
             ..ResilienceConfig::default()
         },
-        &vec![1.0; model.features.len()],
         |m| Box::new(TorchRecBackend::compile(m)),
     )
 }

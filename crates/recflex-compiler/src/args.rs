@@ -9,7 +9,7 @@
 //! an offset table, validated so every schedule's argument pack is aligned
 //! and within bounds.
 
-use recflex_data::{Batch, ModelConfig};
+use recflex_data::ModelConfig;
 
 /// CUDA's kernel-parameter byte limit (4 KiB since CUDA 12, 256 B before;
 /// we keep the conservative classic limit to justify the indirection).
@@ -82,14 +82,6 @@ impl ArgPack {
     /// exceed the CUDA limit — the reason the indirection exists.
     pub fn needs_indirection(&self) -> bool {
         self.total_bytes > KERNEL_PARAM_LIMIT
-    }
-
-    /// Host-side bytes that must be copied to the device per batch: the
-    /// pointer packs only (the CSRs themselves live on the device already
-    /// after input upload). This is part of the sub-0.1 % host overhead
-    /// budget of Section VI-E.
-    pub fn upload_bytes(&self, _batch: &Batch) -> usize {
-        self.total_bytes
     }
 }
 

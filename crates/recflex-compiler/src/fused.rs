@@ -104,7 +104,6 @@ impl FusedKernelObject {
     pub fn launch_config(&self) -> LaunchConfig {
         LaunchConfig {
             occupancy_target: self.spec.occupancy_target,
-            extra_l2_pressure: 0,
             issue_multiplier: match self.spec.dispatch {
                 DispatchMode::IfElse => 1.0,
                 DispatchMode::FnPtrArray => 1.45,

@@ -57,14 +57,6 @@ impl FeatureBatch {
         &self.indices[lo..hi]
     }
 
-    /// Maximum pooling factor in the batch.
-    pub fn max_pooling_factor(&self) -> u32 {
-        (0..self.batch_size())
-            .map(|s| self.pooling_factor(s))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Exact count of distinct rows touched in a table of `table_rows`
     /// rows, in time linear in the lookups.
     ///

@@ -30,12 +30,6 @@ pub struct DriftConfig {
     /// Relative deviation of the window mean from the tuned reference
     /// that counts as drift (e.g. `0.25` = ±25 %).
     pub threshold: f64,
-    /// Relative deviation of any *single feature's* window mean from its
-    /// own reference that counts as drift. Deliberately wider than
-    /// `threshold`: a per-feature estimate averages far fewer lookups
-    /// than the model-wide mean, so small-mean features wander tens of
-    /// percent on pure sampling noise.
-    pub feature_threshold: f64,
 }
 
 impl Default for DriftConfig {
@@ -43,10 +37,16 @@ impl Default for DriftConfig {
         DriftConfig {
             window: 16,
             threshold: 0.25,
-            feature_threshold: 0.5,
         }
     }
 }
+
+/// Relative deviation of any *single feature's* window mean from its own
+/// reference that counts as drift. Deliberately wider than
+/// [`DriftConfig::threshold`]: a per-feature estimate averages far fewer
+/// lookups than the model-wide mean, so small-mean features wander tens
+/// of percent on pure sampling noise.
+const FEATURE_THRESHOLD: f64 = 0.5;
 
 /// A feature whose reference traffic rounds to zero still gets a sane
 /// relative-deviation denominator (lookups per sample).
@@ -122,24 +122,6 @@ impl DriftMonitor {
         &self.reference_feature_lps
     }
 
-    /// Mean lookups-per-sample over the current (possibly partial)
-    /// window, if anything has been observed.
-    pub fn window_lps(&self) -> Option<f64> {
-        (self.window_sum_samples > 0.0).then(|| self.window_sum_lookups / self.window_sum_samples)
-    }
-
-    /// Per-feature mean lookups-per-sample over the current (possibly
-    /// partial) window, if the monitor tracks features and has observed
-    /// anything.
-    pub fn window_feature_lps(&self) -> Option<Vec<f64>> {
-        (self.window_sum_samples > 0.0 && !self.window_feature_lookups.is_empty()).then(|| {
-            self.window_feature_lookups
-                .iter()
-                .map(|&l| l / self.window_sum_samples)
-                .collect()
-        })
-    }
-
     /// Features that tripped the threshold at the last completed window
     /// (empty if the last verdict was clean, purely aggregate, or no
     /// window has completed yet). Tells the retuner *where* traffic
@@ -181,7 +163,7 @@ impl DriftMonitor {
                 .filter(|&(_, (&sum, &reference))| {
                     let lps = sum / samples;
                     let reference = reference.max(MIN_FEATURE_REFERENCE_LPS);
-                    (lps / reference - 1.0).abs() > self.config.feature_threshold
+                    (lps / reference - 1.0).abs() > FEATURE_THRESHOLD
                 })
                 .map(|(f, _)| f)
                 .collect()
@@ -261,7 +243,6 @@ mod tests {
         let cfg = DriftConfig {
             window: 8,
             threshold: 0.25,
-            feature_threshold: 0.5,
         };
         let mut mon = DriftMonitor::for_model(cfg, &model);
         for b in batches(&model, 32, 100) {
@@ -277,7 +258,6 @@ mod tests {
         let cfg = DriftConfig {
             window: 8,
             threshold: 0.25,
-            feature_threshold: 0.5,
         };
         let mut mon = DriftMonitor::for_model(cfg, &model);
         let mut fired = false;
@@ -294,7 +274,6 @@ mod tests {
         let cfg = DriftConfig {
             window: 4,
             threshold: 0.25,
-            feature_threshold: 0.5,
         };
         let mut mon = DriftMonitor::for_model(cfg, &model);
         for b in batches(&shifted, 4, 300) {
@@ -335,7 +314,6 @@ mod tests {
         let cfg = DriftConfig {
             window: 4,
             threshold: 0.25,
-            feature_threshold: 0.5,
         };
 
         let mut aggregate_only = DriftMonitor::new(cfg, expected_lookups_per_sample(&tuned));
@@ -368,7 +346,6 @@ mod tests {
         let cfg = DriftConfig {
             window: 4,
             threshold: 0.25,
-            feature_threshold: 0.5,
         };
         let mut mon = DriftMonitor::for_model(cfg, &tuned);
         for b in batches(&redistributed, 4, 600) {

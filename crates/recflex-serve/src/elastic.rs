@@ -1,21 +1,21 @@
 //! Fleet-scale chaos: correlated class outages, health-monitored
 //! drain-and-migrate elasticity, and the fleet brownout ladder.
 //!
-//! PR 3 taught one [`ShardedServeRuntime`] to survive lane faults; this
-//! module teaches the *fleet* to survive the failure mode a real device
-//! pool actually sees — a whole device class going dark at once — by
-//! composing three deterministic mechanisms:
+//! [`crate::faults`] lets one [`ShardedServeRuntime`] survive lane
+//! faults; this module teaches the *fleet* to survive the failure mode a
+//! real device pool actually sees — a whole device class going dark at
+//! once — by composing three deterministic mechanisms:
 //!
 //! 1. **Correlated faults** ([`FleetFaultPlan`]): whole-class
 //!    outage/brownout windows expand onto every lane of every member
 //!    pinned to that class, on top of per-member background faults.
 //! 2. **Health-monitored drain-and-migrate** ([`ElasticityConfig`]):
 //!    a per-member health monitor folds per-epoch SLO-attainment
-//!    shortfall and queue backlog through leaky-bucket
-//!    [`PressureTracker`]s; when either crosses its threshold the
-//!    elasticity controller re-solves placement against *residual*
-//!    capacity ([`FleetAssignment::rehome`]) and executes the move as a
-//!    staged, abortable drain on the §8f rollout cadence
+//!    shortfall through a leaky-bucket [`PressureTracker`]; when it
+//!    crosses its threshold the elasticity controller re-solves
+//!    placement against *residual* capacity
+//!    ([`FleetAssignment::rehome`]) and executes the move as a staged,
+//!    abortable drain on the §8f rollout cadence
 //!    ([`StagedSchedule`]): healthy → draining → migrating →
 //!    restored/aborted.
 //! 3. **Fleet brownout ladder** ([`FleetBrownoutConfig`]): above the
@@ -63,9 +63,6 @@ pub struct HealthPolicy {
     /// Trigger when graded SLO-attainment *shortfall* (`1 − attainment`
     /// over the epoch's offered requests) exceeds this, in `[0, 1]`.
     pub max_shortfall: f64,
-    /// Trigger when graded queue backlog (worst `queue_us` of the
-    /// epoch's arrivals) exceeds this, µs.
-    pub max_backlog_us: f64,
 }
 
 /// The drain-and-migrate controller's knobs.
@@ -284,13 +281,15 @@ impl<'a> FleetRuntime<'a> {
             }
         }
 
+        let streams = self.demux(arrivals)?;
+        self.check_shape(streams.len())?;
+
         // Install each member's fault plan for its pinned class.
         for (i, member) in self.members.iter_mut().enumerate() {
             let shards = member.runtime.placement.num_devices;
             member.runtime.resilience.plan = chaos.faults.member_plan(i, member.class, shards);
         }
 
-        let streams = self.demux(arrivals);
         let horizon_us = streams
             .iter()
             .flat_map(|s| s.iter().map(|r| r.arrival_us))
@@ -608,9 +607,9 @@ impl<'a> FleetRuntime<'a> {
 }
 
 /// Fold one member's records through its health monitor and return the
-/// first epoch-end timestamp at which graded shortfall or backlog
-/// crosses its threshold — the drain trigger. Empty epochs (no
-/// arrivals) are skipped, not observed as healthy.
+/// first epoch-end timestamp at which graded shortfall crosses its
+/// threshold — the drain trigger. Empty epochs (no arrivals) are
+/// skipped, not observed as healthy.
 fn health_trigger(
     records: &[ShardedRequestRecord],
     slo_deadline_us: Option<f64>,
@@ -623,7 +622,6 @@ fn health_trigger(
     }
     let mut offered = vec![0u64; epochs];
     let mut attained = vec![0u64; epochs];
-    let mut backlog = vec![0.0f64; epochs];
     for r in records {
         let k = ((r.base.arrival_us / epoch_us) as usize).min(epochs - 1);
         offered[k] += 1;
@@ -631,22 +629,19 @@ fn health_trigger(
         if ok {
             attained[k] += 1;
         }
-        backlog[k] = backlog[k].max(r.base.queue_us);
     }
-    let mut shortfall_p = PressureTracker::default();
-    let mut backlog_p = PressureTracker::default();
+    let mut shortfall = PressureTracker::default();
     for k in 0..epochs {
         if offered[k] == 0 {
             continue;
         }
         let now = (k + 1) as f64 * epoch_us;
-        let s = shortfall_p.observe(
+        let s = shortfall.observe(
             now,
             1.0 - attained[k] as f64 / offered[k] as f64,
             health.signal,
         );
-        let b = backlog_p.observe(now, backlog[k], health.signal);
-        if s > health.max_shortfall || b > health.max_backlog_us {
+        if s > health.max_shortfall {
             return Some(now);
         }
     }
@@ -781,7 +776,6 @@ mod tests {
             health: HealthPolicy {
                 signal: PressureSignal::Instantaneous,
                 max_shortfall: 0.6,
-                max_backlog_us: f64::INFINITY,
             },
             drain_stagger_us: 100.0,
             handoff_us: 1_000.0,

@@ -565,36 +565,17 @@ pub enum ReplicationPolicy {
     /// re-project onto survivors.
     #[default]
     None,
-    /// One standby lane mirroring the costliest shard (by the same
-    /// per-feature costs [`Placement::balance_by_cost`] places with) —
-    /// the shard most likely to gate the gather gets a spare.
-    MirrorHottest,
     /// One standby lane per shard.
     Full,
 }
 
 impl ReplicationPolicy {
     /// Which shards get a standby replica lane, in ascending shard
-    /// order. `costs` are per-feature costs in the same units
-    /// [`Placement::balance_by_cost`] consumes; ties break toward the
-    /// lower shard index so the choice is a pure function of its inputs.
-    pub fn mirrored_shards(&self, placement: &Placement, costs: &[f64]) -> Vec<usize> {
+    /// order.
+    pub fn mirrored_shards(&self, placement: &Placement) -> Vec<usize> {
         match self {
             ReplicationPolicy::None => Vec::new(),
             ReplicationPolicy::Full => (0..placement.num_devices).collect(),
-            ReplicationPolicy::MirrorHottest => {
-                let mut load = vec![0.0f64; placement.num_devices];
-                for (f, &d) in placement.device_of.iter().enumerate() {
-                    load[d] += costs.get(f).copied().unwrap_or(0.0);
-                }
-                let hottest = load
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(b.1).then(b.0.cmp(&a.0)))
-                    .map(|(i, _)| i)
-                    .unwrap_or(0);
-                vec![hottest]
-            }
         }
     }
 }
@@ -624,9 +605,6 @@ pub struct LadderConfig {
     /// Effective-backlog threshold above which crashed-shard chunks are
     /// served partial instead of failed over, µs.
     pub partial_backlog_us: f64,
-    /// How the backlog sample is turned into the pressure the thresholds
-    /// grade on.
-    pub pressure: PressureSignal,
 }
 
 impl LadderConfig {
@@ -635,7 +613,6 @@ impl LadderConfig {
         LadderConfig {
             drop_hedge_backlog_us: f64::MAX,
             partial_backlog_us: f64::MAX,
-            pressure: PressureSignal::Instantaneous,
         }
     }
 
@@ -651,19 +628,18 @@ impl LadderConfig {
     }
 }
 
-/// How the ladder converts raw backlog samples into rung pressure.
+/// How a controller converts raw samples (stage failures, epoch
+/// shortfall) into the pressure its thresholds grade.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum PressureSignal {
-    /// Grade each decision on the instantaneous worst effective backlog
-    /// — the historical behavior (and the identity-gate default): a
-    /// single spiked sample can flip a rung.
+    /// Grade each decision on the instantaneous sample: a single spiked
+    /// sample can cross a threshold.
     #[default]
     Instantaneous,
     /// Grade on a leaky-bucket (exponentially time-decayed) average of
-    /// the backlog samples: pressure charges toward the raw backlog with
-    /// time constant `tau_us` and leaks back the same way, so a
-    /// sub-millisecond spike cannot flip a rung but sustained pressure
-    /// still does.
+    /// the samples: pressure charges toward the raw sample with time
+    /// constant `tau_us` and leaks back the same way, so a short spike
+    /// cannot cross a threshold but sustained pressure still does.
     LeakyBucket {
         /// Time constant of the charge/leak, µs (≥ 0; 0 degenerates to
         /// instantaneous).
@@ -671,9 +647,9 @@ pub enum PressureSignal {
     },
 }
 
-/// Evolves the leaky-bucket pressure between ladder decisions.
-/// Deterministic: the value is a pure fold over the (timestamp, backlog)
-/// samples the event loop feeds it.
+/// Evolves the leaky-bucket pressure between decisions. Deterministic:
+/// the value is a pure fold over the (timestamp, sample) pairs its
+/// caller feeds it.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PressureTracker {
     value: f64,
@@ -681,10 +657,10 @@ pub struct PressureTracker {
 }
 
 impl PressureTracker {
-    /// Fold in a backlog sample at `now` and return the pressure to
-    /// grade on. Non-finite samples (a stalled lane is infinitely
-    /// backlogged) re-seed the bucket directly — `∞ × decay` would be
-    /// `NaN`-prone and a stall should max the ladder out immediately.
+    /// Fold in a sample at `now` and return the pressure to grade on.
+    /// Non-finite samples re-seed the bucket directly — `∞ × decay`
+    /// would be `NaN`-prone, and an unbounded sample should cross every
+    /// threshold immediately.
     pub fn observe(&mut self, now: f64, raw_backlog_us: f64, signal: PressureSignal) -> f64 {
         let tau_us = match signal {
             PressureSignal::Instantaneous => return raw_backlog_us,
@@ -726,25 +702,6 @@ pub struct ResilienceConfig {
     /// holds its queue frozen until recovery (the restart-from-checkpoint
     /// model) and the tier sheds under the resulting backlog.
     pub ladder: Option<LadderConfig>,
-    /// Serve read traffic from healthy replica lanes instead of keeping
-    /// them as cold standbys: when the mirrored shard's replica lane has
-    /// less backlog than the primary and *no fault window is active
-    /// anywhere in the tier*, the chunk's shard work runs on the replica.
-    /// Any active fault drains reads back to the primaries so the replica
-    /// is free to absorb failover and hedge traffic. Off by default —
-    /// the cold-standby configuration stays bit-identical.
-    pub replica_reads: bool,
-}
-
-impl ResilienceConfig {
-    /// True when every knob is off — the bit-for-bit fault-free path.
-    pub fn is_default(&self) -> bool {
-        self.plan.is_empty()
-            && self.chunk_deadline_us.is_none()
-            && self.replication == ReplicationPolicy::None
-            && self.ladder.is_none()
-            && !self.replica_reads
-    }
 }
 
 #[cfg(test)]
@@ -874,23 +831,15 @@ mod tests {
     }
 
     #[test]
-    fn mirror_hottest_tracks_the_costliest_shard() {
+    fn replication_mirrors_no_shard_or_every_shard() {
         let m = ModelPreset::A.scaled(0.01);
-        let n = m.features.len();
-        // All cost on features of shard the last feature lands on.
         let placement = Placement::round_robin(&m, 3);
-        let mut costs = vec![1.0; n];
-        costs[1] = 1e6; // feature 1 → shard 1 under round-robin
         assert_eq!(
-            ReplicationPolicy::MirrorHottest.mirrored_shards(&placement, &costs),
-            vec![1]
-        );
-        assert_eq!(
-            ReplicationPolicy::None.mirrored_shards(&placement, &costs),
+            ReplicationPolicy::None.mirrored_shards(&placement),
             Vec::<usize>::new()
         );
         assert_eq!(
-            ReplicationPolicy::Full.mirrored_shards(&placement, &costs),
+            ReplicationPolicy::Full.mirrored_shards(&placement),
             vec![0, 1, 2]
         );
     }
@@ -900,7 +849,6 @@ mod tests {
         let ladder = LadderConfig {
             drop_hedge_backlog_us: 1_000.0,
             partial_backlog_us: 5_000.0,
-            pressure: PressureSignal::Instantaneous,
         };
         assert_eq!(ladder.level(0.0), 0);
         assert_eq!(ladder.level(1_000.0), 0, "thresholds are exclusive");
@@ -1033,24 +981,5 @@ mod tests {
             42u64 ^ 1u64.wrapping_mul(0x9E37_79B9_7F4A_7C15),
         );
         assert_eq!(a.member_plans[1], direct);
-    }
-
-    #[test]
-    fn default_resilience_is_the_fault_free_path() {
-        assert!(ResilienceConfig::default().is_default());
-        let cfg = ResilienceConfig {
-            chunk_deadline_us: Some(100.0),
-            ..Default::default()
-        };
-        assert!(!cfg.is_default());
-        let cfg = ResilienceConfig {
-            replica_reads: true,
-            ..Default::default()
-        };
-        assert!(
-            !cfg.is_default(),
-            "replica reads change the event sequence and must opt out of \
-             the bit-identity fast path"
-        );
     }
 }

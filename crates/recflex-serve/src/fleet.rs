@@ -197,18 +197,46 @@ impl<'a> FleetRuntime<'a> {
     /// merged order, which is already per-scenario arrival order) and
     /// run every member on its slice.
     pub fn serve(&self, arrivals: &[FleetArrival]) -> Result<FleetReport, ServeError> {
-        self.serve_streams(&self.demux(arrivals))
+        self.serve_streams(&self.demux(arrivals)?)
     }
 
     /// Demux a merged fleet trace into per-member request streams
     /// (preserving the merged order, which is already per-scenario
-    /// arrival order).
-    pub(crate) fn demux(&self, arrivals: &[FleetArrival]) -> Vec<Vec<Request>> {
+    /// arrival order). An arrival for a scenario no member serves is an
+    /// error.
+    pub(crate) fn demux(&self, arrivals: &[FleetArrival]) -> Result<Vec<Vec<Request>>, ServeError> {
         let mut streams: Vec<Vec<Request>> = vec![Vec::new(); self.members.len()];
         for a in arrivals {
-            streams[a.scenario].push(a.request.clone());
+            let stream = streams
+                .get_mut(a.scenario)
+                .ok_or_else(|| ServeError::Request {
+                    id: a.request.id,
+                    reason: format!(
+                        "scenario {} has no fleet member (the fleet has {})",
+                        a.scenario,
+                        self.members.len()
+                    ),
+                })?;
+            stream.push(a.request.clone());
         }
-        streams
+        Ok(streams)
+    }
+
+    /// Reject a fleet that cannot serve `streams` request streams: it
+    /// needs one stream per member, and every member must be pinned to a
+    /// device class the fleet has.
+    pub(crate) fn check_shape(&self, streams: usize) -> Result<(), ServeError> {
+        if streams != self.members.len() {
+            return Err(ServeError::Policy(
+                "a fleet needs exactly one request stream per member",
+            ));
+        }
+        if self.members.iter().any(|m| m.class >= self.classes.len()) {
+            return Err(ServeError::Policy(
+                "a fleet member's device class is out of range",
+            ));
+        }
+        Ok(())
     }
 
     /// Serve pre-demuxed per-member request streams. `streams[i]` goes
@@ -216,7 +244,7 @@ impl<'a> FleetRuntime<'a> {
     /// as [`ShedReason::Admission`] records in the member report, so
     /// every offered request has a record.
     pub fn serve_streams(&self, streams: &[Vec<Request>]) -> Result<FleetReport, ServeError> {
-        assert_eq!(streams.len(), self.members.len());
+        self.check_shape(streams.len())?;
         let mut models = Vec::with_capacity(self.members.len());
         let mut attained_total = 0u64;
         let mut offered_total = 0u64;
@@ -356,11 +384,13 @@ impl<'a> FleetRuntime<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::elastic::FleetChaosConfig;
+    use crate::faults::{ClassFaultKind, ClassFaultWindow, FleetFaultSpec};
     use crate::runtime::{BatchPolicy, ServeConfig};
     use crate::workload::{FleetWorkload, ScenarioSpec, TrafficShape};
     use crate::WorkloadSpec;
     use recflex_baselines::TorchRecBackend;
-    use recflex_data::{ModelPreset, Placement};
+    use recflex_data::{ModelConfig, ModelPreset, Placement};
     use recflex_sim::Interconnect;
 
     fn config() -> ServeConfig {
@@ -602,5 +632,123 @@ mod tests {
         }
         assert!(report.makespan_us >= report.models[0].report.makespan_us);
         assert!(report.makespan_us >= report.models[1].report.makespan_us);
+    }
+
+    /// One V100 class and a 1-shard member per entry of `classes`, each
+    /// pinned to that class index.
+    fn fleet<'a>(model: &'a ModelConfig, arch: &'a GpuArch, classes: &[usize]) -> FleetRuntime<'a> {
+        FleetRuntime {
+            classes: vec![DeviceClass {
+                name: "V100".into(),
+                arch,
+                devices: classes.len(),
+            }],
+            members: classes
+                .iter()
+                .enumerate()
+                .map(|(i, &class)| FleetMember {
+                    name: format!("m{i}"),
+                    class,
+                    runtime: ShardedServeRuntime::build(
+                        model,
+                        arch,
+                        Placement::balance(model, 1),
+                        config(),
+                        Interconnect::nvlink(),
+                        |m| Box::new(TorchRecBackend::compile(m)),
+                    ),
+                    slo_deadline_us: None,
+                    gate: None,
+                    tuning: None,
+                })
+                .collect(),
+        }
+    }
+
+    fn scenarios(n: usize) -> FleetWorkload {
+        FleetWorkload {
+            scenarios: (0..n)
+                .map(|i| ScenarioSpec {
+                    name: format!("s{i}"),
+                    workload: WorkloadSpec::long_tail(400.0),
+                    shape: TrafficShape::flat(),
+                    requests: 8,
+                    priority: 1,
+                })
+                .collect(),
+            seed: 3,
+        }
+    }
+
+    /// A non-trivial chaos config, so `serve_chaos` runs its own passes
+    /// instead of short-circuiting to `serve`.
+    fn outage_chaos(members: usize) -> FleetChaosConfig {
+        FleetChaosConfig {
+            faults: FleetFaultSpec {
+                class_windows: vec![ClassFaultWindow {
+                    class: 0,
+                    kind: ClassFaultKind::Outage,
+                    start_us: 1_000.0,
+                    end_us: 2_000.0,
+                }],
+                background: None,
+            }
+            .plan(&vec![1; members], 10_000.0, 7),
+            ..FleetChaosConfig::default()
+        }
+    }
+
+    #[test]
+    fn an_arrival_without_a_member_is_an_error_not_a_panic() {
+        let model = ModelPreset::A.scaled(0.01);
+        let arch = GpuArch::v100();
+        let merged = scenarios(3).merged(&[&model, &model, &model]);
+        let mut fleet = fleet(&model, &arch, &[0, 0]);
+        let stray = merged
+            .iter()
+            .find(|a| a.scenario == 2)
+            .map(|a| a.request.id);
+        match fleet.serve(&merged) {
+            Err(ServeError::Request { id, .. }) => assert_eq!(Some(id), stray),
+            other => panic!("serve: {other:?}"),
+        }
+        let chaotic = fleet.serve_chaos(&merged, &outage_chaos(2), |_, _| {
+            panic!("no elasticity, no rebuild")
+        });
+        assert!(
+            matches!(chaotic, Err(ServeError::Request { .. })),
+            "serve_chaos: {chaotic:?}"
+        );
+    }
+
+    #[test]
+    fn a_member_class_out_of_range_is_an_error_not_a_panic() {
+        let model = ModelPreset::A.scaled(0.01);
+        let arch = GpuArch::v100();
+        let merged = scenarios(1).merged(&[&model]);
+        let mut fleet = fleet(&model, &arch, &[1]);
+        assert!(matches!(fleet.serve(&merged), Err(ServeError::Policy(_))));
+        let chaotic = fleet.serve_chaos(&merged, &outage_chaos(1), |_, _| {
+            panic!("no elasticity, no rebuild")
+        });
+        assert!(
+            matches!(chaotic, Err(ServeError::Policy(_))),
+            "serve_chaos: {chaotic:?}"
+        );
+    }
+
+    #[test]
+    fn a_stream_count_mismatch_is_an_error_not_a_panic() {
+        let model = ModelPreset::A.scaled(0.01);
+        let arch = GpuArch::v100();
+        let fleet = fleet(&model, &arch, &[0, 0]);
+        let one = WorkloadSpec::long_tail(400.0).stream(&model, 4, 1);
+        for streams in [vec![], vec![one.clone()], vec![one; 3]] {
+            assert!(
+                matches!(fleet.serve_streams(&streams), Err(ServeError::Policy(_))),
+                "{} streams for 2 members",
+                streams.len()
+            );
+        }
     }
 }

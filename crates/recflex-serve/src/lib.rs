@@ -487,7 +487,6 @@ mod tests {
             drift: DriftConfig {
                 window: 8,
                 threshold: 0.3,
-                feature_threshold: 0.5,
             },
             retune_latency_us: 1_000.0,
             stagger_us: 0.0,
@@ -534,7 +533,6 @@ mod tests {
             drift: DriftConfig {
                 window: 8,
                 threshold: 0.3,
-                feature_threshold: 0.5,
             },
             retune_latency_us: 1_000.0,
             stagger_us: 0.0,
@@ -650,13 +648,12 @@ mod tests {
                 retry: RetryPolicy {
                     max_attempts,
                     base_backoff_us,
-                    backoff_multiplier: 2.0,
                     cooldown_us,
                 },
                 ..LifecycleConfig::default()
             };
             let mk_policy = || ShardedRetunePolicy {
-                drift: DriftConfig { window: 4, threshold: 0.3, feature_threshold: 0.5 },
+                drift: DriftConfig { window: 4, threshold: 0.3 },
                 retune_latency_us: 800.0,
                 stagger_us: 0.0,
                 lifecycle: lifecycle.clone(),

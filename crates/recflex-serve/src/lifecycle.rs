@@ -25,11 +25,11 @@
 //! * every attempt's outcome is drawn from a seeded [`OutcomePlan`]
 //!   (mirroring [`crate::FaultPlan`]), so a flaky-tuner run replays
 //!   bit-for-bit,
-//! * a successful candidate is **canaried**: it shadow-executes a
-//!   configurable fraction of admitted device chunks (simulated cost
+//! * a successful candidate is **canaried**: it shadow-executes every
+//!   admitted device chunk of the canary window (simulated cost
 //!   accounted, results unused) and is promoted only if its measured
-//!   device time beats the incumbent by a configurable margin over the
-//!   canary window — otherwise it is rolled back,
+//!   device time is no slower than the incumbent's on every shard —
+//!   otherwise it is rolled back,
 //! * failures and rollbacks feed a bounded retry schedule with
 //!   exponential backoff, and a cooldown after every episode keeps
 //!   drift re-fires from thrashing retunes,
@@ -174,50 +174,37 @@ impl OutcomeSpec {
     }
 }
 
-/// How a successful candidate must prove itself before promotion.
+/// How a successful candidate must prove itself before promotion. The
+/// candidate shadow-executes every admitted device chunk while it is
+/// canaried; the shadow cost is accounted in
+/// [`LifecycleStats::canary_overhead_us`], never submitted to the
+/// device, so canarying does not perturb serving latencies. It is
+/// promoted iff its device time, summed over the window, is no greater
+/// than the incumbent's on every shard (a tie promotes — two identical
+/// engines pass).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CanaryConfig {
-    /// Fraction of admitted device chunks the candidate shadow-executes,
-    /// in `(0, 1]`. Shadow cost is accounted in
-    /// [`LifecycleStats::canary_overhead_us`], never submitted to the
-    /// device, so canarying does not perturb serving latencies.
-    pub shadow_fraction: f64,
     /// Shadowed chunks that make one canary verdict (≥ 1).
     pub window: usize,
-    /// Relative device-time margin the candidate must win by:
-    /// promoted iff `candidate ≤ incumbent × (1 − margin)` summed over
-    /// the window (0.0 promotes on a tie — two identical engines pass).
-    pub min_win_margin: f64,
-    /// Split-traffic canarying: when `true`, the canaried fraction of
-    /// chunks is **served by the candidate** — its device time enters
-    /// the real queue (actual queueing, not side-by-side shadow cost)
-    /// and the incumbent's cost for the same chunk becomes the free
-    /// comparator. `false` (the default) keeps the original shadow
-    /// mode, where the candidate's cost is accounted but never queued,
-    /// so default configs replay bit-identically.
-    pub split_traffic: bool,
 }
 
 impl Default for CanaryConfig {
     fn default() -> Self {
-        CanaryConfig {
-            shadow_fraction: 0.25,
-            window: 8,
-            min_win_margin: 0.0,
-            split_traffic: false,
-        }
+        CanaryConfig { window: 8 }
     }
 }
+
+/// Backoff growth per consecutive failed retune attempt (exponential).
+const BACKOFF_MULTIPLIER: f64 = 2.0;
 
 /// Retry-with-backoff and hysteresis against retune thrash.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Attempts allowed per drift episode (≥ 1) before giving up.
     pub max_attempts: u32,
-    /// Backoff before the retry after the first failure, µs.
+    /// Backoff before the retry after the first failure, µs; it
+    /// doubles with every further consecutive failure.
     pub base_backoff_us: f64,
-    /// Backoff growth per consecutive failure (exponential).
-    pub backoff_multiplier: f64,
     /// After a promotion, a rollback that exhausted the episode, or a
     /// give-up: drift fires are ignored for this long. Zero keeps the
     /// pre-lifecycle behavior where a fresh drift verdict may retune
@@ -230,7 +217,6 @@ impl Default for RetryPolicy {
         RetryPolicy {
             max_attempts: 3,
             base_backoff_us: 5_000.0,
-            backoff_multiplier: 2.0,
             cooldown_us: 0.0,
         }
     }
@@ -252,14 +238,6 @@ pub struct LifecycleConfig {
     /// unresolved then (a stalled tuner, or a build outliving its
     /// budget) is abandoned. `None` trusts the tuner to return.
     pub retune_deadline_us: Option<f64>,
-}
-
-impl LifecycleConfig {
-    /// True when the machinery cannot alter the blind-swap path: every
-    /// outcome succeeds and no canary gates promotion.
-    pub fn is_blind_swap(&self) -> bool {
-        self.outcomes.is_all_success() && self.canary.is_none()
-    }
 }
 
 /// Why a retune attempt died.
@@ -501,8 +479,6 @@ pub struct LifecycleMachine {
     trace: Vec<LifecycleEvent>,
     /// Attempts burned in the current episode.
     episode_attempts: u32,
-    /// Deterministic fraction sampler for shadow execution.
-    shadow_acc: f64,
 }
 
 impl LifecycleMachine {
@@ -524,7 +500,6 @@ impl LifecycleMachine {
             stats: LifecycleStats::default(),
             trace: Vec::new(),
             episode_attempts: 0,
-            shadow_acc: 0.0,
         }
     }
 
@@ -622,7 +597,6 @@ impl LifecycleMachine {
             } => match resolution {
                 Resolution::Succeeds(at) if at <= deadline_us && now >= at => {
                     if self.config.canary.is_some() {
-                        self.shadow_acc = 0.0;
                         self.trace.push(LifecycleEvent::CanaryStarted {
                             t_us: now,
                             attempt: self.stats.retunes_attempted,
@@ -658,12 +632,7 @@ impl LifecycleMachine {
                 // Recheck before every step: a regression observed since
                 // the verdict (shadowing continues on unpromoted shards)
                 // aborts the rollout.
-                if !shard_wins(
-                    &incumbent_us,
-                    &candidate_us,
-                    next_shard,
-                    self.canary_margin(),
-                ) {
+                if !shard_wins(&incumbent_us, &candidate_us, next_shard) {
                     self.roll_back(now);
                     return TimerAction::RollBackAll;
                 }
@@ -702,33 +671,6 @@ impl LifecycleMachine {
         }
     }
 
-    /// Whether canaried chunks are routed to the candidate under real
-    /// queueing ([`CanaryConfig::split_traffic`]) instead of
-    /// shadow-executed side-by-side.
-    pub fn split_traffic(&self) -> bool {
-        self.config.canary.is_some_and(|c| c.split_traffic)
-    }
-
-    /// Deterministically sample whether the next admitted chunk is
-    /// shadowed (an accumulator over the configured fraction).
-    pub fn should_shadow(&mut self) -> bool {
-        if !self.in_canary() {
-            return false;
-        }
-        let fraction = self
-            .config
-            .canary
-            .map(|c| c.shadow_fraction.clamp(0.0, 1.0))
-            .unwrap_or(0.0);
-        self.shadow_acc += fraction;
-        if self.shadow_acc >= 1.0 - 1e-9 {
-            self.shadow_acc -= 1.0;
-            true
-        } else {
-            false
-        }
-    }
-
     /// Record one shadowed chunk: per-shard device time of the incumbent
     /// and the candidate (promoted shards contribute zeros). Returns the
     /// verdict once the canary window fills; during a rollout the sums
@@ -740,7 +682,6 @@ impl LifecycleMachine {
         incumbent_us: &[f64],
         candidate_us: &[f64],
     ) -> CanaryVerdict {
-        let margin = self.canary_margin();
         let window = self.config.canary.map(|c| c.window.max(1)).unwrap_or(1);
         match &mut self.state {
             State::Canary {
@@ -756,7 +697,7 @@ impl LifecycleMachine {
                 if *observed < window {
                     return CanaryVerdict::Pending;
                 }
-                let all_win = (0..self.num_shards).all(|s| shard_wins(inc, cand, s, margin));
+                let all_win = (0..self.num_shards).all(|s| shard_wins(inc, cand, s));
                 if all_win {
                     self.state = State::Rollout {
                         incumbent_us: std::mem::take(inc),
@@ -793,13 +734,6 @@ impl LifecycleMachine {
         }
     }
 
-    fn canary_margin(&self) -> f64 {
-        self.config
-            .canary
-            .map(|c| c.min_win_margin.clamp(0.0, 1.0))
-            .unwrap_or(0.0)
-    }
-
     fn promote(&mut self, now: f64) {
         self.stats.retunes_promoted += 1;
         self.stats.engine_version += 1;
@@ -833,8 +767,7 @@ impl LifecycleMachine {
         let retry = self.config.retry;
         if self.episode_attempts < retry.max_attempts.max(1) {
             let exponent = self.episode_attempts.saturating_sub(1);
-            let backoff = retry.base_backoff_us.max(0.0)
-                * retry.backoff_multiplier.max(1.0).powi(exponent as i32);
+            let backoff = retry.base_backoff_us.max(0.0) * BACKOFF_MULTIPLIER.powi(exponent as i32);
             self.state = State::Backoff {
                 until_us: now + backoff,
             };
@@ -867,10 +800,10 @@ fn accumulate(sums: &mut [f64], xs: &[f64]) {
 }
 
 /// Whether the candidate wins shard `s`: summed candidate device time at
-/// or below the incumbent's, less the margin. Empty sums (a shard with
-/// zero-cost shadow chunks) count as a win.
-fn shard_wins(incumbent_us: &[f64], candidate_us: &[f64], s: usize, margin: f64) -> bool {
-    candidate_us[s] <= incumbent_us[s] * (1.0 - margin)
+/// or below the incumbent's. Empty sums (a shard with zero-cost shadow
+/// chunks) count as a win.
+fn shard_wins(incumbent_us: &[f64], candidate_us: &[f64], s: usize) -> bool {
+    candidate_us[s] <= incumbent_us[s]
 }
 
 /// A tuner-produced engine whose real device time is `slowdown`× what
@@ -957,7 +890,6 @@ mod tests {
             retry: RetryPolicy {
                 max_attempts: 3,
                 base_backoff_us: 1_000.0,
-                backoff_multiplier: 2.0,
                 cooldown_us: 10_000.0,
             },
             ..Default::default()
@@ -1027,12 +959,7 @@ mod tests {
     #[test]
     fn canary_promotes_a_winner_and_rolls_back_a_loser() {
         let cfg = LifecycleConfig {
-            canary: Some(CanaryConfig {
-                shadow_fraction: 1.0,
-                window: 2,
-                min_win_margin: 0.0,
-                split_traffic: false,
-            }),
+            canary: Some(CanaryConfig { window: 2 }),
             ..Default::default()
         };
         // Winner: candidate strictly faster.
@@ -1040,12 +967,10 @@ mod tests {
         m.begin_attempt(0.0);
         assert_eq!(m.on_timer(1_000.0), TimerAction::BeginCanary);
         assert!(m.in_canary());
-        assert!(m.should_shadow(), "fraction 1.0 shadows every chunk");
         assert_eq!(
             m.observe_canary(1_100.0, &[10.0], &[8.0]),
             CanaryVerdict::Pending
         );
-        assert!(m.should_shadow());
         assert_eq!(
             m.observe_canary(1_200.0, &[10.0], &[8.0]),
             CanaryVerdict::Promote
@@ -1061,9 +986,7 @@ mod tests {
         let mut m = machine(cfg);
         m.begin_attempt(0.0);
         m.on_timer(1_000.0);
-        m.should_shadow();
         m.observe_canary(1_100.0, &[10.0], &[12.0]);
-        m.should_shadow();
         assert_eq!(
             m.observe_canary(1_200.0, &[10.0], &[12.0]),
             CanaryVerdict::RollBack
@@ -1073,40 +996,9 @@ mod tests {
     }
 
     #[test]
-    fn win_margin_demands_a_real_improvement() {
-        let cfg = LifecycleConfig {
-            canary: Some(CanaryConfig {
-                shadow_fraction: 1.0,
-                window: 1,
-                min_win_margin: 0.10,
-                split_traffic: false,
-            }),
-            retry: RetryPolicy {
-                max_attempts: 1,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let mut m = machine(cfg);
-        m.begin_attempt(0.0);
-        m.on_timer(1_000.0);
-        m.should_shadow();
-        // 5% faster is not 10% faster.
-        assert_eq!(
-            m.observe_canary(1_100.0, &[100.0], &[95.0]),
-            CanaryVerdict::RollBack
-        );
-    }
-
-    #[test]
     fn staged_rollout_promotes_shard_by_shard_and_aborts_on_regression() {
         let cfg = LifecycleConfig {
-            canary: Some(CanaryConfig {
-                shadow_fraction: 1.0,
-                window: 1,
-                min_win_margin: 0.0,
-                split_traffic: false,
-            }),
+            canary: Some(CanaryConfig { window: 1 }),
             retry: RetryPolicy {
                 max_attempts: 1,
                 ..Default::default()
@@ -1117,7 +1009,6 @@ mod tests {
         let mut m = LifecycleMachine::new(cfg.clone(), 1_000.0, 3, 500.0);
         m.begin_attempt(0.0);
         m.on_timer(1_000.0);
-        m.should_shadow();
         assert_eq!(
             m.observe_canary(1_100.0, &[5.0, 5.0, 5.0], &[4.0, 4.0, 4.0]),
             CanaryVerdict::Promote
@@ -1134,34 +1025,14 @@ mod tests {
         let mut m = LifecycleMachine::new(cfg, 1_000.0, 3, 500.0);
         m.begin_attempt(0.0);
         m.on_timer(1_000.0);
-        m.should_shadow();
         m.observe_canary(1_100.0, &[5.0, 5.0, 5.0], &[4.0, 4.0, 4.0]);
         assert_eq!(m.on_timer(1_100.0), TimerAction::PromoteShard(0));
         // Shadowing continues on unpromoted shards; shard 1 regresses.
-        m.should_shadow();
         m.observe_canary(1_300.0, &[0.0, 5.0, 5.0], &[0.0, 50.0, 4.0]);
         assert_eq!(m.on_timer(1_600.0), TimerAction::RollBackAll);
         assert_eq!(m.stats().retunes_rolled_back, 1);
         assert_eq!(m.stats().retunes_promoted, 0);
         assert_eq!(m.promoted_shards(), 0);
-    }
-
-    #[test]
-    fn shadow_fraction_samples_deterministically() {
-        let cfg = LifecycleConfig {
-            canary: Some(CanaryConfig {
-                shadow_fraction: 0.5,
-                window: 100,
-                min_win_margin: 0.0,
-                split_traffic: false,
-            }),
-            ..Default::default()
-        };
-        let mut m = machine(cfg);
-        m.begin_attempt(0.0);
-        m.on_timer(1_000.0);
-        let pattern: Vec<bool> = (0..6).map(|_| m.should_shadow()).collect();
-        assert_eq!(pattern, vec![false, true, false, true, false, true]);
     }
 
     #[test]

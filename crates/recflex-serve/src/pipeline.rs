@@ -690,12 +690,6 @@ impl<'a> PipelineRuntime<'a> {
         &self.tiers
     }
 
-    /// Mutable access to one stage's tier (for swapping fault plans
-    /// between scenario cells, like the chaos benches do).
-    pub fn tier_mut(&mut self, stage: usize) -> Option<&mut ShardedServeRuntime<'a>> {
-        self.tiers.get_mut(stage)
-    }
-
     /// Swap the failure policy between sweep cells (tiers stay built).
     pub fn set_policy(&mut self, policy: StagePolicy) {
         self.spec.policy = policy;
@@ -1162,7 +1156,6 @@ mod tests {
                 plan,
                 ..ResilienceConfig::default()
             },
-            &vec![1.0; model.features.len()],
             |m| Box::new(TorchRecBackend::compile(m)),
         )
     }

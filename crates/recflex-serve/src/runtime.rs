@@ -115,12 +115,14 @@ pub enum ServeError {
     Backend(BackendError),
     /// The configuration is unusable (e.g. a zero batch cap).
     Policy(&'static str),
-    /// A request's batch does not fit the served model (see
-    /// [`recflex_data::Batch::validate`]); nothing was served.
+    /// A request does not fit what serves it: its batch fails
+    /// [`recflex_data::Batch::validate`] against the served model, or a
+    /// fleet arrival names a scenario no member serves. Nothing was
+    /// served.
     Request {
         /// The offending request's id.
         id: u64,
-        /// What [`recflex_data::Batch::validate`] rejected.
+        /// Why the request was rejected.
         reason: String,
     },
     /// The event schedule reached a state that should be unreachable

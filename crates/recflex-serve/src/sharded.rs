@@ -80,7 +80,7 @@ use recflex_sim::{GpuArch, Interconnect};
 
 use crate::drift::{DriftConfig, DriftMonitor};
 use crate::executor::DeviceExecutor;
-use crate::faults::{PressureTracker, ResilienceConfig};
+use crate::faults::ResilienceConfig;
 use crate::lifecycle::{
     CanaryVerdict, LifecycleConfig, LifecycleMachine, RegressedBackend, RetuneOutcome, TimerAction,
 };
@@ -207,23 +207,17 @@ impl<'a> ShardedServeRuntime<'a> {
             config,
             interconnect,
             ResilienceConfig::default(),
-            &[],
             make_backend,
         )
     }
 
-    /// Build the tier with fault injection and mitigation. `costs` are
-    /// per-feature cost estimates (same units as
-    /// [`Placement::balance_by_cost`]) used to size replication —
-    /// [`crate::ReplicationPolicy::MirrorHottest`] puts the one standby
-    /// lane behind the costliest shard.
+    /// Build the tier with fault injection and mitigation.
     ///
     /// `make_backend` receives each lane's sub-model
     /// ([`Placement::sub_model`]) and is called in a fixed order: once per
     /// device in device order, then once per replica lane in
     /// [`Self::replica_of`] order. A caller holding engines tuned ahead of
     /// time can therefore hand them out by counting calls.
-    #[allow(clippy::too_many_arguments)]
     pub fn build_resilient(
         model: &'a ModelConfig,
         arch: &'a GpuArch,
@@ -231,7 +225,6 @@ impl<'a> ShardedServeRuntime<'a> {
         config: ServeConfig,
         interconnect: Interconnect,
         resilience: ResilienceConfig,
-        costs: &[f64],
         make_backend: impl Fn(&ModelConfig) -> Box<dyn Backend + 'a>,
     ) -> Self {
         assert_eq!(placement.device_of.len(), model.features.len());
@@ -241,7 +234,7 @@ impl<'a> ShardedServeRuntime<'a> {
             ShardLane::new(sub_model, backend)
         };
         let lanes = (0..placement.num_devices).map(make_lane).collect();
-        let replica_of = resilience.replication.mirrored_shards(&placement, costs);
+        let replica_of = resilience.replication.mirrored_shards(&placement);
         let replicas = replica_of.iter().map(|&s| make_lane(s)).collect();
         ShardedServeRuntime {
             placement,
@@ -390,7 +383,6 @@ impl<'a> ShardedServeRuntime<'a> {
             candidates: (0..num_shards).map(|_| None).collect(),
             promoted: (0..num_shards).map(|_| None).collect(),
             displaced: Vec::new(),
-            pressure: PressureTracker::default(),
         };
 
         let transitions = self.resilience.plan.transitions();
@@ -680,8 +672,6 @@ struct ShardedRunState {
     /// Engines the current staged rollout swapped out, restored if it
     /// aborts: `(shard, engine that served before)`.
     displaced: Vec<(usize, Option<Box<dyn Backend>>)>,
-    /// Leaky-bucket state for the degradation ladder's pressure signal.
-    pressure: PressureTracker,
 }
 
 impl ShardedRunState {
@@ -702,7 +692,7 @@ impl ShardedRunState {
     /// it. At the healthy rate of 1 the division is an exact IEEE
     /// identity, so the fault-free path is bit-for-bit the old
     /// raw-backlog admission test.
-    fn max_effective_backlog_us(&self, rt: &ShardedServeRuntime<'_>, _now: f64) -> f64 {
+    fn max_effective_backlog_us(&self, rt: &ShardedServeRuntime<'_>) -> f64 {
         let mitigated = rt.resilience.ladder.is_some();
         let mut worst = 0.0f64;
         for ex in &self.executors[..self.num_shards()] {
@@ -726,17 +716,12 @@ impl ShardedRunState {
         worst
     }
 
-    fn ladder_level(&mut self, rt: &ShardedServeRuntime<'_>, now: f64) -> u8 {
-        let Some(ladder) = rt.resilience.ladder else {
-            return 0;
-        };
-        // The rung grades on the configured pressure signal: the raw
-        // sample (historical behavior, bit-identical — the tracker is
-        // never touched) or a leaky-bucket fold of it, so sub-millisecond
-        // backlog spikes can't flip rungs.
-        let raw = self.max_effective_backlog_us(rt, now);
-        let graded = self.pressure.observe(now, raw, ladder.pressure);
-        ladder.level(graded)
+    /// The degradation ladder's rung, graded on the raw worst effective
+    /// backlog; 0 when the tier has no ladder.
+    fn ladder_level(&self, rt: &ShardedServeRuntime<'_>) -> u8 {
+        rt.resilience
+            .ladder
+            .map_or(0, |ladder| ladder.level(self.max_effective_backlog_us(rt)))
     }
 
     /// The engine serving shard `s`: the promoted candidate if a
@@ -871,7 +856,7 @@ impl ShardedRunState {
             None => rt.config.slo_deadline_us,
         };
         if let Some(deadline) = admission_window {
-            if deadline < 0.0 || self.max_effective_backlog_us(rt, now) > deadline {
+            if deadline < 0.0 || self.max_effective_backlog_us(rt) > deadline {
                 let reason = if rt.resilience.plan.any_active(now) {
                     ShedReason::Fault
                 } else {
@@ -1088,27 +1073,18 @@ impl ShardedRunState {
         }
 
         // Canary: candidate engines replay the same shard slices so
-        // their cost is observable. In shadow mode (the default) the
-        // results are never submitted to a device — accounted, not
-        // served. In split-traffic mode ([`CanaryConfig::split_traffic`])
-        // the canaried chunk is *served by the candidate* on its shard:
-        // the candidate's device time replaces the incumbent's in the
-        // real queue, so the verdict reflects actual queueing. Shards
-        // already promoted mid-rollout are skipped (their cost is now
-        // `work_us`).
+        // their cost is observable. The results are never submitted to a
+        // device — accounted, not served. Shards already promoted
+        // mid-rollout are skipped (their cost is now `work_us`).
         let wants_shadow = self
             .machine
-            .as_mut()
-            .is_some_and(LifecycleMachine::should_shadow);
+            .as_ref()
+            .is_some_and(LifecycleMachine::in_canary);
         if wants_shadow {
             let start = self
                 .machine
                 .as_ref()
                 .map_or(0, LifecycleMachine::promoted_shards);
-            let split = self
-                .machine
-                .as_ref()
-                .is_some_and(LifecycleMachine::split_traffic);
             let mut inc = vec![0.0; num_shards];
             let mut cand = vec![0.0; num_shards];
             let mut shadow_err = false;
@@ -1122,9 +1098,6 @@ impl ShardedRunState {
                     Ok(r) => {
                         inc[s] = work_us[s];
                         cand[s] = r.latency_us;
-                        if split {
-                            work_us[s] = r.latency_us;
-                        }
                     }
                     Err(_) => {
                         shadow_err = true;
@@ -1169,8 +1142,7 @@ impl ShardedRunState {
             if mitigated && rt.resilience.plan.crashed(s, now) {
                 self.dispatch_replacement(chunk_id, s, now, rt, requests, true)?;
             } else {
-                let lane = self.read_lane(s, now, rt);
-                self.submit_job(chunk_id, s, lane, now, JobRole::Primary, true)?;
+                self.submit_job(chunk_id, s, s, now, JobRole::Primary, true)?;
             }
         }
         if let Some(ddl) = rt.resilience.chunk_deadline_us {
@@ -1182,32 +1154,6 @@ impl ShardedRunState {
         // their owners don't wait for a completion event that may never
         // have a distinct timestamp.
         self.collect_completions(rt, requests)
-    }
-
-    /// The lane that serves shard `s`'s slice of a fresh chunk. Replicas
-    /// are cold standbys by default; with
-    /// [`ResilienceConfig::replica_reads`] on, a *healthy* tier spills
-    /// read traffic to the mirrored replica lane whenever the primary is
-    /// more backlogged. Drain-on-fault: any active fault window anywhere
-    /// in the tier pins reads back to the primaries, so replicas are
-    /// free to absorb failover and hedge traffic exactly when it
-    /// matters. Ties go to the primary, keeping the choice a pure
-    /// function of simulated state.
-    fn read_lane(&self, s: usize, now: f64, rt: &ShardedServeRuntime<'_>) -> usize {
-        if !rt.resilience.replica_reads {
-            return s;
-        }
-        let Some(replica) = self.replica_lane_of[s] else {
-            return s;
-        };
-        if rt.resilience.plan.any_active(now) {
-            return s;
-        }
-        if self.executors[replica].backlog_us() < self.executors[s].backlog_us() {
-            replica
-        } else {
-            s
-        }
     }
 
     /// Put `shard`'s slice of `chunk_id` on executor `lane`.
@@ -1280,7 +1226,7 @@ impl ShardedRunState {
         if chunk.shard_done[shard] {
             return Ok(());
         }
-        if self.ladder_level(rt, now) >= 2 {
+        if self.ladder_level(rt) >= 2 {
             return self.zero_pool(chunk_id, shard, now, rt, requests);
         }
         let target = self.replica_lane_of[shard].or_else(|| {
@@ -1419,7 +1365,7 @@ impl ShardedRunState {
             if !self.chunks.contains_key(&chunk_id) {
                 continue;
             }
-            if self.ladder_level(rt, now) >= 1 {
+            if self.ladder_level(rt) >= 1 {
                 continue; // rung 1: duplicate work is the wrong spend
             }
             for s in 0..self.num_shards() {
@@ -1737,9 +1683,7 @@ mod tests {
     use super::*;
     use std::cell::RefCell;
 
-    use crate::faults::{
-        Fault, FaultKind, FaultPlan, FaultSpec, LadderConfig, PressureSignal, ReplicationPolicy,
-    };
+    use crate::faults::{Fault, FaultKind, FaultPlan, FaultSpec, LadderConfig, ReplicationPolicy};
     use crate::lifecycle::{CanaryConfig, LifecycleEvent, OutcomePlan};
     use crate::request::WorkloadSpec;
     use proptest::prelude::*;
@@ -1782,7 +1726,6 @@ mod tests {
             config,
             Interconnect::nvlink(),
             resilience,
-            &vec![1.0; model.features.len()],
             |m| Box::new(TorchRecBackend::compile(m)),
         )
     }
@@ -1823,7 +1766,6 @@ mod tests {
                 chunk_deadline_us: None,
                 replication: ReplicationPolicy::Full,
                 ladder: Some(LadderConfig::failover_only()),
-                replica_reads: false,
             },
         )
         .serve(&reqs)?;
@@ -1833,73 +1775,6 @@ mod tests {
         assert_eq!(plain.makespan_us, armed.makespan_us);
         assert_eq!(armed.per_replica.len(), 4, "standby lanes exist");
         assert!(armed.per_replica.iter().all(|s| s.jobs == 0), "and idle");
-        Ok(())
-    }
-
-    #[test]
-    fn replica_reads_spread_load_onto_replica_lanes() -> Result<(), ServeError> {
-        // With replica_reads on and no faults, a loaded healthy tier
-        // spills primary read traffic onto the mirrored replica lanes —
-        // they stop being cold standbys — and the extra capacity must
-        // not hurt latency. The run stays a pure function of its inputs.
-        let (m, arch) = setup();
-        let reqs = WorkloadSpec::long_tail(120.0).stream(&m, 48, 21);
-        let with_reads = |replica_reads: bool| ResilienceConfig {
-            plan: FaultPlan::none(),
-            chunk_deadline_us: None,
-            replication: ReplicationPolicy::Full,
-            ladder: Some(LadderConfig::failover_only()),
-            replica_reads,
-        };
-        let cold = resilient_tier(&m, &arch, 2, load_config(), with_reads(false)).serve(&reqs)?;
-        let warm_rt = resilient_tier(&m, &arch, 2, load_config(), with_reads(true));
-        let warm = warm_rt.serve(&reqs)?;
-        assert!(
-            warm.per_replica.iter().any(|s| s.jobs > 0),
-            "replica lanes must serve read traffic"
-        );
-        assert_eq!(warm.shed_rate(), 0.0);
-        assert_eq!(warm.records.len(), 48);
-        assert!(
-            warm.mean_latency_us() <= cold.mean_latency_us() + 1e-9,
-            "doubling serving lanes must not slow the tier: warm {} vs cold {}",
-            warm.mean_latency_us(),
-            cold.mean_latency_us()
-        );
-        let replay = warm_rt.serve(&reqs)?;
-        assert_eq!(warm, replay, "replica reads replay bit-for-bit");
-        Ok(())
-    }
-
-    #[test]
-    fn replica_reads_drain_to_primaries_while_any_fault_is_active() -> Result<(), ServeError> {
-        // Drain-on-fault: a fault window covering the whole run pins
-        // every read on the primaries, so the replicas see zero read
-        // jobs even with replica_reads enabled. (A slowdown on shard 0
-        // never re-homes work by itself — only reads could have landed
-        // on the replicas, and the drain rule forbids exactly that.)
-        let (m, arch) = setup();
-        let reqs = WorkloadSpec::long_tail(200.0).stream(&m, 32, 5);
-        let resilience = ResilienceConfig {
-            plan: FaultPlan::scripted(vec![Fault {
-                start_us: 0.0,
-                end_us: 1e12,
-                kind: FaultKind::Slowdown {
-                    shard: 0,
-                    rate: 0.9,
-                },
-            }]),
-            chunk_deadline_us: None,
-            replication: ReplicationPolicy::Full,
-            ladder: Some(LadderConfig::failover_only()),
-            replica_reads: true,
-        };
-        let report = resilient_tier(&m, &arch, 2, load_config(), resilience).serve(&reqs)?;
-        assert!(
-            report.per_replica.iter().all(|s| s.jobs == 0),
-            "an active fault must drain reads off the replicas"
-        );
-        assert_eq!(report.records.len(), 32);
         Ok(())
     }
 
@@ -2026,13 +1901,8 @@ mod tests {
             |sub| Box::new(record(sub)),
         );
         assert_eq!(calls.take(), [0, 1, 2].map(features_of));
-        // Shard 1 is the costliest, so the one mirrored replica is not
-        // shard 0 and its call is told apart from the first device's.
-        let costs: Vec<f64> = placement
-            .device_of
-            .iter()
-            .map(|&d| if d == 1 { 10.0 } else { 1.0 })
-            .collect();
+        // Full replication: every device first, then one replica per
+        // shard in shard order.
         let rt = ShardedServeRuntime::build_resilient(
             &m,
             &arch,
@@ -2040,14 +1910,13 @@ mod tests {
             ServeConfig::default(),
             Interconnect::nvlink(),
             ResilienceConfig {
-                replication: ReplicationPolicy::MirrorHottest,
+                replication: ReplicationPolicy::Full,
                 ..ResilienceConfig::default()
             },
-            &costs,
             |sub| Box::new(record(sub)),
         );
-        assert_eq!(rt.replica_of, vec![1]);
-        assert_eq!(calls.take(), [0, 1, 2, 1].map(features_of));
+        assert_eq!(rt.replica_of, vec![0, 1, 2]);
+        assert_eq!(calls.take(), [0, 1, 2, 0, 1, 2].map(features_of));
     }
 
     #[test]
@@ -2220,7 +2089,6 @@ mod tests {
                 chunk_deadline_us: None,
                 replication: ReplicationPolicy::None,
                 ladder: None, // no mitigation: lane freezes, backlog sheds
-                replica_reads: false,
             },
         )
         .serve(&reqs)?;
@@ -2236,9 +2104,7 @@ mod tests {
                 ladder: Some(LadderConfig {
                     drop_hedge_backlog_us: 4_000.0,
                     partial_backlog_us: 6_000.0,
-                    pressure: PressureSignal::Instantaneous,
                 }),
-                replica_reads: false,
             },
         )
         .serve(&reqs)?;
@@ -2293,7 +2159,6 @@ mod tests {
                 chunk_deadline_us: Some(500.0),
                 replication: ReplicationPolicy::Full,
                 ladder: Some(LadderConfig::failover_only()),
-                replica_reads: false,
             },
         )
         .serve(&reqs)?;
@@ -2307,7 +2172,6 @@ mod tests {
                 chunk_deadline_us: None,
                 replication: ReplicationPolicy::Full,
                 ladder: Some(LadderConfig::failover_only()),
-                replica_reads: false,
             },
         )
         .serve(&reqs)?;
@@ -2344,9 +2208,7 @@ mod tests {
                 ladder: Some(LadderConfig {
                     drop_hedge_backlog_us: 0.0,
                     partial_backlog_us: 0.0,
-                    pressure: PressureSignal::Instantaneous,
                 }),
-                replica_reads: false,
             },
         )
         .serve(&reqs)?;
@@ -2389,7 +2251,6 @@ mod tests {
             chunk_deadline_us: None,
             replication: ReplicationPolicy::None,
             ladder: Some(LadderConfig::failover_only()),
-            replica_reads: false,
         };
         let healthy = resilient_tier(&m, &arch, 4, load_config(), ResilienceConfig::default())
             .serve(&reqs)?;
@@ -2433,13 +2294,11 @@ mod tests {
                 ResilienceConfig {
                     plan: plan_a,
                     chunk_deadline_us: Some(1_000.0),
-                    replication: ReplicationPolicy::MirrorHottest,
+                    replication: ReplicationPolicy::Full,
                     ladder: Some(LadderConfig {
                         drop_hedge_backlog_us: 4_000.0,
                         partial_backlog_us: 6_000.0,
-                        pressure: PressureSignal::Instantaneous,
                     }),
-                    replica_reads: false,
                 },
             );
             let a = rt.serve(&reqs);
@@ -2473,7 +2332,6 @@ mod tests {
         DriftConfig {
             window: 8,
             threshold: 0.3,
-            feature_threshold: 0.5,
         }
     }
 
@@ -2563,12 +2421,7 @@ mod tests {
             .serve_with_retune(&reqs, &mut blind_policy)?;
         let mut canaried_policy = mk_policy(LifecycleConfig {
             outcomes: regressed,
-            canary: Some(CanaryConfig {
-                shadow_fraction: 1.0,
-                window: 4,
-                min_win_margin: 0.0,
-                split_traffic: false,
-            }),
+            canary: Some(CanaryConfig { window: 4 }),
             ..LifecycleConfig::default()
         });
         let canaried = tier(&m, &arch, 2, load_config(), Interconnect::nvlink())
@@ -2607,12 +2460,7 @@ mod tests {
             retune_latency_us: 1_000.0,
             stagger_us: stagger,
             lifecycle: LifecycleConfig {
-                canary: Some(CanaryConfig {
-                    shadow_fraction: 1.0,
-                    window: 3,
-                    min_win_margin: 0.0,
-                    split_traffic: false,
-                }),
+                canary: Some(CanaryConfig { window: 3 }),
                 ..LifecycleConfig::default()
             },
             retuner: Box::new(|sm: &ModelConfig, _: &[Batch]| {
@@ -2641,56 +2489,6 @@ mod tests {
                 "promotions are staggered by {stagger} µs, got {gap}"
             );
         }
-        Ok(())
-    }
-
-    #[test]
-    fn leaky_bucket_pressure_keeps_hedging_through_a_backlog_spike() -> Result<(), ServeError> {
-        let (m, arch) = setup();
-        let reqs = WorkloadSpec::long_tail(400.0).stream(&m, 32, 17);
-        let plan = FaultPlan::scripted(vec![Fault {
-            start_us: 1_000.0,
-            end_us: 10_000.0,
-            kind: FaultKind::Stall { shard: 0 },
-        }]);
-        // 600 µs sits above the healthy lane's steady backlog (~290 µs)
-        // but below the replica's hedge-driven spike (~1000 µs): only the
-        // spike can trip the hedge-drop rung.
-        let run = |pressure: PressureSignal| {
-            resilient_tier(
-                &m,
-                &arch,
-                2,
-                load_config(),
-                ResilienceConfig {
-                    plan: plan.clone(),
-                    chunk_deadline_us: Some(500.0),
-                    replication: ReplicationPolicy::Full,
-                    ladder: Some(LadderConfig {
-                        drop_hedge_backlog_us: 600.0,
-                        partial_backlog_us: f64::INFINITY,
-                        pressure,
-                    }),
-                    replica_reads: false,
-                },
-            )
-            .serve(&reqs)
-        };
-        let twitchy = run(PressureSignal::Instantaneous)?;
-        let damped = run(PressureSignal::LeakyBucket { tau_us: 50_000.0 })?;
-        assert!(
-            twitchy.hedge_fires > 0,
-            "the spike must not suppress hedging entirely"
-        );
-        assert!(
-            damped.hedge_fires > twitchy.hedge_fires,
-            "a leaky bucket rides through the transient spike and keeps \
-             hedging: {} vs {}",
-            damped.hedge_fires,
-            twitchy.hedge_fires
-        );
-        // Hedging sustained through the stall buys tail latency.
-        assert!(damped.percentile_us(0.99) <= twitchy.percentile_us(0.99));
         Ok(())
     }
 

@@ -90,11 +90,6 @@ impl TrafficShape {
         TrafficShape::default()
     }
 
-    /// True when no shaping is configured at all.
-    pub fn is_flat(&self) -> bool {
-        self.diurnal.is_none() && self.flash_crowds.is_empty()
-    }
-
     /// The composed rate multiplier at time `t`.
     pub fn multiplier(&self, t_us: f64) -> f64 {
         let mut m = self.diurnal.map_or(1.0, |d| d.multiplier(t_us));

@@ -49,10 +49,6 @@ pub struct LaunchConfig {
     /// Force residency to this many blocks/SM (the paper's explicit
     /// occupancy control). `None` uses the natural occupancy.
     pub occupancy_target: Option<u32>,
-    /// Extra unique bytes competing for L2 beyond this kernel's own
-    /// footprint — used by the tuner to emulate the fused kernel's cache
-    /// environment around an isolated feature.
-    pub extra_l2_pressure: u64,
     /// Multiplier on issue cycles for dispatch overhead (1.0 = if-else
     /// inlined dispatch; ~1.45 models the function-pointer-array variant
     /// discussed in Section IV-B).
@@ -220,7 +216,7 @@ impl<'a> BlockTimer<'a> {
     ) -> Self {
         BlockTimer {
             arch,
-            mem: MemorySystem::from_traffic(arch, total_bytes, unique_bytes, cfg.extra_l2_pressure),
+            mem: MemorySystem::from_traffic(arch, total_bytes, unique_bytes),
             b_eff: (blocks_per_sm as f64)
                 .min((grid_blocks as f64 / arch.num_sms as f64).ceil())
                 .max(1.0),
@@ -607,23 +603,6 @@ mod tests {
         // Forcing 16 blocks/SM with 96 regs/thread requires capping to
         // 65536/(16·128) = 32 regs → 64 spilled.
         assert!(forced.metrics.dram_bytes > natural.metrics.dram_bytes);
-    }
-
-    #[test]
-    fn l2_pressure_slows_reuse_heavy_kernels() {
-        let arch = GpuArch::v100();
-        let k = latency_bound_kernel(20_000);
-        let alone = launch(&k, &arch, &LaunchConfig::default()).unwrap();
-        let crowded = launch(
-            &k,
-            &arch,
-            &LaunchConfig {
-                extra_l2_pressure: 512 << 20,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(crowded.latency_us > alone.latency_us);
     }
 
     #[test]

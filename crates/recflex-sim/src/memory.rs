@@ -28,18 +28,11 @@ pub struct MemorySystem {
 }
 
 impl MemorySystem {
-    /// Build the model from aggregate traffic plus optional extra working-set
-    /// pressure (`extra_unique_bytes`) used by the tuner's padding blocks to
-    /// emulate the fused kernel's cache environment.
-    pub fn from_traffic(
-        arch: &GpuArch,
-        total_bytes: u64,
-        unique_bytes: u64,
-        extra_unique_bytes: u64,
-    ) -> Self {
+    /// Build the model from the grid's aggregate traffic.
+    pub fn from_traffic(arch: &GpuArch, total_bytes: u64, unique_bytes: u64) -> Self {
         let unique = unique_bytes.min(total_bytes);
         let reuse = total_bytes - unique;
-        let footprint = (unique + extra_unique_bytes).max(1);
+        let footprint = unique.max(1);
         let l2_hit_rate = (arch.l2_size as f64 / footprint as f64).min(1.0);
 
         let dram_bytes = unique as f64 + reuse as f64 * (1.0 - l2_hit_rate);
@@ -83,7 +76,7 @@ mod tests {
     #[test]
     fn small_footprint_all_hits() {
         // 1 MiB unique fits V100's 6 MiB L2 entirely.
-        let m = MemorySystem::from_traffic(&v100(), 10 << 20, 1 << 20, 0);
+        let m = MemorySystem::from_traffic(&v100(), 10 << 20, 1 << 20);
         assert!((m.l2_hit_rate - 1.0).abs() < 1e-12);
         // Only the unique 1/10th goes to DRAM.
         assert!((m.dram_fraction - 0.1).abs() < 1e-9);
@@ -92,18 +85,9 @@ mod tests {
     #[test]
     fn huge_footprint_mostly_misses() {
         // 600 MiB unique vs 6 MiB L2 → 1% hit rate.
-        let m = MemorySystem::from_traffic(&v100(), 1200 << 20, 600 << 20, 0);
+        let m = MemorySystem::from_traffic(&v100(), 1200 << 20, 600 << 20);
         assert!((m.l2_hit_rate - 0.01).abs() < 1e-3);
         assert!(m.avg_latency > 0.9 * v100().dram_latency);
-    }
-
-    #[test]
-    fn extra_pressure_lowers_hit_rate() {
-        let arch = v100();
-        let alone = MemorySystem::from_traffic(&arch, 100 << 20, 10 << 20, 0);
-        let crowded = MemorySystem::from_traffic(&arch, 100 << 20, 10 << 20, 200 << 20);
-        assert!(crowded.l2_hit_rate < alone.l2_hit_rate);
-        assert!(crowded.avg_latency > alone.avg_latency);
     }
 
     #[test]
@@ -132,7 +116,7 @@ mod tests {
             (1 << 28, 1 << 27),
             (1 << 31, 1 << 30),
         ] {
-            let m = MemorySystem::from_traffic(&arch, t, u, 0);
+            let m = MemorySystem::from_traffic(&arch, t, u);
             assert!(m.avg_latency >= arch.l2_latency - 1e-9);
             assert!(m.avg_latency <= arch.dram_latency + 1e-9);
         }
@@ -140,7 +124,7 @@ mod tests {
 
     #[test]
     fn zero_traffic_is_sane() {
-        let m = MemorySystem::from_traffic(&v100(), 0, 0, 0);
+        let m = MemorySystem::from_traffic(&v100(), 0, 0);
         assert_eq!(m.dram_fraction, 0.0);
         assert!(m.avg_latency.is_finite());
     }

@@ -73,7 +73,6 @@ fn facade_drift_retune_hot_swaps_a_fresh_engine() {
         drift: DriftConfig {
             window: 6,
             threshold: 0.3,
-            feature_threshold: 0.5,
         },
         retune_latency_us: 2_000.0,
         stagger_us: 0.0,

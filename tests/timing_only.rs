@@ -1,7 +1,7 @@
 //! The timing-only serving path: `Backend::cost` reports exactly the
 //! timing `Backend::run` does, for every backend and wrapper, and no
-//! serving path — single device, sharded tier, shadow or split-traffic
-//! canary, regressed candidate — ever asks for functional output.
+//! serving path — single device, sharded tier, shadow canary, regressed
+//! candidate — ever asks for functional output.
 
 use recflex::baselines::{HugeCtrBackend, RecomBackend, TensorFlowBackend, TorchRecBackend};
 use recflex::data::{shift_distribution, Placement};
@@ -145,27 +145,17 @@ fn drifting_stream(m: &ModelConfig) -> Vec<Request> {
     reqs
 }
 
-fn canary_policy(
-    split_traffic: bool,
-    outcome: RetuneOutcome,
-    cost_only: bool,
-) -> ShardedRetunePolicy<'static> {
+fn canary_policy(outcome: RetuneOutcome, cost_only: bool) -> ShardedRetunePolicy<'static> {
     ShardedRetunePolicy {
         drift: DriftConfig {
             window: 8,
             threshold: 0.3,
-            feature_threshold: 0.5,
         },
         retune_latency_us: 1_000.0,
         stagger_us: 0.0,
         lifecycle: LifecycleConfig {
             outcomes: OutcomePlan::scripted(vec![outcome; 8]),
-            canary: Some(CanaryConfig {
-                shadow_fraction: 1.0,
-                window: 4,
-                min_win_margin: 0.0,
-                split_traffic,
-            }),
+            canary: Some(CanaryConfig { window: 4 }),
             ..LifecycleConfig::default()
         },
         retuner: Box::new(move |sm: &ModelConfig, _: &[Batch]| {
@@ -198,21 +188,20 @@ fn serving_never_calls_run() -> Result<(), ServeError> {
     assert_eq!(served.records.len(), reqs.len());
     assert_eq!(served, tier(&m, &arch, false).serve(&reqs)?);
 
-    // A shadow canary of a winning candidate, and a split-traffic canary
-    // whose candidate is wrapped in `RegressedBackend` and serves real
-    // traffic.
+    // Shadow canaries of a winning candidate and of one wrapped in
+    // `RegressedBackend`: both are priced through `cost` alone.
     let drifting = drifting_stream(&m);
-    for (split, outcome) in [
-        (false, RetuneOutcome::Success),
-        (true, RetuneOutcome::Regression { slowdown: 4.0 }),
+    for outcome in [
+        RetuneOutcome::Success,
+        RetuneOutcome::Regression { slowdown: 4.0 },
     ] {
         let served = tier(&m, &arch, true)
-            .serve_with_retune(&drifting, &mut canary_policy(split, outcome, true))?;
+            .serve_with_retune(&drifting, &mut canary_policy(outcome, true))?;
         let reference = tier(&m, &arch, false)
-            .serve_with_retune(&drifting, &mut canary_policy(split, outcome, false))?;
+            .serve_with_retune(&drifting, &mut canary_policy(outcome, false))?;
         assert_eq!(served.records.len(), drifting.len());
         assert!(served.lifecycle.canary_shadow_chunks > 0, "{outcome:?}");
-        assert_eq!(served, reference, "split {split}, {outcome:?}");
+        assert_eq!(served, reference, "{outcome:?}");
     }
     Ok(())
 }
