@@ -203,7 +203,7 @@ mod tests {
         let b = Batch::generate(&m, 24, 2);
         let run = HugeCtrBackend.run(&m, &t, &b, &GpuArch::v100()).unwrap();
         let golden = recflex_embedding::reference_model_output(&m, &t, &b);
-        assert_eq!(run.output.max_abs_diff(&golden), 0.0);
+        assert!(run.output.bits_eq(&golden));
     }
 
     #[test]

@@ -164,6 +164,6 @@ mod tests {
         let b = Batch::generate(&m, 32, 11);
         let run = be.run(&m, &t, &b, &GpuArch::v100()).unwrap();
         let golden = reference_model_output(&m, &t, &b);
-        assert_eq!(run.output.max_abs_diff(&golden), 0.0);
+        assert!(run.output.bits_eq(&golden));
     }
 }

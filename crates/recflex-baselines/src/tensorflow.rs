@@ -129,7 +129,7 @@ mod tests {
             .run(&m, &tables, &b, &GpuArch::v100())
             .unwrap();
         let golden = reference_model_output(&m, &tables, &b);
-        assert_eq!(run.output.max_abs_diff(&golden), 0.0);
+        assert!(run.output.bits_eq(&golden));
     }
 
     #[test]

@@ -155,6 +155,6 @@ mod tests {
             .run(&m, &t, &b, &GpuArch::a100())
             .unwrap();
         let golden = reference_model_output(&m, &t, &b);
-        assert_eq!(run.output.max_abs_diff(&golden), 0.0);
+        assert!(run.output.bits_eq(&golden));
     }
 }

@@ -12,7 +12,10 @@
 //!   price of timing-only serving on small requests, and the distinct-row
 //!   count behind its workload analysis;
 //! * `sim/profile_blocks/*` — block profiling inline and on a 2-worker
-//!   pool around the grid size below which `launch` stays inline.
+//!   pool around the grid size below which `launch` stays inline;
+//! * `exec/reference_pooling_50f_128b` and `exec/fused_execute_50f_128b` —
+//!   one batch pooled by the scalar reference and by the fused kernel's
+//!   task-map executor.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -236,6 +239,12 @@ fn bench_functional_exec(c: &mut Criterion) {
                 &m, &tables, &batch,
             ))
         })
+    });
+    // The same batch pooled by the fused kernel through its task map.
+    let obj = FusedKernelObject::compile(FusedSpec::new(first_candidates(&m)));
+    let bound = obj.bind(&m, &tables, &batch);
+    c.bench_function("exec/fused_execute_50f_128b", |b| {
+        b.iter(|| black_box(bound.execute()))
     });
 }
 

@@ -180,12 +180,7 @@ impl Fixture {
             .run(&self.model, &self.tables, batch, &self.arch)?
             .output;
         let golden = reference_model_output(&self.model, &self.tables, batch);
-        let (got, want) = (out.data(), golden.data());
-        let same_bits = got
-            .iter()
-            .zip(want)
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-        Ok(out.batch_size() == golden.batch_size() && got.len() == want.len() && same_bits)
+        Ok(out.bits_eq(&golden))
     }
 
     /// All baselines applicable to this model, freshly compiled.

@@ -230,21 +230,56 @@ pub struct BoundFusedKernel<'a> {
 }
 
 impl BoundFusedKernel<'_> {
-    /// Functional execution: every feature pooled by its schedule, in
-    /// parallel across features (disjoint output regions).
+    /// Functional execution through the task map: every block pools, with
+    /// its feature's schedule, the samples of its own logical block `rel`
+    /// and, where a static map allocates fewer blocks than the batch
+    /// requires, of its extra rounds `rel + allocated`, `rel +
+    /// 2·allocated`, …; the timing model charges the block the same
+    /// rounds. The logical blocks run in parallel, each into its own slice
+    /// of the output.
+    ///
+    /// # Panics
+    ///
+    /// If the task map leaves a (feature, sample) unwritten or has two
+    /// blocks write it; the message names the pair. The map is this
+    /// crate's own output, so that is a bug here, not bad input.
     pub fn execute(&self) -> FusedOutput {
-        let mut out = FusedOutput::zeros(self.model, self.batch.batch_size);
-        {
-            let parts = out.split_features_mut();
-            parts.into_par_iter().enumerate().for_each(|(f, dst)| {
-                self.obj.spec.schedules[f].execute(
-                    self.tables.table(f),
-                    &self.batch.features[f],
-                    dst,
-                );
-            });
+        let features = &self.batch.features;
+        // (feature, logical block, its samples), sorted into buffer order.
+        let mut blocks = Vec::with_capacity(self.task_map.entries.len());
+        for b in 0..self.task_map.grid_blocks() {
+            let (f, logical) = self.logical_blocks(b);
+            let sched = &self.obj.spec.schedules[f];
+            for l in logical {
+                if let Some((s0, s1)) = sched.block_samples(&features[f], l) {
+                    blocks.push((f, l, s0..s1));
+                }
+            }
         }
+        blocks.sort_unstable_by_key(|(f, _, samples)| (*f, samples.start));
+        let mut out = FusedOutput::zeros(self.model, self.batch.batch_size);
+        let regions = out.split_blocks_mut(blocks.iter().map(|(f, _, s)| (*f, s.clone())));
+        let work: Vec<_> = blocks.into_iter().zip(regions).collect();
+        work.into_par_iter().for_each(|((f, l, _), dst)| {
+            self.obj.spec.schedules[f].execute_block(self.tables.table(f), &features[f], l, dst);
+        });
         out
+    }
+
+    /// The feature of task-map block `block_idx` and the logical blocks it
+    /// runs: its own `rel`, then `rel + allocated`, `rel + 2·allocated`, …
+    /// below the feature's `required_blocks`. A runtime map allocates
+    /// exactly the required blocks, so each block runs one; a static map
+    /// that allocates fewer serializes the rest as extra rounds, and
+    /// surplus blocks of one that allocates more run none. Timing
+    /// ([`SimKernel::profile_block`]) and [`Self::execute`] both ask here,
+    /// so they agree on who owns which samples.
+    fn logical_blocks(&self, block_idx: u32) -> (usize, impl Iterator<Item = u32>) {
+        let (f, rel) = self.task_map.entries[block_idx as usize];
+        let f = f as usize;
+        let allocated = self.task_map.blocks_per_feature[f];
+        let required = self.obj.spec.schedules[f].required_blocks(&self.workloads[f]);
+        (f, (rel..required).step_by(allocated as usize))
     }
 }
 
@@ -262,25 +297,18 @@ impl SimKernel for BoundFusedKernel<'_> {
     }
 
     fn profile_block(&self, block_idx: u32, ctx: &ProfileCtx) -> BlockProfile {
-        let (f, rel) = self.task_map.entries[block_idx as usize];
-        let f = f as usize;
+        let (f, mut logical) = self.logical_blocks(block_idx);
+        let Some(first) = logical.next() else {
+            // Over-provisioned static mapping: this block finds no work.
+            return BlockProfile::idle();
+        };
         let sched = &self.obj.spec.schedules[f];
         let w = &self.workloads[f];
         let fb = &self.batch.features[f];
-        let allocated = self.task_map.blocks_per_feature[f];
-        let required = sched.required_blocks(w);
-        if rel >= required {
-            // Over-provisioned static mapping: this block finds no work.
-            return BlockProfile::idle();
-        }
-        // Under-provisioned static mapping: block `rel` also executes the
-        // work of logical blocks rel + allocated, rel + 2·allocated, …
-        let mut p = sched.block_profile(fb, w, rel, ctx.reg_cap);
-        let mut logical = rel + allocated;
-        while logical < required {
-            let extra = sched.block_profile(fb, w, logical, ctx.reg_cap);
-            p.accumulate(&extra);
-            logical += allocated;
+        // Under-provisioned static mapping: the block's extra rounds.
+        let mut p = sched.block_profile(fb, w, first, ctx.reg_cap);
+        for l in logical {
+            p.accumulate(&sched.block_profile(fb, w, l, ctx.reg_cap));
         }
         match self.obj.spec.dispatch {
             // If-else dispatch: one comparison per preceding unique
@@ -302,6 +330,9 @@ impl SimKernel for BoundFusedKernel<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use recflex_data::{Dataset, ModelPreset};
     use recflex_embedding::reference_model_output;
     use recflex_schedules::enumerate_candidates;
@@ -350,7 +381,7 @@ mod tests {
         let obj = compile_first_candidates(&m);
         let (out, report) = obj.run(&m, &tables, &batch, &GpuArch::v100()).unwrap();
         let golden = reference_model_output(&m, &tables, &batch);
-        assert_eq!(out.max_abs_diff(&golden), 0.0);
+        assert!(out.bits_eq(&golden));
         assert!(report.latency_us > 0.0);
     }
 
@@ -398,6 +429,10 @@ mod tests {
             rt_flops, avg_flops,
             "work is conserved under static mapping"
         );
+        // The serialized rounds pool their samples too.
+        assert!(avg
+            .execute()
+            .bits_eq(&reference_model_output(&m, &tables, &big)));
     }
 
     #[test]
@@ -418,6 +453,99 @@ mod tests {
             idle > 0,
             "max mapping must leave idle blocks on small batches"
         );
+        assert!(bound
+            .execute()
+            .bits_eq(&reference_model_output(&m, &tables, &small)));
+    }
+
+    /// Execute model C at 0.02 after `corrupt` edits its runtime task
+    /// map's entries, given the feature with the most blocks.
+    fn execute_corrupted(corrupt: impl FnOnce(&mut Vec<(u32, u32)>, u32)) {
+        let m = ModelPreset::C.scaled(0.02);
+        let tables = TableSet::for_model(&m);
+        let batch = Batch::generate(&m, 200, 3);
+        let obj = compile_first_candidates(&m);
+        let mut bound = obj.bind(&m, &tables, &batch);
+        let blocks = &bound.task_map.blocks_per_feature;
+        let f = (0..blocks.len()).max_by_key(|&f| blocks[f]).unwrap();
+        assert!(blocks[f] > 1);
+        corrupt(&mut bound.task_map.entries, f as u32);
+        bound.execute();
+    }
+
+    #[test]
+    #[should_panic(expected = "no block writes it")]
+    fn execute_panics_when_the_map_drops_a_features_last_block() {
+        execute_corrupted(|entries, f| {
+            let last = entries.iter().rposition(|e| e.0 == f).unwrap();
+            entries.remove(last);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "two blocks write it")]
+    fn execute_panics_when_the_map_lists_a_block_twice() {
+        execute_corrupted(|entries, f| {
+            let first = entries.iter().position(|e| e.0 == f).unwrap();
+            entries.insert(first + 1, entries[first]);
+        });
+    }
+
+    proptest! {
+        #[test]
+        fn execute_through_any_mapping_matches_reference(
+            preset in 0usize..6,
+            frac_permille in 3u32..=12,
+            batch_size in 1u32..=300,
+            picks in 0u64..u64::MAX,
+            strategy in 0usize..3,
+        ) {
+            let preset = [
+                ModelPreset::A,
+                ModelPreset::B,
+                ModelPreset::C,
+                ModelPreset::D,
+                ModelPreset::E,
+                ModelPreset::MLPerfLike,
+            ][preset];
+            let m = preset.scaled(frac_permille as f64 / 1000.0);
+            let tables = TableSet::for_model(&m);
+            let mut rng = StdRng::seed_from_u64(picks);
+            let schedules: Vec<ScheduleInstance> = m
+                .features
+                .iter()
+                .enumerate()
+                .map(|(i, f)| {
+                    let c = enumerate_candidates(i, f).unwrap().candidates;
+                    c[rng.gen_range(0..c.len())]
+                })
+                .collect();
+            let obj = FusedKernelObject::compile(FusedSpec::new(schedules));
+            let batch = Batch::generate(&m, batch_size, picks);
+            // History batches of other sizes, so static maps serialize
+            // rounds or idle blocks.
+            let history: Vec<Vec<FeatureWorkload>> = (0..3)
+                .map(|i| {
+                    let size = (batch_size + rng.gen_range(0..299u32)) % 300 + 1;
+                    analyze_batch(&m, &Batch::generate(&m, size, picks ^ i))
+                })
+                .collect();
+            let strategy = [
+                MappingStrategy::Runtime,
+                MappingStrategy::StaticAverage,
+                MappingStrategy::StaticMax,
+            ][strategy];
+            let bound = obj.bind_static(&m, &tables, &batch, &history, strategy);
+            prop_assert!(
+                bound.execute().bits_eq(&reference_model_output(&m, &tables, &batch)),
+                "{} at {} permille, batch {}, picks {}, {:?}",
+                preset.name(),
+                frac_permille,
+                batch_size,
+                picks,
+                strategy
+            );
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! small batches) versus one task-map read per *warp* instead of per block.
 
 use recflex_data::{Batch, ModelConfig};
-use recflex_embedding::{analyze_batch, FeatureWorkload, TableSet};
+use recflex_embedding::{analyze_batch, FeatureWorkload};
 use recflex_schedules::ScheduleInstance;
 use recflex_sim::{BlockProfile, BlockResources, ProfileCtx, SimKernel};
 
@@ -95,22 +95,6 @@ impl<'a> WarpMappedKernel<'a> {
             resources: BlockResources::new(threads, regs, 0),
         })
     }
-
-    /// Functional execution (identical semantics to block mapping).
-    pub fn execute(
-        &self,
-        model: &ModelConfig,
-        tables: &TableSet,
-    ) -> recflex_embedding::FusedOutput {
-        let mut out = recflex_embedding::FusedOutput::zeros(model, self.batch.batch_size);
-        {
-            let parts = out.split_features_mut();
-            for (f, dst) in parts.into_iter().enumerate() {
-                self.schedules[f].execute(tables.table(f), &self.batch.features[f], dst);
-            }
-        }
-        out
-    }
 }
 
 impl SimKernel for WarpMappedKernel<'_> {
@@ -155,7 +139,7 @@ mod tests {
     use super::*;
     use crate::fused::{FusedKernelObject, FusedSpec};
     use recflex_data::{ModelPreset, PoolingDist};
-    use recflex_embedding::reference_model_output;
+    use recflex_embedding::TableSet;
     use recflex_schedules::{ScheduleKind, ScheduleParams};
     use recflex_sim::{launch, GpuArch, LaunchConfig};
 
@@ -242,17 +226,13 @@ mod tests {
     }
 
     #[test]
-    fn warp_unit_launches_and_matches_reference() {
+    fn warp_unit_launches_with_positive_latency() {
         let m = ModelPreset::A.scaled(0.01);
-        let tables = TableSet::for_model(&m);
         let b = Batch::generate(&m, 48, 5);
         let schedules = warp_schedules(&m);
         let k = WarpMappedKernel::bind(&schedules, &m, &b).unwrap();
         let report = launch(&k, &GpuArch::v100(), &LaunchConfig::default()).unwrap();
         assert!(report.latency_us > 0.0);
-        let out = k.execute(&m, &tables);
-        let golden = reference_model_output(&m, &tables, &b);
-        assert_eq!(out.max_abs_diff(&golden), 0.0);
     }
 
     #[test]

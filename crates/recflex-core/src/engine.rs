@@ -208,7 +208,7 @@ mod tests {
         let batch = &ds.batches()[2];
         let (out, report) = e.run(batch).unwrap();
         let golden = reference_model_output(&e.model, &e.tables, batch);
-        assert_eq!(out.max_abs_diff(&golden), 0.0);
+        assert!(out.bits_eq(&golden));
         assert!(report.latency_us > 0.0);
         assert!(report.occupancy.blocks_per_sm >= 1);
     }
@@ -233,7 +233,7 @@ mod tests {
         let batch = Batch::generate(&model, 32, 9);
         let (out, _) = e.run(&batch).unwrap();
         let golden = reference_model_output(&e.model, &e.tables, &batch);
-        assert_eq!(out.max_abs_diff(&golden), 0.0);
+        assert!(out.bits_eq(&golden));
     }
 
     #[test]
@@ -264,7 +264,7 @@ mod tests {
         let batch = &ds.batches()[1];
         let (out, _) = warm_engine.run(batch).unwrap();
         let golden = reference_model_output(&warm_engine.model, &warm_engine.tables, batch);
-        assert_eq!(out.max_abs_diff(&golden), 0.0);
+        assert!(out.bits_eq(&golden));
     }
 
     #[test]
@@ -290,7 +290,7 @@ mod tests {
         let batch = &ds.batches()[0];
         let (out, _) = engine.run(batch).unwrap();
         let golden = reference_model_output(&engine.model, &engine.tables, batch);
-        assert_eq!(out.max_abs_diff(&golden), 0.0);
+        assert!(out.bits_eq(&golden));
     }
 
     #[test]

@@ -3,9 +3,14 @@
 //! The pooled vectors of all features are concatenated per sample before
 //! entering the DNN (paper Figure 1). We store the buffer feature-major —
 //! feature `f` owns a contiguous `batch × dim_f` region — because that is
-//! what the fused kernel's per-feature block groups write, and it lets the
-//! functional executor hand each feature a disjoint `&mut [f32]` for safe
-//! parallel writes.
+//! what the fused kernel's per-feature block groups write. Inside a
+//! feature's region, each block's samples are contiguous too, so the
+//! functional executor hands every block a disjoint `&mut [f32]`
+//! ([`FusedOutput::split_blocks_mut`]) and runs blocks in parallel. That
+//! split checks the blocks cover every (feature, sample) exactly once:
+//! a sample no block writes, or one two blocks write, is a broken task map.
+
+use std::ops::Range;
 
 use recflex_data::ModelConfig;
 
@@ -78,6 +83,52 @@ impl FusedOutput {
         out
     }
 
+    /// Split the buffer into one mutable region per block, enabling
+    /// data-race-free parallel execution across blocks. `blocks` lists each
+    /// block's feature and sample range in buffer order: by feature, then
+    /// by first sample. Together they must cover every (feature, sample)
+    /// exactly once.
+    ///
+    /// # Panics
+    ///
+    /// At the first (feature, sample) that no block covers or that two
+    /// blocks cover, naming the pair, or if `blocks` leaves buffer order.
+    pub fn split_blocks_mut(
+        &mut self,
+        blocks: impl IntoIterator<Item = (usize, Range<u32>)>,
+    ) -> Vec<&mut [f32]> {
+        let batch = self.batch_size;
+        let mut blocks = blocks.into_iter().peekable();
+        let mut out = Vec::new();
+        let mut rest: &mut [f32] = &mut self.data;
+        for (f, &dim) in self.dims.iter().enumerate() {
+            // The feature's next sample to cover.
+            let mut next = 0u32;
+            while let Some((_, samples)) = blocks.next_if(|(bf, _)| *bf == f) {
+                let (s0, s1) = (samples.start, samples.end);
+                assert!(s0 >= next, "feature {f} sample {s0}: two blocks write it");
+                assert!(s0 == next, "feature {f} sample {next}: no block writes it");
+                assert!(
+                    s0 < s1 && s1 <= batch,
+                    "feature {f}: block samples {s0}..{s1} outside the batch of {batch}"
+                );
+                let len = (s1 - s0) as usize * dim as usize;
+                let (head, tail) = std::mem::take(&mut rest).split_at_mut(len);
+                out.push(head);
+                rest = tail;
+                next = s1;
+            }
+            assert!(
+                next >= batch,
+                "feature {f} sample {next}: no block writes it"
+            );
+        }
+        if let Some((f, _)) = blocks.next() {
+            panic!("a block of feature {f} is out of buffer order");
+        }
+        out
+    }
+
     /// Concatenated row of sample `s` across all features, in feature
     /// order — the DNN input row. Allocates; used at the embedding→DNN
     /// boundary and in tests.
@@ -91,15 +142,17 @@ impl FusedOutput {
         row
     }
 
-    /// Maximum absolute difference against another output of identical
-    /// shape (test helper).
-    pub fn max_abs_diff(&self, other: &FusedOutput) -> f32 {
-        assert_eq!(self.offsets, other.offsets, "shape mismatch");
-        self.data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f32, f32::max)
+    /// Whether `other` has the same shape and the same bits in every
+    /// element. Unlike `==` on floats, a NaN equals only the same NaN, and
+    /// `-0.0` differs from `0.0`: this is what "bit-exact" means.
+    pub fn bits_eq(&self, other: &FusedOutput) -> bool {
+        self.batch_size == other.batch_size
+            && self.dims == other.dims
+            && self
+                .data
+                .iter()
+                .zip(&other.data)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
     }
 
     /// Raw data (read-only).
@@ -156,10 +209,78 @@ mod tests {
     }
 
     #[test]
-    fn max_abs_diff_of_identical_is_zero() {
+    fn bitwise_equality_sees_nan_and_the_sign_of_zero() {
         let m = ModelPreset::A.scaled(0.005);
-        let a = FusedOutput::zeros(&m, 8);
-        let b = FusedOutput::zeros(&m, 8);
-        assert_eq!(a.max_abs_diff(&b), 0.0);
+        let zeros = FusedOutput::zeros(&m, 8);
+        assert!(zeros.bits_eq(&FusedOutput::zeros(&m, 8)));
+        assert!(!zeros.bits_eq(&FusedOutput::zeros(&m, 4)), "shape differs");
+        let with = |x: f32| {
+            let mut out = FusedOutput::zeros(&m, 8);
+            out.split_features_mut()[1][3] = x;
+            out
+        };
+        let (nan, neg_zero) = (with(f32::NAN), with(-0.0));
+        assert!(!zeros.bits_eq(&nan), "a NaN differs from 0.0");
+        assert!(!nan.bits_eq(&with(1.0)), "a NaN differs from a number");
+        assert!(
+            nan.bits_eq(&with(f32::NAN)),
+            "the same NaN is the same bits"
+        );
+        assert!(!zeros.bits_eq(&neg_zero), "-0.0 differs from 0.0");
+        // `==` on floats would have passed both.
+        assert_eq!(neg_zero.data(), zeros.data());
+    }
+
+    /// Blocks of `spb` samples per feature, in buffer order.
+    fn tiles(out: &FusedOutput, spb: u32) -> Vec<(usize, Range<u32>)> {
+        (0..out.num_features())
+            .flat_map(|f| {
+                (0..out.batch_size().div_ceil(spb))
+                    .map(move |b| (f, b * spb..((b + 1) * spb).min(out.batch_size())))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn split_blocks_mut_tiles_the_buffer() {
+        let m = ModelPreset::B.scaled(0.005);
+        let mut out = FusedOutput::zeros(&m, 10);
+        let blocks = tiles(&out, 4);
+        let lens: Vec<usize> = out
+            .split_blocks_mut(blocks.clone())
+            .iter()
+            .map(|r| r.len())
+            .collect();
+        let want: Vec<usize> = blocks
+            .iter()
+            .map(|(f, s)| s.len() * m.features[*f].emb_dim as usize)
+            .collect();
+        assert_eq!(lens, want);
+        out.split_blocks_mut(blocks)[1][0] = 5.0;
+        assert_eq!(
+            out.sample(0, 4)[0],
+            5.0,
+            "block 1 of feature 0 starts at sample 4"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "feature 1 sample 8: no block writes it")]
+    fn split_blocks_mut_rejects_an_unwritten_sample() {
+        let m = ModelPreset::B.scaled(0.005);
+        let mut out = FusedOutput::zeros(&m, 10);
+        let mut blocks = tiles(&out, 4);
+        blocks.remove(5); // feature 1's last block, samples 8..10
+        out.split_blocks_mut(blocks);
+    }
+
+    #[test]
+    #[should_panic(expected = "feature 2 sample 4: two blocks write it")]
+    fn split_blocks_mut_rejects_a_sample_written_twice() {
+        let m = ModelPreset::B.scaled(0.005);
+        let mut out = FusedOutput::zeros(&m, 10);
+        let mut blocks = tiles(&out, 4);
+        blocks.insert(8, blocks[7].clone()); // feature 2, samples 4..8
+        out.split_blocks_mut(blocks);
     }
 }

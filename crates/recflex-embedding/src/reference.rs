@@ -137,6 +137,6 @@ mod tests {
         let batch = Batch::generate(&m, 16, 11);
         let a = reference_model_output(&m, &ts, &batch);
         let b = reference_model_output(&m, &ts, &batch);
-        assert_eq!(a.max_abs_diff(&b), 0.0);
+        assert!(a.bits_eq(&b));
     }
 }

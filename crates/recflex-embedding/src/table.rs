@@ -6,6 +6,14 @@
 //! `(table seed, row, dim)` — O(1) memory, yet every lookup is a concrete
 //! reproducible `f32`, so functional correctness of schedules is fully
 //! testable. [`DenseTable`] materializes real weights for small tests.
+//!
+//! Hashing is the whole cost of a virtual lookup, so
+//! [`VirtualTable::read_row`] fills a row in one branch-free loop that the
+//! compiler vectorizes: built once for AVX-512DQ (64-bit lane multiplies),
+//! once for AVX2, and once for the baseline target, with the widest the
+//! running CPU supports chosen at run time. Each variant computes exactly
+//! [`VirtualTable::value`]'s bits: the hash is integer arithmetic, and the
+//! float steps are exact or round once, the same way.
 
 use recflex_data::ModelConfig;
 
@@ -50,6 +58,51 @@ impl VirtualTable {
     pub fn new(seed: u64, rows: u32, dim: u32) -> Self {
         VirtualTable { seed, rows, dim }
     }
+
+    /// The hash key of `(row, 0)`: element `d` hashes `row_key(row) ^ d`.
+    fn row_key(&self, row: u32) -> u64 {
+        self.seed ^ ((row as u64) << 32)
+    }
+}
+
+/// Fill `out` with elements `0..out.len()` of the row whose hash key is
+/// `key`, bit-identical to [`VirtualTable::value`]. The top 24 hash bits
+/// `k` convert to `f32` exactly, even through `i32`; `k · 2⁻²³` equals
+/// `value`'s `2 · (k / 2²⁴)` exactly, as both only scale by powers of two;
+/// the subtraction of 1 is the one rounding step in both. Rust never fuses
+/// the multiply and the subtraction into an FMA.
+///
+/// Always inlined, so that each `#[target_feature]` wrapper below compiles
+/// its own copy of the loop with that wrapper's instruction set.
+#[inline(always)]
+fn fill_row(key: u64, out: &mut [f32]) {
+    for (d, slot) in out.iter_mut().enumerate() {
+        let k = (splitmix64(key ^ d as u64) >> 40) as i32;
+        *slot = k as f32 * (1.0 / (1u32 << 23) as f32) - 1.0;
+    }
+}
+
+/// [`fill_row`] built for AVX-512F and AVX-512DQ, whose 64-bit lane
+/// multiply vectorizes the hash eight lanes wide.
+///
+/// # Safety
+///
+/// The running CPU must support AVX-512F and AVX-512DQ.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+unsafe fn fill_row_avx512dq(key: u64, out: &mut [f32]) {
+    fill_row(key, out)
+}
+
+/// [`fill_row`] built for AVX2.
+///
+/// # Safety
+///
+/// The running CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn fill_row_avx2(key: u64, out: &mut [f32]) {
+    fill_row(key, out)
 }
 
 impl EmbTable for VirtualTable {
@@ -66,6 +119,27 @@ impl EmbTable for VirtualTable {
         // Map the top 24 bits to (-1, 1).
         let m = (h >> 40) as f32 / (1u64 << 24) as f32;
         2.0 * m - 1.0
+    }
+
+    /// The row through the widest vector loop the running CPU supports.
+    fn read_row(&self, row: u32, out: &mut [f32]) {
+        debug_assert!(row < self.rows);
+        debug_assert_eq!(out.len(), self.dim as usize);
+        let key = self.row_key(row);
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq") {
+                // SAFETY: `is_x86_feature_detected!` just found AVX-512F
+                // and AVX-512DQ on this CPU.
+                return unsafe { fill_row_avx512dq(key, out) };
+            }
+            if is_x86_feature_detected!("avx2") {
+                // SAFETY: `is_x86_feature_detected!` just found AVX2 on
+                // this CPU.
+                return unsafe { fill_row_avx2(key, out) };
+            }
+        }
+        fill_row(key, out)
     }
 }
 
@@ -186,11 +260,52 @@ mod tests {
 
     #[test]
     fn read_row_copies_all_dims() {
-        let t = VirtualTable::new(1, 10, 12);
+        // The trait's default, which `DenseTable` uses.
+        let t = DenseTable::from_virtual(&VirtualTable::new(1, 10, 12));
         let mut row = vec![0.0; 12];
         t.read_row(3, &mut row);
         for (d, &x) in row.iter().enumerate() {
             assert_eq!(x, t.value(3, d as u32));
+        }
+    }
+
+    #[test]
+    fn every_row_read_variant_equals_value_bitwise() {
+        type Fill = Box<dyn Fn(u64, &mut [f32])>;
+        let mut variants: Vec<(&str, Fill)> = vec![("portable", Box::new(fill_row))];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx2") {
+                // SAFETY: `is_x86_feature_detected!` just found AVX2.
+                variants.push(("avx2", Box::new(|k, o| unsafe { fill_row_avx2(k, o) })));
+            }
+            if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq") {
+                // SAFETY: `is_x86_feature_detected!` just found AVX-512F
+                // and AVX-512DQ.
+                variants.push((
+                    "avx512dq",
+                    Box::new(|k, o| unsafe { fill_row_avx512dq(k, o) }),
+                ));
+            }
+        }
+        let rows = 1000;
+        for seed in [0, 42, u64::MAX] {
+            for dim in 1..=130 {
+                let t = VirtualTable::new(seed, rows, dim);
+                let random = (splitmix64(seed ^ dim as u64) % rows as u64) as u32;
+                for row in [0, 1, rows - 1, random] {
+                    let want: Vec<u32> = (0..dim).map(|d| t.value(row, d).to_bits()).collect();
+                    let mut got = vec![f32::NAN; dim as usize];
+                    t.read_row(row, &mut got);
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got), want, "read_row seed {seed} dim {dim} row {row}");
+                    for (name, fill) in &variants {
+                        got.fill(f32::NAN);
+                        fill(t.row_key(row), &mut got);
+                        assert_eq!(bits(&got), want, "{name} seed {seed} dim {dim} row {row}");
+                    }
+                }
+            }
         }
     }
 

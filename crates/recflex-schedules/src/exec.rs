@@ -1,30 +1,28 @@
-//! Functional execution of schedules.
+//! Functional execution of schedules, one block at a time.
 //!
 //! Every schedule computes the same mathematical function — sum pooling of
 //! the looked-up rows per sample — they differ only in how the work maps to
-//! hardware, which the analytic profiles capture. Functional execution
-//! therefore accumulates each sample's rows **in CSR order** regardless of
-//! the simulated thread mapping, so all schedules, the fused kernel and the
-//! baselines produce output bit-identical to the scalar reference. (On a
-//! real GPU the tree reductions of `SamplePerBlock` would reassociate the
-//! sum; fixing the order here is what makes exact equality testing
-//! possible, and is documented as a deliberate substitution in DESIGN.md.)
+//! hardware, which the analytic profiles capture. A block pools the samples
+//! [`ScheduleInstance::block_samples`] assigns it, the same samples its
+//! profile times, into its own slice of the output, so the fused-kernel
+//! executor can run blocks in parallel. Each row is read whole through
+//! [`EmbTable::read_row`] (a vectorized loop on virtual tables) and added
+//! to the sample's slot **in CSR order** regardless of the simulated thread
+//! mapping, so every schedule, the fused kernel and the baselines produce
+//! output bit-identical to the scalar reference. (On a real GPU the tree
+//! reductions of `SamplePerBlock` would reassociate the sum; fixing the
+//! order here is what makes exact equality testing possible, and is
+//! documented as a deliberate substitution in DESIGN.md.)
 
 use crate::template::ScheduleInstance;
 use recflex_data::FeatureBatch;
-use recflex_embedding::{reference_pooled, EmbTable};
+use recflex_embedding::EmbTable;
 
 impl ScheduleInstance {
-    /// Execute this schedule's feature over a whole batch: `out` is
-    /// `batch × dim`, sample-row-major.
-    pub fn execute<T: EmbTable>(&self, table: &T, fb: &FeatureBatch, out: &mut [f32]) {
-        debug_assert_eq!(table.dim(), self.emb_dim);
-        reference_pooled(table, fb, out);
-    }
-
-    /// Execute only the samples owned by block `rel_bidx` (used by the
-    /// fused-kernel executor, whose blocks own disjoint sample ranges).
-    /// `out` is still the feature's full `batch × dim` buffer.
+    /// Pool the samples `s0..s1` that [`Self::block_samples`] assigns
+    /// block `rel_bidx` into `out`, which holds exactly those samples'
+    /// rows: `(s1 − s0) × dim`, sample-row-major. A block past the batch
+    /// owns no samples and takes an empty `out`.
     pub fn execute_block<T: EmbTable>(
         &self,
         table: &T,
@@ -32,17 +30,21 @@ impl ScheduleInstance {
         rel_bidx: u32,
         out: &mut [f32],
     ) {
+        debug_assert_eq!(table.dim(), self.emb_dim);
         let dim = self.emb_dim as usize;
-        let batch = fb.batch_size();
-        let spb = self.samples_per_block();
-        let s0 = rel_bidx.saturating_mul(spb).min(batch);
-        let s1 = (s0 + spb).min(batch);
-        for s in s0..s1 {
-            let dst = &mut out[s as usize * dim..(s as usize + 1) * dim];
+        let (s0, s1) = self.block_samples(fb, rel_bidx).unwrap_or((0, 0));
+        assert_eq!(
+            out.len(),
+            (s1 - s0) as usize * dim,
+            "block {rel_bidx} owns samples {s0}..{s1}"
+        );
+        let mut row = vec![0.0f32; dim];
+        for (s, dst) in (s0..s1).zip(out.chunks_exact_mut(dim.max(1))) {
             dst.fill(0.0);
-            for &row in fb.sample_indices(s) {
-                for (d, slot) in dst.iter_mut().enumerate() {
-                    *slot += table.value(row, d as u32);
+            for &r in fb.sample_indices(s) {
+                table.read_row(r, &mut row);
+                for (slot, &v) in dst.iter_mut().zip(&row) {
+                    *slot += v;
                 }
             }
         }
@@ -54,7 +56,7 @@ mod tests {
     use super::*;
     use crate::template::{ScheduleKind, ScheduleParams};
     use recflex_data::{FeatureSpec, PoolingDist};
-    use recflex_embedding::{FeatureWorkload, VirtualTable};
+    use recflex_embedding::{reference_pooled, FeatureWorkload, VirtualTable};
 
     fn spec(dim: u32) -> FeatureSpec {
         FeatureSpec {
@@ -96,47 +98,33 @@ mod tests {
     }
 
     #[test]
-    fn every_kind_matches_reference_bitwise() {
-        let dim = 16;
-        let s = spec(dim);
-        let fb = FeatureBatch::generate(&s, 96, 33);
-        let table = VirtualTable::new(9, 500, dim);
-        let mut golden = vec![0.0; 96 * dim as usize];
-        reference_pooled(&table, &fb, &mut golden);
-        for sched in all_kinds(dim) {
-            let mut out = vec![7.0; 96 * dim as usize];
-            sched.execute(&table, &fb, &mut out);
-            assert_eq!(out, golden, "{:?} diverged", sched.kind);
-        }
-    }
-
-    #[test]
-    fn blockwise_execution_equals_whole_feature() {
-        let dim = 8;
-        let s = spec(dim);
-        let fb = FeatureBatch::generate(&s, 77, 5);
-        let table = VirtualTable::new(4, 500, dim);
-        let w = FeatureWorkload::analyze(0, &fb, dim, 500);
-        for sched in all_kinds(dim) {
-            let mut whole = vec![0.0; 77 * dim as usize];
-            sched.execute(&table, &fb, &mut whole);
-            let mut by_blocks = vec![0.0; 77 * dim as usize];
-            for b in 0..sched.required_blocks(&w) {
-                sched.execute_block(&table, &fb, b, &mut by_blocks);
+    fn every_kind_executed_block_by_block_matches_reference_bitwise() {
+        for (dim, batch, data_seed, table_seed) in [(16, 96, 33, 9), (8, 77, 5, 4)] {
+            let fb = FeatureBatch::generate(&spec(dim), batch, data_seed);
+            let table = VirtualTable::new(table_seed, 500, dim);
+            let w = FeatureWorkload::analyze(0, &fb, dim, 500);
+            let mut golden = vec![0.0; (batch * dim) as usize];
+            reference_pooled(&table, &fb, &mut golden);
+            for sched in all_kinds(dim) {
+                let mut out = vec![7.0; (batch * dim) as usize];
+                for b in 0..sched.required_blocks(&w) {
+                    let (s0, s1) = sched.block_samples(&fb, b).unwrap();
+                    let dst = &mut out[(s0 * dim) as usize..(s1 * dim) as usize];
+                    sched.execute_block(&table, &fb, b, dst);
+                }
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&out), bits(&golden), "{:?} diverged", sched.kind);
             }
-            assert_eq!(whole, by_blocks, "{:?} block split diverged", sched.kind);
         }
     }
 
     #[test]
-    fn out_of_range_block_writes_nothing() {
+    fn out_of_range_block_owns_no_samples() {
         let dim = 8;
-        let s = spec(dim);
-        let fb = FeatureBatch::generate(&s, 16, 5);
+        let fb = FeatureBatch::generate(&spec(dim), 16, 5);
         let table = VirtualTable::new(4, 500, dim);
         let sched = &all_kinds(dim)[2];
-        let mut out = vec![3.0; 16 * dim as usize];
-        sched.execute_block(&table, &fb, 999, &mut out);
-        assert!(out.iter().all(|&x| x == 3.0));
+        assert_eq!(sched.block_samples(&fb, 999), None);
+        sched.execute_block(&table, &fb, 999, &mut []);
     }
 }

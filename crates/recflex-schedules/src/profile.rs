@@ -121,14 +121,6 @@ impl ScheduleInstance {
         p
     }
 
-    /// Samples `s0..s1` of block `rel_bidx`, or `None` past the batch.
-    fn block_samples(&self, fb: &FeatureBatch, rel_bidx: u32) -> Option<(u32, u32)> {
-        let batch = fb.batch_size();
-        let spb = self.samples_per_block();
-        let s0 = rel_bidx.saturating_mul(spb);
-        (s0 < batch).then(|| (s0, (s0 + spb).min(batch)))
-    }
-
     /// The profile of samples `s0..s1` before the finishing step.
     fn unfinished_profile(
         &self,

@@ -1,5 +1,6 @@
 //! Schedule kinds, tunable parameters and resource footprints.
 
+use recflex_data::FeatureBatch;
 use recflex_embedding::FeatureWorkload;
 use recflex_sim::BlockResources;
 
@@ -162,6 +163,16 @@ impl ScheduleInstance {
     /// batch size, not on present samples.
     pub fn required_blocks(&self, w: &FeatureWorkload) -> u32 {
         w.batch_size.div_ceil(self.samples_per_block()).max(1)
+    }
+
+    /// Samples `s0..s1` of block `rel_bidx` over `fb`, or `None` past the
+    /// batch. Profiling and functional execution both ask this, so they
+    /// agree on which samples a block owns.
+    pub fn block_samples(&self, fb: &FeatureBatch, rel_bidx: u32) -> Option<(u32, u32)> {
+        let batch = fb.batch_size();
+        let spb = self.samples_per_block();
+        let s0 = rel_bidx.saturating_mul(spb);
+        (s0 < batch).then(|| (s0, (s0 + spb).min(batch)))
     }
 
     /// Stable display name, e.g. `warp_t128_v4_u2`.
