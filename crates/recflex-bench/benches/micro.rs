@@ -15,7 +15,11 @@
 //!   pool around the grid size below which `launch` stays inline;
 //! * `exec/reference_pooling_50f_128b` and `exec/fused_execute_50f_128b` —
 //!   one batch pooled by the scalar reference and by the fused kernel's
-//!   task-map executor.
+//!   task-map executor;
+//! * `data/generate_*` — synthesizing one request: `serve-longtail`'s
+//!   largest (2 560 samples of model A at 0.03) and two of
+//!   `serve-smallreq`'s (8 and 3 samples of model A at 0.05), the first
+//!   two drawn on the pool and the last inline.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -248,6 +252,20 @@ fn bench_functional_exec(c: &mut Criterion) {
     });
 }
 
+fn bench_generate(c: &mut Criterion) {
+    for (frac, samples) in [(0.03, 2560), (0.05, 8), (0.05, 3)] {
+        let m = ModelPreset::A.scaled(frac);
+        let name = format!("data/generate_{samples}x{}f", m.features.len());
+        let mut seed = 0u64;
+        c.bench_function(&name, |b| {
+            b.iter(|| {
+                seed += 1;
+                black_box(Batch::generate(&m, samples, seed))
+            })
+        });
+    }
+}
+
 criterion_group!(
     benches,
     bench_occupancy,
@@ -261,6 +279,7 @@ criterion_group!(
     bench_local_stage,
     bench_cache_plan,
     bench_batch_split,
-    bench_functional_exec
+    bench_functional_exec,
+    bench_generate
 );
 criterion_main!(benches);

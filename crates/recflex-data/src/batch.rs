@@ -4,8 +4,19 @@
 //! inputs: `offsets[s]..offsets[s+1]` are the positions in `indices` holding
 //! sample `s`'s lookup IDs. This is the structure the host-side workload
 //! analysis (paper Section IV-B) scans to build the runtime thread mapping.
+//!
+//! Synthesis ([`FeatureBatch::generate`]) runs in two passes. The first
+//! takes every random draw in a fixed order: per sample the coverage
+//! draw, the pooling factor, then one uniform `u` per lookup. The second
+//! maps each `u` to its skewed row in one vectorized loop that is exact
+//! by construction: it decides a row only when a margin proves it equal
+//! to libm's `powf` expression and computes every other row with that
+//! expression. So every batch is a pure function of its seed, and equal
+//! bit for bit to what one `powf` per lookup gives. [`Batch::generate`]
+//! draws small batches inline and larger ones on the pool.
 
 use crate::feature::{FeatureSpec, ModelConfig};
+use crate::row_draw;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
@@ -15,6 +26,8 @@ use std::cell::RefCell;
 thread_local! {
     /// [`FeatureBatch::unique_rows`]'s row bitmap: all zero between calls.
     static SEEN_ROWS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+    /// [`FeatureBatch::generate`]'s uniform lookup draws, reused per thread.
+    static DRAWS: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Lookup indices of one feature for one batch, in CSR form.
@@ -145,24 +158,42 @@ impl FeatureBatch {
     }
 
     /// Generate a CSR for `spec` with `batch_size` samples from `seed`.
+    ///
+    /// Sample by sample, a coverage draw decides whether the feature is
+    /// present, `spec.pooling` draws its lookup count, and each lookup
+    /// draws `u ∈ [0, 1)`; its row is `min(⌊rows · u^(1+row_skew)⌋, rows −
+    /// 1)`. The draws are taken first, in that order; the rows are then
+    /// mapped in one vectorized pass that falls back to libm's `powf`
+    /// wherever it cannot prove its row equal (the module docs), so the
+    /// output is a pure function of `(spec, batch_size, seed)`.
+    ///
+    /// # Panics
+    ///
+    /// If `spec.table_rows` is 0: no row exists to look up.
     pub fn generate(spec: &FeatureSpec, batch_size: u32, seed: u64) -> Self {
+        assert!(
+            spec.table_rows > 0,
+            "FeatureBatch::generate: feature `{}` has a table of 0 rows",
+            spec.name
+        );
         let mut rng = StdRng::seed_from_u64(seed);
         let mut offsets = Vec::with_capacity(batch_size as usize + 1);
-        let mut indices = Vec::new();
         offsets.push(0u32);
-        for _ in 0..batch_size {
-            let present = spec.coverage >= 1.0 || rng.gen_range(0.0..1.0) < spec.coverage;
-            if present {
-                let pf = spec.pooling.sample(&mut rng);
-                for _ in 0..pf {
-                    let u: f64 = rng.gen_range(0.0..1.0);
-                    let row = (spec.table_rows as f64 * u.powf(1.0 + spec.row_skew)) as u32;
-                    indices.push(row.min(spec.table_rows - 1));
+        DRAWS.with(|draws| {
+            let mut draws = draws.borrow_mut();
+            draws.clear();
+            for _ in 0..batch_size {
+                let present = spec.coverage >= 1.0 || rng.gen_range(0.0..1.0) < spec.coverage;
+                if present {
+                    let pf = spec.pooling.sample(&mut rng);
+                    draws.extend((0..pf).map(|_| rng.gen_range(0.0..1.0)));
                 }
+                offsets.push(draws.len() as u32);
             }
-            offsets.push(indices.len() as u32);
-        }
-        FeatureBatch { offsets, indices }
+            let mut indices = vec![0; draws.len()];
+            row_draw::map_rows(&draws, 1.0 + spec.row_skew, spec.table_rows, &mut indices);
+            FeatureBatch { offsets, indices }
+        })
     }
 }
 
@@ -183,6 +214,17 @@ impl std::fmt::Display for SplitError {
 
 impl std::error::Error for SplitError {}
 
+/// Expected lookups (`batch_size × Σ expected_lookups_per_sample`) from
+/// which [`Batch::generate`] draws features on the pool rather than inline.
+///
+/// Waking the pool costs more than it saves on small batches. One batch of
+/// model A at 0.03 and 0.05 (30 and 50 features), median of 9 runs on a
+/// 2-worker pool, 2-vCPU AVX-512 VM: the pool took 1.36× the inline time
+/// at 1 254 expected lookups and 1.03–1.19× at 1 800–2 700, but 0.89–0.93×
+/// at 3 800–4 100 and 0.66–0.86× from 5 000 to 20 000. The break-even
+/// lies between 2 700 and 3 800 lookups; this is the next power of two.
+const POOL_MIN_LOOKUPS: f64 = 4_096.0;
+
 /// One inference request: a CSR per feature, all with the same batch size.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Batch {
@@ -193,21 +235,31 @@ pub struct Batch {
 }
 
 impl Batch {
-    /// Synthesize one batch for `model` (parallel across features,
-    /// deterministic: each feature derives its own seed).
+    /// Synthesize one batch for `model`: feature `i` is
+    /// [`FeatureBatch::generate`] from a seed derived from `seed` and `i`,
+    /// so the batch is deterministic. Features go to the pool only when
+    /// the batch expects at least 4 096 lookups (`batch_size × Σ
+    /// expected_lookups_per_sample`), where the pool starts to pay;
+    /// smaller batches are drawn in order on the calling thread. Both
+    /// paths give the same batch, because `collect` keeps feature order.
     pub fn generate(model: &ModelConfig, batch_size: u32, seed: u64) -> Self {
-        let features: Vec<FeatureBatch> = model
+        let feature = |(i, spec): (usize, &FeatureSpec)| {
+            let fseed = seed
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .wrapping_add(i as u64)
+                .rotate_left(17);
+            FeatureBatch::generate(spec, batch_size, fseed)
+        };
+        let per_sample: f64 = model
             .features
-            .par_iter()
-            .enumerate()
-            .map(|(i, spec)| {
-                let fseed = seed
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    .wrapping_add(i as u64)
-                    .rotate_left(17);
-                FeatureBatch::generate(spec, batch_size, fseed)
-            })
-            .collect();
+            .iter()
+            .map(FeatureSpec::expected_lookups_per_sample)
+            .sum();
+        let features = if batch_size as f64 * per_sample >= POOL_MIN_LOOKUPS {
+            model.features.par_iter().enumerate().map(feature).collect()
+        } else {
+            model.features.iter().enumerate().map(feature).collect()
+        };
         Batch {
             batch_size,
             features,
@@ -497,6 +549,124 @@ mod tests {
                 );
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod generate_oracle {
+    use super::*;
+    use crate::models::ModelPreset;
+    use proptest::prelude::*;
+
+    /// The one-pass generator, frozen as the reference: one `powf` per
+    /// lookup, inside the draw loop. Every generated batch must equal it
+    /// bit for bit.
+    fn reference_feature(spec: &FeatureSpec, batch_size: u32, seed: u64) -> FeatureBatch {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut offsets = Vec::with_capacity(batch_size as usize + 1);
+        let mut indices = Vec::new();
+        offsets.push(0u32);
+        for _ in 0..batch_size {
+            let present = spec.coverage >= 1.0 || rng.gen_range(0.0..1.0) < spec.coverage;
+            if present {
+                let pf = spec.pooling.sample(&mut rng);
+                for _ in 0..pf {
+                    let u: f64 = rng.gen_range(0.0..1.0);
+                    let row = (spec.table_rows as f64 * u.powf(1.0 + spec.row_skew)) as u32;
+                    indices.push(row.min(spec.table_rows - 1));
+                }
+            }
+            offsets.push(indices.len() as u32);
+        }
+        FeatureBatch { offsets, indices }
+    }
+
+    /// `Batch::generate`'s seeding over [`reference_feature`], one feature
+    /// after another.
+    fn reference_batch(model: &ModelConfig, batch_size: u32, seed: u64) -> Batch {
+        let features = (0..model.features.len())
+            .map(|i| {
+                let fseed = seed
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    .wrapping_add(i as u64)
+                    .rotate_left(17);
+                reference_feature(&model.features[i], batch_size, fseed)
+            })
+            .collect();
+        Batch {
+            batch_size,
+            features,
+        }
+    }
+
+    const PRESETS: [ModelPreset; 7] = [
+        ModelPreset::A,
+        ModelPreset::B,
+        ModelPreset::C,
+        ModelPreset::D,
+        ModelPreset::E,
+        ModelPreset::MLPerfLike,
+        ModelPreset::Scale10k,
+    ];
+
+    proptest! {
+        #[test]
+        fn generate_equals_the_frozen_powf_generator(
+            preset in 0usize..7,
+            permille in 2u32..12,
+            batch_size in 1u32..=300,
+            pick in 0u64..4,
+            raw in 0u64..=u64::MAX,
+        ) {
+            // Scale10k has ten times the features; keep its models as small.
+            let frac = permille as f64 / if preset == 6 { 10_000.0 } else { 1_000.0 };
+            let model = PRESETS[preset].scaled(frac);
+            let seed = match pick {
+                0 => 0,
+                1 => u64::MAX,
+                _ => raw,
+            };
+            let want = reference_batch(&model, batch_size, seed);
+            prop_assert_eq!(&Batch::generate(&model, batch_size, seed), &want);
+            let spec = &model.features[raw as usize % model.features.len()];
+            prop_assert_eq!(
+                FeatureBatch::generate(spec, batch_size, seed),
+                reference_feature(spec, batch_size, seed)
+            );
+        }
+    }
+
+    #[test]
+    fn both_sides_of_the_pool_threshold_equal_the_reference() {
+        let model = ModelPreset::A.scaled(0.01);
+        let per_sample: f64 = model
+            .features
+            .iter()
+            .map(FeatureSpec::expected_lookups_per_sample)
+            .sum();
+        let inline = (POOL_MIN_LOOKUPS / per_sample).floor() as u32;
+        assert!(inline >= 1, "the smallest batch must draw inline");
+        for batch_size in [1, inline, inline + 1, 4 * inline] {
+            assert_eq!(
+                Batch::generate(&model, batch_size, 5),
+                reference_batch(&model, batch_size, 5),
+                "batch size {batch_size}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "feature `empty` has a table of 0 rows")]
+    fn generate_rejects_a_table_without_rows() {
+        let spec = FeatureSpec {
+            name: "empty".into(),
+            table_rows: 0,
+            emb_dim: 4,
+            pooling: crate::PoolingDist::OneHot,
+            coverage: 1.0,
+            row_skew: 0.0,
+        };
+        FeatureBatch::generate(&spec, 4, 1);
     }
 }
 

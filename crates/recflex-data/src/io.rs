@@ -66,8 +66,8 @@ pub fn save_dataset(path: &Path, model: &ModelConfig, dataset: &Dataset) -> Resu
     Ok(())
 }
 
-/// Load a model + dataset from a JSON file, validating every batch
-/// against the model before returning.
+/// Load a model + dataset from a JSON file, validating the model
+/// ([`load_model`]'s check) and every batch against it before returning.
 pub fn load_dataset(path: &Path) -> Result<(ModelConfig, Dataset), IoError> {
     let json = fs::read_to_string(path)?;
     let file: DatasetFile =
@@ -78,6 +78,7 @@ pub fn load_dataset(path: &Path) -> Result<(ModelConfig, Dataset), IoError> {
             file.version
         )));
     }
+    check_tables(&file.model)?;
     for (i, b) in file.batches.iter().enumerate() {
         b.validate(&file.model)
             .map_err(|e| IoError::Format(format!("batch {i}: {e}")))?;
@@ -92,15 +93,33 @@ pub fn save_model(path: &Path, model: &ModelConfig) -> Result<(), IoError> {
     Ok(())
 }
 
-/// Load a model configuration.
+/// Load a model configuration, rejecting a feature whose table has no
+/// rows: nothing could be looked up in it, and generating its batches
+/// would panic.
 pub fn load_model(path: &Path) -> Result<ModelConfig, IoError> {
     let json = fs::read_to_string(path)?;
-    serde_json::from_str(&json).map_err(|e| IoError::Format(e.to_string()))
+    let model = serde_json::from_str(&json).map_err(|e| IoError::Format(e.to_string()))?;
+    check_tables(&model)?;
+    Ok(model)
+}
+
+/// [`IoError::Format`] naming the first feature with `table_rows == 0`.
+fn check_tables(model: &ModelConfig) -> Result<(), IoError> {
+    for (i, f) in model.features.iter().enumerate() {
+        if f.table_rows == 0 {
+            return Err(IoError::Format(format!(
+                "feature {i} (`{}`): table has 0 rows",
+                f.name
+            )));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::FeatureBatch;
     use crate::models::ModelPreset;
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -171,6 +190,47 @@ mod tests {
         let path = tmp("version.json");
         fs::write(&path, serde_json::to_string(&file).unwrap()).unwrap();
         assert!(matches!(load_dataset(&path), Err(IoError::Format(_))));
+        let _ = fs::remove_file(path);
+    }
+
+    /// `model` with feature 1's table emptied.
+    fn without_rows(mut model: ModelConfig) -> ModelConfig {
+        model.features[1].table_rows = 0;
+        model
+    }
+
+    fn assert_names_feature_1<T>(result: Result<T, IoError>) {
+        match result {
+            Err(IoError::Format(m)) => assert!(m.starts_with("feature 1 (`f"), "{m}"),
+            Err(e) => panic!("expected a format error, got {e}"),
+            Ok(_) => panic!("expected a format error, the file loaded"),
+        }
+    }
+
+    #[test]
+    fn load_model_rejects_a_table_without_rows() {
+        let m = without_rows(ModelPreset::D.scaled(0.01));
+        let path = tmp("zero_rows_model.json");
+        fs::write(&path, serde_json::to_string(&m).unwrap()).unwrap();
+        assert_names_feature_1(load_model(&path));
+        let _ = fs::remove_file(path);
+    }
+
+    #[test]
+    fn load_dataset_rejects_a_table_without_rows() {
+        let m = ModelPreset::A.scaled(0.005);
+        let ds = Dataset::synthesize(&m, 1, 8, 3);
+        let mut file = DatasetFile {
+            version: FORMAT_VERSION,
+            model: without_rows(m),
+            batches: ds.batches().to_vec(),
+        };
+        // Empty CSRs pass the batch checks: only the model is at fault.
+        file.batches[0].features[1] = FeatureBatch::empty(8);
+        file.batches[0].validate(&file.model).unwrap();
+        let path = tmp("zero_rows_dataset.json");
+        fs::write(&path, serde_json::to_string(&file).unwrap()).unwrap();
+        assert_names_feature_1(load_dataset(&path));
         let _ = fs::remove_file(path);
     }
 

@@ -29,6 +29,7 @@ pub mod io;
 pub mod models;
 pub mod pipeline;
 pub mod placement;
+mod row_draw;
 pub mod shift;
 
 pub use batch::{Batch, FeatureBatch, SplitError};
