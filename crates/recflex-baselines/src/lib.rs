@@ -47,6 +47,7 @@ pub use recom::RecomBackend;
 pub use tensorflow::TensorFlowBackend;
 pub use torchrec::TorchRecBackend;
 
+use rayon::prelude::*;
 use recflex_data::{Batch, ModelConfig};
 use recflex_embedding::{FusedOutput, TableSet};
 use recflex_sim::launch::LaunchError;
@@ -135,6 +136,11 @@ impl From<LaunchError> for BackendError {
 /// A backend whose functional output is expensive overrides `cost` with
 /// its launch simulation alone and writes `run` as that path plus the
 /// pooling, so the two cannot drift apart.
+///
+/// `run` and `cost` must be pure functions of their arguments: a result
+/// may not depend on call order or on any other call, because a serving
+/// tier prices the shards of one chunk at once ([`cost_each`]). A
+/// decorator may record calls, but must not change their results.
 pub trait Backend: Sync {
     /// Display name ("TensorFlow", "RECom", …).
     fn name(&self) -> &'static str;
@@ -166,6 +172,22 @@ pub trait Backend: Sync {
     ) -> Result<CostReport, BackendError> {
         self.run(model, tables, batch, arch).map(|run| run.cost())
     }
+}
+
+/// Run `price` on every job at once on the rayon pool and return the
+/// results in job order.
+///
+/// The pool collects by index, so folding the results in order sees the
+/// same values, and the same first error, as a sequential loop over
+/// `jobs` would: a serving tier prices the shards of one chunk this way.
+/// `price` may only read shared state, and every [`Backend`] it calls
+/// must keep the trait's purity contract. With one pool thread
+/// (`RECFLEX_THREADS=1`) the jobs run in order on the calling thread.
+pub fn cost_each<J: Sync>(
+    jobs: &[J],
+    price: impl Fn(&J) -> Result<CostReport, BackendError> + Send + Sync,
+) -> Vec<Result<CostReport, BackendError>> {
+    jobs.par_iter().map(price).collect()
 }
 
 /// A borrowed backend is a backend: a serving tier can own a lane that

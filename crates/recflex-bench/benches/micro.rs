@@ -11,6 +11,8 @@
 //! * `host/cost_small_chunk` and `host/unique_rows_35k` — the per-chunk
 //!   price of timing-only serving on small requests, and the distinct-row
 //!   count behind its workload analysis;
+//! * `host/shard_fanout_*` — one chunk priced over a tier's lanes, shard
+//!   by shard inline and all at once on a 2-worker pool;
 //! * `sim/profile_blocks/*` — block profiling inline and on a 2-worker
 //!   pool around the grid size below which `launch` stays inline;
 //! * `exec/reference_pooling_50f_128b` and `exec/fused_execute_50f_128b` —
@@ -25,7 +27,9 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
 use rayon::prelude::*;
+use recflex_baselines::{cost_each, Backend};
 use recflex_compiler::{FusedKernelObject, FusedSpec, TaskMap};
+use recflex_core::RecFlexEngine;
 use recflex_data::{
     Batch, Dataset, FeatureBatch, FeatureSpec, ModelConfig, ModelPreset, Placement, PoolingDist,
 };
@@ -128,6 +132,49 @@ fn bench_cost_small_chunk(c: &mut Criterion) {
             )
         })
     });
+}
+
+fn bench_shard_fanout(c: &mut Criterion) {
+    // One chunk priced over a tier's tuned lanes — each shard's projection
+    // plus `Backend::cost` — shard by shard on this thread, and through
+    // `cost_each` on a 2-worker pool: `serve-longtail`'s shape (model A at
+    // 0.03 over 2 shards, a 256-sample chunk) and `serve-smallreq`'s (model
+    // A at 0.05 over 8 shards, a 16-sample chunk).
+    let arch = GpuArch::v100();
+    let cfg = TunerConfig {
+        occupancy_levels: Some(vec![1, 2, 4, 8, 16]),
+        tuning_batches: 3,
+        pad_fill: 2.0,
+    };
+    let pool = rayon::ThreadPool::new(2);
+    for (frac, shards, samples) in [(0.03, 2, 256), (0.05, 8, 16)] {
+        let m = ModelPreset::A.scaled(frac);
+        let history = Dataset::synthesize(&m, 3, 256, 1);
+        let costs = recflex_core::feature_cost_estimates(&m, &history, &arch);
+        let placement = Placement::balance_by_cost(shards, &costs);
+        let lanes: Vec<(usize, ModelConfig, TableSet, RecFlexEngine)> = (0..shards)
+            .map(|s| {
+                let sub = placement.sub_model(&m, s);
+                let history = Dataset::synthesize(&sub, 3, 256, 2);
+                let engine = RecFlexEngine::tune(&sub, &history, &arch, &cfg);
+                let tables = TableSet::for_model(&sub);
+                (s, sub, tables, engine)
+            })
+            .collect();
+        let chunk = Batch::generate(&m, samples, 7);
+        let price = |(s, sub, tables, engine): &(usize, ModelConfig, TableSet, RecFlexEngine)| {
+            engine.cost(sub, tables, &placement.project_batch(&chunk, *s), &arch)
+        };
+        let mut g = c.benchmark_group(&format!("host/shard_fanout_{shards}x{samples}"));
+        g.sample_size(400);
+        g.bench_function("inline", |b| {
+            b.iter(|| lanes.iter().map(price).collect::<Vec<_>>())
+        });
+        g.bench_function("pool2", |b| {
+            b.iter(|| pool.install(|| cost_each(&lanes, price)))
+        });
+        g.finish();
+    }
 }
 
 fn bench_unique_rows(c: &mut Criterion) {
@@ -274,6 +321,7 @@ criterion_group!(
     bench_thread_map,
     bench_fused_launch,
     bench_cost_small_chunk,
+    bench_shard_fanout,
     bench_unique_rows,
     bench_profile_crossover,
     bench_local_stage,

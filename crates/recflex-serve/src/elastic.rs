@@ -258,6 +258,12 @@ impl<'a> FleetRuntime<'a> {
     where
         F: FnMut(usize, usize) -> ShardedServeRuntime<'a>,
     {
+        // Requests the edge answers (gate, drain, brownout) never reach a
+        // tier, and the epoch grid spans the latest arrival: refuse a
+        // non-finite arrival up front.
+        for a in arrivals {
+            a.request.check_arrival()?;
+        }
         if chaos.is_trivial() {
             return self.serve(arrivals);
         }

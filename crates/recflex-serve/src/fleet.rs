@@ -245,6 +245,11 @@ impl<'a> FleetRuntime<'a> {
     /// every offered request has a record.
     pub fn serve_streams(&self, streams: &[Vec<Request>]) -> Result<FleetReport, ServeError> {
         self.check_shape(streams.len())?;
+        // A gate rejection never reaches the tier that would refuse a
+        // non-finite arrival.
+        for r in streams.iter().flatten() {
+            r.check_arrival()?;
+        }
         let mut models = Vec::with_capacity(self.members.len());
         let mut attained_total = 0u64;
         let mut offered_total = 0u64;
@@ -384,8 +389,8 @@ impl<'a> FleetRuntime<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::elastic::FleetChaosConfig;
-    use crate::faults::{ClassFaultKind, ClassFaultWindow, FleetFaultSpec};
+    use crate::elastic::{FleetBrownoutConfig, FleetChaosConfig};
+    use crate::faults::{ClassFaultKind, ClassFaultWindow, FleetFaultSpec, PressureSignal};
     use crate::runtime::{BatchPolicy, ServeConfig};
     use crate::workload::{FleetWorkload, ScenarioSpec, TrafficShape};
     use crate::WorkloadSpec;
@@ -719,6 +724,59 @@ mod tests {
             matches!(chaotic, Err(ServeError::Request { .. })),
             "serve_chaos: {chaotic:?}"
         );
+    }
+
+    /// Requests the fleet's edge answers (here: a gate that rejects
+    /// everything) never reach a tier, and `serve_chaos` sizes its epoch
+    /// grid from the latest arrival, so both entries refuse a non-finite
+    /// arrival themselves.
+    #[test]
+    fn non_finite_arrivals_are_request_errors() {
+        let model = ModelPreset::A.scaled(0.01);
+        let arch = GpuArch::v100();
+        let valid = scenarios(1).merged(&[&model]);
+        let brownout = FleetChaosConfig {
+            epoch_us: 1_000.0,
+            brownout: Some(FleetBrownoutConfig {
+                signal: PressureSignal::Instantaneous,
+                tighten_above: 0.01,
+                shed_above: 0.03,
+                degrade_above: 0.05,
+                gate_tighten: 1.0,
+                priorities: Vec::new(),
+            }),
+            ..outage_chaos(1)
+        };
+        let reject_all = QueryGate {
+            cost_per_sample_us: 1.0,
+            deadline_us: 0.0,
+        };
+        let bad = 3;
+        for gate in [None, Some(reject_all)] {
+            for arrival in [f64::INFINITY, f64::NAN, f64::NEG_INFINITY] {
+                let mut merged = valid.clone();
+                merged[bad].request.arrival_us = arrival;
+                let mut fleet = fleet(&model, &arch, &[0]);
+                fleet.members[0].gate = gate;
+                let no_rebuild = |_, _| panic!("no elasticity, no rebuild");
+                let plain = fleet.serve(&merged);
+                let outage = fleet.serve_chaos(&merged, &outage_chaos(1), no_rebuild);
+                let browned = fleet.serve_chaos(&merged, &brownout, no_rebuild);
+                for (path, served) in [
+                    ("serve", plain),
+                    ("serve_chaos outage", outage),
+                    ("serve_chaos brownout", browned),
+                ] {
+                    match served {
+                        Err(ServeError::Request { id, reason }) => {
+                            assert_eq!(id, merged[bad].request.id, "{path}");
+                            assert!(reason.contains("arrival_us"), "{path}: {reason}");
+                        }
+                        other => panic!("{path}, gate {gate:?}, arrival {arrival}: {other:?}"),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

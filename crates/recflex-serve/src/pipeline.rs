@@ -1364,6 +1364,38 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_arrivals_are_request_errors() -> Result<(), ServeError> {
+        let (m, arch) = setup();
+        let valid = WorkloadSpec::long_tail(300.0).stream(&m, 8, 42);
+        let pipe = PipelineRuntime::new(
+            budgeted_spec(
+                8_000.0,
+                vec![
+                    StageSpec::retrieval(64, 0.4),
+                    StageSpec::ranking(32, 0.6).with_ladder(vec![16]),
+                ],
+            ),
+            vec![
+                stage_tier(&m, &arch, 2, FaultPlan::none()),
+                stage_tier(&m, &arch, 2, FaultPlan::none()),
+            ],
+        )?;
+        let bad = 3;
+        for arrival in [f64::INFINITY, f64::NAN, f64::NEG_INFINITY] {
+            let mut reqs = valid.clone();
+            reqs[bad].arrival_us = arrival;
+            match pipe.serve(&reqs).map(|_| ()) {
+                Err(ServeError::Request { id, reason }) => {
+                    assert_eq!(id, reqs[bad].id);
+                    assert!(reason.contains("arrival_us"), "{reason}");
+                }
+                other => panic!("arrival {arrival}: {other:?}"),
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
     fn invalid_specs_are_rejected() {
         let (m, arch) = setup();
         let mk_spec = |stages: Vec<StageSpec>| budgeted_spec(10_000.0, stages);

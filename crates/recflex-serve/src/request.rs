@@ -13,6 +13,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use recflex_data::{Batch, ModelConfig, PoolingDist};
 
+use crate::runtime::ServeError;
+
 /// One timestamped inference request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Request {
@@ -22,6 +24,22 @@ pub struct Request {
     pub arrival_us: f64,
     /// The request payload.
     pub batch: Batch,
+}
+
+impl Request {
+    /// Reject a non-finite arrival time. At `+∞` the event loop would
+    /// wait forever for the arrival; `NaN` and `−∞` would be served with
+    /// a NaN or infinite latency.
+    pub(crate) fn check_arrival(&self) -> Result<(), ServeError> {
+        if self.arrival_us.is_finite() {
+            Ok(())
+        } else {
+            Err(ServeError::Request {
+                id: self.id,
+                reason: format!("arrival_us must be finite, not {}", self.arrival_us),
+            })
+        }
+    }
 }
 
 /// The statistical shape of one request stream.

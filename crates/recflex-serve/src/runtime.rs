@@ -116,9 +116,9 @@ pub enum ServeError {
     /// The configuration is unusable (e.g. a zero batch cap).
     Policy(&'static str),
     /// A request does not fit what serves it: its batch fails
-    /// [`recflex_data::Batch::validate`] against the served model, or a
-    /// fleet arrival names a scenario no member serves. Nothing was
-    /// served.
+    /// [`recflex_data::Batch::validate`] against the served model, its
+    /// arrival time is not finite, or a fleet arrival names a scenario no
+    /// member serves. Nothing was served.
     Request {
         /// The offending request's id.
         id: u64,

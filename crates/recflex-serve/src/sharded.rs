@@ -73,7 +73,7 @@
 
 use std::collections::HashMap;
 
-use recflex_baselines::Backend;
+use recflex_baselines::{cost_each, Backend, BackendError, CostReport};
 use recflex_data::{Batch, ModelConfig, Placement};
 use recflex_embedding::TableSet;
 use recflex_sim::{GpuArch, Interconnect};
@@ -317,6 +317,15 @@ impl<'a> ShardedServeRuntime<'a> {
         if self.config.slo_deadline_us.is_some_and(f64::is_nan) {
             return Err(ServeError::Policy("slo_deadline_us must not be NaN"));
         }
+        // Requests before deadlines: a pipeline stage derives each
+        // deadline from its request's arrival, and a bad arrival is the
+        // fault to name.
+        for r in requests {
+            r.check_arrival()?;
+            r.batch
+                .validate(self.model)
+                .map_err(|reason| ServeError::Request { id: r.id, reason })?;
+        }
         if let Some(d) = deadlines {
             if d.len() != requests.len() {
                 return Err(ServeError::Policy(
@@ -326,11 +335,6 @@ impl<'a> ShardedServeRuntime<'a> {
             if d.iter().any(|t| t.is_nan()) {
                 return Err(ServeError::Policy("deadlines must not be NaN"));
             }
-        }
-        for r in requests {
-            r.batch
-                .validate(self.model)
-                .map_err(|reason| ServeError::Request { id: r.id, reason })?;
         }
 
         let n = requests.len();
@@ -672,6 +676,23 @@ struct ShardedRunState {
     /// Engines the current staged rollout swapped out, restored if it
     /// aborts: `(shard, engine that served before)`.
     displaced: Vec<(usize, Option<Box<dyn Backend>>)>,
+}
+
+/// Price `batch`'s slice on each listed `(shard, engine)`: every shard's
+/// projection and `Backend::cost` run at once on the pool, as each device
+/// of a sharded deployment computes its own thread mapping. Results come
+/// back in list order, so callers fold them exactly as a sequential loop
+/// would.
+fn price_slices(
+    rt: &ShardedServeRuntime<'_>,
+    batch: &Batch,
+    engines: &[(usize, &dyn Backend)],
+) -> Vec<Result<CostReport, BackendError>> {
+    cost_each(engines, |&(s, engine)| {
+        let lane = &rt.lanes[s];
+        let slice = rt.placement.project_batch(batch, s);
+        engine.cost(&lane.model, &lane.tables, &slice, rt.arch)
+    })
 }
 
 impl ShardedRunState {
@@ -1060,14 +1081,14 @@ impl ShardedRunState {
         for &ri in &owners {
             self.remaining_chunks[ri] += 1;
         }
+        let engines: Vec<(usize, &dyn Backend)> = (0..num_shards)
+            .map(|s| (s, self.engine_of(rt, s)))
+            .collect();
         let mut work_us = Vec::with_capacity(num_shards);
         let mut launches_of = Vec::with_capacity(num_shards);
-        for dev in 0..num_shards {
-            let sub_batch = rt.placement.project_batch(&batch, dev);
-            let lane = &rt.lanes[dev];
-            let cost =
-                self.engine_of(rt, dev)
-                    .cost(&lane.model, &lane.tables, &sub_batch, rt.arch)?;
+        // Folded in shard order, so the lowest failing shard's error wins.
+        for cost in price_slices(rt, &batch, &engines) {
+            let cost = cost?;
             work_us.push(cost.latency_us);
             launches_of.push(cost.kernel_launches);
         }
@@ -1085,16 +1106,14 @@ impl ShardedRunState {
                 .machine
                 .as_ref()
                 .map_or(0, LifecycleMachine::promoted_shards);
+            let shadows: Vec<(usize, &dyn Backend)> = (start..num_shards)
+                .filter_map(|s| Some((s, self.candidates[s].as_deref()?)))
+                .collect();
             let mut inc = vec![0.0; num_shards];
             let mut cand = vec![0.0; num_shards];
             let mut shadow_err = false;
-            for s in start..num_shards {
-                let Some(engine) = self.candidates[s].as_ref() else {
-                    continue;
-                };
-                let sub_batch = rt.placement.project_batch(&batch, s);
-                let lane = &rt.lanes[s];
-                match engine.cost(&lane.model, &lane.tables, &sub_batch, rt.arch) {
+            for (&(s, _), cost) in shadows.iter().zip(price_slices(rt, &batch, &shadows)) {
+                match cost {
                     Ok(r) => {
                         inc[s] = work_us[s];
                         cand[s] = r.latency_us;
@@ -2040,12 +2059,25 @@ mod tests {
         let mut non_monotone = valid.clone();
         let offsets = &mut non_monotone[bad].batch.features[0].offsets;
         offsets[1] = offsets[2] + 1;
+        // `+∞` used to stall the event loop forever; `NaN` and `−∞` were
+        // served with a NaN or infinite latency.
+        let arriving_at = |t: f64| {
+            let mut reqs = valid.clone();
+            reqs[bad].arrival_us = t;
+            reqs
+        };
+        let never = arriving_at(f64::INFINITY);
+        let nan = arriving_at(f64::NAN);
+        let before_time = arriving_at(f64::NEG_INFINITY);
         for shards in [1, 2] {
             let rt = tier(&m, &arch, shards, load_config(), Interconnect::nvlink());
             for (reqs, why) in [
                 (&missing_feature, "feature count mismatch"),
                 (&out_of_range, "out of table range"),
                 (&non_monotone, "offsets not monotone"),
+                (&never, "arrival_us must be finite"),
+                (&nan, "arrival_us must be finite"),
+                (&before_time, "arrival_us must be finite"),
             ] {
                 match rt.serve(reqs).map(|_| ()) {
                     Err(ServeError::Request { id, reason }) => {
