@@ -13,6 +13,9 @@
 //!   count behind its workload analysis;
 //! * `host/shard_fanout_*` — one chunk priced over a tier's lanes, shard
 //!   by shard inline and all at once on a 2-worker pool;
+//! * `host/chunk_slices_8x64` — the eight shard slices of one coalesced
+//!   chunk, by `Batch::merge` plus `Placement::project_batch` and by
+//!   `Batch::gather` from the requests' sample ranges;
 //! * `sim/profile_blocks/*` — block profiling inline and on a 2-worker
 //!   pool around the grid size below which `launch` stays inline;
 //! * `exec/reference_pooling_50f_128b` and `exec/fused_execute_50f_128b` —
@@ -25,6 +28,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
+use std::ops::Range;
 
 use rayon::prelude::*;
 use recflex_baselines::{cost_each, Backend};
@@ -177,6 +181,59 @@ fn bench_shard_fanout(c: &mut Criterion) {
     }
 }
 
+fn bench_chunk_slices(c: &mut Criterion) {
+    // The eight shard slices of one 64-sample `serve-smallreq` chunk (model
+    // A at 0.05 over 8 shards), drawn from five requests: the tail of one,
+    // three whole ones and the head of the fifth. `merge_project` is the
+    // copy path of coalesced chunks before `Batch::gather`: merge the
+    // requests' pieces (themselves copies), then project the merged batch
+    // per shard. `gather` builds each slice from the ranges in one copy.
+    let arch = GpuArch::v100();
+    let m = ModelPreset::A.scaled(0.05);
+    let history = Dataset::synthesize(&m, 3, 256, 1);
+    let costs = recflex_core::feature_cost_estimates(&m, &history, &arch);
+    let placement = Placement::balance_by_cost(8, &costs);
+    let features_of: Vec<Vec<usize>> = (0..8).map(|s| placement.features_on(s)).collect();
+    let requests: Vec<Batch> = (1..)
+        .zip([20, 9, 31, 14, 25])
+        .map(|(seed, n)| Batch::generate(&m, n, seed))
+        .collect();
+    let ranges: Vec<(&Batch, Range<u32>)> = requests
+        .iter()
+        .zip([13..20, 0..9, 0..31, 0..14, 0..3])
+        .collect();
+    let pieces: Vec<Batch> = ranges
+        .iter()
+        .map(|(b, r)| Batch {
+            batch_size: r.end - r.start,
+            features: b
+                .features
+                .iter()
+                .map(|fb| fb.slice(r.start, r.end))
+                .collect(),
+        })
+        .collect();
+    let mut g = c.benchmark_group("host/chunk_slices_8x64");
+    g.sample_size(20_000);
+    g.bench_function("merge_project", |b| {
+        b.iter(|| {
+            let merged = Batch::merge(black_box(&pieces));
+            (0..8)
+                .map(|s| placement.project_batch(&merged, s))
+                .collect::<Vec<_>>()
+        })
+    });
+    g.bench_function("gather", |b| {
+        b.iter(|| {
+            features_of
+                .iter()
+                .map(|f| Batch::gather(black_box(&ranges), f))
+                .collect::<Vec<_>>()
+        })
+    });
+    g.finish();
+}
+
 fn bench_unique_rows(c: &mut Criterion) {
     // 256 samples × 137 lookups over a table of model A's largest size:
     // the order of one serving backend call's lookups.
@@ -322,6 +379,7 @@ criterion_group!(
     bench_fused_launch,
     bench_cost_small_chunk,
     bench_shard_fanout,
+    bench_chunk_slices,
     bench_unique_rows,
     bench_profile_crossover,
     bench_local_stage,

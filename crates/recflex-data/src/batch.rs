@@ -22,6 +22,7 @@ use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
+use std::ops::Range;
 
 thread_local! {
     /// [`FeatureBatch::unique_rows`]'s row bitmap: all zero between calls.
@@ -143,6 +144,15 @@ impl FeatureBatch {
             ));
         }
         Ok(())
+    }
+
+    /// Samples `r` in place: their `r.len() + 1` offsets, not rebased,
+    /// and their lookups.
+    fn range(&self, r: &Range<u32>) -> (&[u32], &[u32]) {
+        let offsets = &self.offsets[r.start as usize..=r.end as usize];
+        let lo = offsets[0] as usize;
+        let hi = offsets[offsets.len() - 1] as usize;
+        (offsets, &self.indices[lo..hi])
     }
 
     /// The sub-CSR of samples `start..end`, offsets rebased to 0.
@@ -305,8 +315,8 @@ impl Batch {
     /// Concatenate chunks back into one batch — the exact inverse of
     /// [`Batch::split`]: `Batch::merge(&b.split(cap)?) == b` for any `b`
     /// and `cap ≥ 1`, with CSR offsets and indices preserved exactly.
-    /// This is what a dynamic batcher uses to coalesce small co-queued
-    /// requests into one fused launch.
+    /// [`Batch::gather`] builds a projection of the same concatenation
+    /// from sample ranges, without copying each part first.
     ///
     /// Merging zero parts yields the empty zero-feature batch.
     ///
@@ -337,6 +347,47 @@ impl Batch {
                     // Skip each part's leading 0; rebase the rest.
                     offsets.extend(fb.offsets[1..].iter().map(|&o| base + o));
                     indices.extend_from_slice(&fb.indices);
+                }
+                FeatureBatch { offsets, indices }
+            })
+            .collect();
+        Batch {
+            batch_size,
+            features,
+        }
+    }
+
+    /// The listed `features` of the concatenated sample ranges `parts`:
+    /// what [`Placement::project_batch`](crate::Placement::project_batch)
+    /// of [`Batch::merge`] of each part's slice returns, built in one pass
+    /// that copies each lookup once. Offsets are rebased to the
+    /// concatenation; zero-length ranges add nothing. A serving tier
+    /// gathers a device chunk's shard slice this way straight from the
+    /// requests it coalesces or splits.
+    ///
+    /// Gathering no parts yields a 0-sample batch with one empty CSR per
+    /// listed feature.
+    ///
+    /// # Panics
+    /// If a range is reversed or runs past its batch, or a listed feature
+    /// is not in it.
+    pub fn gather(parts: &[(&Batch, Range<u32>)], features: &[usize]) -> Batch {
+        let batch_size = parts.iter().map(|(_, r)| r.len() as u32).sum();
+        let features = features
+            .iter()
+            .map(|&f| {
+                let lookups = parts
+                    .iter()
+                    .map(|(b, r)| b.features[f].range(r).1.len())
+                    .sum();
+                let mut offsets = Vec::with_capacity(batch_size as usize + 1);
+                let mut indices = Vec::with_capacity(lookups);
+                offsets.push(0u32);
+                for (b, r) in parts {
+                    let (part_offsets, part_indices) = b.features[f].range(r);
+                    let (first, base) = (part_offsets[0], indices.len() as u32);
+                    offsets.extend(part_offsets[1..].iter().map(|&o| base + (o - first)));
+                    indices.extend_from_slice(part_indices);
                 }
                 FeatureBatch { offsets, indices }
             })
@@ -744,5 +795,97 @@ mod split_merge_props {
                 prop_assert!(chunk.validate(&model).is_ok());
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod gather_oracle {
+    use super::*;
+    use crate::distribution::PoolingDist;
+    use crate::placement::Placement;
+    use proptest::prelude::*;
+
+    /// A model whose features may be absent everywhere (coverage 0: a
+    /// zero-lookup feature), absent in some samples (empty samples), or
+    /// present with zero lookups (`Fixed(0)`).
+    fn arb_model(rng: &mut StdRng, features: usize) -> ModelConfig {
+        let features = (0..features)
+            .map(|i| FeatureSpec {
+                name: format!("f{i}"),
+                table_rows: 300,
+                emb_dim: 8,
+                pooling: match rng.gen_range(0..3) {
+                    0 => PoolingDist::OneHot,
+                    1 => PoolingDist::Fixed(rng.gen_range(0..6)),
+                    _ => PoolingDist::PowerLaw {
+                        alpha: 1.4,
+                        max: 30,
+                    },
+                },
+                coverage: [0.0, 0.5, 1.0][rng.gen_range(0..3usize)],
+                row_skew: 0.0,
+            })
+            .collect();
+        ModelConfig {
+            name: "gather".into(),
+            features,
+        }
+    }
+
+    /// Samples `r` of `b`, cut the way [`Batch::split`] cuts its chunks.
+    fn slice(b: &Batch, r: &Range<u32>) -> Batch {
+        Batch {
+            batch_size: r.end - r.start,
+            features: b
+                .features
+                .iter()
+                .map(|fb| fb.slice(r.start, r.end))
+                .collect(),
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn gather_equals_projecting_the_merged_slices(
+            seed in 0u64..u64::MAX,
+            n_features in 1usize..6,
+            n_batches in 1usize..4,
+            n_parts in 1usize..7,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let model = arb_model(&mut rng, n_features);
+            let batches: Vec<Batch> = (0..n_batches)
+                .map(|i| Batch::generate(&model, rng.gen_range(0..40), seed ^ i as u64))
+                .collect();
+            // Any batch, any range of it, zero-length ones included; a
+            // batch may appear in several parts.
+            let parts: Vec<(&Batch, Range<u32>)> = (0..n_parts)
+                .map(|_| {
+                    let b = &batches[rng.gen_range(0..n_batches)];
+                    let start = rng.gen_range(0..=b.batch_size);
+                    (b, start..rng.gen_range(start..=b.batch_size))
+                })
+                .collect();
+            let slices: Vec<Batch> = parts.iter().map(|(b, r)| slice(b, r)).collect();
+            let merged = Batch::merge(&slices);
+            // Each device of a random 2-way placement is a random feature
+            // subset, the empty one included.
+            let placement = Placement {
+                device_of: (0..n_features).map(|_| rng.gen_range(0..2)).collect(),
+                num_devices: 2,
+            };
+            for device in 0..2 {
+                let gathered = Batch::gather(&parts, &placement.features_on(device));
+                prop_assert_eq!(&gathered, &placement.project_batch(&merged, device));
+                prop_assert!(gathered.validate(&placement.sub_model(&model, device)).is_ok());
+            }
+        }
+    }
+
+    #[test]
+    fn gather_of_nothing_is_an_empty_csr_per_feature() {
+        let gathered = Batch::gather(&[], &[0, 2]);
+        assert_eq!(gathered.batch_size, 0);
+        assert_eq!(gathered.features, vec![FeatureBatch::empty(0); 2]);
     }
 }

@@ -11,8 +11,9 @@
 //!   [`recflex_data::PoolingDist`] family as the data layer,
 //! * [`BatchPolicy`] — forward unsplit (DeepRecSys-style), split at a
 //!   cap (industrial practice), or dynamic batching that coalesces
-//!   small requests via [`recflex_data::Batch::merge`] and splits
-//!   oversized ones,
+//!   small requests and splits oversized ones. Chunks are lists of
+//!   request sample ranges; each shard copies its slice once, with
+//!   [`recflex_data::Batch::gather`], when it prices the chunk,
 //! * [`DeviceExecutor`] — a deterministic processor-sharing model of a
 //!   multi-stream device time-sharing one GPU,
 //! * [`ShardedServeRuntime`] — the one serving event loop. A

@@ -36,8 +36,11 @@
 //! [`ShardedReport`].
 //!
 //! Batch shaping (unsplit / split / dynamic coalescing) happens *before*
-//! the fan-out, on whole requests: all shards always see the same sample
-//! axis for a chunk, which is what keeps the all-gather well-defined.
+//! the fan-out and copies nothing: a device chunk is a list of
+//! `(request, sample range)` parts, and each shard gathers its own
+//! features of those ranges ([`Batch::gather`]) when it prices the chunk.
+//! All shards always see the same sample axis for a chunk, which is what
+//! keeps the all-gather well-defined.
 //!
 //! ## Faults and the degradation ladder
 //!
@@ -72,9 +75,10 @@
 //! pre-fault tier.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use recflex_baselines::{cost_each, Backend, BackendError, CostReport};
-use recflex_data::{Batch, ModelConfig, Placement};
+use recflex_data::{Batch, ModelConfig, Placement, SplitError};
 use recflex_embedding::TableSet;
 use recflex_sim::{GpuArch, Interconnect};
 
@@ -372,6 +376,9 @@ impl<'a> ShardedServeRuntime<'a> {
             buffer: Vec::new(),
             buffer_size: 0,
             buffer_oldest_us: f64::INFINITY,
+            features_of: (0..num_shards)
+                .map(|s| self.placement.features_on(s))
+                .collect(),
             monitor: retune
                 .as_ref()
                 .map(|r| DriftMonitor::for_model(r.drift, self.model)),
@@ -488,14 +495,14 @@ impl<'a> ShardedServeRuntime<'a> {
                         None => TimerAction::Noop,
                     };
                     match action {
-                        TimerAction::PromoteAll => st.promote_all_shards()?,
-                        TimerAction::PromoteShard(s) => st.promote_shard(s)?,
+                        TimerAction::PromoteAll => st.promote_all_shards(requests)?,
+                        TimerAction::PromoteShard(s) => st.promote_shard(s, requests)?,
                         TimerAction::DropCandidate | TimerAction::RollBackAll => {
                             st.roll_back_engines();
                         }
                         TimerAction::Retry => {
                             if let Some(policy) = retune.as_deref_mut() {
-                                st.launch_attempt(now, self, policy);
+                                st.launch_attempt(now, self, policy, requests);
                             }
                         }
                         TimerAction::BeginCanary | TimerAction::Noop => {}
@@ -655,16 +662,20 @@ struct ShardedRunState {
     hedge_fires: u64,
     hedge_wins: u64,
     failovers: u64,
-    /// Requests waiting in the dynamic batcher: owner index plus the
-    /// samples it has parked there (the whole batch under `Dynamic`, a
-    /// boundary-split head or tail under `DynamicPacked`).
-    buffer: Vec<(usize, Batch)>,
+    /// Samples waiting in the dynamic batcher, in arrival order: the
+    /// whole request under `Dynamic`, a boundary-split head or tail under
+    /// `DynamicPacked`.
+    buffer: Vec<Part>,
     buffer_size: u32,
     buffer_oldest_us: f64,
+    /// Each shard's features ([`Placement::features_on`]), listed once
+    /// per run.
+    features_of: Vec<Vec<usize>>,
     /// Drift monitor over full admitted batches (retuning only).
     monitor: Option<DriftMonitor>,
-    /// Most recent admitted batches (drift window), oldest first.
-    recent: Vec<Batch>,
+    /// Indices of the most recent admitted requests (drift window),
+    /// oldest first.
+    recent: Vec<usize>,
     /// The lifecycle state machine (present iff retuning is on).
     machine: Option<LifecycleMachine>,
     /// Per-shard candidate engines from the current attempt, awaiting
@@ -678,21 +689,42 @@ struct ShardedRunState {
     displaced: Vec<(usize, Option<Box<dyn Backend>>)>,
 }
 
-/// Price `batch`'s slice on each listed `(shard, engine)`: every shard's
-/// projection and `Backend::cost` run at once on the pool, as each device
-/// of a sharded deployment computes its own thread mapping. Results come
-/// back in list order, so callers fold them exactly as a sequential loop
-/// would.
-fn price_slices(
-    rt: &ShardedServeRuntime<'_>,
-    batch: &Batch,
-    engines: &[(usize, &dyn Backend)],
-) -> Vec<Result<CostReport, BackendError>> {
-    cost_each(engines, |&(s, engine)| {
-        let lane = &rt.lanes[s];
-        let slice = rt.placement.project_batch(batch, s);
-        engine.cost(&lane.model, &lane.tables, &slice, rt.arch)
-    })
+/// One request's run of samples in a device chunk: `(request index,
+/// sample range)` into the served requests.
+type Part = (usize, Range<u32>);
+
+/// Samples in `parts`.
+fn samples(parts: &[Part]) -> u32 {
+    parts.iter().map(|(_, r)| r.end - r.start).sum()
+}
+
+/// Cut `parts` into consecutive chunks of at most `cap` samples, where
+/// [`Batch::split`] would cut their concatenation; a part that straddles
+/// a cut is cut in two. No samples, no chunks.
+fn cut_parts(parts: &[Part], cap: u32) -> Result<Vec<Vec<Part>>, SplitError> {
+    if cap == 0 {
+        return Err(SplitError::ZeroCap);
+    }
+    let mut chunks = Vec::new();
+    let mut open = Vec::new();
+    let mut size = 0;
+    for (ri, r) in parts {
+        let mut start = r.start;
+        while start < r.end {
+            let end = start + (r.end - start).min(cap - size);
+            open.push((*ri, start..end));
+            size += end - start;
+            start = end;
+            if size == cap {
+                chunks.push(std::mem::take(&mut open));
+                size = 0;
+            }
+        }
+    }
+    if !open.is_empty() {
+        chunks.push(open);
+    }
+    Ok(chunks)
 }
 
 impl ShardedRunState {
@@ -753,6 +785,31 @@ impl ShardedRunState {
             .unwrap_or(rt.lanes[s].backend.as_ref())
     }
 
+    /// Price the chunk `parts` on each listed `(shard, engine)`: each
+    /// shard gathers its slice ([`Batch::gather`]) and prices it with
+    /// `Backend::cost`, all shards at once on the pool, as each device of
+    /// a sharded deployment computes its own thread mapping. Results come
+    /// back in list order, so callers fold them exactly as a sequential
+    /// loop would.
+    fn price_slices(
+        &self,
+        rt: &ShardedServeRuntime<'_>,
+        requests: &[Request],
+        parts: &[Part],
+        engines: &[(usize, &dyn Backend)],
+    ) -> Vec<Result<CostReport, BackendError>> {
+        let ranges: Vec<(&Batch, Range<u32>)> = parts
+            .iter()
+            .map(|(ri, r)| (&requests[*ri].batch, r.clone()))
+            .collect();
+        let features_of = &self.features_of;
+        cost_each(engines, |&(s, engine)| {
+            let lane = &rt.lanes[s];
+            let slice = Batch::gather(&ranges, &features_of[s]);
+            engine.cost(&lane.model, &lane.tables, &slice, rt.arch)
+        })
+    }
+
     /// Start a retune attempt: draw the scripted outcome, and — when the
     /// retuner actually produces engines — compile one candidate per
     /// shard against that shard's slice of the recent traffic.
@@ -761,6 +818,7 @@ impl ShardedRunState {
         now: f64,
         rt: &ShardedServeRuntime<'_>,
         policy: &mut ShardedRetunePolicy<'_>,
+        requests: &[Request],
     ) {
         let outcome = match self.machine.as_mut() {
             Some(m) => m.begin_attempt(now),
@@ -780,7 +838,7 @@ impl ShardedRunState {
                     let projected: Vec<Batch> = self
                         .recent
                         .iter()
-                        .map(|b| rt.placement.project_batch(b, s))
+                        .map(|&ri| rt.placement.project_batch(&requests[ri].batch, s))
                         .collect();
                     let tuned = (policy.retuner)(&rt.lanes[s].model, &projected);
                     if let (Some(t), Some(m)) = (tuned.tuning, self.machine.as_mut()) {
@@ -800,9 +858,9 @@ impl ShardedRunState {
 
     /// Install every shard's candidate at once (blind swap, or a canary
     /// window that cleared with no stagger).
-    fn promote_all_shards(&mut self) -> Result<(), ServeError> {
+    fn promote_all_shards(&mut self, requests: &[Request]) -> Result<(), ServeError> {
         for s in 0..self.candidates.len() {
-            self.promote_shard(s)?;
+            self.promote_shard(s, requests)?;
         }
         Ok(())
     }
@@ -810,7 +868,7 @@ impl ShardedRunState {
     /// Install one shard's candidate. During a staged rollout the engine
     /// it replaces is kept for an abort; once the rollout is complete the
     /// drift monitor rebases and the candidate set is the incumbent.
-    fn promote_shard(&mut self, s: usize) -> Result<(), ServeError> {
+    fn promote_shard(&mut self, s: usize, requests: &[Request]) -> Result<(), ServeError> {
         let candidate = self.candidates[s]
             .take()
             .ok_or(ServeError::Internal("promotion without a candidate engine"))?;
@@ -821,7 +879,7 @@ impl ShardedRunState {
             // The last shard landed (a blind swap installs every shard
             // first): the rollout can no longer abort.
             self.displaced.clear();
-            self.rebase_monitor();
+            self.rebase_monitor(requests);
         }
         Ok(())
     }
@@ -839,9 +897,10 @@ impl ShardedRunState {
 
     /// Re-anchor the drift monitor on the traffic the new engines were
     /// tuned for, so the mix that forced the retune reads as baseline.
-    fn rebase_monitor(&mut self) {
+    fn rebase_monitor(&mut self, requests: &[Request]) {
         if let Some(mon) = self.monitor.as_mut() {
-            let (lk, sm) = self.recent.iter().fold((0.0, 0.0), |(l, s), b| {
+            let (lk, sm) = self.recent.iter().fold((0.0, 0.0), |(l, s), &ri| {
+                let b = &requests[ri].batch;
                 (l + b.total_lookups() as f64, s + b.batch_size as f64)
             });
             if sm > 0.0 {
@@ -904,7 +963,7 @@ impl ShardedRunState {
 
         // Drift monitoring sees every admitted batch (full, pre-fan-out).
         if let Some(policy) = retune.as_deref_mut() {
-            self.recent.push(req.batch.clone());
+            self.recent.push(ri);
             let window = policy.drift.window.max(1);
             if self.recent.len() > window {
                 self.recent.drain(..self.recent.len() - window);
@@ -922,47 +981,50 @@ impl ShardedRunState {
                     .as_mut()
                     .is_some_and(|m| m.wants_drift_retune(now));
             if wants {
-                self.launch_attempt(now, rt, policy);
+                self.launch_attempt(now, rt, policy, requests);
             }
         }
 
+        // Chunks name sample ranges of the request; no batch is copied
+        // until each shard gathers its slice.
+        let n = req.batch.batch_size;
         match rt.config.policy {
+            // A request without samples has nothing to price, as under
+            // every policy: its 0 µs job would never retire, because the
+            // executor retires work only as its clock moves past `now`.
+            BatchPolicy::Unsplit if n == 0 => self.finalize_empty(ri, now, requests),
             BatchPolicy::Unsplit => {
-                self.submit_chunk(req.batch.clone(), vec![ri], now, rt, requests)?;
+                self.submit_chunk(&[(ri, 0..n)], vec![ri], now, rt, requests)?;
             }
             BatchPolicy::Split { cap } => {
-                let chunks = req
-                    .batch
-                    .split(cap)
+                let chunks = cut_parts(&[(ri, 0..n)], cap)
                     .map_err(|_| ServeError::Policy("split cap must be at least 1"))?;
                 if chunks.is_empty() {
                     self.finalize_empty(ri, now, requests);
                 } else {
                     for chunk in chunks {
-                        self.submit_chunk(chunk, vec![ri], now, rt, requests)?;
+                        self.submit_chunk(&chunk, vec![ri], now, rt, requests)?;
                     }
                 }
             }
             BatchPolicy::Dynamic { max_batch, .. } => {
-                if req.batch.batch_size == 0 {
+                if n == 0 {
                     self.finalize_empty(ri, now, requests);
-                } else if req.batch.batch_size >= max_batch {
+                } else if n >= max_batch {
                     // Oversized: flush waiting small requests first so
                     // device order stays FIFO, then split the big one.
                     self.flush_buffer(now, rt, requests)?;
-                    let chunks = req
-                        .batch
-                        .split(max_batch)
+                    let chunks = cut_parts(&[(ri, 0..n)], max_batch)
                         .map_err(|_| ServeError::Policy("dynamic max_batch must be at least 1"))?;
                     for chunk in chunks {
-                        self.submit_chunk(chunk, vec![ri], now, rt, requests)?;
+                        self.submit_chunk(&chunk, vec![ri], now, rt, requests)?;
                     }
                 } else {
-                    if self.buffer_size + req.batch.batch_size > max_batch {
+                    if self.buffer_size + n > max_batch {
                         self.flush_buffer(now, rt, requests)?;
                     }
-                    self.buffer.push((ri, req.batch.clone()));
-                    self.buffer_size += req.batch.batch_size;
+                    self.buffer.push((ri, 0..n));
+                    self.buffer_size += n;
                     self.buffer_oldest_us = self.buffer_oldest_us.min(self.arrival_eff_us[ri]);
                     if self.buffer_size == max_batch || self.all_idle() {
                         self.flush_buffer(now, rt, requests)?;
@@ -970,7 +1032,7 @@ impl ShardedRunState {
                 }
             }
             BatchPolicy::DynamicPacked { max_batch, .. } => {
-                if req.batch.batch_size == 0 {
+                if n == 0 {
                     self.finalize_empty(ri, now, requests);
                 } else {
                     // Padding-free coalescing: top the open batch off to
@@ -978,34 +1040,22 @@ impl ShardedRunState {
                     // boundary-straddling request into the next batch.
                     // The invariant `buffer_size < max_batch` holds on
                     // entry and exit, so `room >= 1` always.
-                    let mut part = req.batch.clone();
+                    let mut start = 0;
                     loop {
                         let room = max_batch - self.buffer_size;
-                        if part.batch_size < room {
-                            self.buffer_size += part.batch_size;
-                            self.buffer.push((ri, part));
-                            self.buffer_oldest_us =
-                                self.buffer_oldest_us.min(self.arrival_eff_us[ri]);
-                            break;
-                        }
-                        let mut pieces = part
-                            .split(room)
-                            .map_err(|_| {
-                                ServeError::Policy("dynamic max_batch must be at least 1")
-                            })?
-                            .into_iter();
-                        let head = pieces.next().ok_or(ServeError::Internal(
-                            "split of a non-empty batch yielded nothing",
-                        ))?;
-                        self.buffer.push((ri, head));
-                        self.buffer_size = max_batch;
                         self.buffer_oldest_us = self.buffer_oldest_us.min(self.arrival_eff_us[ri]);
-                        self.flush_buffer(now, rt, requests)?;
-                        let rest: Vec<Batch> = pieces.collect();
-                        if rest.is_empty() {
+                        if n - start < room {
+                            self.buffer_size += n - start;
+                            self.buffer.push((ri, start..n));
                             break;
                         }
-                        part = Batch::merge(&rest);
+                        self.buffer.push((ri, start..start + room));
+                        self.buffer_size = max_batch;
+                        self.flush_buffer(now, rt, requests)?;
+                        start += room;
+                        if start == n {
+                            break;
+                        }
                     }
                     if !self.buffer.is_empty() && self.all_idle() {
                         self.flush_buffer(now, rt, requests)?;
@@ -1025,13 +1075,11 @@ impl ShardedRunState {
         if self.buffer.is_empty() {
             return Ok(());
         }
-        let entries = std::mem::take(&mut self.buffer);
+        let parts = std::mem::take(&mut self.buffer);
         self.buffer_size = 0;
         self.buffer_oldest_us = f64::INFINITY;
-        let owners: Vec<usize> = entries.iter().map(|&(ri, _)| ri).collect();
-        let parts: Vec<Batch> = entries.into_iter().map(|(_, b)| b).collect();
-        let merged = Batch::merge(&parts);
-        self.submit_chunk(merged, owners, now, rt, requests)
+        let owners = parts.iter().map(|(ri, _)| *ri).collect();
+        self.submit_chunk(&parts, owners, now, rt, requests)
     }
 
     /// Submit one device chunk, re-splitting it first when
@@ -1044,23 +1092,22 @@ impl ShardedRunState {
     /// exact historical single-submission path.
     fn submit_chunk(
         &mut self,
-        batch: Batch,
+        parts: &[Part],
         owners: Vec<usize>,
         now: f64,
         rt: &ShardedServeRuntime<'_>,
         requests: &[Request],
     ) -> Result<(), ServeError> {
         match rt.config.hot_shard_cap {
-            Some(cap) if batch.batch_size > cap => {
-                let parts = batch
-                    .split(cap)
+            Some(cap) if samples(parts) > cap => {
+                let chunks = cut_parts(parts, cap)
                     .map_err(|_| ServeError::Policy("hot_shard_cap must be at least 1"))?;
-                for part in parts {
-                    self.submit_chunk_inner(part, owners.clone(), now, rt, requests)?;
+                for chunk in chunks {
+                    self.submit_chunk_inner(&chunk, owners.clone(), now, rt, requests)?;
                 }
                 Ok(())
             }
-            _ => self.submit_chunk_inner(batch, owners, now, rt, requests),
+            _ => self.submit_chunk_inner(parts, owners, now, rt, requests),
         }
     }
 
@@ -1069,7 +1116,7 @@ impl ShardedRunState {
     /// goes straight to a replica, a survivor, or the zero-pool.
     fn submit_chunk_inner(
         &mut self,
-        batch: Batch,
+        parts: &[Part],
         owners: Vec<usize>,
         now: f64,
         rt: &ShardedServeRuntime<'_>,
@@ -1087,7 +1134,7 @@ impl ShardedRunState {
         let mut work_us = Vec::with_capacity(num_shards);
         let mut launches_of = Vec::with_capacity(num_shards);
         // Folded in shard order, so the lowest failing shard's error wins.
-        for cost in price_slices(rt, &batch, &engines) {
+        for cost in self.price_slices(rt, requests, parts, &engines) {
             let cost = cost?;
             work_us.push(cost.latency_us);
             launches_of.push(cost.kernel_launches);
@@ -1112,7 +1159,8 @@ impl ShardedRunState {
             let mut inc = vec![0.0; num_shards];
             let mut cand = vec![0.0; num_shards];
             let mut shadow_err = false;
-            for (&(s, _), cost) in shadows.iter().zip(price_slices(rt, &batch, &shadows)) {
+            let costs = self.price_slices(rt, requests, parts, &shadows);
+            for (&(s, _), cost) in shadows.iter().zip(costs) {
                 match cost {
                     Ok(r) => {
                         inc[s] = work_us[s];
@@ -1140,7 +1188,7 @@ impl ShardedRunState {
             chunk_id,
             ChunkState {
                 owners,
-                rows: batch.batch_size,
+                rows: samples(parts),
                 work_us,
                 launches_of,
                 shard_done: vec![false; num_shards],
@@ -1700,13 +1748,14 @@ impl ShardedRunState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
+    use std::sync::Mutex;
 
     use crate::faults::{Fault, FaultKind, FaultPlan, FaultSpec, LadderConfig, ReplicationPolicy};
     use crate::lifecycle::{CanaryConfig, LifecycleEvent, OutcomePlan};
     use crate::request::WorkloadSpec;
     use proptest::prelude::*;
-    use recflex_baselines::TorchRecBackend;
+    use recflex_baselines::{BackendRun, TorchRecBackend};
     use recflex_data::shift_distribution;
     use recflex_data::ModelPreset;
 
@@ -1936,6 +1985,130 @@ mod tests {
         );
         assert_eq!(rt.replica_of, vec![0, 1, 2]);
         assert_eq!(calls.take(), [0, 1, 2, 0, 1, 2].map(features_of));
+    }
+
+    /// TorchRec's kernel, keeping every batch the tier asks it to price.
+    struct Recording<'a> {
+        inner: TorchRecBackend,
+        priced: &'a Mutex<Vec<Batch>>,
+    }
+
+    impl Backend for Recording<'_> {
+        fn name(&self) -> &'static str {
+            "Recording"
+        }
+
+        fn run(
+            &self,
+            model: &ModelConfig,
+            tables: &TableSet,
+            batch: &Batch,
+            arch: &GpuArch,
+        ) -> Result<BackendRun, BackendError> {
+            self.inner.run(model, tables, batch, arch)
+        }
+
+        fn cost(
+            &self,
+            model: &ModelConfig,
+            tables: &TableSet,
+            batch: &Batch,
+            arch: &GpuArch,
+        ) -> Result<CostReport, BackendError> {
+            self.priced
+                .lock()
+                .expect("no pricing job panicked holding the log")
+                .push(batch.clone());
+            self.inner.cost(model, tables, batch, arch)
+        }
+    }
+
+    #[test]
+    fn every_admitted_sample_is_priced_once_per_shard_in_admission_order() -> Result<(), ServeError>
+    {
+        let (m, arch) = setup();
+        let shards = 3;
+        let placement = Placement::balance(&m, shards);
+        // Sizes straddle `max_batch` (16) and the hot-shard cap (7), and
+        // one request has no samples (an empty chunk would hang the
+        // tier). Bursts 2 µs apart coalesce; every fifth gap outlasts the
+        // batcher's wait.
+        let sizes = [3, 20, 0, 16, 1, 15, 40, 2, 9, 17, 5, 31, 1, 1, 64, 8];
+        let mut t = 0.0;
+        let requests: Vec<Request> = (0u64..)
+            .zip(sizes)
+            .map(|(id, n)| {
+                t += if id % 5 == 4 { 500.0 } else { 2.0 };
+                Request {
+                    id,
+                    arrival_us: t,
+                    batch: Batch::generate(&m, n, 100 + id),
+                }
+            })
+            .collect();
+        let batches: Vec<Batch> = requests.iter().map(|r| r.batch.clone()).collect();
+        let admitted = Batch::merge(&batches);
+        for (policy, widest) in [
+            (BatchPolicy::Unsplit, u32::MAX),
+            (BatchPolicy::Split { cap: 6 }, 6),
+            (
+                BatchPolicy::Dynamic {
+                    max_batch: 16,
+                    max_wait_us: 50.0,
+                },
+                16,
+            ),
+            (
+                BatchPolicy::DynamicPacked {
+                    max_batch: 16,
+                    max_wait_us: 50.0,
+                },
+                16,
+            ),
+        ] {
+            for hot_shard_cap in [None, Some(7)] {
+                let priced: Vec<Mutex<Vec<Batch>>> =
+                    (0..shards).map(|_| Mutex::default()).collect();
+                let built = Cell::new(0);
+                let config = ServeConfig {
+                    streams: 2,
+                    policy,
+                    slo_deadline_us: None,
+                    closed_loop: false,
+                    hot_shard_cap,
+                };
+                let rt = ShardedServeRuntime::build(
+                    &m,
+                    &arch,
+                    placement.clone(),
+                    config,
+                    Interconnect::nvlink(),
+                    |sub| {
+                        let s = built.replace(built.get() + 1);
+                        Box::new(Recording {
+                            inner: TorchRecBackend::compile(sub),
+                            priced: &priced[s],
+                        })
+                    },
+                );
+                let report = rt.serve(&requests)?;
+                assert_eq!(report.records.len(), requests.len());
+                assert!(report.records.iter().all(|r| !r.base.is_shed()));
+                let widest = hot_shard_cap.map_or(widest, |cap| cap.min(widest));
+                drop(rt);
+                for (s, log) in priced.into_iter().enumerate() {
+                    let slices = log.into_inner().expect("no pricing job panicked");
+                    let why = format!("{policy:?}, hot_shard_cap {hot_shard_cap:?}, shard {s}");
+                    assert!(slices.iter().all(|b| b.batch_size <= widest), "{why}");
+                    assert_eq!(
+                        Batch::merge(&slices),
+                        placement.project_batch(&admitted, s),
+                        "{why}"
+                    );
+                }
+            }
+        }
+        Ok(())
     }
 
     #[test]
