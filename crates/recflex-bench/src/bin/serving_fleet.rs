@@ -42,9 +42,8 @@ use recflex_core::RecFlexEngine;
 use recflex_data::{Batch, Dataset, FleetAssignment, ModelConfig, ModelPreset, Placement};
 use recflex_serve::{
     BatchPolicy, ClassFaultKind, ClassFaultWindow, DeviceClass, DiurnalCurve, ElasticityConfig,
-    FlashCrowd, FleetBrownoutConfig, FleetChaosConfig, FleetFaultSpec, FleetMember, FleetReport,
-    FleetRuntime, HealthPolicy, PressureSignal, QueryGate, ScenarioSpec, ServeConfig,
-    ShardedServeRuntime, TrafficShape, WorkloadSpec,
+    FlashCrowd, FleetChaosConfig, FleetFaultPlan, FleetMember, FleetReport, FleetRuntime,
+    QueryGate, ScenarioSpec, ServeConfig, ShardedServeRuntime, TrafficShape, WorkloadSpec,
 };
 use recflex_sim::GpuArch;
 use serde::Serialize;
@@ -163,7 +162,6 @@ fn mean_batch_size(model: &ModelConfig, idx: usize, n: usize) -> f64 {
             workload: WorkloadSpec::long_tail(100.0),
             shape: TrafficShape::flat(),
             requests: n,
-            priority: 1,
         }],
         seed: SEED ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
     };
@@ -289,7 +287,6 @@ fn degenerate_identity(scale: &Scale) -> bool {
             workload: WorkloadSpec::long_tail(400.0),
             shape: TrafficShape::flat(),
             requests: 24,
-            priority: 1,
         }],
         seed: SEED,
     };
@@ -355,7 +352,6 @@ fn chaos_summary(scale: &Scale) -> ChaosSummary {
                 workload: WorkloadSpec::long_tail(cost / 0.35),
                 shape: TrafficShape::flat(),
                 requests: n,
-                priority: 1,
             })
             .collect(),
         seed: SEED,
@@ -403,36 +399,17 @@ fn chaos_summary(scale: &Scale) -> ChaosSummary {
             .collect(),
     };
     let chaos = FleetChaosConfig {
-        faults: FleetFaultSpec {
-            class_windows: vec![ClassFaultWindow {
-                class: 0,
-                kind: ClassFaultKind::Outage,
-                start_us: 0.35 * span,
-                end_us: 0.7 * span,
-            }],
-            background: None,
-        }
-        .plan(&[1, 1], span, SEED),
+        faults: FleetFaultPlan::scripted(vec![ClassFaultWindow {
+            class: 0,
+            kind: ClassFaultKind::Outage,
+            start_us: 0.35 * span,
+            end_us: 0.7 * span,
+        }]),
         epoch_us,
         elasticity: Some(ElasticityConfig {
-            health: HealthPolicy {
-                signal: PressureSignal::LeakyBucket {
-                    tau_us: epoch_us / 2.0,
-                },
-                max_shortfall: 0.5,
-            },
-            drain_stagger_us: epoch_us / 8.0,
-            handoff_us: epoch_us / 2.0,
             cost_matrix_us: (0..models.len()).map(|m| vec![costs[m]; 2]).collect(),
         }),
-        brownout: Some(FleetBrownoutConfig {
-            signal: PressureSignal::Instantaneous,
-            tighten_above: 0.05,
-            shed_above: 0.15,
-            degrade_above: 0.25,
-            gate_tighten: 0.6,
-            priorities: Vec::new(),
-        }),
+        brownout: true,
     };
     let report = fleet
         .serve_chaos(&workload.merged(&[&models[0], &models[1]]), &chaos, tier)
@@ -569,7 +546,6 @@ fn main() -> ExitCode {
                     workload: WorkloadSpec::long_tail(gaps[m]),
                     shape,
                     requests: n_requests,
-                    priority: 1,
                 }
             })
             .collect(),

@@ -42,15 +42,14 @@ use recflex_baselines::TorchRecBackend;
 use recflex_bench::{CliOpts, Scale};
 use recflex_data::{Batch, ModelConfig, ModelPreset, Placement};
 use recflex_serve::{
-    BatchPolicy, ClassFaultKind, ClassFaultWindow, DeviceClass, ElasticityConfig,
-    FleetBrownoutConfig, FleetChaosConfig, FleetFaultSpec, FleetMember, FleetReport, FleetRuntime,
-    FleetWorkload, HealthPolicy, PressureSignal, QueryGate, ScenarioSpec, ServeConfig,
-    ShardedServeRuntime, TrafficShape, WorkloadSpec,
+    BatchPolicy, ClassFaultKind, ClassFaultWindow, DeviceClass, ElasticityConfig, FleetChaosConfig,
+    FleetFaultPlan, FleetMember, FleetReport, FleetRuntime, FleetWorkload, QueryGate, ScenarioSpec,
+    ServeConfig, ShardedServeRuntime, TrafficShape, WorkloadSpec,
 };
 use recflex_sim::GpuArch;
 use serde::Serialize;
 
-/// Root seed for the fleet workload and the fault plan.
+/// Root seed for the fleet workload.
 const SEED: u64 = 42;
 /// Offered load per member on its anchor class — cool enough that the
 /// health monitor only trips on injected faults, never on queueing.
@@ -215,7 +214,6 @@ fn scenario(model: &ModelConfig, gap_us: f64, n: usize) -> ScenarioSpec {
         workload: WorkloadSpec::long_tail(gap_us),
         shape: TrafficShape::flat(),
         requests: n,
-        priority: 1,
     }
 }
 
@@ -278,33 +276,12 @@ fn outage_window(b: &Bench) -> ClassFaultWindow {
 
 fn chaos_config(b: &Bench, elastic: bool, brownout: bool) -> FleetChaosConfig {
     FleetChaosConfig {
-        faults: FleetFaultSpec {
-            class_windows: vec![outage_window(b)],
-            background: None,
-        }
-        .plan(&[1, 1, 1], b.span_us, SEED),
+        faults: FleetFaultPlan::scripted(vec![outage_window(b)]),
         epoch_us: b.epoch_us,
         elasticity: elastic.then(|| ElasticityConfig {
-            health: HealthPolicy {
-                // A leaky bucket rides through one bad epoch; a class
-                // outage pins the shortfall at 1.0 and trips it.
-                signal: PressureSignal::LeakyBucket {
-                    tau_us: b.epoch_us / 2.0,
-                },
-                max_shortfall: 0.5,
-            },
-            drain_stagger_us: b.epoch_us / 8.0,
-            handoff_us: b.epoch_us / 2.0,
             cost_matrix_us: b.per_sample.clone(),
         }),
-        brownout: brownout.then(|| FleetBrownoutConfig {
-            signal: PressureSignal::Instantaneous,
-            tighten_above: 0.05,
-            shed_above: 0.15,
-            degrade_above: 0.25,
-            gate_tighten: 0.6,
-            priorities: Vec::new(),
-        }),
+        brownout,
     }
 }
 

@@ -9,9 +9,10 @@
 //! retrieval slowdown, a seeded mixed storm on every stage, and the
 //! fault-free control) crossed with two failure policies:
 //!
-//! * `naive` — retry every late/faulted stage attempt until the attempt
-//!   cap, at full candidate count, with no breaker and no fallback: the
-//!   metastable baseline whose retry storm outlives the fault.
+//! * `naive` — retry every late/faulted stage attempt up to 6 attempts,
+//!   100 µs apart, at full candidate count, with no breaker and no
+//!   fallback: the metastable baseline whose retry storm outlives the
+//!   fault.
 //! * `budgeted` — retries gated by the fleet-wide token-bucket
 //!   `RetryBudget` and the per-stage `CircuitBreaker`, degrading the
 //!   candidate count along the stage ladder, falling back (ranking →
@@ -137,13 +138,6 @@ fn scenarios(span: f64) -> Vec<(String, PipelineFaultSpec)> {
             },
         ),
     ]
-}
-
-fn naive_policy() -> StagePolicy {
-    StagePolicy::NaiveRetry {
-        max_attempts: 6,
-        shed_backoff_us: 100.0,
-    }
 }
 
 fn main() -> ExitCode {
@@ -284,7 +278,7 @@ fn main() -> ExitCode {
                     .set_stage_candidates(1, candidates)
                     .expect("candidate counts are positive");
                 pipeline.set_policy(match pname {
-                    "naive" => naive_policy(),
+                    "naive" => StagePolicy::NaiveRetry,
                     _ => StagePolicy::Budgeted(BudgetedPolicy::for_slo(slo_us)),
                 });
                 let report: PipelineReport = pipeline

@@ -419,7 +419,6 @@ fn run_all(scale: &Scale) -> WarmstartCore {
         workload: WorkloadSpec::long_tail(GAP_US),
         shape: TrafficShape::flat(),
         requests: (n_requests / 2).max(8),
-        priority: 1,
     };
     let workload = recflex_serve::FleetWorkload {
         scenarios: vec![scenario("repl-0"), scenario("repl-1")],

@@ -68,8 +68,9 @@ pub struct FusedKernelObject {
 
 impl FusedKernelObject {
     /// Compile a spec: deduplicate schedules and take the resource union.
+    /// A spec with no schedules compiles to an empty kernel that demands
+    /// no resources.
     pub fn compile(spec: FusedSpec) -> Self {
-        assert!(!spec.schedules.is_empty(), "cannot fuse zero features");
         let mut unique: Vec<ScheduleInstance> = Vec::new();
         let mut by_inst: HashMap<ScheduleInstance, usize> = HashMap::new();
         let mut schedule_map = Vec::with_capacity(spec.schedules.len());
@@ -82,9 +83,7 @@ impl FusedKernelObject {
         }
         let mut resources = unique
             .iter()
-            .map(|s| s.resources())
-            .reduce(|a, b| a.union(&b))
-            .expect("at least one schedule");
+            .fold(BlockResources::new(0, 0, 0), |a, s| a.union(&s.resources()));
         if spec.dispatch == DispatchMode::FnPtrArray {
             // Indirect calls block inlining: every schedule pays the ABI
             // register footprint, constraining the whole kernel's occupancy

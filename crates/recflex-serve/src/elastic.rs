@@ -8,21 +8,23 @@
 //!
 //! 1. **Correlated faults** ([`FleetFaultPlan`]): whole-class
 //!    outage/brownout windows expand onto every lane of every member
-//!    pinned to that class, on top of per-member background faults.
+//!    pinned to that class.
 //! 2. **Health-monitored drain-and-migrate** ([`ElasticityConfig`]):
 //!    a per-member health monitor folds per-epoch SLO-attainment
-//!    shortfall through a leaky-bucket [`PressureTracker`]; when it
-//!    crosses its threshold the elasticity controller re-solves
-//!    placement against *residual* capacity
+//!    shortfall through a leaky-bucket [`PressureTracker`] with a time
+//!    constant of half an epoch; when it crosses 0.5 the elasticity
+//!    controller re-solves placement against *residual* capacity
 //!    ([`FleetAssignment::rehome`]) and executes the move as a staged,
-//!    abortable drain on the §8f rollout cadence
-//!    ([`StagedSchedule`]): healthy → draining → migrating →
-//!    restored/aborted.
-//! 3. **Fleet brownout ladder** ([`FleetBrownoutConfig`]): above the
-//!    per-tier degradation ladder, the fleet grades its own pressure and
-//!    climbs rung by rung — tighten every [`QueryGate`], then shed the
-//!    lowest-priority scenarios, then answer outage-stranded traffic
-//!    with degraded zero-pooled edge records instead of shedding it.
+//!    abortable drain on the §8f rollout cadence ([`StagedSchedule`]:
+//!    one shard every eighth of an epoch, then a half-epoch handoff):
+//!    healthy → draining → migrating → restored/aborted.
+//! 3. **Fleet brownout ladder** ([`FleetChaosConfig::brownout`]): above
+//!    the per-tier degradation ladder, the fleet grades each epoch's raw
+//!    shortfall into rungs at 0.05, 0.15 and 0.25. From rung 1 every
+//!    [`QueryGate`] admits only queries predicted within 0.6 of its
+//!    deadline; rung 3 also answers outage-stranded traffic (and
+//!    everything a tightened gate rejects) with degraded zero-pooled
+//!    edge records instead of shedding it.
 //!
 //! Determinism is structural, not incidental. A chaos run is three pure
 //! passes over the same demuxed streams: an *observe* pass (plain
@@ -31,10 +33,12 @@
 //! records grade the brownout ladder; and the *final* pass with both
 //! applied. Each pass is a pure function of its inputs and members run
 //! sequentially in member order, so the composition replays bit-for-bit
-//! at any `RECFLEX_THREADS`. A trivial config short-circuits to
-//! [`FleetRuntime::serve`] before touching any state — the no-fault
-//! path is byte-identical to the plain fleet by construction, and both
-//! invariants are gated by the `serving_fleet_chaos` experiment in CI.
+//! at any `RECFLEX_THREADS`. The plain fleet ([`FleetRuntime::serve`])
+//! is the same member pass with no faults, no migrations and no ladder,
+//! and a trivial config short-circuits to it before touching any state —
+//! the no-fault path is byte-identical to the plain fleet by
+//! construction, and both invariants are gated by the
+//! `serving_fleet_chaos` experiment in CI.
 //!
 //! [`QueryGate`]: crate::fleet::QueryGate
 //! [`ShardedServeRuntime`]: crate::sharded::ShardedServeRuntime
@@ -43,9 +47,9 @@ use serde::Serialize;
 
 use recflex_data::FleetAssignment;
 
-use crate::faults::{FleetFaultPlan, PressureSignal, PressureTracker};
+use crate::faults::{FleetFaultPlan, PressureTracker};
 use crate::fleet::{
-    edge_record, splice_edge_records, FleetModelOutcome, FleetReport, FleetRuntime,
+    edge_record, splice_edge_records, FleetModelOutcome, FleetReport, FleetRuntime, QueryGate,
 };
 use crate::lifecycle::StagedSchedule;
 use crate::sharded::ShardedServeRuntime;
@@ -53,29 +57,24 @@ use crate::stats::{ShardedReport, ShardedRequestRecord, ShedReason};
 use crate::workload::FleetArrival;
 use crate::{Request, ServeError};
 
-/// When is a fleet member unhealthy enough to drain?
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HealthPolicy {
-    /// How raw per-epoch samples become graded pressure. Use
-    /// [`PressureSignal::LeakyBucket`] so one bad epoch cannot trigger
-    /// a migration but a sustained outage does.
-    pub signal: PressureSignal,
-    /// Trigger when graded SLO-attainment *shortfall* (`1 − attainment`
-    /// over the epoch's offered requests) exceeds this, in `[0, 1]`.
-    pub max_shortfall: f64,
-}
+/// The health monitor drains a member once its leaky-bucket shortfall
+/// (time constant half an epoch) exceeds this.
+const HEALTH_TRIP: f64 = 0.5;
 
-/// The drain-and-migrate controller's knobs.
+/// Brownout rung thresholds on an epoch's fleet-wide shortfall,
+/// exclusive and ascending: the rung is how many of them it exceeds.
+/// Rung 2 acts as rung 1; it keeps the reported ladder graded in three
+/// steps.
+const RUNG_ABOVE: [f64; 3] = [0.05, 0.15, 0.25];
+
+/// From rung 1, a gate admits a query only if its predicted device time
+/// fits this fraction of the gate deadline.
+const GATE_TIGHTEN: f64 = 0.6;
+
+/// The drain-and-migrate controller's input: what each member would cost
+/// on each class.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ElasticityConfig {
-    /// Per-member health monitor.
-    pub health: HealthPolicy,
-    /// Gap between per-shard drain stages, µs — the migration's
-    /// [`StagedSchedule`] cadence (one stage per shard lane).
-    pub drain_stagger_us: f64,
-    /// Dead time between the last drain stage and the member resuming
-    /// on its new class, µs (weights shipped, engine warmed).
-    pub handoff_us: f64,
     /// `cost_matrix_us[member][class]`: per-sample device cost of each
     /// member on each class — the same measured matrix
     /// [`FleetAssignment::cheapest_fit`] placed with, re-consulted by
@@ -83,72 +82,26 @@ pub struct ElasticityConfig {
     pub cost_matrix_us: Vec<Vec<f64>>,
 }
 
-/// The fleet brownout ladder: thresholds on graded fleet-wide
-/// attainment shortfall, in `[0, 1]`, exclusive and expected ascending.
-///
-/// * rung 1 (`> tighten_above`) — every member's [`QueryGate`] deadline
-///   is multiplied by `gate_tighten`, rejecting the expensive tail at
-///   the edge,
-/// * rung 2 (`> shed_above`) — scenarios at the fleet's lowest
-///   `priorities` value are shed entirely,
-/// * rung 3 (`> degrade_above`) — traffic stranded by an active class
-///   outage (and everything a tightened gate rejects) is answered with
-///   degraded zero-pooled edge records instead of being shed:
-///   availability degrades before goodput does, fleet-wide.
-///
-/// [`QueryGate`]: crate::fleet::QueryGate
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetBrownoutConfig {
-    /// How per-epoch fleet shortfall becomes graded pressure.
-    pub signal: PressureSignal,
-    /// Rung-1 threshold.
-    pub tighten_above: f64,
-    /// Rung-2 threshold.
-    pub shed_above: f64,
-    /// Rung-3 threshold.
-    pub degrade_above: f64,
-    /// Gate-deadline multiplier at rung ≥ 1, in `(0, 1]`.
-    pub gate_tighten: f64,
-    /// Per-member scenario priorities (larger = more important), in
-    /// member order. Rung 2 sheds the members at the minimum value;
-    /// empty (or all-equal) priorities disable rung-2 shedding.
-    pub priorities: Vec<u32>,
-}
-
-impl FleetBrownoutConfig {
-    /// The rung at graded shortfall `p`.
-    fn level(&self, p: f64) -> u8 {
-        if p > self.degrade_above {
-            3
-        } else if p > self.shed_above {
-            2
-        } else if p > self.tighten_above {
-            1
-        } else {
-            0
-        }
-    }
-}
-
 /// Everything a chaos run injects on top of the plain fleet.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FleetChaosConfig {
-    /// The materialized fleet fault schedule.
+    /// The fleet fault schedule.
     pub faults: FleetFaultPlan,
     /// Health/brownout observation epoch, µs. Must be positive and
     /// finite when elasticity or brownout is enabled.
     pub epoch_us: f64,
     /// Drain-and-migrate controller; `None` leaves placement static.
     pub elasticity: Option<ElasticityConfig>,
-    /// Fleet brownout ladder; `None` never sheds at the fleet edge.
-    pub brownout: Option<FleetBrownoutConfig>,
+    /// Run the fleet brownout ladder; `false` never tightens a gate or
+    /// answers at the fleet edge.
+    pub brownout: bool,
 }
 
 impl FleetChaosConfig {
     /// True when the config injects nothing and enables nothing — the
     /// guard for the byte-identity fast path.
     pub fn is_trivial(&self) -> bool {
-        self.faults.is_empty() && self.elasticity.is_none() && self.brownout.is_none()
+        self.faults.is_empty() && self.elasticity.is_none() && !self.brownout
     }
 }
 
@@ -225,11 +178,18 @@ struct MigrationPlan {
     resume_us: f64,
 }
 
-/// Aggregate of one chaos serving pass.
-struct PassResult {
-    models: Vec<FleetModelOutcome>,
-    attained_total: u64,
-    offered_total: u64,
+/// A completed migration and the tier its member resumes on, built once
+/// and armed with the target class's faults.
+pub(crate) struct Landing<'a> {
+    plan: MigrationPlan,
+    tier: ShardedServeRuntime<'a>,
+}
+
+/// Aggregate of one member pass.
+pub(crate) struct PassResult {
+    pub(crate) models: Vec<FleetModelOutcome>,
+    pub(crate) attained_total: u64,
+    pub(crate) offered_total: u64,
     edge_degraded: u64,
     drain_shed: u64,
 }
@@ -237,16 +197,14 @@ struct PassResult {
 impl<'a> FleetRuntime<'a> {
     /// Serve a merged fleet trace under a chaos config. `rebuild(m, c)`
     /// must build member `m`'s sharded runtime against device class `c`
-    /// — it is invoked (deterministically, in member order) for every
-    /// completed migration's landing class. A trivial config
-    /// short-circuits to [`FleetRuntime::serve`] before mutating
-    /// anything, so the no-fault path stays byte-identical to the plain
-    /// fleet.
+    /// — it is invoked once per completed migration, in member order, for
+    /// its landing class. A trivial config short-circuits to
+    /// [`FleetRuntime::serve`] before mutating anything, so the no-fault
+    /// path stays byte-identical to the plain fleet.
     ///
     /// `serve_chaos` owns each member runtime's fault plan: it installs
-    /// [`FleetFaultPlan::member_plan`] for the member's *current* class
-    /// (background faults plus expanded class windows), which is why it
-    /// takes `&mut self`. The rest of each member's
+    /// [`FleetFaultPlan::class_plan`] for the member's *current* class,
+    /// which is why it takes `&mut self`. The rest of each member's
     /// [`ResilienceConfig`](crate::faults::ResilienceConfig) — ladder,
     /// replication, deadlines — is respected as built.
     pub fn serve_chaos<F>(
@@ -267,7 +225,7 @@ impl<'a> FleetRuntime<'a> {
         if chaos.is_trivial() {
             return self.serve(arrivals);
         }
-        if (chaos.elasticity.is_some() || chaos.brownout.is_some())
+        if (chaos.elasticity.is_some() || chaos.brownout)
             && !(chaos.epoch_us.is_finite() && chaos.epoch_us > 0.0)
         {
             return Err(ServeError::Policy(
@@ -291,9 +249,9 @@ impl<'a> FleetRuntime<'a> {
         self.check_shape(streams.len())?;
 
         // Install each member's fault plan for its pinned class.
-        for (i, member) in self.members.iter_mut().enumerate() {
+        for member in &mut self.members {
             let shards = member.runtime.placement.num_devices;
-            member.runtime.resilience.plan = chaos.faults.member_plan(i, member.class, shards);
+            member.runtime.resilience.plan = chaos.faults.class_plan(member.class, shards);
         }
 
         let horizon_us = streams
@@ -311,26 +269,45 @@ impl<'a> FleetRuntime<'a> {
         // plans feeds the per-member health monitor.
         let (migrations, records) = match &chaos.elasticity {
             Some(el) => {
-                let observed = self.serve_streams(&streams)?;
-                self.plan_migrations(&observed, chaos, el, epochs)
+                let observed = self.chaos_pass(&streams, chaos, &[], &[])?;
+                self.plan_migrations(&observed.models, chaos, el, epochs)
             }
             None => (vec![None; self.members.len()], Vec::new()),
         };
+        let landed: Vec<Option<Landing<'a>>> = migrations
+            .iter()
+            .enumerate()
+            .map(|(i, m)| {
+                m.map(|plan| {
+                    let mut tier = rebuild(i, plan.target);
+                    tier.resilience.plan = chaos
+                        .faults
+                        .class_plan(plan.target, tier.placement.num_devices);
+                    Landing { plan, tier }
+                })
+            })
+            .collect();
 
         // Telemetry pass: migrations applied, no brownout — its records
         // grade the ladder, so rungs clear once a migration has
         // actually relieved the pressure.
-        let ladder: Vec<u8> = match &chaos.brownout {
-            Some(bw) => {
-                let telemetry =
-                    self.chaos_pass(&streams, chaos, &migrations, None, &mut rebuild)?;
-                ladder_levels(&telemetry.models, chaos.epoch_us, epochs, bw)
-            }
-            None => vec![0; epochs],
+        let ladder: Vec<u8> = if chaos.brownout {
+            let telemetry = self.chaos_pass(&streams, chaos, &landed, &[])?;
+            let counts = epoch_counts(
+                epochs,
+                chaos.epoch_us,
+                telemetry
+                    .models
+                    .iter()
+                    .map(|m| (m.report.records.as_slice(), m.slo_deadline_us)),
+            );
+            ladder_levels(&counts)
+        } else {
+            vec![0; epochs]
         };
 
         // Final pass: migrations and brownout both in effect.
-        let fin = self.chaos_pass(&streams, chaos, &migrations, Some(&ladder), &mut rebuild)?;
+        let fin = self.chaos_pass(&streams, chaos, &landed, &ladder)?;
 
         let final_class: Vec<usize> = self
             .members
@@ -407,7 +384,7 @@ impl<'a> FleetRuntime<'a> {
     /// order; each may migrate at most once.
     fn plan_migrations(
         &self,
-        observed: &FleetReport,
+        observed: &[FleetModelOutcome],
         chaos: &FleetChaosConfig,
         el: &ElasticityConfig,
         epochs: usize,
@@ -419,13 +396,15 @@ impl<'a> FleetRuntime<'a> {
         let mut plans = vec![None; self.members.len()];
         let mut records = Vec::new();
         for (i, member) in self.members.iter().enumerate() {
-            let Some(trigger_us) = health_trigger(
-                &observed.models[i].report.records,
-                member.slo_deadline_us,
-                chaos.epoch_us,
+            let counts = epoch_counts(
                 epochs,
-                &el.health,
-            ) else {
+                chaos.epoch_us,
+                [(
+                    observed[i].report.records.as_slice(),
+                    member.slo_deadline_us,
+                )],
+            );
+            let Some(trigger_us) = health_trigger(&counts, chaos.epoch_us) else {
                 continue;
             };
             let shards = member.runtime.placement.num_devices;
@@ -445,8 +424,8 @@ impl<'a> FleetRuntime<'a> {
                 });
                 continue;
             };
-            let drain = StagedSchedule::new(trigger_us, shards, el.drain_stagger_us);
-            let resume_us = drain.complete_us() + el.handoff_us.max(0.0);
+            let drain = StagedSchedule::new(trigger_us, shards, chaos.epoch_us / 8.0);
+            let resume_us = drain.complete_us() + chaos.epoch_us / 2.0;
             // Abort if any drain stage or the handoff would land inside
             // an outage window on the target — the §8f rollout's
             // abort-on-regression check, applied to class health.
@@ -480,56 +459,39 @@ impl<'a> FleetRuntime<'a> {
         (plans, records)
     }
 
-    /// One chaos serving pass: every request is resolved at the fleet
-    /// edge (brownout rungs, drain windows, gates) or routed to the
-    /// member's pre-/post-migration runtime; segment reports merge back
-    /// into one per-member report.
-    fn chaos_pass<F>(
+    /// One serving pass over every member, in member order: each request
+    /// is resolved at the fleet edge (brownout rungs, drain windows,
+    /// gates) or routed to the member's tier — its landing tier once a
+    /// migration has resumed — and the segment reports merge back into
+    /// one per-member report. `landed[i]` is member `i`'s completed
+    /// migration (missing entries migrate nothing) and `ladder[k]` the
+    /// rung of epoch `k` (missing epochs are rung 0), so the plain fleet
+    /// is this pass with no landings and an empty ladder.
+    pub(crate) fn chaos_pass(
         &self,
         streams: &[Vec<Request>],
         chaos: &FleetChaosConfig,
-        migrations: &[Option<MigrationPlan>],
-        ladder: Option<&[u8]>,
-        rebuild: &mut F,
-    ) -> Result<PassResult, ServeError>
-    where
-        F: FnMut(usize, usize) -> ShardedServeRuntime<'a>,
-    {
-        let bw = chaos.brownout.as_ref();
-        let prio = bw.map(|b| b.priorities.as_slice()).unwrap_or(&[]);
-        let (prio_min, prio_max) = prio
-            .iter()
-            .fold((u32::MAX, u32::MIN), |(lo, hi), &p| (lo.min(p), hi.max(p)));
-        let shed_priorities = prio.len() == self.members.len() && prio_min < prio_max;
-        let rung_at = |t: f64| -> u8 {
-            match ladder {
-                Some(l) if chaos.epoch_us > 0.0 => {
-                    let k = (t / chaos.epoch_us) as usize;
-                    l.get(k).copied().unwrap_or(0)
-                }
-                _ => 0,
-            }
-        };
-
+        landed: &[Option<Landing<'a>>],
+        ladder: &[u8],
+    ) -> Result<PassResult, ServeError> {
         let mut models = Vec::with_capacity(self.members.len());
         let mut attained_total = 0u64;
         let mut offered_total = 0u64;
         let mut edge_degraded = 0u64;
         let mut drain_shed = 0u64;
         for (i, (member, stream)) in self.members.iter().zip(streams).enumerate() {
-            let mig = migrations[i];
+            let landing = landed.get(i).and_then(Option::as_ref);
+            let mig = landing.map(|l| l.plan);
             let offered = stream.len() as u64;
             let mut pre = Vec::new();
             let mut post = Vec::new();
             let mut edge: Vec<ShardedRequestRecord> = Vec::new();
             for r in stream {
                 let t = r.arrival_us;
-                let rung = rung_at(t);
-                // Rung 2: the lowest-priority scenarios are shed whole.
-                if rung >= 2 && shed_priorities && prio[i] == prio_min {
-                    edge.push(edge_record(r, ShedReason::Admission, false));
-                    continue;
-                }
+                let rung = ladder
+                    .get((t / chaos.epoch_us) as usize)
+                    .copied()
+                    .unwrap_or(0);
                 // Drain/handoff window: neither runtime can take the
                 // request. Rung 3 answers it degraded; otherwise shed.
                 if let Some(p) = mig {
@@ -554,15 +516,17 @@ impl<'a> FleetRuntime<'a> {
                     edge_degraded += 1;
                     continue;
                 }
-                // Admission gate, tightened at rung ≥ 1.
+                // Admission gate, tightened from rung 1.
                 if let Some(g) = member.gate {
-                    let tighten = match bw {
-                        Some(b) if rung >= 1 => b.gate_tighten.clamp(0.0, 1.0),
-                        _ => 1.0,
+                    let gate = if rung >= 1 {
+                        QueryGate {
+                            deadline_us: g.deadline_us * GATE_TIGHTEN,
+                            ..g
+                        }
+                    } else {
+                        g
                     };
-                    let admits =
-                        r.batch.batch_size as f64 * g.cost_per_sample_us <= g.deadline_us * tighten;
-                    if !admits {
+                    if !gate.admits(r.batch.batch_size) {
                         if rung >= 3 {
                             edge.push(edge_record(r, ShedReason::None, true));
                             edge_degraded += 1;
@@ -582,16 +546,8 @@ impl<'a> FleetRuntime<'a> {
                 .filter(|e| e.base.shed == ShedReason::Admission)
                 .count() as u64;
             let pre_report = member.runtime.serve(&pre)?;
-            let mut report = match mig {
-                Some(p) => {
-                    let mut landed = rebuild(i, p.target);
-                    landed.resilience.plan =
-                        chaos
-                            .faults
-                            .member_plan(i, p.target, landed.placement.num_devices);
-                    let post_report = landed.serve(&post)?;
-                    ShardedReport::merge(vec![pre_report, post_report])
-                }
+            let mut report = match landing {
+                Some(l) => ShardedReport::merge(vec![pre_report, l.tier.serve(&post)?]),
                 None => pre_report,
             };
             splice_edge_records(&mut report, edge);
@@ -612,83 +568,62 @@ impl<'a> FleetRuntime<'a> {
     }
 }
 
-/// Fold one member's records through its health monitor and return the
-/// first epoch-end timestamp at which graded shortfall crosses its
-/// threshold — the drain trigger. Empty epochs (no arrivals) are
-/// skipped, not observed as healthy.
-fn health_trigger(
-    records: &[ShardedRequestRecord],
-    slo_deadline_us: Option<f64>,
-    epoch_us: f64,
+/// Per-epoch `(offered, attained)` request counts over `members`, each
+/// a record stream and its SLO deadline. Arrivals past the grid count in
+/// its last epoch.
+fn epoch_counts<'r>(
     epochs: usize,
-    health: &HealthPolicy,
-) -> Option<f64> {
-    if epochs == 0 || epoch_us <= 0.0 {
-        return None;
-    }
-    let mut offered = vec![0u64; epochs];
-    let mut attained = vec![0u64; epochs];
-    for r in records {
-        let k = ((r.base.arrival_us / epoch_us) as usize).min(epochs - 1);
-        offered[k] += 1;
-        let ok = !r.base.is_shed() && slo_deadline_us.is_none_or(|d| r.base.latency_us() <= d);
-        if ok {
-            attained[k] += 1;
+    epoch_us: f64,
+    members: impl IntoIterator<Item = (&'r [ShardedRequestRecord], Option<f64>)>,
+) -> Vec<(u64, u64)> {
+    let mut counts = vec![(0u64, 0u64); epochs];
+    let last = epochs.saturating_sub(1);
+    for (records, slo_deadline_us) in members {
+        for r in records {
+            let k = ((r.base.arrival_us / epoch_us) as usize).min(last);
+            let Some((offered, attained)) = counts.get_mut(k) else {
+                continue;
+            };
+            *offered += 1;
+            if !r.base.is_shed() && slo_deadline_us.is_none_or(|d| r.base.latency_us() <= d) {
+                *attained += 1;
+            }
         }
     }
+    counts
+}
+
+/// Fold a member's per-epoch shortfall through the health monitor's
+/// leaky bucket and return the first epoch-end timestamp at which it
+/// trips — the drain trigger. Empty epochs (no arrivals) are skipped,
+/// not observed as healthy.
+fn health_trigger(counts: &[(u64, u64)], epoch_us: f64) -> Option<f64> {
     let mut shortfall = PressureTracker::default();
-    for k in 0..epochs {
-        if offered[k] == 0 {
+    for (k, &(offered, attained)) in counts.iter().enumerate() {
+        if offered == 0 {
             continue;
         }
         let now = (k + 1) as f64 * epoch_us;
-        let s = shortfall.observe(
-            now,
-            1.0 - attained[k] as f64 / offered[k] as f64,
-            health.signal,
-        );
-        if s > health.max_shortfall {
+        let raw = 1.0 - attained as f64 / offered as f64;
+        if shortfall.observe(now, raw, epoch_us / 2.0) > HEALTH_TRIP {
             return Some(now);
         }
     }
     None
 }
 
-/// Grade the fleet brownout ladder from a telemetry pass: per-epoch
-/// fleet-wide attainment shortfall, folded through the brownout's
-/// pressure signal, mapped to a rung per epoch. Epochs with no offered
-/// traffic carry the previous graded pressure forward.
-fn ladder_levels(
-    models: &[FleetModelOutcome],
-    epoch_us: f64,
-    epochs: usize,
-    bw: &FleetBrownoutConfig,
-) -> Vec<u8> {
-    if epochs == 0 || epoch_us <= 0.0 {
-        return Vec::new();
-    }
-    let mut offered = vec![0u64; epochs];
-    let mut attained = vec![0u64; epochs];
-    for m in models {
-        for r in &m.report.records {
-            let k = ((r.base.arrival_us / epoch_us) as usize).min(epochs - 1);
-            offered[k] += 1;
-            let ok =
-                !r.base.is_shed() && m.slo_deadline_us.is_none_or(|d| r.base.latency_us() <= d);
-            if ok {
-                attained[k] += 1;
-            }
-        }
-    }
-    let mut tracker = PressureTracker::default();
+/// Grade the fleet brownout ladder from a telemetry pass's per-epoch
+/// fleet-wide counts: each epoch's raw shortfall maps to a rung. Epochs
+/// with no offered traffic carry the previous shortfall forward.
+fn ladder_levels(counts: &[(u64, u64)]) -> Vec<u8> {
     let mut p = 0.0f64;
-    (0..epochs)
-        .map(|k| {
-            if offered[k] > 0 {
-                let now = (k + 1) as f64 * epoch_us;
-                p = tracker.observe(now, 1.0 - attained[k] as f64 / offered[k] as f64, bw.signal);
+    counts
+        .iter()
+        .map(|&(offered, attained)| {
+            if offered > 0 {
+                p = 1.0 - attained as f64 / offered as f64;
             }
-            bw.level(p)
+            RUNG_ABOVE.iter().filter(|&&above| p > above).count() as u8
         })
         .collect()
 }
@@ -696,7 +631,7 @@ fn ladder_levels(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{ClassFaultKind, ClassFaultWindow, FleetFaultSpec};
+    use crate::faults::{ClassFaultKind, ClassFaultWindow};
     use crate::fleet::{DeviceClass, FleetMember};
     use crate::runtime::{BatchPolicy, ServeConfig};
     use crate::workload::{FleetWorkload, ScenarioSpec, TrafficShape};
@@ -728,13 +663,12 @@ mod tests {
         )
     }
 
-    fn scenario(name: &str, n: usize, priority: u32) -> ScenarioSpec {
+    fn scenario(name: &str, n: usize) -> ScenarioSpec {
         ScenarioSpec {
             name: name.into(),
             workload: WorkloadSpec::long_tail(400.0),
             shape: TrafficShape::flat(),
             requests: n,
-            priority,
         }
     }
 
@@ -779,26 +713,16 @@ mod tests {
 
     fn elasticity() -> ElasticityConfig {
         ElasticityConfig {
-            health: HealthPolicy {
-                signal: PressureSignal::Instantaneous,
-                max_shortfall: 0.6,
-            },
-            drain_stagger_us: 100.0,
-            handoff_us: 1_000.0,
             cost_matrix_us: vec![vec![1.0, 1.2]],
         }
     }
 
     fn chaos_with_outage(elastic: bool) -> FleetChaosConfig {
         FleetChaosConfig {
-            faults: FleetFaultSpec {
-                class_windows: vec![outage(0, OUTAGE.0, OUTAGE.1)],
-                background: None,
-            }
-            .plan(&[1], 30_000.0, 7),
+            faults: FleetFaultPlan::scripted(vec![outage(0, OUTAGE.0, OUTAGE.1)]),
             epoch_us: EPOCH_US,
             elasticity: elastic.then(elasticity),
-            brownout: None,
+            brownout: false,
         }
     }
 
@@ -814,17 +738,17 @@ mod tests {
         let model = ModelPreset::A.scaled(0.02);
         let (v100, a100) = (GpuArch::v100(), GpuArch::a100());
         let workload = FleetWorkload {
-            scenarios: vec![scenario("a", 24, 1)],
+            scenarios: vec![scenario("a", 24)],
             seed: 42,
         };
         let merged = workload.merged(&[&model]);
         let mut fleet = one_member_fleet(&model, &v100, &a100, 1);
         let plain = fleet.serve(&merged)?;
         let chaos = FleetChaosConfig {
-            faults: FleetFaultPlan::none(1),
+            faults: FleetFaultPlan::default(),
             epoch_us: EPOCH_US,
             elasticity: None,
-            brownout: None,
+            brownout: false,
         };
         assert!(chaos.is_trivial());
         let chaotic = fleet.serve_chaos(&merged, &chaos, |_, _| panic!("must not rebuild"))?;
@@ -842,7 +766,7 @@ mod tests {
         let model = ModelPreset::A.scaled(0.02);
         let (v100, a100) = (GpuArch::v100(), GpuArch::a100());
         let workload = FleetWorkload {
-            scenarios: vec![scenario("a", 48, 1)],
+            scenarios: vec![scenario("a", 48)],
             seed: 42,
         };
         let merged = workload.merged(&[&model]);
@@ -895,7 +819,7 @@ mod tests {
         let model = ModelPreset::A.scaled(0.02);
         let (v100, a100) = (GpuArch::v100(), GpuArch::a100());
         let workload = FleetWorkload {
-            scenarios: vec![scenario("a", 48, 1)],
+            scenarios: vec![scenario("a", 48)],
             seed: 42,
         };
         let merged = workload.merged(&[&model]);
@@ -918,7 +842,7 @@ mod tests {
         let model = ModelPreset::A.scaled(0.02);
         let (v100, a100) = (GpuArch::v100(), GpuArch::a100());
         let workload = FleetWorkload {
-            scenarios: vec![scenario("a", 48, 1)],
+            scenarios: vec![scenario("a", 48)],
             seed: 42,
         };
         let merged = workload.merged(&[&model]);
@@ -942,7 +866,7 @@ mod tests {
         let model = ModelPreset::A.scaled(0.02);
         let (v100, a100) = (GpuArch::v100(), GpuArch::a100());
         let workload = FleetWorkload {
-            scenarios: vec![scenario("a", 48, 1)],
+            scenarios: vec![scenario("a", 48)],
             seed: 42,
         };
         let merged = workload.merged(&[&model]);
@@ -958,14 +882,10 @@ mod tests {
         // strictly after the trigger: the controller places onto A100
         // (healthy at decision time) and the staged abort check fires.
         let mut cfg = chaos_with_outage(true);
-        cfg.faults = FleetFaultSpec {
-            class_windows: vec![
-                outage(0, OUTAGE.0, OUTAGE.1),
-                outage(1, trigger + 10.0, trigger + 20_000.0),
-            ],
-            background: None,
-        }
-        .plan(&[1], 30_000.0, 7);
+        cfg.faults = FleetFaultPlan::scripted(vec![
+            outage(0, OUTAGE.0, OUTAGE.1),
+            outage(1, trigger + 10.0, trigger + 20_000.0),
+        ]);
         let mut fleet = one_member_fleet(&model, &v100, &a100, 1);
         let report = fleet.serve_chaos(&merged, &cfg, |_, _| {
             panic!("aborted migrations must not rebuild")
@@ -984,25 +904,18 @@ mod tests {
         let model = ModelPreset::A.scaled(0.02);
         let (v100, a100) = (GpuArch::v100(), GpuArch::a100());
         let workload = FleetWorkload {
-            scenarios: vec![scenario("a", 48, 1)],
+            scenarios: vec![scenario("a", 48)],
             seed: 42,
         };
         let merged = workload.merged(&[&model]);
-        let run = |brownout: Option<FleetBrownoutConfig>| {
+        let run = |brownout: bool| {
             let mut cfg = chaos_with_outage(false);
             cfg.brownout = brownout;
             let mut fleet = one_member_fleet(&model, &v100, &a100, 1);
             fleet.serve_chaos(&merged, &cfg, |_, _| panic!("no elasticity, no rebuild"))
         };
-        let faults_only = run(None)?;
-        let browned = run(Some(FleetBrownoutConfig {
-            signal: PressureSignal::Instantaneous,
-            tighten_above: 0.01,
-            shed_above: 0.03,
-            degrade_above: 0.05,
-            gate_tighten: 1.0,
-            priorities: Vec::new(),
-        }))?;
+        let faults_only = run(false)?;
+        let browned = run(true)?;
         let stats = chaos_stats(&browned)?;
         assert!(
             stats.ladder.contains(&3),
@@ -1017,104 +930,23 @@ mod tests {
         Ok(())
     }
 
-    #[test]
-    fn brownout_rung_two_sheds_only_the_lowest_priority_scenario() -> Result<(), ServeError> {
-        let model = ModelPreset::A.scaled(0.02);
-        let (v100, a100) = (GpuArch::v100(), GpuArch::a100());
-        let workload = FleetWorkload {
-            scenarios: vec![scenario("low", 32, 0), scenario("high", 32, 5)],
-            seed: 42,
-        };
-        let merged = workload.merged(&[&model, &model]);
-        let mut fleet = FleetRuntime {
-            classes: vec![
-                DeviceClass {
-                    name: "V100".into(),
-                    arch: &v100,
-                    devices: 1,
-                },
-                DeviceClass {
-                    name: "A100".into(),
-                    arch: &a100,
-                    devices: 1,
-                },
-            ],
-            members: vec![
-                FleetMember {
-                    name: "low".into(),
-                    class: 0,
-                    runtime: build(&model, &v100),
-                    slo_deadline_us: Some(3_000.0),
-                    gate: None,
-                    tuning: None,
-                },
-                FleetMember {
-                    name: "high".into(),
-                    class: 1,
-                    runtime: build(&model, &a100),
-                    slo_deadline_us: Some(3_000.0),
-                    gate: None,
-                    tuning: None,
-                },
-            ],
-        };
-        let cfg = FleetChaosConfig {
-            faults: FleetFaultSpec {
-                class_windows: vec![outage(0, OUTAGE.0, OUTAGE.1)],
-                background: None,
-            }
-            .plan(&[1, 1], 30_000.0, 7),
-            epoch_us: EPOCH_US,
-            elasticity: None,
-            brownout: Some(FleetBrownoutConfig {
-                signal: PressureSignal::Instantaneous,
-                tighten_above: 0.01,
-                shed_above: 0.03,
-                degrade_above: 2.0, // unreachable: the ladder caps at rung 2
-                gate_tighten: 1.0,
-                priorities: vec![0, 5],
-            }),
-        };
-        let report = fleet.serve_chaos(&merged, &cfg, |_, _| panic!("no elasticity"))?;
-        let stats = chaos_stats(&report)?;
-        assert!(
-            stats.ladder.contains(&2) && stats.ladder.iter().all(|&l| l < 3),
-            "ladder must reach exactly rung 2: {:?}",
-            stats.ladder
-        );
-        assert!(
-            report.models[0].gate_shed > 0,
-            "the low-priority scenario is shed at the edge"
-        );
-        assert_eq!(
-            report.models[1].gate_shed, 0,
-            "the high-priority scenario is untouched"
-        );
-        Ok(())
-    }
-
     proptest! {
-        /// Satellite replay gate: the same seed and `FleetFaultSpec`
-        /// yield an identical migration trace and a byte-identical
-        /// `FleetReport` across runs. (The CI `threads-replay` matrix
+        /// Replay gate: the same seed and `FleetFaultPlan` yield an
+        /// identical migration trace and a byte-identical `FleetReport`
+        /// across runs. (The CI `threads-replay` matrix
         /// extends this equality across `RECFLEX_THREADS`.)
         #[test]
         fn chaos_runs_replay_bit_for_bit(seed in 0u64..6) {
-            // Kept deliberately small: each case is two full three-pass
-            // chaos runs, and the default case count multiplies it.
+            // Kept deliberately small: each case is two full chaos runs,
+            // and the default case count multiplies it.
             let model = ModelPreset::A.scaled(0.01);
             let (v100, a100) = (GpuArch::v100(), GpuArch::a100());
             let workload = FleetWorkload {
-                scenarios: vec![scenario("a", 12, 1)],
+                scenarios: vec![scenario("a", 12)],
                 seed,
             };
             let merged = workload.merged(&[&model]);
-            let spec = FleetFaultSpec {
-                class_windows: vec![outage(0, OUTAGE.0, OUTAGE.1)],
-                background: Some(crate::faults::FaultSpec::mixed(8_000.0, 2_000.0)),
-            };
-            let mut cfg = chaos_with_outage(true);
-            cfg.faults = spec.plan(&[1], 30_000.0, seed);
+            let cfg = chaos_with_outage(true);
             let run = || {
                 let mut fleet = one_member_fleet(&model, &v100, &a100, 1);
                 fleet

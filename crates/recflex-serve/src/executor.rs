@@ -155,12 +155,15 @@ impl DeviceExecutor {
     /// Advance the device clock to `t`, retiring every kernel that
     /// finishes on the way and promoting queued kernels into freed
     /// streams. Completions are buffered for [`Self::drain_completed`].
+    /// A kernel whose remaining work is too small to move the clock at
+    /// all is due at the clock itself, and retires even when `t` is the
+    /// current clock.
     pub fn advance_to(&mut self, t: f64) {
-        while self.clock < t {
+        loop {
             if self.resident.is_empty() || self.rate <= 0.0 {
                 // Nothing resident, or stalled: time passes, work doesn't.
-                self.clock = t;
-                break;
+                self.clock = self.clock.max(t);
+                return;
             }
             let k = self.resident.len() as f64;
             let min_rem = self
@@ -169,18 +172,20 @@ impl DeviceExecutor {
                 .map(|j| j.remaining_us)
                 .fold(f64::INFINITY, f64::min);
             let finish_at = self.clock + min_rem * k / self.rate;
-            if finish_at > t {
-                let per_job = (t - self.clock) * self.rate / k;
-                for j in &mut self.resident {
-                    j.remaining_us -= per_job;
+            if finish_at > t || !finish_at.is_finite() {
+                if self.clock < t {
+                    let per_job = (t - self.clock) * self.rate / k;
+                    for j in &mut self.resident {
+                        j.remaining_us -= per_job;
+                    }
+                    self.clock = t;
                 }
-                self.clock = t;
-                break;
+                return;
             }
             for j in &mut self.resident {
                 j.remaining_us -= min_rem;
             }
-            self.clock = finish_at;
+            self.clock = self.clock.max(finish_at);
             // Retire in submission order (Vec order), so simultaneous
             // completions resolve deterministically.
             let mut i = 0;
@@ -352,6 +357,19 @@ mod tests {
         // Job 2 starts at the cancellation instant and runs alone.
         assert_eq!(run_until_idle(&mut ex), vec![(60.0, 2)]);
         assert_eq!(ex.drain_started(), vec![(0.0, 1), (10.0, 2)]);
+    }
+
+    #[test]
+    fn work_too_small_to_move_the_clock_completes_at_the_clock() {
+        // Near 1e9 µs the clock resolves about 1.2e-7 µs, so a 1e-8 µs
+        // kernel is due the moment it becomes resident.
+        let mut ex = DeviceExecutor::new(2);
+        ex.advance_to(1e9);
+        ex.submit(1e9, 1, 1e-8);
+        assert_eq!(ex.next_completion_us(), Some(1e9));
+        ex.advance_to(1e9);
+        assert_eq!(ex.drain_completed(), vec![(1e9, 1)]);
+        assert!(ex.is_idle());
     }
 
     #[test]

@@ -201,11 +201,21 @@ impl FaultPlan {
     }
 }
 
+/// Draw weights of the four fault kinds, in the order slowdown, stall,
+/// crash, link degradation: slowdowns are the common case.
+const KIND_WEIGHTS: [f64; 4] = [3.0, 1.0, 1.0, 1.0];
+/// Throughput multiplier a drawn slowdown imposes.
+const SLOWDOWN_RATE: f64 = 0.4;
+/// Bandwidth-cut factor a drawn link degradation imposes.
+const LINK_FACTOR: f64 = 8.0;
+
 /// The statistical shape of a seeded fault schedule — the fault-side
 /// analogue of [`crate::WorkloadSpec`]. Fault starts are a Poisson
-/// process (exponential gaps), durations are exponential, kinds are
-/// drawn by weight, and shard-scoped faults pick a shard uniformly.
-/// Identical `(spec, num_shards, horizon, seed)` replays a bit-identical
+/// process (exponential gaps) and durations are exponential. Kinds are
+/// drawn 3 : 1 : 1 : 1 from slowdown (to 0.4 of healthy throughput),
+/// stall, crash and link degradation (bandwidth cut 8×), and
+/// shard-scoped faults pick a shard uniformly. Identical
+/// `(spec, num_shards, horizon, seed)` replays a bit-identical
 /// [`FaultPlan`].
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FaultSpec {
@@ -213,32 +223,14 @@ pub struct FaultSpec {
     pub mean_time_between_us: f64,
     /// Mean fault duration, µs.
     pub mean_duration_us: f64,
-    /// Relative draw weight of slowdown faults.
-    pub slowdown_weight: f64,
-    /// Relative draw weight of stall faults.
-    pub stall_weight: f64,
-    /// Relative draw weight of crash faults.
-    pub crash_weight: f64,
-    /// Relative draw weight of link-degradation faults.
-    pub link_weight: f64,
-    /// Throughput multiplier a slowdown imposes, in `(0, 1)`.
-    pub slowdown_rate: f64,
-    /// Bandwidth-cut factor a link degradation imposes, ≥ 1.
-    pub link_factor: f64,
 }
 
 impl FaultSpec {
-    /// A balanced mix of all four fault kinds at the given cadence.
+    /// The fixed mix of all four fault kinds at the given cadence.
     pub fn mixed(mean_time_between_us: f64, mean_duration_us: f64) -> Self {
         FaultSpec {
             mean_time_between_us,
             mean_duration_us,
-            slowdown_weight: 3.0,
-            stall_weight: 1.0,
-            crash_weight: 1.0,
-            link_weight: 1.0,
-            slowdown_rate: 0.4,
-            link_factor: 8.0,
         }
     }
 
@@ -246,11 +238,10 @@ impl FaultSpec {
     /// `[0, horizon_us)` from `seed`. Identical arguments produce
     /// byte-identical plans.
     pub fn plan(&self, num_shards: usize, horizon_us: f64, seed: u64) -> FaultPlan {
-        let total_weight =
-            self.slowdown_weight + self.stall_weight + self.crash_weight + self.link_weight;
-        if num_shards == 0 || horizon_us <= 0.0 || total_weight <= 0.0 {
+        if num_shards == 0 || horizon_us <= 0.0 {
             return FaultPlan::none();
         }
+        let [slowdown, stall, crash, link] = KIND_WEIGHTS;
         let mut rng = StdRng::seed_from_u64(seed ^ 0x000F_A017_5EED);
         let mut faults = Vec::new();
         let mut t = 0.0f64;
@@ -263,19 +254,19 @@ impl FaultSpec {
             let d: f64 = rng.gen_range(0.0..1.0);
             let duration = -self.mean_duration_us * (1.0 - d).ln();
             let shard = rng.gen_range(0..num_shards as u64) as usize;
-            let pick = rng.gen_range(0.0..total_weight);
-            let kind = if pick < self.slowdown_weight {
+            let pick = rng.gen_range(0.0..slowdown + stall + crash + link);
+            let kind = if pick < slowdown {
                 FaultKind::Slowdown {
                     shard,
-                    rate: self.slowdown_rate.clamp(1e-3, 1.0),
+                    rate: SLOWDOWN_RATE,
                 }
-            } else if pick < self.slowdown_weight + self.stall_weight {
+            } else if pick < slowdown + stall {
                 FaultKind::Stall { shard }
-            } else if pick < self.slowdown_weight + self.stall_weight + self.crash_weight {
+            } else if pick < slowdown + stall + crash {
                 FaultKind::Crash { shard }
             } else {
                 FaultKind::LinkDegrade {
-                    factor: self.link_factor.max(1.0),
+                    factor: LINK_FACTOR,
                 }
             };
             faults.push(Fault {
@@ -333,99 +324,42 @@ impl ClassFaultWindow {
     }
 }
 
-/// The fleet-level fault schedule: scripted correlated class windows
-/// plus an optional background [`FaultSpec`] drawn independently per
-/// member. The fleet analogue of [`FaultSpec`]: identical
-/// `(spec, shards, horizon, seed)` replays a bit-identical
-/// [`FleetFaultPlan`].
+/// The fleet-level fault schedule: correlated whole-class windows,
+/// sorted by `(start, class)`. The fleet analogue of [`FaultPlan`]: the
+/// plan a member runtime actually executes comes from
+/// [`FleetFaultPlan::class_plan`], which expands the windows of the
+/// member's *current* class onto its shard lanes — so a migrated member
+/// escapes its old class's outages and inherits its new class's.
 #[derive(Debug, Clone, PartialEq, Default, Serialize)]
-pub struct FleetFaultSpec {
-    /// Correlated whole-class windows, applied to every member pinned
-    /// to the named class at serve time.
+pub struct FleetFaultPlan {
+    /// Correlated whole-class windows, sorted by start time, then class.
     pub class_windows: Vec<ClassFaultWindow>,
-    /// Background per-member fault mix; `None` injects nothing beyond
-    /// the class windows.
-    pub background: Option<FaultSpec>,
 }
 
-impl FleetFaultSpec {
-    /// Materialize the plan for a fleet whose member `i` runs
-    /// `shards[i]` shard lanes. Background plans are seeded per member
-    /// with the same golden-ratio stride the fleet workload uses for
-    /// per-scenario streams, so members stay decorrelated but
-    /// replayable.
-    pub fn plan(&self, shards: &[usize], horizon_us: f64, seed: u64) -> FleetFaultPlan {
-        let mut class_windows: Vec<ClassFaultWindow> = self
-            .class_windows
-            .iter()
-            .copied()
-            .filter(|w| w.end_us > w.start_us)
-            .collect();
+impl FleetFaultPlan {
+    /// A hand-written plan. Windows are sorted by `(start, class)`;
+    /// windows with `end_us <= start_us` are empty and dropped.
+    pub fn scripted(mut class_windows: Vec<ClassFaultWindow>) -> Self {
+        class_windows.retain(|w| w.end_us > w.start_us);
         class_windows.sort_by(|a, b| {
             a.start_us
                 .total_cmp(&b.start_us)
                 .then(a.class.cmp(&b.class))
         });
-        let member_plans = shards
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| match &self.background {
-                Some(spec) => spec.plan(
-                    n,
-                    horizon_us,
-                    seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                ),
-                None => FaultPlan::none(),
-            })
-            .collect();
-        FleetFaultPlan {
-            class_windows,
-            member_plans,
-        }
-    }
-}
-
-/// A materialized fleet fault schedule: one background [`FaultPlan`]
-/// per member plus the correlated class windows. The per-member plan a
-/// runtime actually executes comes from [`FleetFaultPlan::member_plan`],
-/// which expands the class windows of the member's *current* class onto
-/// its shard lanes — so a migrated member escapes its old class's
-/// outages and inherits its new class's.
-#[derive(Debug, Clone, PartialEq, Default, Serialize)]
-pub struct FleetFaultPlan {
-    /// Correlated whole-class windows, sorted by start time.
-    pub class_windows: Vec<ClassFaultWindow>,
-    /// Background fault plan per fleet member, in member order.
-    pub member_plans: Vec<FaultPlan>,
-}
-
-impl FleetFaultPlan {
-    /// The empty plan for `num_members` members: injects nothing, and
-    /// [`member_plan`](Self::member_plan) returns [`FaultPlan::none`]
-    /// everywhere — the fleet's bit-identity fast path.
-    pub fn none(num_members: usize) -> Self {
-        FleetFaultPlan {
-            class_windows: Vec::new(),
-            member_plans: vec![FaultPlan::none(); num_members],
-        }
+        FleetFaultPlan { class_windows }
     }
 
     /// True when the plan injects nothing at all.
     pub fn is_empty(&self) -> bool {
-        self.class_windows.is_empty() && self.member_plans.iter().all(FaultPlan::is_empty)
+        self.class_windows.is_empty()
     }
 
-    /// The concrete [`FaultPlan`] member `member` executes while pinned
-    /// to device class `class` with `num_shards` shard lanes: its
-    /// background plan merged with every class window on `class`
-    /// expanded onto all of its lanes (Outage → crash, Brownout →
-    /// slowdown).
-    pub fn member_plan(&self, member: usize, class: usize, num_shards: usize) -> FaultPlan {
-        let mut faults = self
-            .member_plans
-            .get(member)
-            .map(|p| p.faults.clone())
-            .unwrap_or_default();
+    /// The concrete [`FaultPlan`] a member executes while pinned to
+    /// device class `class` with `num_shards` shard lanes: every window
+    /// on `class` expanded onto all of its lanes (Outage → crash,
+    /// Brownout → slowdown).
+    pub fn class_plan(&self, class: usize, num_shards: usize) -> FaultPlan {
+        let mut faults = Vec::new();
         for w in self.class_windows.iter().filter(|w| w.class == class) {
             for shard in 0..num_shards {
                 let kind = match w.kind {
@@ -501,7 +435,7 @@ pub struct StageFault {
 
 /// The pipeline-level fault schedule: scripted stage-scoped windows plus
 /// an optional background [`FaultSpec`] drawn independently per stage.
-/// The staged analogue of [`FleetFaultSpec`]: identical
+/// Identical
 /// `(spec, stage shard counts, horizon, seed)` replays bit-identical
 /// per-stage [`FaultPlan`]s.
 #[derive(Debug, Clone, PartialEq, Default, Serialize)]
@@ -530,8 +464,9 @@ impl PipelineFaultSpec {
 
     /// Materialize one [`FaultPlan`] per stage, where stage `k` runs
     /// `stage_shards[k]` shard lanes. Background plans are seeded per
-    /// stage with the same golden-ratio stride the fleet uses for
-    /// per-member plans, so stages stay decorrelated but replayable.
+    /// stage with the same golden-ratio stride the fleet workload uses
+    /// for per-scenario streams, so stages stay decorrelated but
+    /// replayable.
     /// Scripted windows naming a stage out of range are dropped.
     pub fn plans(&self, stage_shards: &[usize], horizon_us: f64, seed: u64) -> Vec<FaultPlan> {
         stage_shards
@@ -628,28 +563,11 @@ impl LadderConfig {
     }
 }
 
-/// How a controller converts raw samples (stage failures, epoch
-/// shortfall) into the pressure its thresholds grade.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum PressureSignal {
-    /// Grade each decision on the instantaneous sample: a single spiked
-    /// sample can cross a threshold.
-    #[default]
-    Instantaneous,
-    /// Grade on a leaky-bucket (exponentially time-decayed) average of
-    /// the samples: pressure charges toward the raw sample with time
-    /// constant `tau_us` and leaks back the same way, so a short spike
-    /// cannot cross a threshold but sustained pressure still does.
-    LeakyBucket {
-        /// Time constant of the charge/leak, µs (≥ 0; 0 degenerates to
-        /// instantaneous).
-        tau_us: f64,
-    },
-}
-
-/// Evolves the leaky-bucket pressure between decisions. Deterministic:
-/// the value is a pure fold over the (timestamp, sample) pairs its
-/// caller feeds it.
+/// A leaky bucket over raw samples (stage failures, epoch shortfall):
+/// pressure charges toward each sample with a time constant and leaks
+/// back the same way, so a short spike cannot cross a threshold but
+/// sustained pressure still does. Deterministic: the value is a pure
+/// fold over the (timestamp, sample) pairs its caller feeds it.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PressureTracker {
     value: f64,
@@ -657,21 +575,18 @@ pub struct PressureTracker {
 }
 
 impl PressureTracker {
-    /// Fold in a sample at `now` and return the pressure to grade on.
-    /// Non-finite samples re-seed the bucket directly — `∞ × decay`
-    /// would be `NaN`-prone, and an unbounded sample should cross every
-    /// threshold immediately.
-    pub fn observe(&mut self, now: f64, raw_backlog_us: f64, signal: PressureSignal) -> f64 {
-        let tau_us = match signal {
-            PressureSignal::Instantaneous => return raw_backlog_us,
-            PressureSignal::LeakyBucket { tau_us } => tau_us,
-        };
-        if !raw_backlog_us.is_finite() || !self.value.is_finite() || tau_us <= 0.0 {
-            self.value = raw_backlog_us;
+    /// Fold in `raw` at `now` with time constant `tau_us` and return the
+    /// pressure to grade on. Non-finite samples re-seed the bucket
+    /// directly — `∞ × decay` would be `NaN`-prone, and an unbounded
+    /// sample should cross every threshold immediately — and so does a
+    /// `tau_us` of 0 or less.
+    pub fn observe(&mut self, now: f64, raw: f64, tau_us: f64) -> f64 {
+        if !raw.is_finite() || !self.value.is_finite() || tau_us <= 0.0 {
+            self.value = raw;
         } else {
             let dt = (now - self.last_us).max(0.0);
             let alpha = 1.0 - (-dt / tau_us).exp();
-            self.value += (raw_backlog_us - self.value) * alpha;
+            self.value += (raw - self.value) * alpha;
         }
         self.last_us = now;
         self.value
@@ -858,21 +773,11 @@ mod tests {
     }
 
     #[test]
-    fn instantaneous_pressure_passes_samples_through_untouched() {
-        let mut tracker = PressureTracker::default();
-        let signal = PressureSignal::Instantaneous;
-        assert_eq!(tracker.observe(0.0, 7_500.0, signal), 7_500.0);
-        assert_eq!(tracker.observe(1.0, 0.0, signal), 0.0);
-        // The identity path never mutates the bucket.
-        assert_eq!(tracker, PressureTracker::default());
-    }
-
-    #[test]
     fn leaky_bucket_rejects_spikes_but_tracks_sustained_pressure() {
-        let signal = PressureSignal::LeakyBucket { tau_us: 100_000.0 };
+        let tau = 100_000.0;
         let mut tracker = PressureTracker::default();
         // A 1 ms spike against a 100 ms time constant charges ~1%.
-        let after_spike = tracker.observe(1_000.0, 10_000.0, signal);
+        let after_spike = tracker.observe(1_000.0, 10_000.0, tau);
         assert!(
             after_spike < 0.02 * 10_000.0,
             "spike must barely charge the bucket: {after_spike}"
@@ -880,24 +785,24 @@ mod tests {
         // Sustained pressure converges onto the raw backlog.
         let mut p = after_spike;
         for k in 1..=20 {
-            p = tracker.observe(1_000.0 + k as f64 * 50_000.0, 10_000.0, signal);
+            p = tracker.observe(1_000.0 + k as f64 * 50_000.0, 10_000.0, tau);
         }
         assert!(p > 0.99 * 10_000.0, "sustained pressure must converge: {p}");
         // And leaks back out once the backlog clears.
-        let drained = tracker.observe(2_000_000.0, 0.0, signal);
+        let drained = tracker.observe(2_000_000.0, 0.0, tau);
         assert!(drained < 10.0, "bucket must leak: {drained}");
     }
 
     #[test]
     fn leaky_bucket_reseeds_on_infinite_backlog() {
-        let signal = PressureSignal::LeakyBucket { tau_us: 100_000.0 };
+        let tau = 100_000.0;
         let mut tracker = PressureTracker::default();
-        tracker.observe(0.0, 100.0, signal);
+        tracker.observe(0.0, 100.0, tau);
         // A stalled lane is infinitely backlogged: the ladder must max
         // out immediately, not after a NaN-polluted decay.
-        assert_eq!(tracker.observe(1.0, f64::INFINITY, signal), f64::INFINITY);
+        assert_eq!(tracker.observe(1.0, f64::INFINITY, tau), f64::INFINITY);
         // Recovery re-seeds cleanly from the next finite sample.
-        let back = tracker.observe(2.0, 500.0, signal);
+        let back = tracker.observe(2.0, 500.0, tau);
         assert_eq!(back, 500.0);
         assert!(tracker.value().is_finite());
     }
@@ -912,11 +817,11 @@ mod tests {
     }
 
     #[test]
-    fn empty_fleet_plan_expands_to_empty_member_plans() {
-        let plan = FleetFaultPlan::none(3);
+    fn empty_fleet_plan_expands_to_empty_class_plans() {
+        let plan = FleetFaultPlan::default();
         assert!(plan.is_empty());
-        for m in 0..3 {
-            assert!(plan.member_plan(m, 0, 4).is_empty());
+        for class in 0..3 {
+            assert!(plan.class_plan(class, 4).is_empty());
         }
         assert!(!plan.outage_active(0, 0.0));
         assert_eq!(plan.outage_downtime_us(0, 1e9), 0.0);
@@ -924,31 +829,28 @@ mod tests {
 
     #[test]
     fn class_outage_expands_to_crashes_on_every_lane_of_the_class() {
-        let spec = FleetFaultSpec {
-            class_windows: vec![
-                outage(1, 1_000.0, 2_000.0),
-                ClassFaultWindow {
-                    class: 0,
-                    kind: ClassFaultKind::Brownout { rate: 0.25 },
-                    start_us: 500.0,
-                    end_us: 800.0,
-                },
-                outage(0, 300.0, 300.0), // empty, dropped
-            ],
-            background: None,
-        };
-        let plan = spec.plan(&[2, 3], 10_000.0, 7);
+        let plan = FleetFaultPlan::scripted(vec![
+            outage(1, 1_000.0, 2_000.0),
+            ClassFaultWindow {
+                class: 0,
+                kind: ClassFaultKind::Brownout { rate: 0.25 },
+                start_us: 500.0,
+                end_us: 800.0,
+            },
+            outage(0, 300.0, 300.0), // empty, dropped
+        ]);
         assert_eq!(plan.class_windows.len(), 2, "empty windows are dropped");
+        assert_eq!(plan.class_windows[0].start_us, 500.0, "sorted by start");
         assert!(!plan.is_empty());
 
         // A member on class 1 sees a crash on each of its lanes.
-        let on_hit = plan.member_plan(0, 1, 2);
+        let on_hit = plan.class_plan(1, 2);
         assert_eq!(on_hit.faults.len(), 2);
         assert!(on_hit.crashed(0, 1_500.0) && on_hit.crashed(1, 1_500.0));
         assert!(!on_hit.crashed(0, 2_000.0), "windows stay half-open");
 
         // The same member pinned to class 0 instead sees the brownout.
-        let on_other = plan.member_plan(0, 0, 2);
+        let on_other = plan.class_plan(0, 2);
         assert_eq!(on_other.rate_of(0, 600.0), 0.25);
         assert!(!on_other.crashed(0, 1_500.0));
 
@@ -959,27 +861,5 @@ mod tests {
         assert!(plan.outage_overlaps(1, 1_900.0, 5_000.0));
         assert!(!plan.outage_overlaps(1, 2_000.0, 5_000.0));
         assert_eq!(plan.outage_downtime_us(1, 1_600.0), 600.0);
-    }
-
-    #[test]
-    fn fleet_background_plans_are_decorrelated_but_replayable() {
-        let spec = FleetFaultSpec {
-            class_windows: vec![outage(0, 1_000.0, 2_000.0)],
-            background: Some(FaultSpec::mixed(2_000.0, 1_000.0)),
-        };
-        let a = spec.plan(&[2, 2], 20_000.0, 42);
-        let b = spec.plan(&[2, 2], 20_000.0, 42);
-        assert_eq!(a, b, "same inputs replay bit-for-bit");
-        assert_ne!(
-            a.member_plans[0], a.member_plans[1],
-            "members draw independent background faults"
-        );
-        // The background seed derivation matches FaultSpec::plan per member.
-        let direct = FaultSpec::mixed(2_000.0, 1_000.0).plan(
-            2,
-            20_000.0,
-            42u64 ^ 1u64.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        );
-        assert_eq!(a.member_plans[1], direct);
     }
 }

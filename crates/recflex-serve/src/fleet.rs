@@ -25,7 +25,7 @@
 
 use serde::Serialize;
 
-use crate::elastic::FleetChaosStats;
+use crate::elastic::{FleetChaosConfig, FleetChaosStats};
 use crate::lifecycle::EngineTuning;
 use crate::sharded::ShardedServeRuntime;
 use crate::stats::{RequestRecord, ShardedReport, ShardedRequestRecord, ShedReason};
@@ -242,7 +242,8 @@ impl<'a> FleetRuntime<'a> {
     /// Serve pre-demuxed per-member request streams. `streams[i]` goes
     /// to member `i` after its admission gate; gate rejections surface
     /// as [`ShedReason::Admission`] records in the member report, so
-    /// every offered request has a record.
+    /// every offered request has a record. This is the chaos member pass
+    /// with no faults, no migrations and no brownout ladder.
     pub fn serve_streams(&self, streams: &[Vec<Request>]) -> Result<FleetReport, ServeError> {
         self.check_shape(streams.len())?;
         // A gate rejection never reaches the tier that would refuse a
@@ -250,35 +251,15 @@ impl<'a> FleetRuntime<'a> {
         for r in streams.iter().flatten() {
             r.check_arrival()?;
         }
-        let mut models = Vec::with_capacity(self.members.len());
-        let mut attained_total = 0u64;
-        let mut offered_total = 0u64;
-        for (member, stream) in self.members.iter().zip(streams) {
-            let offered = stream.len() as u64;
-            let (admitted, rejected): (Vec<Request>, Vec<Request>) = match member.gate {
-                None => (stream.clone(), Vec::new()),
-                Some(gate) => stream
-                    .iter()
-                    .cloned()
-                    .partition(|r| gate.admits(r.batch.batch_size)),
-            };
-            let gate_shed = rejected.len() as u64;
-            let mut report = member.runtime.serve(&admitted)?;
-            splice_edge_records(
-                &mut report,
-                rejected
-                    .iter()
-                    .map(|r| edge_record(r, ShedReason::Admission, false))
-                    .collect(),
-            );
-            let (outcome, attained) =
-                self.finish_member(member, member.class, offered, gate_shed, report);
-            attained_total += attained;
-            offered_total += offered;
-            models.push(outcome);
-        }
+        let pass = self.chaos_pass(streams, &FleetChaosConfig::default(), &[], &[])?;
         let class_of: Vec<usize> = self.members.iter().map(|m| m.class).collect();
-        Ok(self.assemble(models, &class_of, attained_total, offered_total, None))
+        Ok(self.assemble(
+            pass.models,
+            &class_of,
+            pass.attained_total,
+            pass.offered_total,
+            None,
+        ))
     }
 
     /// Roll one member's finished report up into its fleet outcome,
@@ -389,8 +370,7 @@ impl<'a> FleetRuntime<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::elastic::{FleetBrownoutConfig, FleetChaosConfig};
-    use crate::faults::{ClassFaultKind, ClassFaultWindow, FleetFaultSpec, PressureSignal};
+    use crate::faults::{ClassFaultKind, ClassFaultWindow, FleetFaultPlan};
     use crate::runtime::{BatchPolicy, ServeConfig};
     use crate::workload::{FleetWorkload, ScenarioSpec, TrafficShape};
     use crate::WorkloadSpec;
@@ -432,7 +412,6 @@ mod tests {
                 workload: WorkloadSpec::long_tail(400.0),
                 shape: TrafficShape::flat(),
                 requests: 32,
-                priority: 1,
             }],
             seed: 42,
         };
@@ -498,7 +477,6 @@ mod tests {
                 workload: WorkloadSpec::long_tail(400.0),
                 shape: TrafficShape::flat(),
                 requests: 48,
-                priority: 1,
             }],
             seed: 11,
         };
@@ -578,14 +556,12 @@ mod tests {
                     workload: WorkloadSpec::long_tail(300.0),
                     shape: TrafficShape::flat(),
                     requests: 24,
-                    priority: 1,
                 },
                 ScenarioSpec {
                     name: "c".into(),
                     workload: WorkloadSpec::long_tail(500.0),
                     shape: TrafficShape::flat(),
                     requests: 16,
-                    priority: 1,
                 },
             ],
             seed: 5,
@@ -678,7 +654,6 @@ mod tests {
                     workload: WorkloadSpec::long_tail(400.0),
                     shape: TrafficShape::flat(),
                     requests: 8,
-                    priority: 1,
                 })
                 .collect(),
             seed: 3,
@@ -687,18 +662,14 @@ mod tests {
 
     /// A non-trivial chaos config, so `serve_chaos` runs its own passes
     /// instead of short-circuiting to `serve`.
-    fn outage_chaos(members: usize) -> FleetChaosConfig {
+    fn outage_chaos() -> FleetChaosConfig {
         FleetChaosConfig {
-            faults: FleetFaultSpec {
-                class_windows: vec![ClassFaultWindow {
-                    class: 0,
-                    kind: ClassFaultKind::Outage,
-                    start_us: 1_000.0,
-                    end_us: 2_000.0,
-                }],
-                background: None,
-            }
-            .plan(&vec![1; members], 10_000.0, 7),
+            faults: FleetFaultPlan::scripted(vec![ClassFaultWindow {
+                class: 0,
+                kind: ClassFaultKind::Outage,
+                start_us: 1_000.0,
+                end_us: 2_000.0,
+            }]),
             ..FleetChaosConfig::default()
         }
     }
@@ -717,7 +688,7 @@ mod tests {
             Err(ServeError::Request { id, .. }) => assert_eq!(Some(id), stray),
             other => panic!("serve: {other:?}"),
         }
-        let chaotic = fleet.serve_chaos(&merged, &outage_chaos(2), |_, _| {
+        let chaotic = fleet.serve_chaos(&merged, &outage_chaos(), |_, _| {
             panic!("no elasticity, no rebuild")
         });
         assert!(
@@ -737,15 +708,8 @@ mod tests {
         let valid = scenarios(1).merged(&[&model]);
         let brownout = FleetChaosConfig {
             epoch_us: 1_000.0,
-            brownout: Some(FleetBrownoutConfig {
-                signal: PressureSignal::Instantaneous,
-                tighten_above: 0.01,
-                shed_above: 0.03,
-                degrade_above: 0.05,
-                gate_tighten: 1.0,
-                priorities: Vec::new(),
-            }),
-            ..outage_chaos(1)
+            brownout: true,
+            ..outage_chaos()
         };
         let reject_all = QueryGate {
             cost_per_sample_us: 1.0,
@@ -760,7 +724,7 @@ mod tests {
                 fleet.members[0].gate = gate;
                 let no_rebuild = |_, _| panic!("no elasticity, no rebuild");
                 let plain = fleet.serve(&merged);
-                let outage = fleet.serve_chaos(&merged, &outage_chaos(1), no_rebuild);
+                let outage = fleet.serve_chaos(&merged, &outage_chaos(), no_rebuild);
                 let browned = fleet.serve_chaos(&merged, &brownout, no_rebuild);
                 for (path, served) in [
                     ("serve", plain),
@@ -786,7 +750,7 @@ mod tests {
         let merged = scenarios(1).merged(&[&model]);
         let mut fleet = fleet(&model, &arch, &[1]);
         assert!(matches!(fleet.serve(&merged), Err(ServeError::Policy(_))));
-        let chaotic = fleet.serve_chaos(&merged, &outage_chaos(1), |_, _| {
+        let chaotic = fleet.serve_chaos(&merged, &outage_chaos(), |_, _| {
             panic!("no elasticity, no rebuild")
         });
         assert!(

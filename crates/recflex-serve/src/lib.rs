@@ -56,10 +56,10 @@
 //!   correlated whole-class outage/brownout windows, a health-monitored
 //!   drain-and-migrate elasticity controller that re-places an
 //!   unhealthy member onto the best surviving class
-//!   ([`ElasticityConfig`]), and a fleet brownout ladder
-//!   ([`FleetBrownoutConfig`]) that tightens gates, sheds low-priority
-//!   scenarios, and answers outage-stranded traffic with degraded edge
-//!   records,
+//!   ([`ElasticityConfig`]), and a fleet brownout ladder that tightens
+//!   gates and answers outage-stranded traffic with degraded edge
+//!   records. Every threshold, drain and handoff time is fixed or a
+//!   fraction of the observation epoch,
 //! * [`PipelineRuntime`] ([`PipelineSpec`]) — deadline-budgeted
 //!   multi-stage cascades (retrieval → filtering → ranking), each stage
 //!   its own sharded tier with a share of the end-to-end SLO threaded
@@ -68,7 +68,8 @@
 //!   under a token-bucket [`RetryBudget`] (degrading candidates along a
 //!   ladder), or trips the per-stage [`CircuitBreaker`] and answers from
 //!   the stage fallback, flagged in a per-stage `degraded` mask instead
-//!   of shedding.
+//!   of shedding. The budgeted policy is fixed up to the SLO
+//!   ([`BudgetedPolicy::for_slo`]).
 //!
 //! Serving is timing-only: every chunk, canary replay included, is priced
 //! with [`recflex_baselines::Backend::cost`], never `run`, so no pooled
@@ -97,14 +98,12 @@ pub use drift::{
     expected_lookups_per_sample, expected_lookups_per_sample_per_feature, DriftConfig, DriftMonitor,
 };
 pub use elastic::{
-    ElasticityConfig, FleetBrownoutConfig, FleetChaosConfig, FleetChaosStats, HealthPolicy,
-    MigrationRecord, ResidualClassStats,
+    ElasticityConfig, FleetChaosConfig, FleetChaosStats, MigrationRecord, ResidualClassStats,
 };
 pub use executor::{DeviceExecutor, JobId};
 pub use faults::{
     ClassFaultKind, ClassFaultWindow, Fault, FaultKind, FaultPlan, FaultSpec, FleetFaultPlan,
-    FleetFaultSpec, LadderConfig, PipelineFaultSpec, PressureSignal, ReplicationPolicy,
-    ResilienceConfig, StageFault,
+    LadderConfig, PipelineFaultSpec, ReplicationPolicy, ResilienceConfig, StageFault,
 };
 pub use fleet::{
     DeviceClass, DeviceClassStats, FleetMember, FleetModelOutcome, FleetReport, FleetRuntime,
@@ -116,9 +115,8 @@ pub use lifecycle::{
     StagedSchedule,
 };
 pub use pipeline::{
-    BreakerConfig, BudgetedPolicy, CircuitBreaker, DeadlineBudget, PipelineOutcome, PipelineRecord,
-    PipelineRuntime, PipelineSpec, RetryBudget, RetryBudgetConfig, StageKind, StagePolicy,
-    StageSpec,
+    BudgetedPolicy, CircuitBreaker, DeadlineBudget, PipelineOutcome, PipelineRecord,
+    PipelineRuntime, PipelineSpec, RetryBudget, StageKind, StagePolicy, StageSpec,
 };
 pub use request::{Request, WorkloadSpec};
 pub use runtime::{BatchPolicy, ServeConfig, ServeError, TunedCandidate};

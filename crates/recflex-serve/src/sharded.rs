@@ -316,6 +316,11 @@ impl<'a> ShardedServeRuntime<'a> {
         if self.config.hot_shard_cap == Some(0) {
             return Err(ServeError::Policy("hot_shard_cap must be at least 1"));
         }
+        if self.lanes.iter().any(|l| l.model.features.is_empty()) {
+            return Err(ServeError::Policy(
+                "every shard must own at least one feature",
+            ));
+        }
         // `backlog > NaN` is false, so a NaN deadline would silently
         // admit everything.
         if self.config.slo_deadline_us.is_some_and(f64::is_nan) {
@@ -990,8 +995,7 @@ impl ShardedRunState {
         let n = req.batch.batch_size;
         match rt.config.policy {
             // A request without samples has nothing to price, as under
-            // every policy: its 0 µs job would never retire, because the
-            // executor retires work only as its clock moves past `now`.
+            // every policy (TorchRec would price its empty chunk at +∞).
             BatchPolicy::Unsplit if n == 0 => self.finalize_empty(ri, now, requests),
             BatchPolicy::Unsplit => {
                 self.submit_chunk(&[(ri, 0..n)], vec![ri], now, rt, requests)?;
@@ -1136,6 +1140,14 @@ impl ShardedRunState {
         // Folded in shard order, so the lowest failing shard's error wins.
         for cost in self.price_slices(rt, requests, parts, &engines) {
             let cost = cost?;
+            // A price with no finite completion time would hang its lane
+            // (+∞) or vanish from it (NaN clamps to 0 µs).
+            if !cost.latency_us.is_finite() {
+                return Err(ServeError::Backend(BackendError::Launch(format!(
+                    "a shard slice was priced at {} us",
+                    cost.latency_us
+                ))));
+            }
             work_us.push(cost.latency_us);
             launches_of.push(cost.kernel_launches);
         }
@@ -2023,6 +2035,124 @@ mod tests {
         }
     }
 
+    /// TorchRec's kernel, with every slice priced at one fixed latency.
+    struct FixedPrice(TorchRecBackend, f64);
+
+    impl Backend for FixedPrice {
+        fn name(&self) -> &'static str {
+            "FixedPrice"
+        }
+
+        fn run(
+            &self,
+            model: &ModelConfig,
+            tables: &TableSet,
+            batch: &Batch,
+            arch: &GpuArch,
+        ) -> Result<BackendRun, BackendError> {
+            let run = self.0.run(model, tables, batch, arch)?;
+            Ok(BackendRun {
+                latency_us: self.1,
+                ..run
+            })
+        }
+
+        fn cost(
+            &self,
+            model: &ModelConfig,
+            tables: &TableSet,
+            batch: &Batch,
+            arch: &GpuArch,
+        ) -> Result<CostReport, BackendError> {
+            let cost = self.0.cost(model, tables, batch, arch)?;
+            Ok(CostReport {
+                latency_us: self.1,
+                ..cost
+            })
+        }
+    }
+
+    const EVERY_POLICY: [BatchPolicy; 4] = [
+        BatchPolicy::Unsplit,
+        BatchPolicy::Split { cap: 16 },
+        BatchPolicy::Dynamic {
+            max_batch: 64,
+            max_wait_us: 20.0,
+        },
+        BatchPolicy::DynamicPacked {
+            max_batch: 64,
+            max_wait_us: 20.0,
+        },
+    ];
+
+    fn fixed_price_tier<'a>(
+        m: &'a ModelConfig,
+        arch: &'a GpuArch,
+        shards: usize,
+        policy: BatchPolicy,
+        latency_us: f64,
+    ) -> ShardedServeRuntime<'a> {
+        ShardedServeRuntime::build(
+            m,
+            arch,
+            Placement::balance(m, shards),
+            ServeConfig {
+                streams: 2,
+                policy,
+                slo_deadline_us: None,
+                closed_loop: false,
+                hot_shard_cap: None,
+            },
+            Interconnect::nvlink(),
+            |sub| Box::new(FixedPrice(TorchRecBackend::compile(sub), latency_us)),
+        )
+    }
+
+    #[test]
+    fn slices_priced_at_zero_us_answer_every_request() -> Result<(), ServeError> {
+        let (m, arch) = setup();
+        let requests = WorkloadSpec::long_tail(50.0).stream(&m, 24, 9);
+        for policy in EVERY_POLICY {
+            for shards in [1, 2] {
+                let report = fixed_price_tier(&m, &arch, shards, policy, 0.0).serve(&requests)?;
+                assert_eq!(report.records.len(), requests.len(), "{policy:?}");
+                for (rec, req) in report.records.iter().zip(&requests) {
+                    assert_eq!(rec.base.id, req.id, "{policy:?}");
+                    assert!(!rec.base.is_shed(), "{policy:?}: request {}", req.id);
+                    assert_eq!(rec.device_us, 0.0, "{policy:?}");
+                }
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn a_shard_without_features_is_a_policy_error_not_a_panic() {
+        let (mut m, arch) = setup();
+        m.features.truncate(2);
+        let rt = tier(&m, &arch, 3, ServeConfig::default(), Interconnect::nvlink());
+        let requests = WorkloadSpec::long_tail(50.0).stream(&m, 4, 9);
+        assert!(
+            matches!(rt.serve(&requests), Err(ServeError::Policy(_))),
+            "3 shards over 2 features leave one shard empty"
+        );
+    }
+
+    /// A slice that would never finish (TorchRec prices a slice without
+    /// samples at +∞) is refused, not left to hold its lane forever.
+    #[test]
+    fn a_slice_priced_at_infinity_is_a_backend_error_not_a_hang() {
+        let (m, arch) = setup();
+        let requests = WorkloadSpec::long_tail(50.0).stream(&m, 4, 9);
+        for policy in EVERY_POLICY {
+            let served = fixed_price_tier(&m, &arch, 2, policy, f64::INFINITY).serve(&requests);
+            assert!(
+                matches!(served, Err(ServeError::Backend(_))),
+                "{policy:?}: {served:?}"
+            );
+        }
+    }
+
     #[test]
     fn every_admitted_sample_is_priced_once_per_shard_in_admission_order() -> Result<(), ServeError>
     {
@@ -2030,8 +2160,7 @@ mod tests {
         let shards = 3;
         let placement = Placement::balance(&m, shards);
         // Sizes straddle `max_batch` (16) and the hot-shard cap (7), and
-        // one request has no samples (an empty chunk would hang the
-        // tier). Bursts 2 µs apart coalesce; every fifth gap outlasts the
+        // one request has no samples (it must make no chunk). Bursts 2 µs apart coalesce; every fifth gap outlasts the
         // batcher's wait.
         let sizes = [3, 20, 0, 16, 1, 15, 40, 2, 9, 17, 5, 31, 1, 1, 64, 8];
         let mut t = 0.0;

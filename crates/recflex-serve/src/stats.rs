@@ -318,7 +318,9 @@ fn mean(xs: impl Iterator<Item = f64>) -> f64 {
     }
 }
 
-fn percentile(xs: impl Iterator<Item = f64>, q: f64) -> f64 {
+/// Nearest-rank percentile of `xs`, 0 when empty. `q` in `[0, 1]`;
+/// `q = 0` is the minimum, `q = 1` the maximum.
+pub(crate) fn percentile(xs: impl Iterator<Item = f64>, q: f64) -> f64 {
     let mut v: Vec<f64> = xs.collect();
     if v.is_empty() {
         return 0.0;

@@ -112,12 +112,6 @@ pub struct ScenarioSpec {
     pub shape: TrafficShape,
     /// Requests this scenario contributes.
     pub requests: usize,
-    /// Scenario priority for fleet brownout shedding: when the fleet
-    /// brownout ladder reaches its load-shedding rung, scenarios at the
-    /// fleet's *lowest* priority are shed first. Larger is more
-    /// important. Purely advisory outside the chaos path — the plain
-    /// fleet runtime never reads it.
-    pub priority: u32,
 }
 
 /// One arrival in the merged fleet trace.
@@ -219,7 +213,6 @@ mod tests {
             workload: WorkloadSpec::long_tail(gap),
             shape,
             requests: n,
-            priority: 1,
         }
     }
 
