@@ -9,10 +9,12 @@
 //! * `none` — no replication, no hedging, no ladder. A crashed lane
 //!   freezes with its queue intact (restart-from-checkpoint) and the tier
 //!   sheds under the resulting backlog.
-//! * `mitigated` — full replication, chunk deadlines with hedged
-//!   re-execution, crash failover, and the degradation ladder (drop the
-//!   hedge first, then serve crashed-shard chunks with zero-pooled
-//!   features instead of shedding).
+//! * `mitigated` — the tier's one mitigation choice, every threshold a
+//!   fraction of the SLO: a standby replica per shard, hedged
+//!   re-execution a quarter of the SLO after fan-out, crash failover,
+//!   and the degradation ladder (drop the hedge above half the SLO of
+//!   backlog, then serve crashed-shard chunks with zero-pooled features
+//!   instead of shedding above three quarters of it).
 //!
 //! Every cell reports availability, fault-vs-admission shed rates, the
 //! degraded-answer rate, tail latency, hedge fires/wins, failovers and
@@ -22,10 +24,10 @@
 //!
 //! `--check` enforces the two robustness gates:
 //!
-//! 1. **No-fault identity** — with the default `ResilienceConfig` the
-//!    fault machinery must cost nothing: the no-fault × `none` cell's
-//!    records must be byte-identical (as JSON) to a plain
-//!    `ShardedServeRuntime::build` tier serving the same stream.
+//! 1. **No-fault identity** — with nothing failing, arming mitigation
+//!    must cost nothing: the no-fault × `mitigated` cell's records must
+//!    be byte-identical (as JSON) to the no-fault × `none` cell's, so the
+//!    standby lanes stay idle and no hedge comes due.
 //! 2. **Crash availability** — under the scripted shard crash, the
 //!    mitigated tier must hold availability ≥ 95% while the unmitigated
 //!    tier lands strictly lower.
@@ -36,8 +38,8 @@ use recflex_bench::{CliOpts, Scale};
 use recflex_core::{feature_cost_estimates, RecFlexEngine};
 use recflex_data::{Dataset, ModelPreset, Placement};
 use recflex_serve::{
-    BatchPolicy, Fault, FaultKind, FaultPlan, FaultSpec, LadderConfig, ReplicationPolicy, Request,
-    ResilienceConfig, ServeConfig, ShardedServeRuntime, ShedReason, WorkloadSpec,
+    BatchPolicy, Fault, FaultKind, FaultPlan, FaultSpec, Request, ServeConfig, ShardedServeRuntime,
+    ShedReason, WorkloadSpec,
 };
 use recflex_sim::GpuArch;
 use serde::Serialize;
@@ -77,8 +79,8 @@ struct ChaosReport {
     gap_us: f64,
     slo_deadline_us: f64,
     interconnect: String,
-    /// Gate 1: the no-fault × `none` cell reproduced the plain tier's
-    /// records byte-for-byte.
+    /// Gate 1: the no-fault × `mitigated` cell reproduced the no-fault ×
+    /// `none` cell's records byte-for-byte.
     no_fault_identity: bool,
     rows: Vec<ChaosRow>,
 }
@@ -132,27 +134,6 @@ fn scenarios(span: f64, shards: usize) -> Vec<(String, FaultPlan)> {
     ]
 }
 
-fn policy(name: &str, plan: FaultPlan, slo_deadline_us: f64) -> ResilienceConfig {
-    match name {
-        "none" => ResilienceConfig {
-            plan,
-            chunk_deadline_us: None,
-            replication: ReplicationPolicy::None,
-            ladder: None,
-        },
-        "mitigated" => ResilienceConfig {
-            plan,
-            chunk_deadline_us: Some(slo_deadline_us / 4.0),
-            replication: ReplicationPolicy::Full,
-            ladder: Some(LadderConfig {
-                drop_hedge_backlog_us: slo_deadline_us / 2.0,
-                partial_backlog_us: 0.75 * slo_deadline_us,
-            }),
-        },
-        other => unreachable!("unknown policy {other}"),
-    }
-}
-
 fn main() -> ExitCode {
     let opts = CliOpts::from_args();
     let scale = Scale::from_env();
@@ -172,11 +153,16 @@ fn main() -> ExitCode {
     let stream: Vec<Request> = WorkloadSpec::long_tail(GAP_US).stream(&model, n_requests, 42);
     let span = stream.last().map(|r| r.arrival_us).unwrap_or(0.0);
 
-    // One tier per policy, reused across scenarios (the fault plan is the
-    // only thing that changes, so lanes compile once). The plain tier is
-    // the gate-1 reference: the pre-fault code path.
-    let make_backend =
-        |sub_model: &recflex_data::ModelConfig| -> Box<dyn recflex_baselines::Backend> {
+    // One tier, reused across scenarios and policies (the fault plan and
+    // the mitigation choice are the only things that change, so lanes
+    // compile once).
+    let mut tier = ShardedServeRuntime::build(
+        &model,
+        &arch,
+        Placement::balance_by_cost(SHARDS, &costs),
+        config,
+        scale.interconnect.clone(),
+        |sub_model| {
             let sub_history = Dataset::synthesize(sub_model, 3, scale.batch_size, 7);
             Box::new(RecFlexEngine::tune(
                 sub_model,
@@ -184,33 +170,7 @@ fn main() -> ExitCode {
                 &arch,
                 &scale.tuner,
             ))
-        };
-    let placement = || Placement::balance_by_cost(SHARDS, &costs);
-    let plain = ShardedServeRuntime::build(
-        &model,
-        &arch,
-        placement(),
-        config,
-        scale.interconnect.clone(),
-        make_backend,
-    );
-    let mut bare = ShardedServeRuntime::build_resilient(
-        &model,
-        &arch,
-        placement(),
-        config,
-        scale.interconnect.clone(),
-        policy("none", FaultPlan::none(), slo_deadline_us),
-        make_backend,
-    );
-    let mut armed = ShardedServeRuntime::build_resilient(
-        &model,
-        &arch,
-        placement(),
-        config,
-        scale.interconnect.clone(),
-        policy("mitigated", FaultPlan::none(), slo_deadline_us),
-        make_backend,
+        },
     );
 
     println!(
@@ -235,23 +195,21 @@ fn main() -> ExitCode {
         "downtime"
     );
 
-    let plain_records =
-        serde_json::to_string(&plain.serve(&stream).expect("chaos config is valid").records)
-            .expect("serialize records");
+    let mut unmitigated_records = String::new();
     let mut no_fault_identity = false;
     let mut rows = Vec::new();
     for (scenario, plan) in scenarios(span, SHARDS) {
         for pname in ["none", "mitigated"] {
-            let tier: &mut ShardedServeRuntime<'_> = if pname == "none" {
-                &mut bare
-            } else {
-                &mut armed
-            };
-            tier.resilience = policy(pname, plan.clone(), slo_deadline_us);
+            tier.faults = plan.clone();
+            tier.mitigated = pname == "mitigated";
             let report = tier.serve(&stream).expect("chaos config is valid");
-            if scenario == "none" && pname == "none" {
+            if scenario == "none" {
                 let cell = serde_json::to_string(&report.records).expect("serialize records");
-                no_fault_identity = cell == plain_records;
+                if tier.mitigated {
+                    no_fault_identity = cell == unmitigated_records;
+                } else {
+                    unmitigated_records = cell;
+                }
             }
             let row = ChaosRow {
                 scenario: scenario.clone(),
@@ -313,8 +271,8 @@ fn main() -> ExitCode {
 fn gates_hold(report: &ChaosReport) -> bool {
     if !report.no_fault_identity {
         eprintln!(
-            "check FAILED: the no-fault resilient path diverged from the plain \
-             serving tier — the fault machinery is not free"
+            "check FAILED: with no fault, the mitigated tier diverged from the \
+             unmitigated one — mitigation is not free when nothing fails"
         );
         return false;
     }
@@ -343,7 +301,7 @@ fn gates_hold(report: &ChaosReport) -> bool {
         return false;
     }
     println!(
-        "check passed: no-fault path identical to the plain tier; crash availability \
+        "check passed: no-fault mitigated cell identical to the unmitigated one; crash availability \
          {mitigated:.3} (mitigated) >= {AVAILABILITY_FLOOR} > {bare:.3} (unmitigated)"
     );
     true

@@ -33,7 +33,7 @@
 //!    and a p99 no worse than the blind tier's (strictly better when the
 //!    blind tier actually promoted).
 //! 3. **Bounded retries** — under compile-fail the machine must spend
-//!    exactly `max_attempts` non-overlapping attempts whose retry gaps
+//!    exactly `MAX_ATTEMPTS` non-overlapping attempts whose retry gaps
 //!    respect exponential backoff; under stall the watchdog must abandon
 //!    every attempt at its deadline and never promote.
 //! 4. **Staged rollout** — the sharded regression cell must promote on
@@ -45,48 +45,22 @@ use recflex_baselines::Backend;
 use recflex_bench::{CliOpts, Scale};
 use recflex_core::RecFlexEngine;
 use recflex_data::{shift_distribution, Batch, Dataset, ModelConfig, ModelPreset, Placement};
+use recflex_serve::lifecycle::{BASE_BACKOFF_US, MAX_ATTEMPTS, RETUNE_LATENCY_US};
 use recflex_serve::{
-    BatchPolicy, CanaryConfig, DriftConfig, LifecycleConfig, LifecycleEvent, LifecycleStats,
-    OutcomePlan, OutcomeSpec, Request, RetryPolicy, RetuneOutcome, ServeConfig,
-    ShardedRetunePolicy, ShardedServeRuntime, WorkloadSpec,
+    BatchPolicy, LifecycleConfig, LifecycleEvent, LifecycleStats, OutcomePlan, Request,
+    RetuneOutcome, ServeConfig, ShardedRetunePolicy, ShardedServeRuntime, WorkloadSpec,
 };
 use recflex_sim::GpuArch;
 use serde::Serialize;
 
 /// Mean Poisson inter-arrival gap, µs.
 const GAP_US: f64 = 300.0;
-/// Simulated background-retune latency, µs.
-const RETUNE_LATENCY_US: f64 = 1_500.0;
 /// Watchdog deadline for the stall scenario, µs.
 const STALL_DEADLINE_US: f64 = 4_000.0;
-/// First retry backoff, µs (doubles per attempt).
-const BASE_BACKOFF_US: f64 = 2_000.0;
-/// Attempts per episode before the machine gives up.
-const MAX_ATTEMPTS: u32 = 3;
 /// Latency multiplier injected by the regression scenarios.
 const REGRESSION_SLOWDOWN: f64 = 3.0;
-/// Shard count and promotion stagger for the sharded rollout cell.
+/// Shard count for the sharded rollout cell.
 const SHARDS: usize = 2;
-const STAGGER_US: f64 = 400.0;
-
-fn drift() -> DriftConfig {
-    DriftConfig {
-        window: 6,
-        threshold: 0.3,
-    }
-}
-
-fn canary() -> CanaryConfig {
-    CanaryConfig { window: 4 }
-}
-
-fn retry(cooldown_us: f64) -> RetryPolicy {
-    RetryPolicy {
-        max_attempts: MAX_ATTEMPTS,
-        base_backoff_us: BASE_BACKOFF_US,
-        cooldown_us,
-    }
-}
 
 /// The retune-outcome scenarios under test.
 fn scenarios() -> Vec<(String, LifecycleConfig)> {
@@ -96,7 +70,6 @@ fn scenarios() -> Vec<(String, LifecycleConfig)> {
             "clean".to_string(),
             LifecycleConfig {
                 outcomes: OutcomePlan::none(),
-                retry: retry(0.0),
                 ..LifecycleConfig::default()
             },
         ),
@@ -106,7 +79,7 @@ fn scenarios() -> Vec<(String, LifecycleConfig)> {
                 outcomes: all(RetuneOutcome::Regression {
                     slowdown: REGRESSION_SLOWDOWN,
                 }),
-                retry: retry(10_000.0),
+                cooldown_us: 10_000.0,
                 ..LifecycleConfig::default()
             },
         ),
@@ -116,7 +89,7 @@ fn scenarios() -> Vec<(String, LifecycleConfig)> {
                 outcomes: all(RetuneOutcome::CompileFail),
                 // An effectively infinite cooldown keeps the run to one
                 // episode so the backoff gate reads a clean trace.
-                retry: retry(1e12),
+                cooldown_us: 1e12,
                 ..LifecycleConfig::default()
             },
         ),
@@ -124,7 +97,7 @@ fn scenarios() -> Vec<(String, LifecycleConfig)> {
             "stall".to_string(),
             LifecycleConfig {
                 outcomes: all(RetuneOutcome::Stall),
-                retry: retry(1e12),
+                cooldown_us: 1e12,
                 retune_deadline_us: Some(STALL_DEADLINE_US),
                 ..LifecycleConfig::default()
             },
@@ -132,8 +105,8 @@ fn scenarios() -> Vec<(String, LifecycleConfig)> {
         (
             "flaky".to_string(),
             LifecycleConfig {
-                outcomes: OutcomeSpec::flaky().plan(12, 0xF1A6),
-                retry: retry(10_000.0),
+                outcomes: OutcomePlan::flaky(12, 0xF1A6),
+                cooldown_us: 10_000.0,
                 ..LifecycleConfig::default()
             },
         ),
@@ -292,13 +265,10 @@ fn main() -> ExitCode {
     for (scenario, lifecycle) in scenarios() {
         for mode in ["blind", "canaried"] {
             let lifecycle = LifecycleConfig {
-                canary: (mode == "canaried").then(canary),
+                canary: mode == "canaried",
                 ..lifecycle.clone()
             };
             let mut policy = ShardedRetunePolicy {
-                drift: drift(),
-                retune_latency_us: RETUNE_LATENCY_US,
-                stagger_us: 0.0,
                 lifecycle,
                 retuner: Box::new(|_: &ModelConfig, _: &[Batch]| {
                     (Box::new(RecFlexEngine::tune(&model, &history, &arch, &scale.tuner))
@@ -381,9 +351,6 @@ fn main() -> ExitCode {
     let mut sharded_stats: Vec<LifecycleStats> = Vec::new();
     for mode in ["blind", "canaried"] {
         let mut policy = ShardedRetunePolicy {
-            drift: drift(),
-            retune_latency_us: RETUNE_LATENCY_US,
-            stagger_us: STAGGER_US,
             lifecycle: LifecycleConfig {
                 outcomes: OutcomePlan::scripted(vec![
                     RetuneOutcome::Regression {
@@ -391,8 +358,8 @@ fn main() -> ExitCode {
                     };
                     16
                 ]),
-                canary: (mode == "canaried").then(canary),
-                retry: retry(10_000.0),
+                canary: mode == "canaried",
+                cooldown_us: 10_000.0,
                 ..LifecycleConfig::default()
             },
             retuner: Box::new(|sub_model: &ModelConfig, _: &[Batch]| {

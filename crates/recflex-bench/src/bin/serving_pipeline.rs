@@ -41,8 +41,8 @@ use recflex_core::{feature_cost_estimates, RecFlexEngine};
 use recflex_data::{Dataset, ModelPreset, PipelineReport, Placement};
 use recflex_serve::{
     BatchPolicy, BudgetedPolicy, Fault, FaultKind, FaultSpec, PipelineFaultSpec, PipelineRuntime,
-    PipelineSpec, Request, ResilienceConfig, ServeConfig, ShardedServeRuntime, StageFault,
-    StagePolicy, StageSpec, WorkloadSpec,
+    PipelineSpec, Request, ServeConfig, ShardedServeRuntime, StageFault, StagePolicy, StageSpec,
+    WorkloadSpec,
 };
 use recflex_sim::GpuArch;
 use serde::Serialize;
@@ -176,13 +176,12 @@ fn main() -> ExitCode {
         };
     let placement = || Placement::balance_by_cost(SHARDS, &costs);
     let stage_tier = || {
-        ShardedServeRuntime::build_resilient(
+        ShardedServeRuntime::build(
             &model,
             &arch,
             placement(),
             stage_config,
             scale.interconnect.clone(),
-            ResilienceConfig::default(),
             make_backend,
         )
     };

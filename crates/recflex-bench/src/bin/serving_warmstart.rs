@@ -46,42 +46,17 @@ use recflex_schedules::{
     StoreFaultKind, StoreFaultPlan, VaultStats,
 };
 use recflex_serve::{
-    BatchPolicy, DeviceClass, DriftConfig, EngineTuning, FleetMember, FleetRuntime,
-    LifecycleConfig, OutcomePlan, Request, RetryPolicy, ScenarioSpec, ServeConfig,
-    ShardedRetunePolicy, ShardedServeRuntime, TrafficShape, TunedCandidate, WorkloadSpec,
+    BatchPolicy, DeviceClass, EngineTuning, FleetMember, FleetRuntime, LifecycleConfig, Request,
+    ScenarioSpec, ServeConfig, ShardedRetunePolicy, ShardedServeRuntime, TrafficShape,
+    TunedCandidate, WorkloadSpec,
 };
 use recflex_sim::GpuArch;
 use serde::Serialize;
 
 /// Mean Poisson inter-arrival gap, µs.
 const GAP_US: f64 = 300.0;
-/// Simulated background-retune latency, µs.
-const RETUNE_LATENCY_US: f64 = 1_500.0;
-/// Attempts per retune episode.
-const MAX_ATTEMPTS: u32 = 3;
 /// Fleet workload seed.
 const FLEET_SEED: u64 = 0x5EED;
-
-fn drift() -> DriftConfig {
-    DriftConfig {
-        window: 6,
-        threshold: 0.3,
-    }
-}
-
-/// Every scripted outcome succeeds: the cells isolate the vault, not the
-/// canary/rollback machinery `serving_lifecycle` already gates.
-fn clean_lifecycle() -> LifecycleConfig {
-    LifecycleConfig {
-        outcomes: OutcomePlan::none(),
-        retry: RetryPolicy {
-            max_attempts: MAX_ATTEMPTS,
-            base_backoff_us: 2_000.0,
-            cooldown_us: 0.0,
-        },
-        ..LifecycleConfig::default()
-    }
-}
 
 /// In-distribution head, heavily shifted tail: drift fires mid-run.
 fn drifting_stream(model: &ModelConfig, n: usize, unit: u32) -> Vec<Request> {
@@ -215,11 +190,10 @@ fn vault_run(
     plain_records: &str,
 ) -> (VaultRunRow, String) {
     let budget = DEFAULT_WARM_BUDGET_PER_FEATURE * model.features.len() as u64;
+    // Every retune succeeds: the cells isolate the vault, not the
+    // canary/rollback machinery `serving_lifecycle` already gates.
     let mut policy = ShardedRetunePolicy {
-        drift: drift(),
-        retune_latency_us: RETUNE_LATENCY_US,
-        stagger_us: 0.0,
-        lifecycle: clean_lifecycle(),
+        lifecycle: LifecycleConfig::default(),
         retuner: Box::new(move |_: &ModelConfig, _: &[Batch]| {
             let mut vault = vault.borrow_mut();
             let (engine, rep) = RecFlexEngine::tune_with_vault(
@@ -290,10 +264,7 @@ fn run_all(scale: &Scale) -> WarmstartCore {
     let base_engine = RecFlexEngine::tune(&model, &history, &arch, &scale.tuner);
     let runtime = ShardedServeRuntime::single_device(&model, &arch, config, &base_engine);
     let mut plain_policy = ShardedRetunePolicy {
-        drift: drift(),
-        retune_latency_us: RETUNE_LATENCY_US,
-        stagger_us: 0.0,
-        lifecycle: clean_lifecycle(),
+        lifecycle: LifecycleConfig::default(),
         retuner: Box::new(|_: &ModelConfig, _: &[Batch]| {
             (Box::new(RecFlexEngine::tune(&model, &history, &arch, &scale.tuner))
                 as Box<dyn Backend>)

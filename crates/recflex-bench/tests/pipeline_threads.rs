@@ -17,8 +17,7 @@ use recflex_baselines::TorchRecBackend;
 use recflex_data::{ModelConfig, ModelPreset, Placement};
 use recflex_serve::{
     BatchPolicy, BudgetedPolicy, Fault, FaultKind, FaultPlan, PipelineRuntime, PipelineSpec,
-    ResilienceConfig, ServeConfig, ServeError, ShardedServeRuntime, StagePolicy, StageSpec,
-    WorkloadSpec,
+    ServeConfig, ServeError, ShardedServeRuntime, StagePolicy, StageSpec, WorkloadSpec,
 };
 use recflex_sim::{GpuArch, Interconnect};
 
@@ -41,18 +40,17 @@ fn stage_tier<'a>(
     shards: usize,
     plan: FaultPlan,
 ) -> ShardedServeRuntime<'a> {
-    ShardedServeRuntime::build_resilient(
-        model,
-        arch,
-        Placement::balance(model, shards),
-        stage_config(),
-        Interconnect::nvlink(),
-        ResilienceConfig {
-            plan,
-            ..ResilienceConfig::default()
-        },
-        |m| Box::new(TorchRecBackend::compile(m)),
-    )
+    ShardedServeRuntime {
+        faults: plan,
+        ..ShardedServeRuntime::build(
+            model,
+            arch,
+            Placement::balance(model, shards),
+            stage_config(),
+            Interconnect::nvlink(),
+            |m| Box::new(TorchRecBackend::compile(m)),
+        )
+    }
 }
 
 #[test]

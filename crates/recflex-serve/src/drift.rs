@@ -19,33 +19,24 @@
 //! **per feature** against each feature's tuned reference
 //! (coverage × mean pooling factor) and fires when any single feature
 //! deviates, even when the aggregate cancels out.
+//!
+//! The policy is fixed: a verdict every 6 admitted batches, drift above
+//! ±30 % model-wide or ±50 % on any one feature.
 
 use recflex_data::{Batch, ModelConfig};
 
-/// Configuration for the drift monitor.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DriftConfig {
-    /// How many admitted batches form one observation window.
-    pub window: usize,
-    /// Relative deviation of the window mean from the tuned reference
-    /// that counts as drift (e.g. `0.25` = ±25 %).
-    pub threshold: f64,
-}
+/// How many admitted batches form one observation window.
+pub(crate) const WINDOW: usize = 6;
 
-impl Default for DriftConfig {
-    fn default() -> Self {
-        DriftConfig {
-            window: 16,
-            threshold: 0.25,
-        }
-    }
-}
+/// Relative deviation of the window mean from the tuned reference that
+/// counts as drift (±30 %).
+const THRESHOLD: f64 = 0.3;
 
 /// Relative deviation of any *single feature's* window mean from its own
 /// reference that counts as drift. Deliberately wider than
-/// [`DriftConfig::threshold`]: a per-feature estimate averages far fewer
-/// lookups than the model-wide mean, so small-mean features wander tens
-/// of percent on pure sampling noise.
+/// [`THRESHOLD`]: a per-feature estimate averages far fewer lookups than
+/// the model-wide mean, so small-mean features wander tens of percent on
+/// pure sampling noise.
 const FEATURE_THRESHOLD: f64 = 0.5;
 
 /// A feature whose reference traffic rounds to zero still gets a sane
@@ -53,12 +44,10 @@ const FEATURE_THRESHOLD: f64 = 0.5;
 const MIN_FEATURE_REFERENCE_LPS: f64 = 1e-3;
 
 /// Sliding-window monitor comparing live lookups-per-sample against the
-/// value the current engine was tuned for — model-wide, and (when built
-/// with [`DriftMonitor::for_model`] or
-/// [`DriftMonitor::with_feature_references`]) per feature.
+/// value the current engine was tuned for — model-wide, and per feature
+/// until the first [`DriftMonitor::rebase`].
 #[derive(Debug, Clone)]
 pub struct DriftMonitor {
-    config: DriftConfig,
     reference_lps: f64,
     /// Per-feature tuned references; empty for an aggregate-only monitor.
     reference_feature_lps: Vec<f64>,
@@ -68,66 +57,27 @@ pub struct DriftMonitor {
     /// `reference_feature_lps`).
     window_feature_lookups: Vec<f64>,
     window_len: usize,
-    drifted_features: Vec<usize>,
 }
 
 impl DriftMonitor {
-    /// Monitor against an explicit aggregate reference (lookups per
-    /// sample). Tracks only the model-wide mean; use
-    /// [`Self::for_model`] to also catch per-feature redistributions.
-    pub fn new(config: DriftConfig, reference_lps: f64) -> Self {
-        Self::with_feature_references_inner(config, reference_lps, Vec::new())
-    }
-
-    /// Monitor against explicit per-feature references (lookups per
-    /// sample each, in model feature order). The aggregate reference is
-    /// their sum.
-    pub fn with_feature_references(config: DriftConfig, per_feature: Vec<f64>) -> Self {
-        let total = per_feature.iter().sum();
-        Self::with_feature_references_inner(config, total, per_feature)
-    }
-
-    fn with_feature_references_inner(
-        config: DriftConfig,
-        reference_lps: f64,
-        per_feature: Vec<f64>,
-    ) -> Self {
+    fn with_references(reference_lps: f64, per_feature: Vec<f64>) -> Self {
         let n = per_feature.len();
         DriftMonitor {
-            config,
             reference_lps: reference_lps.max(f64::MIN_POSITIVE),
             reference_feature_lps: per_feature,
             window_sum_lookups: 0.0,
             window_sum_samples: 0.0,
             window_feature_lookups: vec![0.0; n],
             window_len: 0,
-            drifted_features: Vec::new(),
         }
     }
 
     /// Monitor against the *expected* lookups-per-sample of the model
     /// configuration the engine was tuned on: coverage·mean-pooling per
     /// feature, and their sum model-wide.
-    pub fn for_model(config: DriftConfig, model: &ModelConfig) -> Self {
-        Self::with_feature_references(config, expected_lookups_per_sample_per_feature(model))
-    }
-
-    /// The aggregate reference the monitor currently compares against.
-    pub fn reference_lps(&self) -> f64 {
-        self.reference_lps
-    }
-
-    /// Per-feature references, if the monitor tracks features.
-    pub fn reference_feature_lps(&self) -> &[f64] {
-        &self.reference_feature_lps
-    }
-
-    /// Features that tripped the threshold at the last completed window
-    /// (empty if the last verdict was clean, purely aggregate, or no
-    /// window has completed yet). Tells the retuner *where* traffic
-    /// moved.
-    pub fn drifted_features(&self) -> &[usize] {
-        &self.drifted_features
+    pub fn for_model(model: &ModelConfig) -> Self {
+        let per_feature = expected_lookups_per_sample_per_feature(model);
+        Self::with_references(per_feature.iter().sum(), per_feature)
     }
 
     /// Record one admitted batch. Returns `true` when a full window has
@@ -145,7 +95,7 @@ impl DriftMonitor {
             }
         }
         self.window_len += 1;
-        if self.window_len < self.config.window {
+        if self.window_len < WINDOW {
             return false;
         }
         let samples = self.window_sum_samples;
@@ -154,43 +104,26 @@ impl DriftMonitor {
         } else {
             0.0
         };
-        let aggregate_drift = (mean / self.reference_lps - 1.0).abs() > self.config.threshold;
-        self.drifted_features = if samples > 0.0 {
-            self.window_feature_lookups
+        let aggregate_drift = (mean / self.reference_lps - 1.0).abs() > THRESHOLD;
+        let feature_drift = samples > 0.0
+            && self
+                .window_feature_lookups
                 .iter()
                 .zip(&self.reference_feature_lps)
-                .enumerate()
-                .filter(|&(_, (&sum, &reference))| {
+                .any(|(&sum, &reference)| {
                     let lps = sum / samples;
                     let reference = reference.max(MIN_FEATURE_REFERENCE_LPS);
                     (lps / reference - 1.0).abs() > FEATURE_THRESHOLD
-                })
-                .map(|(f, _)| f)
-                .collect()
-        } else {
-            Vec::new()
-        };
-        self.window_sum_lookups = 0.0;
-        self.window_sum_samples = 0.0;
-        self.window_feature_lookups
-            .iter_mut()
-            .for_each(|s| *s = 0.0);
-        self.window_len = 0;
-        aggregate_drift || !self.drifted_features.is_empty()
+                });
+        self.reset_window();
+        aggregate_drift || feature_drift
     }
 
     /// Re-anchor after a retune: the freshly tuned engine now matches
-    /// `new_reference_lps`, so deviation is measured from there. The
-    /// caller provided only an aggregate, so per-feature tracking is
-    /// dropped — use [`Self::rebase_for_model`] to keep it.
+    /// `new_reference_lps`, so deviation is measured from there. Only an
+    /// aggregate is known, so per-feature tracking is dropped.
     pub fn rebase(&mut self, new_reference_lps: f64) {
-        *self = Self::with_feature_references_inner(self.config, new_reference_lps, Vec::new());
-    }
-
-    /// Re-anchor after a retune on `model`'s distribution, keeping
-    /// per-feature tracking against the new per-feature references.
-    pub fn rebase_for_model(&mut self, model: &ModelConfig) {
-        *self = Self::for_model(self.config, model);
+        *self = Self::with_references(new_reference_lps, Vec::new());
     }
 
     /// Discard the partially accumulated window, keeping the reference.
@@ -240,11 +173,7 @@ mod tests {
     #[test]
     fn in_distribution_traffic_does_not_trigger() {
         let model = ModelPreset::A.scaled(0.01);
-        let cfg = DriftConfig {
-            window: 8,
-            threshold: 0.25,
-        };
-        let mut mon = DriftMonitor::for_model(cfg, &model);
+        let mut mon = DriftMonitor::for_model(&model);
         for b in batches(&model, 32, 100) {
             assert!(!mon.observe(&b), "no drift expected in-distribution");
         }
@@ -255,13 +184,9 @@ mod tests {
         let model = ModelPreset::A.scaled(0.01);
         // Double every pooling factor: lookups/sample roughly doubles.
         let shifted = shift_distribution(&model, 2.0, 0.0);
-        let cfg = DriftConfig {
-            window: 8,
-            threshold: 0.25,
-        };
-        let mut mon = DriftMonitor::for_model(cfg, &model);
+        let mut mon = DriftMonitor::for_model(&model);
         let mut fired = false;
-        for b in batches(&shifted, 8, 200) {
+        for b in batches(&shifted, WINDOW, 200) {
             fired |= mon.observe(&b);
         }
         assert!(fired, "2x pooling shift must be detected in one window");
@@ -271,17 +196,13 @@ mod tests {
     fn rebase_silences_the_alarm() {
         let model = ModelPreset::A.scaled(0.01);
         let shifted = shift_distribution(&model, 2.0, 0.0);
-        let cfg = DriftConfig {
-            window: 4,
-            threshold: 0.25,
-        };
-        let mut mon = DriftMonitor::for_model(cfg, &model);
-        for b in batches(&shifted, 4, 300) {
+        let mut mon = DriftMonitor::for_model(&model);
+        for b in batches(&shifted, WINDOW, 300) {
             mon.observe(&b);
         }
         // Pretend a retune ran on the shifted distribution.
         mon.rebase(expected_lookups_per_sample(&shifted));
-        for b in batches(&shifted, 8, 400) {
+        for b in batches(&shifted, 2 * WINDOW, 400) {
             assert!(!mon.observe(&b), "rebased monitor sees no drift");
         }
     }
@@ -311,16 +232,14 @@ mod tests {
         // Feature 0 rises 60 %, feature 1 falls 60 %: the model-wide mean
         // is still exactly 40 lookups/sample.
         let redistributed = two_feature_model(32, 8);
-        let cfg = DriftConfig {
-            window: 4,
-            threshold: 0.25,
-        };
 
-        let mut aggregate_only = DriftMonitor::new(cfg, expected_lookups_per_sample(&tuned));
-        let mut per_feature = DriftMonitor::for_model(cfg, &tuned);
+        // A rebase keeps only the aggregate reference.
+        let mut aggregate_only = DriftMonitor::for_model(&tuned);
+        aggregate_only.rebase(expected_lookups_per_sample(&tuned));
+        let mut per_feature = DriftMonitor::for_model(&tuned);
         let mut aggregate_fired = false;
         let mut per_feature_fired = false;
-        for b in batches(&redistributed, 4, 500) {
+        for b in batches(&redistributed, WINDOW, 500) {
             aggregate_fired |= aggregate_only.observe(&b);
             per_feature_fired |= per_feature.observe(&b);
         }
@@ -332,38 +251,6 @@ mod tests {
             per_feature_fired,
             "per-feature tracking must catch the redistribution"
         );
-        assert_eq!(
-            per_feature.drifted_features(),
-            &[0, 1],
-            "both the rising and the falling feature deviate"
-        );
-    }
-
-    #[test]
-    fn rebase_for_model_keeps_per_feature_tracking() {
-        let tuned = two_feature_model(20, 20);
-        let redistributed = two_feature_model(32, 8);
-        let cfg = DriftConfig {
-            window: 4,
-            threshold: 0.25,
-        };
-        let mut mon = DriftMonitor::for_model(cfg, &tuned);
-        for b in batches(&redistributed, 4, 600) {
-            mon.observe(&b);
-        }
-        // Retune on the redistributed traffic: the monitor re-anchors and
-        // the same stream is clean...
-        mon.rebase_for_model(&redistributed);
-        assert_eq!(mon.reference_feature_lps().len(), 2);
-        for b in batches(&redistributed, 4, 700) {
-            assert!(!mon.observe(&b));
-        }
-        // ...but a shift back to the original mix fires again.
-        let mut fired = false;
-        for b in batches(&tuned, 4, 800) {
-            fired |= mon.observe(&b);
-        }
-        assert!(fired, "per-feature refs survive the rebase");
     }
 
     #[test]

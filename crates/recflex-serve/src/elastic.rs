@@ -15,9 +15,9 @@
 //!    constant of half an epoch; when it crosses 0.5 the elasticity
 //!    controller re-solves placement against *residual* capacity
 //!    ([`FleetAssignment::rehome`]) and executes the move as a staged,
-//!    abortable drain on the §8f rollout cadence ([`StagedSchedule`]:
-//!    one shard every eighth of an epoch, then a half-epoch handoff):
-//!    healthy → draining → migrating → restored/aborted.
+//!    abortable drain on the §8f rollout cadence (one shard every eighth
+//!    of an epoch, then a half-epoch handoff): healthy → draining →
+//!    migrating → restored/aborted.
 //! 3. **Fleet brownout ladder** ([`FleetChaosConfig::brownout`]): above
 //!    the per-tier degradation ladder, the fleet grades each epoch's raw
 //!    shortfall into rungs at 0.05, 0.15 and 0.25. From rung 1 every
@@ -51,7 +51,6 @@ use crate::faults::{FleetFaultPlan, PressureTracker};
 use crate::fleet::{
     edge_record, splice_edge_records, FleetModelOutcome, FleetReport, FleetRuntime, QueryGate,
 };
-use crate::lifecycle::StagedSchedule;
 use crate::sharded::ShardedServeRuntime;
 use crate::stats::{ShardedReport, ShardedRequestRecord, ShedReason};
 use crate::workload::FleetArrival;
@@ -70,6 +69,13 @@ const RUNG_ABOVE: [f64; 3] = [0.05, 0.15, 0.25];
 /// From rung 1, a gate admits a query only if its predicted device time
 /// fits this fraction of the gate deadline.
 const GATE_TIGHTEN: f64 = 0.6;
+
+/// The most observation epochs a chaos run grades. The health monitor
+/// and the brownout ladder keep per-epoch vectors (16 bytes an epoch per
+/// member, and the ladder is reported), so an `epoch_us` tiny against
+/// the run must be refused rather than sized into an allocation;
+/// `serving_fleet_chaos` grades 13 epochs at smoke scale.
+const MAX_EPOCHS: usize = 1 << 20;
 
 /// The drain-and-migrate controller's input: what each member would cost
 /// on each class.
@@ -169,12 +175,12 @@ pub struct FleetChaosStats {
     pub drain_shed: u64,
 }
 
-/// A committed migration: drain on the staged cadence, resume on the
-/// target class after the handoff.
+/// A committed migration: drain on the staged cadence from the trigger,
+/// resume on the target class after the handoff.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct MigrationPlan {
     target: usize,
-    drain: StagedSchedule,
+    trigger_us: f64,
     resume_us: f64,
 }
 
@@ -204,9 +210,8 @@ impl<'a> FleetRuntime<'a> {
     ///
     /// `serve_chaos` owns each member runtime's fault plan: it installs
     /// [`FleetFaultPlan::class_plan`] for the member's *current* class,
-    /// which is why it takes `&mut self`. The rest of each member's
-    /// [`ResilienceConfig`](crate::faults::ResilienceConfig) — ladder,
-    /// replication, deadlines — is respected as built.
+    /// which is why it takes `&mut self`. Each member's mitigation choice
+    /// ([`ShardedServeRuntime::mitigated`]) is respected as built.
     pub fn serve_chaos<F>(
         &mut self,
         arrivals: &[FleetArrival],
@@ -248,22 +253,28 @@ impl<'a> FleetRuntime<'a> {
         let streams = self.demux(arrivals)?;
         self.check_shape(streams.len())?;
 
-        // Install each member's fault plan for its pinned class.
-        for member in &mut self.members {
-            let shards = member.runtime.placement.num_devices;
-            member.runtime.resilience.plan = chaos.faults.class_plan(member.class, shards);
-        }
-
         let horizon_us = streams
             .iter()
             .flat_map(|s| s.iter().map(|r| r.arrival_us))
             .fold(0.0f64, f64::max)
             + chaos.epoch_us.max(1.0);
         let epochs = if chaos.epoch_us > 0.0 {
-            (horizon_us / chaos.epoch_us).ceil() as usize
+            let grid = (horizon_us / chaos.epoch_us).ceil();
+            if grid > MAX_EPOCHS as f64 {
+                return Err(ServeError::Policy(
+                    "chaos epoch_us is too small: the run would span more than 2^20 epochs",
+                ));
+            }
+            grid as usize
         } else {
             0
         };
+
+        // Install each member's fault plan for its pinned class.
+        for member in &mut self.members {
+            let shards = member.runtime.placement.num_devices;
+            member.runtime.faults = chaos.faults.class_plan(member.class, shards);
+        }
 
         // Observe pass: plain gate-filtered serving under the fault
         // plans feeds the per-member health monitor.
@@ -280,7 +291,7 @@ impl<'a> FleetRuntime<'a> {
             .map(|(i, m)| {
                 m.map(|plan| {
                     let mut tier = rebuild(i, plan.target);
-                    tier.resilience.plan = chaos
+                    tier.faults = chaos
                         .faults
                         .class_plan(plan.target, tier.placement.num_devices);
                     Landing { plan, tier }
@@ -424,8 +435,10 @@ impl<'a> FleetRuntime<'a> {
                 });
                 continue;
             };
-            let drain = StagedSchedule::new(trigger_us, shards, chaos.epoch_us / 8.0);
-            let resume_us = drain.complete_us() + chaos.epoch_us / 2.0;
+            // One shard drains every eighth of an epoch, then the handoff
+            // takes half an epoch.
+            let drained_us = trigger_us + chaos.epoch_us / 8.0 * shards.saturating_sub(1) as f64;
+            let resume_us = drained_us + chaos.epoch_us / 2.0;
             // Abort if any drain stage or the handoff would land inside
             // an outage window on the target — the §8f rollout's
             // abort-on-regression check, applied to class health.
@@ -444,7 +457,7 @@ impl<'a> FleetRuntime<'a> {
             free[member.class] += shards as isize;
             plans[i] = Some(MigrationPlan {
                 target,
-                drain,
+                trigger_us,
                 resume_us,
             });
             records.push(MigrationRecord {
@@ -495,7 +508,7 @@ impl<'a> FleetRuntime<'a> {
                 // Drain/handoff window: neither runtime can take the
                 // request. Rung 3 answers it degraded; otherwise shed.
                 if let Some(p) = mig {
-                    if t >= p.drain.start_us && t < p.resume_us {
+                    if t >= p.trigger_us && t < p.resume_us {
                         if rung >= 3 {
                             edge.push(edge_record(r, ShedReason::None, true));
                             edge_degraded += 1;
@@ -645,10 +658,18 @@ mod tests {
     const OUTAGE: (f64, f64) = (4_000.0, 12_000.0);
 
     fn build<'a>(model: &'a ModelConfig, arch: &'a GpuArch) -> ShardedServeRuntime<'a> {
+        build_on(model, arch, 1)
+    }
+
+    fn build_on<'a>(
+        model: &'a ModelConfig,
+        arch: &'a GpuArch,
+        shards: usize,
+    ) -> ShardedServeRuntime<'a> {
         ShardedServeRuntime::build(
             model,
             arch,
-            Placement::balance(model, 1),
+            Placement::balance(model, shards),
             ServeConfig {
                 streams: 2,
                 policy: BatchPolicy::Split { cap: 256 },
@@ -762,6 +783,30 @@ mod tests {
     }
 
     #[test]
+    fn an_epoch_grid_too_fine_for_the_run_is_a_policy_error() -> Result<(), ServeError> {
+        let model = ModelPreset::A.scaled(0.02);
+        let (v100, a100) = (GpuArch::v100(), GpuArch::a100());
+        let workload = FleetWorkload {
+            scenarios: vec![scenario("a", 8)],
+            seed: 42,
+        };
+        let merged = workload.merged(&[&model]);
+        let mut fleet = one_member_fleet(&model, &v100, &a100, 1);
+        // Outage only: no elasticity or brownout asks for a usable epoch.
+        let mut chaos = chaos_with_outage(false);
+        chaos.epoch_us = 1e-300;
+        assert!(matches!(
+            fleet.serve_chaos(&merged, &chaos, |_, _| panic!("no elasticity, no rebuild")),
+            Err(ServeError::Policy(_))
+        ));
+        // An epoch of 0 grades nothing and stays accepted.
+        chaos.epoch_us = 0.0;
+        let report = fleet.serve_chaos(&merged, &chaos, |_, _| panic!("no rebuild"))?;
+        assert!(chaos_stats(&report)?.ladder.is_empty());
+        Ok(())
+    }
+
+    #[test]
     fn class_outage_triggers_a_completed_drain_and_migrate() -> Result<(), ServeError> {
         let model = ModelPreset::A.scaled(0.02);
         let (v100, a100) = (GpuArch::v100(), GpuArch::a100());
@@ -770,47 +815,57 @@ mod tests {
             seed: 42,
         };
         let merged = workload.merged(&[&model]);
-        let mut fleet = one_member_fleet(&model, &v100, &a100, 1);
-        let report = fleet.serve_chaos(&merged, &chaos_with_outage(true), |_, c| {
-            assert_eq!(c, 1, "the only surviving class is A100");
-            build(&model, &a100)
-        })?;
-        let stats = chaos_stats(&report)?;
-        assert_eq!(stats.migrations_attempted, 1);
-        assert_eq!(stats.migrations_completed, 1);
-        assert_eq!(stats.migrations_aborted, 0);
-        let mig = &stats.migrations[0];
-        assert_eq!(mig.outcome, "completed");
-        assert_eq!(mig.from_class, "V100");
-        assert_eq!(mig.to_class.as_deref(), Some("A100"));
-        // Requests in flight when the class goes dark finish late, so
-        // the monitor can surface the damage in their *arrival* epoch,
-        // slightly before the outage itself opens.
-        assert!(
-            mig.trigger_us > 0.0 && mig.trigger_us <= OUTAGE.1,
-            "the health monitor triggers off the outage: {}",
-            mig.trigger_us
-        );
-        let resume = mig
-            .resume_us
-            .ok_or(ServeError::Internal("completed migrations must resume"))?;
-        assert!(resume > mig.trigger_us);
-        // The member escaped: its outcome is attributed to A100, the
-        // spare A100 device is consumed, and V100 is free again.
-        assert_eq!(report.models[0].class, "A100");
-        assert_eq!(stats.residual[0].free, 1);
-        assert_eq!(stats.residual[1].free, 0);
-        assert!(stats.outage_downtime_us > 0.0);
-        // Every offered request has a record (edge sheds included).
-        assert_eq!(report.models[0].report.records.len(), 48);
-        // Post-resume traffic actually completes on the new class.
-        let post_ok = report.models[0]
-            .report
-            .records
-            .iter()
-            .filter(|r| r.base.arrival_us >= resume && !r.base.is_shed())
-            .count();
-        assert!(post_ok > 0, "post-migration traffic must be served");
+        for shards in [1, 3] {
+            let mut fleet = one_member_fleet(&model, &v100, &a100, shards);
+            fleet.classes[0].devices = shards;
+            fleet.members[0].runtime = build_on(&model, &v100, shards);
+            let report = fleet.serve_chaos(&merged, &chaos_with_outage(true), |_, c| {
+                assert_eq!(c, 1, "the only surviving class is A100");
+                build_on(&model, &a100, shards)
+            })?;
+            let stats = chaos_stats(&report)?;
+            assert_eq!(stats.migrations_attempted, 1);
+            assert_eq!(stats.migrations_completed, 1);
+            assert_eq!(stats.migrations_aborted, 0);
+            let mig = &stats.migrations[0];
+            assert_eq!(mig.outcome, "completed");
+            assert_eq!(mig.from_class, "V100");
+            assert_eq!(mig.to_class.as_deref(), Some("A100"));
+            // Requests in flight when the class goes dark finish late, so
+            // the monitor can surface the damage in their *arrival* epoch,
+            // slightly before the outage itself opens.
+            assert!(
+                mig.trigger_us > 0.0 && mig.trigger_us <= OUTAGE.1,
+                "the health monitor triggers off the outage: {}",
+                mig.trigger_us
+            );
+            let resume = mig
+                .resume_us
+                .ok_or(ServeError::Internal("completed migrations must resume"))?;
+            // Shard 0 drains at the trigger and each further shard an
+            // eighth of an epoch later; the handoff then takes half an
+            // epoch.
+            assert_eq!(
+                resume,
+                mig.trigger_us + EPOCH_US / 8.0 * (shards - 1) as f64 + EPOCH_US / 2.0
+            );
+            // The member escaped: its outcome is attributed to A100, the
+            // spare A100 devices are consumed, and V100 is free again.
+            assert_eq!(report.models[0].class, "A100");
+            assert_eq!(stats.residual[0].free, shards as isize);
+            assert_eq!(stats.residual[1].free, 0);
+            assert!(stats.outage_downtime_us > 0.0);
+            // Every offered request has a record (edge sheds included).
+            assert_eq!(report.models[0].report.records.len(), 48);
+            // Post-resume traffic actually completes on the new class.
+            let post_ok = report.models[0]
+                .report
+                .records
+                .iter()
+                .filter(|r| r.base.arrival_us >= resume && !r.base.is_shed())
+                .count();
+            assert!(post_ok > 0, "post-migration traffic must be served");
+        }
         Ok(())
     }
 

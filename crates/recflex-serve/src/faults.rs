@@ -20,20 +20,19 @@
 //! * [`FaultKind::LinkDegrade`] — the all-gather bandwidth is cut by a
 //!   factor (flaky switch, congested fabric).
 //!
-//! The response side is configured by [`ResilienceConfig`]: per-chunk
-//! shard deadlines with hedged re-execution on a standby replica lane
-//! ([`ReplicationPolicy`]), crash failover that re-projects a dead
-//! shard's work onto its replica or the least-loaded survivor, and a
-//! [`LadderConfig`] that under sustained backlog pressure first drops
-//! the hedge, then serves chunks touched by a crashed shard with partial
-//! (zero-pooled) embeddings instead of shedding — availability degrades
-//! before goodput does.
+//! The response side is one choice on the tier,
+//! [`ShardedServeRuntime::mitigated`](crate::ShardedServeRuntime::mitigated),
+//! whose thresholds all derive from the SLO: a standby replica lane per
+//! shard, hedged re-execution of a chunk still running a quarter of the
+//! SLO after fan-out, crash failover that re-projects a dead shard's work
+//! onto its replica, and a degradation ladder that under sustained
+//! backlog pressure first drops the hedge, then serves chunks touched by
+//! a crashed shard with partial (zero-pooled) embeddings instead of
+//! shedding — availability degrades before goodput does.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
-
-use recflex_data::Placement;
 
 /// One kind of injected fault.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
@@ -493,76 +492,6 @@ impl PipelineFaultSpec {
     }
 }
 
-/// How much standby capacity backs the tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
-pub enum ReplicationPolicy {
-    /// No replicas: hedging is impossible; crash failover can only
-    /// re-project onto survivors.
-    #[default]
-    None,
-    /// One standby lane per shard.
-    Full,
-}
-
-impl ReplicationPolicy {
-    /// Which shards get a standby replica lane, in ascending shard
-    /// order.
-    pub fn mirrored_shards(&self, placement: &Placement) -> Vec<usize> {
-        match self {
-            ReplicationPolicy::None => Vec::new(),
-            ReplicationPolicy::Full => (0..placement.num_devices).collect(),
-        }
-    }
-}
-
-/// The degradation ladder's thresholds, graded on the tier's worst
-/// effective backlog (device-µs owed divided by the lane's current
-/// throughput rate — a stalled lane is infinitely backlogged).
-///
-/// * level 0 — normal operation: hedging active, crash failover
-///   re-executes lost work,
-/// * level 1 (`backlog > drop_hedge_backlog_us`) — the hedge is dropped:
-///   duplicate work is the wrong spend when every lane is behind,
-/// * level 2 (`backlog > partial_backlog_us`) — chunks touched by a
-///   crashed shard are served with that shard's features zero-pooled
-///   (flagged [`degraded`](crate::stats::ShardedRequestRecord::degraded))
-///   instead of re-executed, so the tier keeps answering instead of
-///   shedding.
-///
-/// Backlog is itself an integral of pressure — it only exceeds a
-/// threshold after demand has outrun capacity for a sustained stretch —
-/// so grading on it implements "sustained SLO pressure" without a
-/// separate hysteresis clock.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LadderConfig {
-    /// Effective-backlog threshold above which hedging stops, µs.
-    pub drop_hedge_backlog_us: f64,
-    /// Effective-backlog threshold above which crashed-shard chunks are
-    /// served partial instead of failed over, µs.
-    pub partial_backlog_us: f64,
-}
-
-impl LadderConfig {
-    /// A ladder that fails over but never serves partial output.
-    pub fn failover_only() -> Self {
-        LadderConfig {
-            drop_hedge_backlog_us: f64::MAX,
-            partial_backlog_us: f64::MAX,
-        }
-    }
-
-    /// The ladder level at the given effective backlog.
-    pub fn level(&self, backlog_us: f64) -> u8 {
-        if backlog_us > self.partial_backlog_us {
-            2
-        } else if backlog_us > self.drop_hedge_backlog_us {
-            1
-        } else {
-            0
-        }
-    }
-}
-
 /// A leaky bucket over raw samples (stage failures, epoch shortfall):
 /// pressure charges toward each sample with a time constant and leaks
 /// back the same way, so a short spike cannot cross a threshold but
@@ -598,31 +527,9 @@ impl PressureTracker {
     }
 }
 
-/// Fault injection plus the tier's full response policy. The default —
-/// empty plan, no deadline, no replication, no ladder — is the exact
-/// PR-2 serving tier: the event loop takes the same branches and
-/// produces bit-identical reports.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ResilienceConfig {
-    /// The faults injected into the run.
-    pub plan: FaultPlan,
-    /// Per-chunk shard deadline, µs after fan-out: a shard that has not
-    /// finished a chunk by then triggers a hedged re-execution on its
-    /// replica lane (if one exists and the ladder still allows hedging).
-    pub chunk_deadline_us: Option<f64>,
-    /// Standby replica lanes.
-    pub replication: ReplicationPolicy,
-    /// Crash mitigation: `Some` enables failover and the degradation
-    /// ladder; `None` is the no-mitigation baseline where a crashed lane
-    /// holds its queue frozen until recovery (the restart-from-checkpoint
-    /// model) and the tier sheds under the resulting backlog.
-    pub ladder: Option<LadderConfig>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recflex_data::{ModelPreset, Placement};
 
     fn crash(shard: usize, start: f64, end: f64) -> Fault {
         Fault {
@@ -743,33 +650,6 @@ mod tests {
                 assert!(s < 4);
             }
         }
-    }
-
-    #[test]
-    fn replication_mirrors_no_shard_or_every_shard() {
-        let m = ModelPreset::A.scaled(0.01);
-        let placement = Placement::round_robin(&m, 3);
-        assert_eq!(
-            ReplicationPolicy::None.mirrored_shards(&placement),
-            Vec::<usize>::new()
-        );
-        assert_eq!(
-            ReplicationPolicy::Full.mirrored_shards(&placement),
-            vec![0, 1, 2]
-        );
-    }
-
-    #[test]
-    fn ladder_levels_grade_on_backlog() {
-        let ladder = LadderConfig {
-            drop_hedge_backlog_us: 1_000.0,
-            partial_backlog_us: 5_000.0,
-        };
-        assert_eq!(ladder.level(0.0), 0);
-        assert_eq!(ladder.level(1_000.0), 0, "thresholds are exclusive");
-        assert_eq!(ladder.level(1_001.0), 1);
-        assert_eq!(ladder.level(f64::INFINITY), 2, "a stalled lane maxes out");
-        assert_eq!(LadderConfig::failover_only().level(f64::MAX / 2.0), 0);
     }
 
     #[test]

@@ -32,19 +32,19 @@
 //!   engines are hot-swapped in at a later simulated timestamp,
 //! * [`LifecycleMachine`] ([`LifecycleConfig`]) — the schedule-lifecycle
 //!   state machine supervising that swap: seeded retune outcomes
-//!   (success / compile-fail / stall / regression via [`OutcomePlan`] /
-//!   [`OutcomeSpec`]), canaried promotion with shadow execution and
-//!   rollback ([`CanaryConfig`]), bounded retries with exponential
-//!   backoff and post-episode cooldown ([`RetryPolicy`]), staged
-//!   per-shard rollout across shards — all replayable, with counters
-//!   and a transition trace in the reports,
+//!   (success / compile-fail / stall / regression via [`OutcomePlan`]),
+//!   optional canaried promotion with shadow execution and rollback,
+//!   bounded retries with exponential backoff, a post-episode cooldown,
+//!   and staged per-shard rollout — all replayable, with counters and a
+//!   transition trace in the reports. The drift window, retune latency,
+//!   canary window, attempt budget, backoff and rollout stagger are fixed,
 //! * [`FaultPlan`] / [`FaultSpec`] — deterministic fault injection
-//!   (per-shard slowdown, stall, crash; interconnect degradation) with
-//!   the response side in [`ResilienceConfig`]: per-chunk deadlines with
-//!   hedged re-execution on replica lanes ([`ReplicationPolicy`]), crash
-//!   failover onto survivors, and a graceful-degradation ladder
-//!   ([`LadderConfig`]) that serves partial (zero-pooled) embeddings
-//!   under sustained pressure instead of shedding,
+//!   (per-shard slowdown, stall, crash; interconnect degradation). The
+//!   response side is one choice, [`ShardedServeRuntime::mitigated`],
+//!   derived from the SLO: hedged re-execution on a standby replica lane
+//!   per shard, crash failover onto the replica, and a
+//!   graceful-degradation ladder that serves partial (zero-pooled)
+//!   embeddings under sustained pressure instead of shedding,
 //! * [`FleetWorkload`] / [`FleetRuntime`] — the fleet tier: several
 //!   model scenarios with seeded diurnal and flash-crowd traffic shaping
 //!   ([`TrafficShape`]) merged into one deterministic arrival trace and
@@ -95,7 +95,7 @@ pub mod stats;
 pub mod workload;
 
 pub use drift::{
-    expected_lookups_per_sample, expected_lookups_per_sample_per_feature, DriftConfig, DriftMonitor,
+    expected_lookups_per_sample, expected_lookups_per_sample_per_feature, DriftMonitor,
 };
 pub use elastic::{
     ElasticityConfig, FleetChaosConfig, FleetChaosStats, MigrationRecord, ResidualClassStats,
@@ -103,16 +103,15 @@ pub use elastic::{
 pub use executor::{DeviceExecutor, JobId};
 pub use faults::{
     ClassFaultKind, ClassFaultWindow, Fault, FaultKind, FaultPlan, FaultSpec, FleetFaultPlan,
-    LadderConfig, PipelineFaultSpec, ReplicationPolicy, ResilienceConfig, StageFault,
+    PipelineFaultSpec, StageFault,
 };
 pub use fleet::{
     DeviceClass, DeviceClassStats, FleetMember, FleetModelOutcome, FleetReport, FleetRuntime,
     QueryGate,
 };
 pub use lifecycle::{
-    CanaryConfig, EngineTuning, FailReason, LifecycleConfig, LifecycleEvent, LifecycleMachine,
-    LifecycleStats, OutcomePlan, OutcomeSpec, RegressedBackend, RetryPolicy, RetuneOutcome,
-    StagedSchedule,
+    EngineTuning, FailReason, LifecycleConfig, LifecycleEvent, LifecycleMachine, LifecycleStats,
+    OutcomePlan, RegressedBackend, RetuneOutcome,
 };
 pub use pipeline::{
     BudgetedPolicy, CircuitBreaker, DeadlineBudget, PipelineOutcome, PipelineRecord,
@@ -130,6 +129,8 @@ pub use workload::{
 mod tests {
     use super::*;
     use std::cell::Cell;
+
+    use crate::lifecycle::{BASE_BACKOFF_US, MAX_ATTEMPTS};
 
     use proptest::prelude::*;
     use recflex_baselines::{Backend, BackendError, BackendRun, TorchRecBackend};
@@ -483,12 +484,6 @@ mod tests {
 
         let retune_inputs = Cell::new(0usize);
         let mut policy = ShardedRetunePolicy {
-            drift: DriftConfig {
-                window: 8,
-                threshold: 0.3,
-            },
-            retune_latency_us: 1_000.0,
-            stagger_us: 0.0,
             lifecycle: LifecycleConfig::default(),
             retuner: Box::new(|_: &ModelConfig, recent: &[Batch]| {
                 retune_inputs.set(recent.len());
@@ -529,12 +524,6 @@ mod tests {
         let backend = TorchRecBackend::compile(&m);
         let reqs = WorkloadSpec::long_tail(400.0).stream(&m, 40, 9);
         let mut policy = ShardedRetunePolicy {
-            drift: DriftConfig {
-                window: 8,
-                threshold: 0.3,
-            },
-            retune_latency_us: 1_000.0,
-            stagger_us: 0.0,
             lifecycle: LifecycleConfig::default(),
             retuner: Box::new(|_: &ModelConfig, _: &[Batch]| {
                 panic!("retuner must not fire on in-distribution traffic")
@@ -629,8 +618,6 @@ mod tests {
         #[test]
         fn sustained_drift_never_overlaps_retunes_and_replays_bit_for_bit(
             seed in 0u64..50,
-            max_attempts in 1u32..4,
-            base_backoff_us in 500.0f64..3_000.0,
             cooldown_us in 1_000.0f64..6_000.0,
         ) {
             let (m, arch) = setup();
@@ -644,17 +631,10 @@ mod tests {
                 // Every attempt fails to compile: the machine must walk
                 // backoff → retry → give-up → cooldown forever.
                 outcomes: OutcomePlan::scripted(vec![RetuneOutcome::CompileFail; 64]),
-                retry: RetryPolicy {
-                    max_attempts,
-                    base_backoff_us,
-                    cooldown_us,
-                },
+                cooldown_us,
                 ..LifecycleConfig::default()
             };
             let mk_policy = || ShardedRetunePolicy {
-                drift: DriftConfig { window: 4, threshold: 0.3 },
-                retune_latency_us: 800.0,
-                stagger_us: 0.0,
                 lifecycle: lifecycle.clone(),
                 retuner: Box::new(|_: &ModelConfig, _: &[Batch]| {
                     unreachable!("a compile-fail attempt never reaches the retuner")
@@ -687,7 +667,7 @@ mod tests {
                     LifecycleEvent::RetuneStarted { t_us, .. } => {
                         prop_assert!(open.is_none(), "overlapping retune at {t_us}");
                         if let Some((t_fail, k)) = last_fail {
-                            let backoff = base_backoff_us * 2.0f64.powi(k as i32 - 1);
+                            let backoff = BASE_BACKOFF_US * 2.0f64.powi(k as i32 - 1);
                             prop_assert!(
                                 t_us - t_fail >= backoff - 1e-9,
                                 "retry at {t_us} ignored a {backoff} µs backoff from {t_fail}"
@@ -709,7 +689,7 @@ mod tests {
                         last_fail = Some((t_us, episode_len));
                     }
                     LifecycleEvent::GaveUp { t_us, attempts } => {
-                        prop_assert_eq!(attempts, max_attempts);
+                        prop_assert_eq!(attempts, MAX_ATTEMPTS);
                         episode_end = Some(t_us);
                         episode_len = 0;
                         last_fail = None;

@@ -624,7 +624,7 @@ impl<'a> PipelineRuntime<'a> {
     /// Swap one stage's fault plan between scenario cells.
     pub fn set_stage_plan(&mut self, stage: usize, plan: crate::faults::FaultPlan) {
         if let Some(tier) = self.tiers.get_mut(stage) {
-            tier.resilience.plan = plan;
+            tier.faults = plan;
         }
     }
 
@@ -1039,7 +1039,7 @@ impl<'a> PipelineRuntime<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{Fault, FaultKind, FaultPlan, ResilienceConfig};
+    use crate::faults::{Fault, FaultKind, FaultPlan};
     use crate::request::WorkloadSpec;
     use crate::runtime::{BatchPolicy, ServeConfig};
     use proptest::prelude::*;
@@ -1069,18 +1069,17 @@ mod tests {
         shards: usize,
         plan: FaultPlan,
     ) -> ShardedServeRuntime<'a> {
-        ShardedServeRuntime::build_resilient(
-            model,
-            arch,
-            Placement::balance(model, shards),
-            stage_config(),
-            Interconnect::nvlink(),
-            ResilienceConfig {
-                plan,
-                ..ResilienceConfig::default()
-            },
-            |m| Box::new(TorchRecBackend::compile(m)),
-        )
+        ShardedServeRuntime {
+            faults: plan,
+            ..ShardedServeRuntime::build(
+                model,
+                arch,
+                Placement::balance(model, shards),
+                stage_config(),
+                Interconnect::nvlink(),
+                |m| Box::new(TorchRecBackend::compile(m)),
+            )
+        }
     }
 
     fn stall(shard: usize, start: f64, end: f64) -> Fault {

@@ -60,7 +60,10 @@ pub struct ServeConfig {
     /// SLO deadline, µs: a request arriving while the device backlog
     /// already exceeds this is shed immediately (it could not possibly
     /// finish in time). `None` admits everything; NaN is rejected at run
-    /// start.
+    /// start. A mitigated tier derives its hedge and degradation-ladder
+    /// thresholds from it
+    /// ([`ShardedServeRuntime::mitigated`](crate::ShardedServeRuntime::mitigated))
+    /// and must set it.
     pub slo_deadline_us: Option<f64>,
     /// Closed-loop mode: ignore arrival timestamps and admit each
     /// request the moment the previous one fully finished (every chunk

@@ -44,33 +44,33 @@
 //!
 //! ## Faults and the degradation ladder
 //!
-//! A [`ResilienceConfig`] turns the tier chaotic-but-answerable. The
-//! [`crate::FaultPlan`] drives per-shard throughput (slowdown / stall), lane
-//! death (crash) and gather bandwidth (link degradation) at precomputed
-//! transition timestamps — fault transitions are ordinary events in the
-//! same deterministic loop. The response side:
+//! The tier's [`FaultPlan`] drives per-shard throughput (slowdown /
+//! stall), lane death (crash) and gather bandwidth (link degradation) at
+//! precomputed transition timestamps — fault transitions are ordinary
+//! events in the same deterministic loop. The response side is one
+//! choice, [`ShardedServeRuntime::mitigated`], and every threshold in it
+//! is a fixed fraction of the SLO:
 //!
-//! * **hedging** — each chunk may carry a deadline; shards that have not
-//!   delivered by then get a copy submitted to their standby replica lane
-//!   ([`crate::ReplicationPolicy`]). First finisher wins, the sibling is
-//!   cancelled.
+//! * **hedging** — a chunk still running a quarter of the SLO after
+//!   fan-out gets a copy of each undelivered shard slice submitted to
+//!   that shard's standby replica lane. First finisher wins, the sibling
+//!   is cancelled.
 //! * **failover** — a crash drops the lane's resident and queued kernels;
 //!   each lost chunk-shard work item is re-executed on the shard's
-//!   replica, or the least-backlogged healthy survivor (the survivor
-//!   loads the dead shard's tables and runs the same fused kernel, so the
-//!   re-executed cost equals the original).
+//!   replica (which runs the same sub-model, so the re-executed cost
+//!   equals the original).
 //! * **the ladder** — graded on the tier's worst *effective* backlog
 //!   (device-µs owed ÷ current throughput; a stalled lane is infinitely
-//!   backlogged). Past `drop_hedge_backlog_us` the hedge stops; past
-//!   `partial_backlog_us` chunks touched by a crashed shard are served
-//!   with that shard's features zero-pooled and flagged `degraded`
-//!   instead of re-executed — availability degrades before goodput.
+//!   backlogged). Past half the SLO the hedge stops; past three quarters
+//!   of it chunks touched by a crashed shard are served with that shard's
+//!   features zero-pooled and flagged `degraded` instead of re-executed —
+//!   availability degrades before goodput.
 //!
-//! `ladder: None` is the no-mitigation baseline: a crashed lane freezes
-//! with its queue intact (the restart-from-checkpoint model) and the tier
-//! simply sheds under the resulting backlog, which is exactly what the
-//! chaos gate proves is worse. With the default `ResilienceConfig` every
-//! rate is 1 and every branch below falls through to the fault-free
+//! An unmitigated tier is the baseline: a crashed lane freezes with its
+//! queue intact (the restart-from-checkpoint model) and the tier simply
+//! sheds under the resulting backlog, which is exactly what the chaos
+//! gate proves is worse. With an empty plan and no mitigation every rate
+//! is 1 and every branch below falls through to the fault-free
 //! arithmetic, so no-fault runs stay bit-for-bit identical to the
 //! pre-fault tier.
 
@@ -82,9 +82,9 @@ use recflex_data::{Batch, ModelConfig, Placement, SplitError};
 use recflex_embedding::TableSet;
 use recflex_sim::{GpuArch, Interconnect};
 
-use crate::drift::{DriftConfig, DriftMonitor};
+use crate::drift::{self, DriftMonitor};
 use crate::executor::DeviceExecutor;
-use crate::faults::ResilienceConfig;
+use crate::faults::FaultPlan;
 use crate::lifecycle::{
     CanaryVerdict, LifecycleConfig, LifecycleMachine, RegressedBackend, RetuneOutcome, TimerAction,
 };
@@ -99,21 +99,15 @@ use crate::stats::{
 /// machine is in steady state) the retuner is invoked once per shard with
 /// that shard's sub-model and the recent window projected onto its
 /// features (on a 1-shard tier: the whole model and the window itself).
-/// The retune costs `retune_latency_us` of simulated time while the old
-/// engines keep serving. A successful candidate set is promoted per the
-/// lifecycle config: blindly at the retune timestamp, or — canaried —
-/// shadow-executed, compared per shard, and rolled out **staged**
-/// shard-by-shard (`stagger_us` apart), aborting and restoring every
-/// already-swapped shard if any canary regresses.
+/// The retune costs [`RETUNE_LATENCY_US`](crate::lifecycle::RETUNE_LATENCY_US)
+/// of simulated time while the old engines keep serving. A successful
+/// candidate set is promoted per the lifecycle config: blindly at the
+/// retune timestamp, or — canaried — shadow-executed, compared per shard,
+/// and rolled out **staged** shard-by-shard
+/// ([`STAGGER_US`](crate::lifecycle::STAGGER_US) apart), aborting and
+/// restoring every already-swapped shard if any canary regresses.
 pub struct ShardedRetunePolicy<'a> {
-    /// Drift-detection window and threshold (full-batch traffic).
-    pub drift: DriftConfig,
-    /// Simulated cost of one background retune, µs (all shards tune
-    /// concurrently — one latency, not one per shard).
-    pub retune_latency_us: f64,
-    /// Gap between consecutive shard promotions in a staged rollout, µs.
-    pub stagger_us: f64,
-    /// Outcome injection, canarying, and retry/backoff for each attempt.
+    /// Outcome injection, canarying, and cooldown for each attempt.
     pub lifecycle: LifecycleConfig,
     /// Builds a new per-shard backend from the shard's sub-model and
     /// recent traffic projected onto it.
@@ -149,10 +143,6 @@ pub struct ShardedServeRuntime<'a> {
     pub placement: Placement,
     /// Per-device lanes, indexed by device.
     pub lanes: Vec<ShardLane<'a>>,
-    /// Standby replica lanes, parallel to [`Self::replica_of`].
-    pub replicas: Vec<ShardLane<'a>>,
-    /// Which shard each replica lane mirrors.
-    pub replica_of: Vec<usize>,
     /// The full model (for gather sizing).
     pub model: &'a ModelConfig,
     /// The simulated device type (same for every shard).
@@ -161,14 +151,24 @@ pub struct ShardedServeRuntime<'a> {
     pub config: ServeConfig,
     /// The link pooled outputs are gathered over.
     pub interconnect: Interconnect,
-    /// Fault injection and the tier's response policy. The default is
-    /// everything off — the exact pre-fault serving tier.
-    pub resilience: ResilienceConfig,
+    /// The faults injected into the run. The empty default is the exact
+    /// pre-fault serving tier.
+    pub faults: FaultPlan,
+    /// Crash and straggler mitigation, derived from the SLO
+    /// ([`ServeConfig::slo_deadline_us`], which a mitigated tier must
+    /// set): one standby replica lane per shard, hedging at a quarter of
+    /// the SLO, crash failover onto the replica, and a degradation ladder
+    /// that drops the hedge above half the SLO of backlog and zero-pools
+    /// crashed shards above three quarters of it. `false` is the
+    /// no-mitigation baseline, where a crashed lane holds its queue
+    /// frozen until recovery (the restart-from-checkpoint model) and the
+    /// tier sheds under the resulting backlog.
+    pub mitigated: bool,
 }
 
 impl<'a> ShardedServeRuntime<'a> {
     /// A single-GPU deployment: a 1-shard tier serving `backend` over the
-    /// whole model, with no replicas and no faults.
+    /// whole model, with no faults and no mitigation.
     pub fn single_device(
         model: &'a ModelConfig,
         arch: &'a GpuArch,
@@ -182,20 +182,21 @@ impl<'a> ShardedServeRuntime<'a> {
                 Box::new(backend),
             )],
             placement,
-            replicas: Vec::new(),
-            replica_of: Vec::new(),
             model,
             arch,
             config,
             interconnect: Interconnect::ideal(),
-            resilience: ResilienceConfig::default(),
+            faults: FaultPlan::none(),
+            mitigated: false,
         }
     }
 
     /// Build the tier: partition `model` by `placement` and compile one
     /// lane per device with `make_backend`, called once per device in
-    /// device order. No faults, no replication — use
-    /// [`Self::build_resilient`] for the chaos-capable tier.
+    /// device order, with each lane's sub-model
+    /// ([`Placement::sub_model`]). A caller holding engines tuned ahead
+    /// of time can therefore hand them out by counting calls. The tier
+    /// starts with no faults and no mitigation.
     pub fn build(
         model: &'a ModelConfig,
         arch: &'a GpuArch,
@@ -204,53 +205,30 @@ impl<'a> ShardedServeRuntime<'a> {
         interconnect: Interconnect,
         make_backend: impl Fn(&ModelConfig) -> Box<dyn Backend + 'a>,
     ) -> Self {
-        Self::build_resilient(
-            model,
-            arch,
-            placement,
-            config,
-            interconnect,
-            ResilienceConfig::default(),
-            make_backend,
-        )
-    }
-
-    /// Build the tier with fault injection and mitigation.
-    ///
-    /// `make_backend` receives each lane's sub-model
-    /// ([`Placement::sub_model`]) and is called in a fixed order: once per
-    /// device in device order, then once per replica lane in
-    /// [`Self::replica_of`] order. A caller holding engines tuned ahead of
-    /// time can therefore hand them out by counting calls.
-    pub fn build_resilient(
-        model: &'a ModelConfig,
-        arch: &'a GpuArch,
-        placement: Placement,
-        config: ServeConfig,
-        interconnect: Interconnect,
-        resilience: ResilienceConfig,
-        make_backend: impl Fn(&ModelConfig) -> Box<dyn Backend + 'a>,
-    ) -> Self {
         assert_eq!(placement.device_of.len(), model.features.len());
-        let make_lane = |dev: usize| {
-            let sub_model = placement.sub_model(model, dev);
-            let backend = make_backend(&sub_model);
-            ShardLane::new(sub_model, backend)
-        };
-        let lanes = (0..placement.num_devices).map(make_lane).collect();
-        let replica_of = resilience.replication.mirrored_shards(&placement);
-        let replicas = replica_of.iter().map(|&s| make_lane(s)).collect();
+        let lanes = (0..placement.num_devices)
+            .map(|dev| {
+                let sub_model = placement.sub_model(model, dev);
+                let backend = make_backend(&sub_model);
+                ShardLane::new(sub_model, backend)
+            })
+            .collect();
         ShardedServeRuntime {
             placement,
             lanes,
-            replicas,
-            replica_of,
             model,
             arch,
             config,
             interconnect,
-            resilience,
+            faults: FaultPlan::none(),
+            mitigated: false,
         }
+    }
+
+    /// The SLO every mitigation threshold derives from, when the tier is
+    /// mitigated. [`Self::run`] refuses a mitigated tier without one.
+    fn mitigation_slo_us(&self) -> Option<f64> {
+        self.config.slo_deadline_us.filter(|_| self.mitigated)
     }
 
     /// Serve a request stream across all shards.
@@ -326,6 +304,11 @@ impl<'a> ShardedServeRuntime<'a> {
         if self.config.slo_deadline_us.is_some_and(f64::is_nan) {
             return Err(ServeError::Policy("slo_deadline_us must not be NaN"));
         }
+        if self.mitigated && self.config.slo_deadline_us.is_none() {
+            return Err(ServeError::Policy(
+                "a mitigated tier derives its thresholds from slo_deadline_us, which must be set",
+            ));
+        }
         // Requests before deadlines: a pipeline stage derives each
         // deadline from its request's arrival, and a bad arrival is the
         // fault to name.
@@ -348,17 +331,13 @@ impl<'a> ShardedServeRuntime<'a> {
 
         let n = requests.len();
         let num_shards = self.placement.num_devices;
-        let mut replica_lane_of = vec![None; num_shards];
-        for (pos, &s) in self.replica_of.iter().enumerate() {
-            replica_lane_of[s] = Some(num_shards + pos);
-        }
+        let replicas = if self.mitigated { num_shards } else { 0 };
         let mut st = ShardedRunState {
-            executors: (0..num_shards + self.replicas.len())
+            executors: (0..num_shards + replicas)
                 .map(|_| DeviceExecutor::new(self.config.streams))
                 .collect(),
             lane_stats: vec![ShardLaneStats::default(); num_shards],
-            replica_stats: vec![ShardLaneStats::default(); self.replicas.len()],
-            replica_lane_of,
+            replica_stats: vec![ShardLaneStats::default(); replicas],
             records: vec![None; n],
             remaining_chunks: vec![0u32; n],
             first_start_us: vec![f64::INFINITY; n],
@@ -384,24 +363,17 @@ impl<'a> ShardedServeRuntime<'a> {
             features_of: (0..num_shards)
                 .map(|s| self.placement.features_on(s))
                 .collect(),
-            monitor: retune
-                .as_ref()
-                .map(|r| DriftMonitor::for_model(r.drift, self.model)),
+            monitor: retune.as_ref().map(|_| DriftMonitor::for_model(self.model)),
             recent: Vec::new(),
-            machine: retune.as_ref().map(|r| {
-                LifecycleMachine::new(
-                    r.lifecycle.clone(),
-                    r.retune_latency_us,
-                    num_shards,
-                    r.stagger_us,
-                )
-            }),
+            machine: retune
+                .as_ref()
+                .map(|r| LifecycleMachine::new(r.lifecycle.clone(), num_shards)),
             candidates: (0..num_shards).map(|_| None).collect(),
             promoted: (0..num_shards).map(|_| None).collect(),
             displaced: Vec::new(),
         };
 
-        let transitions = self.resilience.plan.transitions();
+        let transitions = self.faults.transitions();
         let mut fault_cursor = 0usize;
         let mut cursor = 0usize;
         let mut now = 0.0f64;
@@ -534,7 +506,7 @@ impl<'a> ShardedServeRuntime<'a> {
 
         debug_assert!(st.records.iter().all(Option::is_some));
         for (s, stats) in st.lane_stats.iter_mut().enumerate() {
-            stats.downtime_us = self.resilience.plan.downtime_us(s, now);
+            stats.downtime_us = self.faults.downtime_us(s, now);
         }
         let (lifecycle, lifecycle_trace) = st
             .machine
@@ -606,8 +578,7 @@ struct ChunkState {
     /// Samples in the chunk (sizes the all-gather).
     rows: u32,
     /// Original per-shard kernel cost, µs — what a hedge or failover
-    /// re-submits (the replica runs the identical sub-model; a survivor
-    /// loads the dead shard's tables and runs the same fused kernel).
+    /// re-submits (the replica runs the identical sub-model).
     work_us: Vec<f64>,
     /// Kernel launches per shard, re-counted on re-execution.
     launches_of: Vec<u32>,
@@ -636,12 +607,12 @@ struct ChunkState {
 }
 
 struct ShardedRunState {
-    /// Primary lanes `0..num_shards`, then replica lanes.
+    /// Primary lanes `0..num_shards`, then (when mitigated) the replica
+    /// lane of each shard in shard order: shard `s`'s replica is lane
+    /// `num_shards + s`.
     executors: Vec<DeviceExecutor>,
     lane_stats: Vec<ShardLaneStats>,
     replica_stats: Vec<ShardLaneStats>,
-    /// Shard → executor index of its replica lane, if any.
-    replica_lane_of: Vec<Option<usize>>,
     records: Vec<Option<ShardedRequestRecord>>,
     remaining_chunks: Vec<u32>,
     first_start_us: Vec<f64>,
@@ -732,6 +703,26 @@ fn cut_parts(parts: &[Part], cap: u32) -> Result<Vec<Vec<Part>>, SplitError> {
     Ok(chunks)
 }
 
+/// A mitigated tier's degradation-ladder rung at effective backlog
+/// `backlog_us` under SLO `slo_us`: rung 1 (the hedge is dropped —
+/// duplicate work is the wrong spend when every lane is behind) above
+/// half the SLO, rung 2 (crashed-shard slices are zero-pooled instead of
+/// failed over) above three quarters of it. Thresholds are exclusive.
+///
+/// Backlog is itself an integral of pressure — it only exceeds a
+/// threshold after demand has outrun capacity for a sustained stretch —
+/// so grading on it implements "sustained SLO pressure" without a
+/// separate hysteresis clock.
+fn ladder_rung(backlog_us: f64, slo_us: f64) -> u8 {
+    if backlog_us > 0.75 * slo_us {
+        2
+    } else if backlog_us > slo_us / 2.0 {
+        1
+    } else {
+        0
+    }
+}
+
 impl ShardedRunState {
     fn num_shards(&self) -> usize {
         self.lane_stats.len()
@@ -746,12 +737,10 @@ impl ShardedRunState {
     /// stall, rate 0) is infinitely backlogged when nothing will re-home
     /// its work — but with mitigation armed its work moves to hedges,
     /// failovers or the zero-pool, so the lane is *skipped* and the real
-    /// pressure shows up on the replica and survivor lanes that absorb
-    /// it. At the healthy rate of 1 the division is an exact IEEE
-    /// identity, so the fault-free path is bit-for-bit the old
-    /// raw-backlog admission test.
+    /// pressure shows up on the replica lanes that absorb it. At the
+    /// healthy rate of 1 the division is an exact IEEE identity, so the
+    /// fault-free path is bit-for-bit the old raw-backlog admission test.
     fn max_effective_backlog_us(&self, rt: &ShardedServeRuntime<'_>) -> f64 {
-        let mitigated = rt.resilience.ladder.is_some();
         let mut worst = 0.0f64;
         for ex in &self.executors[..self.num_shards()] {
             let backlog = ex.backlog_us();
@@ -761,7 +750,7 @@ impl ShardedRunState {
             let rate = ex.rate();
             let eff = if rate > 0.0 {
                 backlog / rate
-            } else if mitigated {
+            } else if rt.mitigated {
                 continue;
             } else {
                 f64::INFINITY
@@ -775,11 +764,10 @@ impl ShardedRunState {
     }
 
     /// The degradation ladder's rung, graded on the raw worst effective
-    /// backlog; 0 when the tier has no ladder.
+    /// backlog; 0 when the tier is not mitigated.
     fn ladder_level(&self, rt: &ShardedServeRuntime<'_>) -> u8 {
-        rt.resilience
-            .ladder
-            .map_or(0, |ladder| ladder.level(self.max_effective_backlog_us(rt)))
+        rt.mitigation_slo_us()
+            .map_or(0, |slo| ladder_rung(self.max_effective_backlog_us(rt), slo))
     }
 
     /// The engine serving shard `s`: the promoted candidate if a
@@ -942,7 +930,7 @@ impl ShardedRunState {
         };
         if let Some(deadline) = admission_window {
             if deadline < 0.0 || self.max_effective_backlog_us(rt) > deadline {
-                let reason = if rt.resilience.plan.any_active(now) {
+                let reason = if rt.faults.any_active(now) {
                     ShedReason::Fault
                 } else {
                     ShedReason::Admission
@@ -969,9 +957,8 @@ impl ShardedRunState {
         // Drift monitoring sees every admitted batch (full, pre-fan-out).
         if let Some(policy) = retune.as_deref_mut() {
             self.recent.push(ri);
-            let window = policy.drift.window.max(1);
-            if self.recent.len() > window {
-                self.recent.drain(..self.recent.len() - window);
+            if self.recent.len() > drift::WINDOW {
+                self.recent.drain(..self.recent.len() - drift::WINDOW);
             }
             let drifted = self
                 .monitor
@@ -995,7 +982,7 @@ impl ShardedRunState {
         let n = req.batch.batch_size;
         match rt.config.policy {
             // A request without samples has nothing to price, as under
-            // every policy (TorchRec would price its empty chunk at +∞).
+            // every policy.
             BatchPolicy::Unsplit if n == 0 => self.finalize_empty(ri, now, requests),
             BatchPolicy::Unsplit => {
                 self.submit_chunk(&[(ri, 0..n)], vec![ri], now, rt, requests)?;
@@ -1117,7 +1104,7 @@ impl ShardedRunState {
 
     /// Fan one device chunk out over every shard. Shards crashed at
     /// submission time (under mitigation) never see the job — their slice
-    /// goes straight to a replica, a survivor, or the zero-pool.
+    /// goes straight to their replica or the zero-pool.
     fn submit_chunk_inner(
         &mut self,
         parts: &[Part],
@@ -1216,17 +1203,16 @@ impl ShardedRunState {
                 degraded: false,
             },
         );
-        let mitigated = rt.resilience.ladder.is_some();
         for s in 0..num_shards {
-            if mitigated && rt.resilience.plan.crashed(s, now) {
+            if rt.mitigated && rt.faults.crashed(s, now) {
                 self.dispatch_replacement(chunk_id, s, now, rt, requests, true)?;
             } else {
                 self.submit_job(chunk_id, s, s, now, JobRole::Primary, true)?;
             }
         }
-        if let Some(ddl) = rt.resilience.chunk_deadline_us {
-            if !rt.replicas.is_empty() && self.chunks.contains_key(&chunk_id) {
-                self.pending_deadlines.push((now + ddl, chunk_id));
+        if let Some(slo) = rt.mitigation_slo_us() {
+            if self.chunks.contains_key(&chunk_id) {
+                self.pending_deadlines.push((now + slo / 4.0, chunk_id));
             }
         }
         // Zero-cost shard kernels retire inside `submit`; collect them so
@@ -1287,9 +1273,9 @@ impl ShardedRunState {
     }
 
     /// Re-home `shard`'s slice of a chunk after a crash took (or blocks)
-    /// its primary job: replica lane if one exists, else the
-    /// least-backlogged healthy survivor, else — or past ladder level 2 —
-    /// the zero-pool.
+    /// its primary job: onto the shard's replica lane, or — past ladder
+    /// level 2 — into the zero-pool. Only a mitigated tier, which has a
+    /// replica for every shard, re-homes work.
     fn dispatch_replacement(
         &mut self,
         chunk_id: u64,
@@ -1308,27 +1294,17 @@ impl ShardedRunState {
         if self.ladder_level(rt) >= 2 {
             return self.zero_pool(chunk_id, shard, now, rt, requests);
         }
-        let target = self.replica_lane_of[shard].or_else(|| {
-            let mut best: Option<(f64, usize)> = None;
-            for s2 in 0..self.num_shards() {
-                if s2 == shard || rt.resilience.plan.crashed(s2, now) {
-                    continue;
-                }
-                let b = self.executors[s2].backlog_us();
-                if best.is_none_or(|(bb, _)| b < bb) {
-                    best = Some((b, s2));
-                }
-            }
-            best.map(|(_, s2)| s2)
-        });
-        match target {
-            Some(lane) => {
-                self.failovers += 1;
-                self.lane_stats[shard].failovers += 1;
-                self.submit_job(chunk_id, shard, lane, now, JobRole::Failover, counts_start)
-            }
-            None => self.zero_pool(chunk_id, shard, now, rt, requests),
-        }
+        self.failovers += 1;
+        self.lane_stats[shard].failovers += 1;
+        let replica = self.num_shards() + shard;
+        self.submit_job(
+            chunk_id,
+            shard,
+            replica,
+            now,
+            JobRole::Failover,
+            counts_start,
+        )
     }
 
     /// Serve `shard`'s slice of `chunk_id` as zeros: for sum/mean pooling
@@ -1373,9 +1349,8 @@ impl ShardedRunState {
     }
 
     /// A crash dropped every kernel on lane `s`; re-home each lost
-    /// chunk-shard work item (unless a surviving sibling — a hedge on a
-    /// replica, or a job on a lane that isn't crashing too — already
-    /// covers it).
+    /// chunk-shard work item, unless a sibling on the shard's replica (a
+    /// hedge or an earlier failover) already covers it.
     fn crash_begin(
         &mut self,
         s: usize,
@@ -1398,11 +1373,7 @@ impl ShardedRunState {
             };
             let covered = self.chunks[&info.chunk].active_jobs[info.shard]
                 .iter()
-                .any(|j| {
-                    self.job_info.get(j).is_some_and(|i| {
-                        i.lane >= num_shards || !rt.resilience.plan.crashed(i.lane, now)
-                    })
-                });
+                .any(|j| self.job_info.get(j).is_some_and(|i| i.lane >= num_shards));
             let replace_counts = info.counts_start && !info.started;
             if replace_counts {
                 self.uncount_start(info.chunk);
@@ -1448,9 +1419,7 @@ impl ShardedRunState {
                 continue; // rung 1: duplicate work is the wrong spend
             }
             for s in 0..self.num_shards() {
-                let Some(replica_lane) = self.replica_lane_of[s] else {
-                    continue;
-                };
+                let replica_lane = self.num_shards() + s;
                 let wants_hedge = {
                     let chunk = &self.chunks[&chunk_id];
                     !chunk.shard_done[s]
@@ -1475,9 +1444,8 @@ impl ShardedRunState {
         rt: &ShardedServeRuntime<'_>,
         requests: &[Request],
     ) -> Result<(), ServeError> {
-        let mitigated = rt.resilience.ladder.is_some();
         for s in 0..self.num_shards() {
-            let crashed = rt.resilience.plan.crashed(s, now);
+            let crashed = rt.faults.crashed(s, now);
             // Without mitigation a crash freezes the lane with its queue
             // intact — the restart-from-checkpoint model: the work is
             // replayed after recovery, and the tier pays for it in
@@ -1485,12 +1453,12 @@ impl ShardedRunState {
             let rate = if crashed {
                 0.0
             } else {
-                rt.resilience.plan.rate_of(s, now)
+                rt.faults.rate_of(s, now)
             };
             self.executors[s].set_rate(now, rate);
             if crashed && !self.was_crashed[s] {
                 self.was_crashed[s] = true;
-                if mitigated {
+                if rt.mitigated {
                     self.crash_begin(s, now, rt, requests)?;
                 }
             } else if !crashed && self.was_crashed[s] {
@@ -1585,7 +1553,7 @@ impl ShardedRunState {
             fallback_t
         };
         let out_bytes = rt.model.concat_dim() as u64 * chunk.rows as u64 * 4;
-        let factor = rt.resilience.plan.link_factor(base_t);
+        let factor = rt.faults.link_factor(base_t);
         let gather_us = if factor > 1.0 {
             rt.interconnect
                 .degrade(factor)
@@ -1763,8 +1731,8 @@ mod tests {
     use std::cell::{Cell, RefCell};
     use std::sync::Mutex;
 
-    use crate::faults::{Fault, FaultKind, FaultPlan, FaultSpec, LadderConfig, ReplicationPolicy};
-    use crate::lifecycle::{CanaryConfig, LifecycleEvent, OutcomePlan};
+    use crate::faults::{Fault, FaultKind, FaultSpec};
+    use crate::lifecycle::{LifecycleEvent, OutcomePlan, STAGGER_US};
     use crate::request::WorkloadSpec;
     use proptest::prelude::*;
     use recflex_baselines::{BackendRun, TorchRecBackend};
@@ -1792,22 +1760,19 @@ mod tests {
         )
     }
 
-    fn resilient_tier<'a>(
+    fn faulty_tier<'a>(
         model: &'a ModelConfig,
         arch: &'a GpuArch,
         shards: usize,
         config: ServeConfig,
-        resilience: ResilienceConfig,
+        faults: FaultPlan,
+        mitigated: bool,
     ) -> ShardedServeRuntime<'a> {
-        ShardedServeRuntime::build_resilient(
-            model,
-            arch,
-            Placement::balance(model, shards),
-            config,
-            Interconnect::nvlink(),
-            resilience,
-            |m| Box::new(TorchRecBackend::compile(m)),
-        )
+        ShardedServeRuntime {
+            faults,
+            mitigated,
+            ..tier(model, arch, shards, config, Interconnect::nvlink())
+        }
     }
 
     fn load_config() -> ServeConfig {
@@ -1829,33 +1794,52 @@ mod tests {
     }
 
     #[test]
-    fn no_fault_resilient_path_is_bit_for_bit_the_plain_tier() -> Result<(), ServeError> {
-        // Replicas provisioned and mitigation armed, but no faults and no
-        // deadline: the event loop must take the exact fault-free
-        // branches and reproduce the plain tier's report fields.
+    fn no_fault_mitigated_path_is_bit_for_bit_the_plain_tier() -> Result<(), ServeError> {
+        // Replicas provisioned and mitigation armed, but no faults and an
+        // SLO so loose that no hedge deadline comes due: the event loop
+        // must take the exact fault-free branches and reproduce the plain
+        // tier's report fields.
         let (m, arch) = setup();
         let reqs = WorkloadSpec::long_tail(250.0).stream(&m, 48, 7);
-        let plain = tier(&m, &arch, 4, load_config(), Interconnect::nvlink()).serve(&reqs)?;
-        let armed = resilient_tier(
-            &m,
-            &arch,
-            4,
-            load_config(),
-            ResilienceConfig {
-                plan: FaultPlan::none(),
-                chunk_deadline_us: None,
-                replication: ReplicationPolicy::Full,
-                ladder: Some(LadderConfig::failover_only()),
-            },
-        )
-        .serve(&reqs)?;
+        let config = ServeConfig {
+            slo_deadline_us: Some(1e9),
+            ..load_config()
+        };
+        let plain = tier(&m, &arch, 4, config, Interconnect::nvlink()).serve(&reqs)?;
+        let armed = faulty_tier(&m, &arch, 4, config, FaultPlan::none(), true).serve(&reqs)?;
         assert_eq!(plain.records, armed.records);
         assert_eq!(plain.per_shard, armed.per_shard);
         assert_eq!(plain.kernel_launches, armed.kernel_launches);
         assert_eq!(plain.makespan_us, armed.makespan_us);
+        assert_eq!(armed.hedge_fires, 0);
         assert_eq!(armed.per_replica.len(), 4, "standby lanes exist");
         assert!(armed.per_replica.iter().all(|s| s.jobs == 0), "and idle");
         Ok(())
+    }
+
+    #[test]
+    fn a_mitigated_tier_without_an_slo_is_a_policy_error() {
+        let (m, arch) = setup();
+        let reqs = WorkloadSpec::long_tail(250.0).stream(&m, 4, 7);
+        for shards in [1, 2] {
+            let rt = faulty_tier(&m, &arch, shards, load_config(), FaultPlan::none(), true);
+            assert!(matches!(rt.serve(&reqs), Err(ServeError::Policy(_))));
+        }
+    }
+
+    #[test]
+    fn ladder_rungs_grade_on_backlog_against_the_slo() {
+        let slo = 2_000.0;
+        assert_eq!(ladder_rung(0.0, slo), 0);
+        assert_eq!(ladder_rung(1_000.0, slo), 0, "thresholds are exclusive");
+        assert_eq!(ladder_rung(1_001.0, slo), 1);
+        assert_eq!(ladder_rung(1_500.0, slo), 1);
+        assert_eq!(ladder_rung(1_501.0, slo), 2);
+        assert_eq!(
+            ladder_rung(f64::INFINITY, slo),
+            2,
+            "a stalled lane maxes out"
+        );
     }
 
     #[test]
@@ -1957,7 +1941,7 @@ mod tests {
     }
 
     #[test]
-    fn make_backend_runs_per_device_then_per_replica_in_order() {
+    fn make_backend_runs_once_per_device_in_order() {
         let (m, arch) = setup();
         let placement = Placement::balance(&m, 3);
         let features_of = |dev: usize| {
@@ -1968,35 +1952,18 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         let calls = RefCell::new(Vec::new());
-        let record = |sub: &ModelConfig| {
-            calls.borrow_mut().push(sub.features.clone());
-            TorchRecBackend::compile(sub)
-        };
         ShardedServeRuntime::build(
             &m,
             &arch,
             placement.clone(),
             ServeConfig::default(),
             Interconnect::nvlink(),
-            |sub| Box::new(record(sub)),
+            |sub| {
+                calls.borrow_mut().push(sub.features.clone());
+                Box::new(TorchRecBackend::compile(sub))
+            },
         );
         assert_eq!(calls.take(), [0, 1, 2].map(features_of));
-        // Full replication: every device first, then one replica per
-        // shard in shard order.
-        let rt = ShardedServeRuntime::build_resilient(
-            &m,
-            &arch,
-            placement.clone(),
-            ServeConfig::default(),
-            Interconnect::nvlink(),
-            ResilienceConfig {
-                replication: ReplicationPolicy::Full,
-                ..ResilienceConfig::default()
-            },
-            |sub| Box::new(record(sub)),
-        );
-        assert_eq!(rt.replica_of, vec![0, 1, 2]);
-        assert_eq!(calls.take(), [0, 1, 2, 0, 1, 2].map(features_of));
     }
 
     /// TorchRec's kernel, keeping every batch the tier asks it to price.
@@ -2138,8 +2105,8 @@ mod tests {
         );
     }
 
-    /// A slice that would never finish (TorchRec prices a slice without
-    /// samples at +∞) is refused, not left to hold its lane forever.
+    /// A slice priced at a time that never comes (a backend's +∞) is
+    /// refused, not left to hold its lane forever.
     #[test]
     fn a_slice_priced_at_infinity_is_a_backend_error_not_a_hang() {
         let (m, arch) = setup();
@@ -2402,10 +2369,9 @@ mod tests {
         }
     }
 
-    fn crash_window(m: &ModelConfig) -> FaultPlan {
+    fn crash_window() -> FaultPlan {
         // Crash shard 0 for a long mid-run window sized off the workload
         // (requests arrive roughly every 200 µs for 64 requests).
-        let _ = m;
         FaultPlan::scripted(vec![crash(0, 1_500.0, 9_000.0)])
     }
 
@@ -2413,35 +2379,11 @@ mod tests {
     fn mitigated_crash_holds_availability_where_no_mitigation_sheds() -> Result<(), ServeError> {
         let (m, arch) = setup();
         let reqs = WorkloadSpec::long_tail(200.0).stream(&m, 64, 21);
-        let baseline = resilient_tier(
-            &m,
-            &arch,
-            2,
-            slo_config(),
-            ResilienceConfig {
-                plan: crash_window(&m),
-                chunk_deadline_us: None,
-                replication: ReplicationPolicy::None,
-                ladder: None, // no mitigation: lane freezes, backlog sheds
-            },
-        )
-        .serve(&reqs)?;
-        let mitigated = resilient_tier(
-            &m,
-            &arch,
-            2,
-            slo_config(),
-            ResilienceConfig {
-                plan: crash_window(&m),
-                chunk_deadline_us: None,
-                replication: ReplicationPolicy::Full,
-                ladder: Some(LadderConfig {
-                    drop_hedge_backlog_us: 4_000.0,
-                    partial_backlog_us: 6_000.0,
-                }),
-            },
-        )
-        .serve(&reqs)?;
+        let serve = |mitigated: bool| {
+            faulty_tier(&m, &arch, 2, slo_config(), crash_window(), mitigated).serve(&reqs)
+        };
+        let baseline = serve(false)?; // lane freezes, backlog sheds
+        let mitigated = serve(true)?;
         assert!(
             baseline.availability() < 1.0,
             "an unmitigated crash must shed: availability {}",
@@ -2483,32 +2425,22 @@ mod tests {
             end_us: 10_000.0,
             kind: FaultKind::Stall { shard: 0 },
         }]);
-        let hedged = resilient_tier(
-            &m,
-            &arch,
-            2,
-            load_config(),
-            ResilienceConfig {
-                plan: plan.clone(),
-                chunk_deadline_us: Some(500.0),
-                replication: ReplicationPolicy::Full,
-                ladder: Some(LadderConfig::failover_only()),
-            },
-        )
-        .serve(&reqs)?;
-        let unhedged = resilient_tier(
-            &m,
-            &arch,
-            2,
-            load_config(),
-            ResilienceConfig {
-                plan,
-                chunk_deadline_us: None,
-                replication: ReplicationPolicy::Full,
-                ladder: Some(LadderConfig::failover_only()),
-            },
-        )
-        .serve(&reqs)?;
+        // Hedges come due a quarter of the SLO after fan-out. The control
+        // is the same mitigated tier under an SLO so loose that no hedge
+        // comes due, so the two differ only in hedging.
+        let serve = |slo_deadline_us: f64| {
+            let config = ServeConfig {
+                slo_deadline_us: Some(slo_deadline_us),
+                ..slo_config()
+            };
+            faulty_tier(&m, &arch, 2, config, plan.clone(), true).serve(&reqs)
+        };
+        let hedged = serve(8_000.0)?;
+        let unhedged = serve(1e9)?;
+        assert_eq!(unhedged.hedge_fires, 0);
+        // Neither sheds, so both tails are over the same requests.
+        assert_eq!(hedged.shed_rate(), 0.0);
+        assert_eq!(unhedged.shed_rate(), 0.0);
         assert!(hedged.hedge_fires > 0, "deadlines must fire on the stall");
         assert!(
             hedged.hedge_wins > 0,
@@ -2528,24 +2460,15 @@ mod tests {
     fn ladder_rung_two_serves_partial_answers_instead_of_shedding() -> Result<(), ServeError> {
         let (m, arch) = setup();
         let reqs = WorkloadSpec::long_tail(200.0).stream(&m, 48, 29);
-        // No replicas and only one survivor: with the partial threshold at
-        // zero every crashed-shard slice zero-pools immediately.
-        let report = resilient_tier(
-            &m,
-            &arch,
-            2,
-            slo_config(),
-            ResilienceConfig {
-                plan: crash_window(&m),
-                chunk_deadline_us: None,
-                replication: ReplicationPolicy::None,
-                ladder: Some(LadderConfig {
-                    drop_hedge_backlog_us: 0.0,
-                    partial_backlog_us: 0.0,
-                }),
-            },
-        )
-        .serve(&reqs)?;
+        // A tight SLO: once the crashed shard's work has piled three
+        // quarters of it onto the replica, further crashed-shard slices
+        // zero-pool instead of failing over.
+        let config = ServeConfig {
+            slo_deadline_us: Some(2_000.0),
+            ..slo_config()
+        };
+        let report = faulty_tier(&m, &arch, 2, config, crash_window(), true).serve(&reqs)?;
+        assert!(report.failovers > 0, "the replica takes work first");
         assert!(
             report.degraded_rate() > 0.0,
             "crashed-shard chunks must be served partial"
@@ -2580,16 +2503,12 @@ mod tests {
                 kind: FaultKind::LinkDegrade { factor: 16.0 },
             },
         ]);
-        let faulty = ResilienceConfig {
-            plan,
-            chunk_deadline_us: None,
-            replication: ReplicationPolicy::None,
-            ladder: Some(LadderConfig::failover_only()),
+        let serve = |faults: FaultPlan| {
+            faulty_tier(&m, &arch, 4, load_config(), faults, false).serve(&reqs)
         };
-        let healthy = resilient_tier(&m, &arch, 4, load_config(), ResilienceConfig::default())
-            .serve(&reqs)?;
-        let a = resilient_tier(&m, &arch, 4, load_config(), faulty.clone()).serve(&reqs)?;
-        let b = resilient_tier(&m, &arch, 4, load_config(), faulty).serve(&reqs)?;
+        let healthy = serve(FaultPlan::none())?;
+        let a = serve(plan.clone())?;
+        let b = serve(plan)?;
         assert_eq!(a, b, "faulty runs replay bit-for-bit");
         assert!(
             a.percentile_us(0.99) > healthy.percentile_us(0.99),
@@ -2620,21 +2539,7 @@ mod tests {
             let plan_a = spec.plan(shards, 6_000.0, seed);
             let plan_b = spec.plan(shards, 6_000.0, seed);
             prop_assert_eq!(&plan_a, &plan_b, "fault trace must replay");
-            let rt = resilient_tier(
-                &m,
-                &arch,
-                shards,
-                slo_config(),
-                ResilienceConfig {
-                    plan: plan_a,
-                    chunk_deadline_us: Some(1_000.0),
-                    replication: ReplicationPolicy::Full,
-                    ladder: Some(LadderConfig {
-                        drop_hedge_backlog_us: 4_000.0,
-                        partial_backlog_us: 6_000.0,
-                    }),
-                },
-            );
+            let rt = faulty_tier(&m, &arch, shards, slo_config(), plan_a, true);
             let a = rt.serve(&reqs);
             let b = rt.serve(&reqs);
             prop_assert!(a.is_ok() && b.is_ok(), "a faulty run must still serve");
@@ -2662,13 +2567,6 @@ mod tests {
         (shifted, reqs)
     }
 
-    fn drift_config() -> DriftConfig {
-        DriftConfig {
-            window: 8,
-            threshold: 0.3,
-        }
-    }
-
     #[test]
     fn a_failed_attempt_after_a_promotion_keeps_the_promoted_engine() -> Result<(), ServeError> {
         // Drift fires twice (in-distribution → shifted → back): attempt 1
@@ -2687,9 +2585,6 @@ mod tests {
         let regress = RetuneOutcome::Regression { slowdown: 4.0 };
         let run = |shards: usize, lifecycle: LifecycleConfig| {
             let mut policy = ShardedRetunePolicy {
-                drift: drift_config(),
-                retune_latency_us: 1_000.0,
-                stagger_us: 0.0,
                 lifecycle,
                 retuner: Box::new(|sm: &ModelConfig, _: &[Batch]| {
                     TunedCandidate::from(Box::new(TorchRecBackend::compile(sm)) as Box<dyn Backend>)
@@ -2714,10 +2609,7 @@ mod tests {
                 shards,
                 LifecycleConfig {
                     outcomes: OutcomePlan::scripted(vec![regress]),
-                    retry: crate::lifecycle::RetryPolicy {
-                        cooldown_us: 1e12,
-                        ..Default::default()
-                    },
+                    cooldown_us: 1e12,
                     ..LifecycleConfig::default()
                 },
             )?;
@@ -2738,9 +2630,6 @@ mod tests {
         let (_shifted, reqs) = drifting_stream(&m);
         let regressed = OutcomePlan::scripted(vec![RetuneOutcome::Regression { slowdown: 4.0 }; 8]);
         let mk_policy = |lifecycle: LifecycleConfig| ShardedRetunePolicy {
-            drift: drift_config(),
-            retune_latency_us: 1_000.0,
-            stagger_us: 0.0,
             lifecycle,
             retuner: Box::new(|sm: &ModelConfig, _: &[Batch]| {
                 TunedCandidate::from(Box::new(TorchRecBackend::compile(sm)) as Box<dyn Backend>)
@@ -2755,7 +2644,7 @@ mod tests {
             .serve_with_retune(&reqs, &mut blind_policy)?;
         let mut canaried_policy = mk_policy(LifecycleConfig {
             outcomes: regressed,
-            canary: Some(CanaryConfig { window: 4 }),
+            canary: true,
             ..LifecycleConfig::default()
         });
         let canaried = tier(&m, &arch, 2, load_config(), Interconnect::nvlink())
@@ -2788,13 +2677,9 @@ mod tests {
     fn staged_rollout_promotes_every_shard_in_order() -> Result<(), ServeError> {
         let (m, arch) = setup();
         let (_shifted, reqs) = drifting_stream(&m);
-        let stagger = 300.0;
         let mut policy = ShardedRetunePolicy {
-            drift: drift_config(),
-            retune_latency_us: 1_000.0,
-            stagger_us: stagger,
             lifecycle: LifecycleConfig {
-                canary: Some(CanaryConfig { window: 3 }),
+                canary: true,
                 ..LifecycleConfig::default()
             },
             retuner: Box::new(|sm: &ModelConfig, _: &[Batch]| {
@@ -2819,8 +2704,8 @@ mod tests {
         for pair in promotions.windows(2) {
             let gap = pair[1].0 - pair[0].0;
             assert!(
-                (gap - stagger).abs() < 1e-9,
-                "promotions are staggered by {stagger} µs, got {gap}"
+                (gap - STAGGER_US).abs() < 1e-9,
+                "promotions are staggered by {STAGGER_US} µs, got {gap}"
             );
         }
         Ok(())

@@ -9,7 +9,7 @@
 //! (downtime, hedge fires and wins, failovers, degraded-request rate,
 //! availability) that the chaos harness gates on.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::lifecycle::{LifecycleEvent, LifecycleStats};
 
@@ -51,29 +51,8 @@ impl Serialize for ShedReason {
     }
 }
 
-impl Deserialize for ShedReason {
-    /// Accepts both eras of the `shed` field: the pre-PR-3 boolean
-    /// (`true` meant shed-at-admission, `false` meant served) and the
-    /// current reason string — so archived reports keep parsing.
-    fn deserialize_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v {
-            serde::Value::Bool(true) => Ok(ShedReason::Admission),
-            serde::Value::Bool(false) => Ok(ShedReason::None),
-            serde::Value::Str(s) => match s.as_str() {
-                "none" => Ok(ShedReason::None),
-                "admission" => Ok(ShedReason::Admission),
-                "fault" => Ok(ShedReason::Fault),
-                other => Err(serde::Error::msg(format!("unknown shed reason `{other}`"))),
-            },
-            other => Err(serde::Error::msg(format!(
-                "expected bool or shed-reason string, got {other:?}"
-            ))),
-        }
-    }
-}
-
 /// What happened to one request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RequestRecord {
     /// Stream-unique request id, in arrival order.
     pub id: u64,
@@ -145,8 +124,8 @@ pub struct ShardLaneStats {
     /// Total time this shard was unable to make progress (crash or stall
     /// fault windows clipped to the run), µs.
     pub downtime_us: f64,
-    /// Chunks whose work was re-projected off this shard because it
-    /// crashed (onto a replica or a survivor lane).
+    /// Chunks whose work was re-projected off this shard onto its
+    /// replica because it crashed.
     pub failovers: u64,
 }
 
@@ -430,50 +409,10 @@ mod tests {
         assert!(json.contains("\"shed\":\"admission\""), "{json}");
         let json = serde_json::to_string(&rec(1, 0.0, 0.0, 1.0)).unwrap();
         assert!(json.contains("\"shed\":\"none\""), "{json}");
-    }
-
-    #[test]
-    fn request_records_round_trip_through_json() {
-        for record in [rec(7, 3.0, 2.0, 40.0), shed(8, 4.0), {
-            let mut r = shed(9, 5.0);
-            r.shed = ShedReason::Fault;
-            r
-        }] {
-            let json = serde_json::to_string(&record).unwrap();
-            let back: RequestRecord = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, record, "{json}");
-        }
-    }
-
-    #[test]
-    fn boolean_era_shed_field_still_parses() {
-        // A record serialized before ShedReason existed: `shed` was a
-        // bool, true meaning dropped at admission.
-        let legacy_shed = r#"{"id":1,"batch_size":32,"arrival_us":2.0,
-            "queue_us":0.0,"service_us":0.0,"done_us":2.0,"shed":true}"#;
-        let back: RequestRecord = serde_json::from_str(legacy_shed).unwrap();
-        assert_eq!(back.shed, ShedReason::Admission);
-        assert!(back.is_shed());
-
-        let legacy_served = r#"{"id":1,"batch_size":32,"arrival_us":0.0,
-            "queue_us":1.0,"service_us":9.0,"done_us":10.0,"shed":false}"#;
-        let back: RequestRecord = serde_json::from_str(legacy_served).unwrap();
-        assert_eq!(back.shed, ShedReason::None);
-        assert!(!back.is_shed());
-    }
-
-    #[test]
-    fn fault_and_admission_reasons_survive_serde_distinctly() {
-        let admission = ShedReason::Admission.serialize_value();
-        let fault = ShedReason::Fault.serialize_value();
-        assert_ne!(admission, fault);
-        assert_eq!(
-            ShedReason::deserialize_value(&admission),
-            Ok(ShedReason::Admission)
-        );
-        assert_eq!(ShedReason::deserialize_value(&fault), Ok(ShedReason::Fault));
-        assert!(ShedReason::deserialize_value(&serde::Value::Str("bogus".into())).is_err());
-        assert!(ShedReason::deserialize_value(&serde::Value::UInt(1)).is_err());
+        let mut fault = shed(1, 2.0);
+        fault.shed = ShedReason::Fault;
+        let json = serde_json::to_string(&fault).unwrap();
+        assert!(json.contains("\"shed\":\"fault\""), "{json}");
     }
 
     #[test]

@@ -6,15 +6,14 @@
 //!   per-stage
 //!   [`DeadlineBudget`](recflex_serve::DeadlineBudget) shares through a
 //!   pipeline;
-//! * [`CanaryConfig`] — a canaried candidate shadow-executes every
-//!   chunk of its window without ever touching the served path.
+//! * [`LifecycleConfig::canary`] — a canaried candidate shadow-executes
+//!   every chunk of its window without ever touching the served path.
 
 use recflex_baselines::{Backend, TorchRecBackend};
 use recflex_data::{Batch, ModelConfig, ModelPreset, Placement};
 use recflex_serve::{
-    BatchPolicy, CanaryConfig, DriftConfig, LifecycleConfig, OutcomePlan, RetuneOutcome,
-    ServeConfig, ServeError, ShardedRetunePolicy, ShardedServeRuntime, ShedReason, TunedCandidate,
-    WorkloadSpec,
+    BatchPolicy, LifecycleConfig, OutcomePlan, RetuneOutcome, ServeConfig, ServeError,
+    ShardedRetunePolicy, ShardedServeRuntime, ShedReason, TunedCandidate, WorkloadSpec,
 };
 use recflex_sim::{GpuArch, Interconnect};
 
@@ -143,15 +142,9 @@ fn drifting_stream(m: &ModelConfig) -> Vec<recflex_serve::Request> {
 
 fn canary_policy(outcomes: OutcomePlan) -> ShardedRetunePolicy<'static> {
     ShardedRetunePolicy {
-        drift: DriftConfig {
-            window: 8,
-            threshold: 0.3,
-        },
-        retune_latency_us: 1_000.0,
-        stagger_us: 0.0,
         lifecycle: LifecycleConfig {
             outcomes,
-            canary: Some(CanaryConfig { window: 4 }),
+            canary: true,
             ..LifecycleConfig::default()
         },
         retuner: Box::new(|sm: &ModelConfig, _: &[Batch]| {

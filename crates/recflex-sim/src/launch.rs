@@ -381,11 +381,11 @@ pub fn launch<K: SimKernel>(
     // with an unsuitable schedule (few active warps, shallow MLP, low
     // forced occupancy) reads 380 GB/s where a tuned one reads 640 on the
     // same GPU (paper Table II).
-    let total_membytes: f64 = profiles
+    let membytes: f64 = profiles
         .iter()
         .map(|p| mem.dram_bytes(p) + mem.l2_bytes(p))
-        .sum::<f64>()
-        .max(1e-9);
+        .sum();
+    let total_membytes = membytes.max(1e-9);
     let weighted_mlp: f64 = profiles
         .iter()
         .map(|p| (mem.dram_bytes(p) + mem.l2_bytes(p)) * p.mlp.max(1.0))
@@ -400,7 +400,13 @@ pub fn launch<K: SimKernel>(
         .min(occ.warps_per_sm as f64)
         .max(1.0);
     let supply_rate = eff_warps_per_sm * weighted_mlp * arch.sector_bytes as f64 / mem.avg_latency;
-    let supply_bound = total_membytes / (supply_rate * sms);
+    // A grid that moves no memory has a supply rate of 0 and nothing to
+    // supply: no bound, not 1e-9 / 0 = ∞.
+    let supply_bound = if membytes > 0.0 {
+        total_membytes / (supply_rate * sms)
+    } else {
+        0.0
+    };
     // UVM traffic crosses the host interconnect, a chip-global channel.
     let host_rate = arch.host_link_gbps / arch.clock_ghz; // bytes per cycle, whole chip
     let uvm_bound: f64 =
@@ -548,6 +554,23 @@ mod tests {
             launch(&k, &GpuArch::v100(), &LaunchConfig::default()),
             Err(LaunchError::EmptyGrid)
         ));
+    }
+
+    #[test]
+    fn a_grid_that_moves_no_memory_costs_its_launch() {
+        let mut k = latency_bound_kernel(16);
+        k.profile = BlockProfile {
+            issue_cycles: 0.0,
+            mem_transactions: 0,
+            bytes_accessed: 0,
+            unique_bytes: 0,
+            ..k.profile
+        };
+        let arch = GpuArch::v100();
+        let r = launch(&k, &arch, &LaunchConfig::default()).unwrap();
+        assert!(r.latency_us.is_finite(), "{}", r.latency_us);
+        assert_eq!(r.bounds.supply_cycles, 0.0);
+        assert!(r.latency_us >= arch.kernel_launch_us);
     }
 
     #[test]

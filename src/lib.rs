@@ -41,9 +41,8 @@ pub mod prelude {
     pub use recflex_data::{Batch, Dataset, FeatureSpec, ModelConfig, ModelPreset, PoolingDist};
     pub use recflex_embedding::TableSet;
     pub use recflex_serve::{
-        BatchPolicy, CanaryConfig, DriftConfig, LifecycleConfig, OutcomePlan, OutcomeSpec, Request,
-        RetryPolicy, RetuneOutcome, ServeConfig, ShardedReport, ShardedRetunePolicy,
-        ShardedServeRuntime, WorkloadSpec,
+        BatchPolicy, LifecycleConfig, OutcomePlan, Request, RetuneOutcome, ServeConfig,
+        ShardedReport, ShardedRetunePolicy, ShardedServeRuntime, WorkloadSpec,
     };
     pub use recflex_sim::GpuArch;
     pub use recflex_tuner::TunerConfig;

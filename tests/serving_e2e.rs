@@ -70,12 +70,6 @@ fn facade_drift_retune_hot_swaps_a_fresh_engine() {
     let shifted = shift_distribution(&model, 2.5, 0.0);
     let stream = WorkloadSpec::long_tail(600.0).stream(&shifted, 20, 23);
     let mut policy = ShardedRetunePolicy {
-        drift: DriftConfig {
-            window: 6,
-            threshold: 0.3,
-        },
-        retune_latency_us: 2_000.0,
-        stagger_us: 0.0,
         lifecycle: LifecycleConfig::default(),
         retuner: Box::new(|_: &ModelConfig, recent: &[Batch]| {
             let ds = Dataset::from_batches(recent.to_vec());

@@ -64,6 +64,33 @@ fn cost_matches_run_for_every_backend_and_wrapper() {
     );
 }
 
+/// A batch with no samples moves no memory, so every backend prices it
+/// at its launch cost, not +∞ — except HugeCTR, whose one-block-per-sample
+/// grid is empty and refused.
+#[test]
+fn an_empty_batch_is_priced_at_a_finite_latency() {
+    let arch = GpuArch::v100();
+    for preset in [ModelPreset::A, ModelPreset::D] {
+        let m = preset.scaled(0.01);
+        let tables = TableSet::for_model(&m);
+        let history = Dataset::synthesize(&m, 2, 64, 5);
+        let engine = RecFlexEngine::tune(&m, &history, &arch, &TunerConfig::fast());
+        let backends: Vec<Box<dyn Backend + '_>> = vec![
+            Box::new(&engine),
+            Box::new(TorchRecBackend::compile(&m)),
+            Box::new(RecomBackend::compile(&m, &history)),
+            Box::new(TensorFlowBackend),
+        ];
+        let empty = Batch::generate(&m, 0, 1);
+        for b in &backends {
+            let why = format!("{} on model {}", b.name(), preset.name());
+            let cost = b.cost(&m, &tables, &empty, &arch).expect(&why);
+            assert!(cost.latency_us.is_finite(), "{why}: {}", cost.latency_us);
+        }
+        assert!(HugeCtrBackend.cost(&m, &tables, &empty, &arch).is_err());
+    }
+}
+
 /// A backend with no functional path: `run` always fails, `cost` is
 /// TorchRec's. Any serving path that still calls `run` surfaces as a
 /// `ServeError::Backend`.
@@ -147,15 +174,9 @@ fn drifting_stream(m: &ModelConfig) -> Vec<Request> {
 
 fn canary_policy(outcome: RetuneOutcome, cost_only: bool) -> ShardedRetunePolicy<'static> {
     ShardedRetunePolicy {
-        drift: DriftConfig {
-            window: 8,
-            threshold: 0.3,
-        },
-        retune_latency_us: 1_000.0,
-        stagger_us: 0.0,
         lifecycle: LifecycleConfig {
             outcomes: OutcomePlan::scripted(vec![outcome; 8]),
-            canary: Some(CanaryConfig { window: 4 }),
+            canary: true,
             ..LifecycleConfig::default()
         },
         retuner: Box::new(move |sm: &ModelConfig, _: &[Batch]| {
