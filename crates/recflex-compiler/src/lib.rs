@@ -27,6 +27,8 @@
 pub mod args;
 pub mod cuda;
 pub mod fused;
+#[cfg(test)]
+mod launch_oracle;
 pub mod thread_map;
 pub mod warp_map;
 

@@ -14,6 +14,11 @@
 //! expression. So every batch is a pure function of its seed, and equal
 //! bit for bit to what one `powf` per lookup gives. [`Batch::generate`]
 //! draws small batches inline and larger ones on the pool.
+//!
+//! Serving analyses every chunk it prices, and the exact distinct-row
+//! count ([`FeatureBatch::unique_rows`]) is most of that analysis. After
+//! one vectorized range check, it counts a feature's rows in a per-thread
+//! bitmap whose two passes neither branch nor check bounds per lookup.
 
 use crate::feature::{FeatureSpec, ModelConfig};
 use crate::row_draw;
@@ -74,44 +79,47 @@ impl FeatureBatch {
     /// Exact count of distinct rows touched in a table of `table_rows`
     /// rows, in time linear in the lookups.
     ///
-    /// One pass sets each in-range row's bit in a reusable per-thread
-    /// bitmap and counts the bits it newly sets; a second pass zeroes the
-    /// words the first touched, so the cost never depends on the table
-    /// size. The bitmap is sized by `table_rows`, never by an index value,
-    /// and grows to the largest table counted on its thread: at most
-    /// `table_rows / 8` bytes, 1/32 of an embedding table of that many
-    /// rows. Indices `>= table_rows`, which [`FeatureBatch::validate`]
-    /// rejects, are still counted exactly, by sorting just those.
+    /// A vectorized scan first checks that every index is in range, as
+    /// serving admission ([`FeatureBatch::validate`]) guarantees. Then one
+    /// pass sets each row's bit in a reusable per-thread bitmap and counts
+    /// the bits it newly sets, and a second zeroes the words the first
+    /// touched, so the cost never depends on the table size. Neither pass
+    /// branches or checks bounds per lookup: the bitmap holds a power of
+    /// two of words, and masking a row's word index into it changes no
+    /// in-range row. The bitmap is sized by `table_rows`, never by an
+    /// index value, and grows to the largest table counted on its thread:
+    /// under `table_rows / 4 + 16` bytes, at most twice the `table_rows /
+    /// 8` an exact fit would take. A feature holding an index `>=
+    /// table_rows`, which [`FeatureBatch::validate`] rejects, is still
+    /// counted exactly, by sorting a copy of its indices.
     pub fn unique_rows(&self, table_rows: u32) -> u32 {
-        if self.indices.is_empty() {
+        let indices = &self.indices;
+        if indices.is_empty() {
             return 0;
+        }
+        if !all_below(indices, table_rows) {
+            let mut rows = indices.clone();
+            rows.sort_unstable();
+            rows.dedup();
+            return rows.len() as u32;
         }
         SEEN_ROWS.with(|seen| {
             let mut bitmap = seen.borrow_mut();
-            let words = (table_rows as usize).div_ceil(64);
-            if bitmap.len() < words {
-                bitmap.resize(words, 0);
+            let mask = (table_rows as usize).div_ceil(64).next_power_of_two() - 1;
+            if bitmap.len() <= mask {
+                bitmap.resize(mask + 1, 0);
             }
-            let bits = &mut bitmap[..words];
+            let bits = &mut bitmap[..=mask];
             let mut unique = 0u32;
-            let mut stray = Vec::new();
-            for &row in &self.indices {
-                if row < table_rows {
-                    let (word, bit) = ((row / 64) as usize, 1u64 << (row % 64));
-                    unique += u32::from(bits[word] & bit == 0);
-                    bits[word] |= bit;
-                } else {
-                    stray.push(row);
-                }
+            for &row in indices {
+                let (word, bit) = ((row / 64) as usize & mask, 1u64 << (row % 64));
+                unique += u32::from(bits[word] & bit == 0);
+                bits[word] |= bit;
             }
-            for &row in &self.indices {
-                if row < table_rows {
-                    bits[(row / 64) as usize] = 0;
-                }
+            for &row in indices {
+                bits[(row / 64) as usize & mask] = 0;
             }
-            stray.sort_unstable();
-            stray.dedup();
-            unique + stray.len() as u32
+            unique
         })
     }
 
@@ -132,11 +140,7 @@ impl FeatureBatch {
         }
         // Serving validates every request, so the scan is branch-free and
         // vectorises; the first offender is looked up only if there is one.
-        if !self
-            .indices
-            .iter()
-            .fold(true, |ok, &i| ok & (i < table_rows))
-        {
+        if !all_below(&self.indices, table_rows) {
             let bad = self.indices.iter().find(|&&i| i >= table_rows);
             return Err(format!(
                 "index {} out of table range {table_rows}",
@@ -205,6 +209,12 @@ impl FeatureBatch {
             FeatureBatch { offsets, indices }
         })
     }
+}
+
+/// Whether every index lies below `table_rows`: one fold with no branch,
+/// which vectorizes.
+fn all_below(indices: &[u32], table_rows: u32) -> bool {
+    indices.iter().fold(true, |ok, &i| ok & (i < table_rows))
 }
 
 /// Why a [`Batch::split`] request was rejected.

@@ -7,13 +7,16 @@
 //! reproducible `f32`, so functional correctness of schedules is fully
 //! testable. [`DenseTable`] materializes real weights for small tests.
 //!
+//! Pooling reads each row whole and adds it straight into a sample's
+//! output ([`EmbTable::add_row`]), so no row is copied anywhere first.
 //! Hashing is the whole cost of a virtual lookup, so
-//! [`VirtualTable::read_row`] fills a row in one branch-free loop that the
-//! compiler vectorizes: built once for AVX-512DQ (64-bit lane multiplies),
-//! once for AVX2, and once for the baseline target, with the widest the
-//! running CPU supports chosen at run time. Each variant computes exactly
-//! [`VirtualTable::value`]'s bits: the hash is integer arithmetic, and the
-//! float steps are exact or round once, the same way.
+//! [`VirtualTable::add_row`] hashes and adds a row in one branch-free loop
+//! that the compiler vectorizes: built once for AVX-512DQ (64-bit lane
+//! multiplies), once for AVX2, and once for the baseline target, with the
+//! widest the running CPU supports chosen at run time. Each variant adds
+//! exactly [`VirtualTable::value`]'s bits: the hash is integer arithmetic,
+//! the float steps are exact or round once, the same way, and the one add
+//! per element rounds as the scalar reference's `+=` does.
 
 use recflex_data::ModelConfig;
 
@@ -26,11 +29,12 @@ pub trait EmbTable: Sync {
     /// Element at `(row, d)`. Callers guarantee `row < rows(), d < dim()`.
     fn value(&self, row: u32, d: u32) -> f32;
 
-    /// Copy row `row` into `out` (length `dim()`).
-    fn read_row(&self, row: u32, out: &mut [f32]) {
-        debug_assert_eq!(out.len(), self.dim() as usize);
-        for (d, slot) in out.iter_mut().enumerate() {
-            *slot = self.value(row, d as u32);
+    /// Add row `row` into `acc` (length `dim()`): `acc[d] += value(row,
+    /// d)`, element by element.
+    fn add_row(&self, row: u32, acc: &mut [f32]) {
+        debug_assert_eq!(acc.len(), self.dim() as usize);
+        for (d, slot) in acc.iter_mut().enumerate() {
+            *slot += self.value(row, d as u32);
         }
     }
 }
@@ -65,24 +69,25 @@ impl VirtualTable {
     }
 }
 
-/// Fill `out` with elements `0..out.len()` of the row whose hash key is
-/// `key`, bit-identical to [`VirtualTable::value`]. The top 24 hash bits
+/// Add elements `0..acc.len()` of the row whose hash key is `key` into
+/// `acc`, bit-identical to `acc[d] += value(row, d)`. The top 24 hash bits
 /// `k` convert to `f32` exactly, even through `i32`; `k · 2⁻²³` equals
-/// `value`'s `2 · (k / 2²⁴)` exactly, as both only scale by powers of two;
-/// the subtraction of 1 is the one rounding step in both. Rust never fuses
-/// the multiply and the subtraction into an FMA.
+/// [`VirtualTable::value`]'s `2 · (k / 2²⁴)` exactly, as both only scale
+/// by powers of two; the subtraction of 1 is the one rounding step in
+/// both, and the add into `acc` rounds once after it. Rust never fuses
+/// the multiply, the subtraction or the add into an FMA.
 ///
 /// Always inlined, so that each `#[target_feature]` wrapper below compiles
 /// its own copy of the loop with that wrapper's instruction set.
 #[inline(always)]
-fn fill_row(key: u64, out: &mut [f32]) {
-    for (d, slot) in out.iter_mut().enumerate() {
+fn add_row(key: u64, acc: &mut [f32]) {
+    for (d, slot) in acc.iter_mut().enumerate() {
         let k = (splitmix64(key ^ d as u64) >> 40) as i32;
-        *slot = k as f32 * (1.0 / (1u32 << 23) as f32) - 1.0;
+        *slot += k as f32 * (1.0 / (1u32 << 23) as f32) - 1.0;
     }
 }
 
-/// [`fill_row`] built for AVX-512F and AVX-512DQ, whose 64-bit lane
+/// [`add_row`] built for AVX-512F and AVX-512DQ, whose 64-bit lane
 /// multiply vectorizes the hash eight lanes wide.
 ///
 /// # Safety
@@ -90,19 +95,19 @@ fn fill_row(key: u64, out: &mut [f32]) {
 /// The running CPU must support AVX-512F and AVX-512DQ.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512dq")]
-unsafe fn fill_row_avx512dq(key: u64, out: &mut [f32]) {
-    fill_row(key, out)
+unsafe fn add_row_avx512dq(key: u64, acc: &mut [f32]) {
+    add_row(key, acc)
 }
 
-/// [`fill_row`] built for AVX2.
+/// [`add_row`] built for AVX2.
 ///
 /// # Safety
 ///
 /// The running CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn fill_row_avx2(key: u64, out: &mut [f32]) {
-    fill_row(key, out)
+unsafe fn add_row_avx2(key: u64, acc: &mut [f32]) {
+    add_row(key, acc)
 }
 
 impl EmbTable for VirtualTable {
@@ -121,25 +126,26 @@ impl EmbTable for VirtualTable {
         2.0 * m - 1.0
     }
 
-    /// The row through the widest vector loop the running CPU supports.
-    fn read_row(&self, row: u32, out: &mut [f32]) {
+    /// The row added through the widest vector loop the running CPU
+    /// supports.
+    fn add_row(&self, row: u32, acc: &mut [f32]) {
         debug_assert!(row < self.rows);
-        debug_assert_eq!(out.len(), self.dim as usize);
+        debug_assert_eq!(acc.len(), self.dim as usize);
         let key = self.row_key(row);
         #[cfg(target_arch = "x86_64")]
         {
             if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq") {
                 // SAFETY: `is_x86_feature_detected!` just found AVX-512F
                 // and AVX-512DQ on this CPU.
-                return unsafe { fill_row_avx512dq(key, out) };
+                return unsafe { add_row_avx512dq(key, acc) };
             }
             if is_x86_feature_detected!("avx2") {
                 // SAFETY: `is_x86_feature_detected!` just found AVX2 on
                 // this CPU.
-                return unsafe { fill_row_avx2(key, out) };
+                return unsafe { add_row_avx2(key, acc) };
             }
         }
-        fill_row(key, out)
+        add_row(key, acc)
     }
 }
 
@@ -258,55 +264,78 @@ mod tests {
         }
     }
 
-    #[test]
-    fn read_row_copies_all_dims() {
-        // The trait's default, which `DenseTable` uses.
-        let t = DenseTable::from_virtual(&VirtualTable::new(1, 10, 12));
-        let mut row = vec![0.0; 12];
-        t.read_row(3, &mut row);
-        for (d, &x) in row.iter().enumerate() {
-            assert_eq!(x, t.value(3, d as u32));
-        }
+    /// A starting accumulator of `dim` elements drawn from `seed`: sums
+    /// like pooled ones, with -0.0, subnormals of both signs and the
+    /// smallest normal mixed in.
+    fn start_acc(seed: u64, dim: u32) -> Vec<f32> {
+        (0..dim)
+            .map(|d| {
+                let h = splitmix64(seed ^ 0xACC0_0000 ^ u64::from(d));
+                let subnormal = f32::from_bits((h >> 41) as u32 | 1);
+                match h % 8 {
+                    0 => -0.0,
+                    1 => subnormal,
+                    2 => -subnormal,
+                    3 => f32::MIN_POSITIVE,
+                    _ => ((h >> 40) as f32 / (1u64 << 24) as f32 - 0.5) * 64.0,
+                }
+            })
+            .collect()
     }
 
     #[test]
-    fn every_row_read_variant_equals_value_bitwise() {
-        type Fill = Box<dyn Fn(u64, &mut [f32])>;
-        let mut variants: Vec<(&str, Fill)> = vec![("portable", Box::new(fill_row))];
+    fn every_row_add_build_equals_adding_value_bitwise() {
+        type Add = Box<dyn Fn(u64, &mut [f32])>;
+        let mut builds: Vec<(&str, Add)> = vec![("portable", Box::new(add_row))];
         #[cfg(target_arch = "x86_64")]
         {
             if is_x86_feature_detected!("avx2") {
                 // SAFETY: `is_x86_feature_detected!` just found AVX2.
-                variants.push(("avx2", Box::new(|k, o| unsafe { fill_row_avx2(k, o) })));
+                builds.push(("avx2", Box::new(|k, a| unsafe { add_row_avx2(k, a) })));
             }
             if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq") {
                 // SAFETY: `is_x86_feature_detected!` just found AVX-512F
                 // and AVX-512DQ.
-                variants.push((
+                builds.push((
                     "avx512dq",
-                    Box::new(|k, o| unsafe { fill_row_avx512dq(k, o) }),
+                    Box::new(|k, a| unsafe { add_row_avx512dq(k, a) }),
                 ));
             }
         }
-        let rows = 1000;
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let rows = 200;
+        let (mut subnormals, mut negative_zeros) = (0, 0);
         for seed in [0, 42, u64::MAX] {
             for dim in 1..=130 {
                 let t = VirtualTable::new(seed, rows, dim);
+                // `DenseTable` pools through the trait's default method.
+                let dense = DenseTable::from_virtual(&t);
+                let start = start_acc(seed, dim);
+                subnormals += start.iter().filter(|x| x.is_subnormal()).count();
+                negative_zeros += start
+                    .iter()
+                    .filter(|x| x.to_bits() == (-0.0f32).to_bits())
+                    .count();
                 let random = (splitmix64(seed ^ dim as u64) % rows as u64) as u32;
                 for row in [0, 1, rows - 1, random] {
-                    let want: Vec<u32> = (0..dim).map(|d| t.value(row, d).to_bits()).collect();
-                    let mut got = vec![f32::NAN; dim as usize];
-                    t.read_row(row, &mut got);
-                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(bits(&got), want, "read_row seed {seed} dim {dim} row {row}");
-                    for (name, fill) in &variants {
-                        got.fill(f32::NAN);
-                        fill(t.row_key(row), &mut got);
-                        assert_eq!(bits(&got), want, "{name} seed {seed} dim {dim} row {row}");
+                    let want: Vec<u32> = (0..dim)
+                        .map(|d| (start[d as usize] + t.value(row, d)).to_bits())
+                        .collect();
+                    let mut acc = start.clone();
+                    t.add_row(row, &mut acc);
+                    assert_eq!(bits(&acc), want, "add_row seed {seed} dim {dim} row {row}");
+                    acc.copy_from_slice(&start);
+                    dense.add_row(row, &mut acc);
+                    assert_eq!(bits(&acc), want, "dense seed {seed} dim {dim} row {row}");
+                    for (name, add) in &builds {
+                        acc.copy_from_slice(&start);
+                        add(t.row_key(row), &mut acc);
+                        assert_eq!(bits(&acc), want, "{name} seed {seed} dim {dim} row {row}");
                     }
                 }
             }
         }
+        assert!(subnormals > 0 && negative_zeros > 0);
     }
 
     #[test]

@@ -8,10 +8,12 @@
 //!
 //! Serving analyses every chunk it prices, so the scan is linear in the
 //! lookups. The exact distinct-row count comes from
-//! [`FeatureBatch::unique_rows`]: one pass over a reusable per-thread
-//! bitmap of the feature's `table_rows` bits (at most `table_rows / 8`
-//! bytes per thread, sized by the table and never by an index value), then
-//! a pass zeroing only the words it touched. [`analyze_batch`] walks the
+//! [`FeatureBatch::unique_rows`]: a vectorized range check of the indices,
+//! then one pass over a reusable per-thread bitmap of the feature's
+//! `table_rows` bits, rounded up to a power of two of words (under
+//! `table_rows / 4 + 16` bytes per thread, sized by the table and never by
+//! an index value), and a pass zeroing only the words it touched; neither
+//! pass branches or checks bounds per lookup. [`analyze_batch`] walks the
 //! features in order on the calling thread: for chunks of a few dozen
 //! samples, dispatching features to the pool costs more than the scan.
 
@@ -219,6 +221,58 @@ mod unique_rows_props {
             offsets.push(indices.len() as u32);
         }
         FeatureBatch { offsets, indices }
+    }
+
+    /// The distinct-row count of `indices` over a `table_rows`-row table.
+    fn count(indices: Vec<u32>, table_rows: u32) -> u32 {
+        let offsets = vec![0, indices.len() as u32];
+        FeatureWorkload::analyze(0, &FeatureBatch { offsets, indices }, 8, table_rows).unique_rows
+    }
+
+    #[test]
+    fn first_and_last_rows_of_tables_around_word_and_power_of_two_edges() {
+        for table_rows in [1, 63, 64, 65, 1 << 18, (1 << 18) + 1] {
+            let last = table_rows - 1;
+            let want = if table_rows == 1 { 1 } else { 2 };
+            assert_eq!(
+                count(vec![0, last, last, 0], table_rows),
+                want,
+                "{table_rows}"
+            );
+            assert_eq!(count(vec![last], table_rows), 1, "{table_rows}");
+            assert_eq!(count(vec![0], table_rows), 1, "{table_rows}");
+            // Every row of the table, twice: the last word fills exactly
+            // or partly.
+            if table_rows <= 65 {
+                let every: Vec<u32> = (0..table_rows).chain(0..table_rows).collect();
+                assert_eq!(count(every, table_rows), table_rows);
+            }
+        }
+    }
+
+    #[test]
+    fn a_small_table_between_two_large_ones_sees_no_bit_the_large_left() {
+        // One thread: a bit the large table left set would undercount the
+        // 65-row table (its low words) or the large table's second count
+        // (the words the small table's bitmap does not reach).
+        let large: Vec<u32> = (0..5_000u32).map(|i| (i * 7_919) % 500_000).collect();
+        let want_large = {
+            let mut rows = large.clone();
+            rows.sort_unstable();
+            rows.dedup();
+            rows.len() as u32
+        };
+        assert_eq!(count(large.clone(), 500_000), want_large);
+        assert_eq!(count((0..65).rev().collect(), 65), 65);
+        assert_eq!(count(large, 500_000), want_large);
+    }
+
+    #[test]
+    fn a_feature_with_an_index_past_its_table_is_counted_exactly() {
+        let mixed = vec![5, 5, 100, 99, u32::MAX, 100, 7, 0];
+        assert_eq!(count(mixed, 100), 6);
+        // The exact path leaves the bitmap clean for the next feature.
+        assert_eq!(count(vec![5, 7, 99, 0, 5], 100), 4);
     }
 
     proptest! {

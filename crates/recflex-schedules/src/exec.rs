@@ -5,14 +5,14 @@
 //! hardware, which the analytic profiles capture. A block pools the samples
 //! [`ScheduleInstance::block_samples`] assigns it, the same samples its
 //! profile times, into its own slice of the output, so the fused-kernel
-//! executor can run blocks in parallel. Each row is read whole through
-//! [`EmbTable::read_row`] (a vectorized loop on virtual tables) and added
-//! to the sample's slot **in CSR order** regardless of the simulated thread
-//! mapping, so every schedule, the fused kernel and the baselines produce
-//! output bit-identical to the scalar reference. (On a real GPU the tree
-//! reductions of `SamplePerBlock` would reassociate the sum; fixing the
-//! order here is what makes exact equality testing possible, and is
-//! documented as a deliberate substitution in DESIGN.md.)
+//! executor can run blocks in parallel. Each row is added whole, in place,
+//! into the sample's slot by [`EmbTable::add_row`] (a vectorized loop on
+//! virtual tables, with no scratch row) **in CSR order** regardless of the
+//! simulated thread mapping, so every schedule, the fused kernel and the
+//! baselines produce output bit-identical to the scalar reference. (On a
+//! real GPU the tree reductions of `SamplePerBlock` would reassociate the
+//! sum; fixing the order here is what makes exact equality testing
+//! possible, and is documented as a deliberate substitution in DESIGN.md.)
 
 use crate::template::ScheduleInstance;
 use recflex_data::FeatureBatch;
@@ -38,14 +38,10 @@ impl ScheduleInstance {
             (s1 - s0) as usize * dim,
             "block {rel_bidx} owns samples {s0}..{s1}"
         );
-        let mut row = vec![0.0f32; dim];
         for (s, dst) in (s0..s1).zip(out.chunks_exact_mut(dim.max(1))) {
             dst.fill(0.0);
             for &r in fb.sample_indices(s) {
-                table.read_row(r, &mut row);
-                for (slot, &v) in dst.iter_mut().zip(&row) {
-                    *slot += v;
-                }
+                table.add_row(r, dst);
             }
         }
     }

@@ -23,6 +23,11 @@
 //! resident warps raise the sustainable bandwidth and hide latency, but
 //! cannot help chains or saturated DRAM, and forcing residency up via
 //! register capping adds spill traffic.
+//!
+//! Serving prices every chunk with a launch, so after profiling [`launch`]
+//! reads each block profile in two passes only: one for the grid's bytes,
+//! which set the memory model, and one that times every block and folds
+//! every sum the bounds and metrics need.
 
 use rayon::prelude::*;
 
@@ -234,6 +239,13 @@ impl<'a> BlockTimer<'a> {
     /// generic and so compiled in its callers' crates.
     #[inline]
     pub fn time(&self, p: &BlockProfile) -> BlockTime {
+        self.time_moving(p, self.mem.dram_bytes(p), self.mem.l2_bytes(p))
+    }
+
+    /// [`Self::time`] for a block whose DRAM and L2 bytes under this
+    /// launch's memory system, `dram_b` and `l2_b`, are already known.
+    #[inline]
+    fn time_moving(&self, p: &BlockProfile, dram_b: f64, l2_b: f64) -> BlockTime {
         let arch = self.arch;
         let (mem, b_eff, issue_mult) = (&self.mem, self.b_eff, self.issue_mult);
         let aw = p.active_warps.max(1) as f64;
@@ -253,8 +265,6 @@ impl<'a> BlockTimer<'a> {
         // UVM misses: high-latency host accesses, hidden by the same
         // warp-level parallelism but with a far longer round trip.
         let t_uvm = (p.uvm_transactions as f64 / aw) * arch.uvm_latency / mlp;
-        let dram_b = mem.dram_bytes(p);
-        let l2_b = mem.l2_bytes(p);
         let barrier_cost = p.barriers as f64 * arch.barrier_cycles;
 
         // Steady-state time: the block shares its SM with `b_eff`
@@ -330,8 +340,11 @@ pub fn launch<K: SimKernel>(
     };
 
     // Phase 2: grid-level memory behaviour.
-    let total_bytes: u64 = profiles.iter().map(|p| p.bytes_accessed).sum();
-    let unique_bytes: u64 = profiles.iter().map(|p| p.unique_bytes).sum();
+    let (mut total_bytes, mut unique_bytes) = (0u64, 0u64);
+    for p in &profiles {
+        total_bytes += p.bytes_accessed;
+        unique_bytes += p.unique_bytes;
+    }
     let timer = BlockTimer::new(
         arch,
         cfg,
@@ -342,17 +355,40 @@ pub fn launch<K: SimKernel>(
     );
     let (mem, b_eff, issue_mult) = (timer.mem, timer.b_eff, timer.issue_mult);
 
-    // Phase 3: block times under the launch environment.
-    let mut mem_bound_cycles = 0.0f64;
+    // Phase 3: one pass times every block under the launch environment and
+    // folds, in block order, every sum the bounds and metrics read. Each f64
+    // sum starts at -0.0, as `Iterator::sum` does, except the memory-busy
+    // total, which starts at 0.0: so each is bit for bit the sum a pass of
+    // its own over the blocks takes.
     let mut block_times = Vec::with_capacity(grid as usize);
     let mut block_solo_times = Vec::with_capacity(grid as usize);
-    let mut straggler = 0.0f64;
+    let (mut total_shared, mut mem_bound_cycles, mut straggler) = (-0.0f64, 0.0f64, 0.0f64);
+    let (mut dram_total, mut l2_total, mut issue_total) = (-0.0f64, -0.0f64, -0.0f64);
+    // Bytes moved, and bytes moved weighted by MLP and by active warps.
+    let (mut membytes, mut mlp_bytes, mut warp_bytes) = (-0.0f64, -0.0f64, -0.0f64);
+    let (mut trans_total, mut uvm_total, mut flops) = (0u64, 0u64, 0u64);
+    let (mut active_sum, mut useful_sum, mut slot_sum) = (0u64, 0u64, 0u64);
     for p in &profiles {
-        let t = timer.time(p);
-        mem_bound_cycles += t.mem;
+        let (dram_b, l2_b) = (mem.dram_bytes(p), mem.l2_bytes(p));
+        let t = timer.time_moving(p, dram_b, l2_b);
         block_times.push(t.steady);
         block_solo_times.push(t.solo);
+        total_shared += t.steady;
+        mem_bound_cycles += t.mem;
         straggler = straggler.max(t.solo);
+        dram_total += dram_b;
+        l2_total += l2_b;
+        issue_total += p.issue_cycles;
+        let moved = dram_b + l2_b;
+        membytes += moved;
+        mlp_bytes += moved * p.mlp.max(1.0);
+        warp_bytes += moved * p.active_warps.max(1) as f64;
+        trans_total += p.mem_transactions;
+        uvm_total += p.uvm_bytes;
+        flops += p.flops;
+        active_sum += p.thread_active_sum;
+        useful_sum += p.thread_useful_sum;
+        slot_sum += p.thread_slot_sum;
     }
 
     // Phase 4: kernel time = the maximum of all lower bounds.
@@ -366,36 +402,20 @@ pub fn launch<K: SimKernel>(
     //   the fluid DRAM share speeds survivors up.
     let slots = arch.num_sms * blocks_per_sm;
     let (dram_rate, l2_rate) = (timer.dram_rate, timer.l2_rate);
-    let total_shared: f64 = block_times.iter().sum();
     let throughput_bound = total_shared / slots as f64;
     let sms = arch.num_sms as f64;
-    let dram_bound: f64 =
-        profiles.iter().map(|p| mem.dram_bytes(p)).sum::<f64>() / (dram_rate * sms);
-    let l2_bound: f64 = profiles.iter().map(|p| mem.l2_bytes(p)).sum::<f64>() / (l2_rate * sms);
-    let issue_bound: f64 = profiles.iter().map(|p| p.issue_cycles).sum::<f64>() * issue_mult
-        / (arch.warp_schedulers as f64 * sms);
-    let lsu_bound: f64 =
-        profiles.iter().map(|p| p.mem_transactions).sum::<u64>() as f64 / (arch.lsu_per_sm * sms);
+    let dram_bound = dram_total / (dram_rate * sms);
+    let l2_bound = l2_total / (l2_rate * sms);
+    let issue_bound = issue_total * issue_mult / (arch.warp_schedulers as f64 * sms);
+    let lsu_bound = trans_total as f64 / (arch.lsu_per_sm * sms);
     // Little's law at machine scope: achieved bandwidth is capped by the
     // requests the resident warps keep in flight — the reason a kernel
     // with an unsuitable schedule (few active warps, shallow MLP, low
     // forced occupancy) reads 380 GB/s where a tuned one reads 640 on the
     // same GPU (paper Table II).
-    let membytes: f64 = profiles
-        .iter()
-        .map(|p| mem.dram_bytes(p) + mem.l2_bytes(p))
-        .sum();
     let total_membytes = membytes.max(1e-9);
-    let weighted_mlp: f64 = profiles
-        .iter()
-        .map(|p| (mem.dram_bytes(p) + mem.l2_bytes(p)) * p.mlp.max(1.0))
-        .sum::<f64>()
-        / total_membytes;
-    let weighted_active_warps: f64 = profiles
-        .iter()
-        .map(|p| (mem.dram_bytes(p) + mem.l2_bytes(p)) * p.active_warps.max(1) as f64)
-        .sum::<f64>()
-        / total_membytes;
+    let weighted_mlp = mlp_bytes / total_membytes;
+    let weighted_active_warps = warp_bytes / total_membytes;
     let eff_warps_per_sm = (b_eff * weighted_active_warps)
         .min(occ.warps_per_sm as f64)
         .max(1.0);
@@ -409,8 +429,7 @@ pub fn launch<K: SimKernel>(
     };
     // UVM traffic crosses the host interconnect, a chip-global channel.
     let host_rate = arch.host_link_gbps / arch.clock_ghz; // bytes per cycle, whole chip
-    let uvm_bound: f64 =
-        profiles.iter().map(|p| p.uvm_bytes).sum::<u64>() as f64 / host_rate.max(1e-9);
+    let uvm_bound = uvm_total as f64 / host_rate.max(1e-9);
     // Graham's list-scheduling characterization: non-preemptive dispatch
     // lands between the work bound and work + (1 − 1/m)·max. Random-order
     // dispatch tracks the upper form closely, so the straggler term is a
@@ -441,14 +460,6 @@ pub fn launch<K: SimKernel>(
 
     // Phase 5: metrics.
     let time_s = arch.cycles_to_us(outcome.makespan).max(1e-9) * 1e-6;
-    let dram_total: f64 = profiles.iter().map(|p| mem.dram_bytes(p)).sum();
-    let l2_total: f64 = profiles.iter().map(|p| mem.l2_bytes(p)).sum();
-    let trans_total: u64 = profiles.iter().map(|p| p.mem_transactions).sum();
-    let active_sum: u64 = profiles.iter().map(|p| p.thread_active_sum).sum();
-    let useful_sum: u64 = profiles.iter().map(|p| p.thread_useful_sum).sum();
-    let slot_sum: u64 = profiles.iter().map(|p| p.thread_slot_sum).sum();
-    let flops: u64 = profiles.iter().map(|p| p.flops).sum();
-
     let memory_throughput_gbps = dram_total / time_s / 1e9;
     let max_bandwidth_pct = 100.0 * memory_throughput_gbps / arch.dram_bw_gbps;
     let l2_throughput_pct = 100.0 * (l2_total / time_s / 1e9) / arch.l2_bw_gbps;
