@@ -6,8 +6,8 @@
 //! * `tuning/local_stage_20f` and `tuning/local_stages_20f_5levels` — the
 //!   local stage at one occupancy level and at five in one pass, the unit
 //!   cost behind the `O(F·K + K)` tuning complexity argument;
-//! * simulator primitives (occupancy calculation, block scheduling,
-//!   fused-kernel launch) that bound how fast experiments replay;
+//! * simulator primitives (occupancy calculation, fused-kernel launch)
+//!   that bound how fast experiments replay;
 //! * `host/cost_small_chunk` and `host/unique_rows_35k` — the per-chunk
 //!   price of timing-only serving on small requests, and the distinct-row
 //!   count behind its workload analysis;
@@ -57,18 +57,6 @@ fn bench_occupancy(c: &mut Criterion) {
         b.iter(|| {
             let res = BlockResources::new(black_box(128), black_box(64), black_box(8192));
             black_box(occupancy::occupancy(&res, &arch))
-        })
-    });
-}
-
-fn bench_scheduler(c: &mut Criterion) {
-    let times: Vec<f64> = (0..10_000).map(|i| 50.0 + (i % 17) as f64).collect();
-    c.bench_function("sim/schedule_10k_blocks", |b| {
-        b.iter(|| {
-            black_box(recflex_sim::scheduler::schedule_blocks(
-                black_box(&times),
-                640,
-            ))
         })
     });
 }
@@ -373,7 +361,6 @@ fn bench_generate(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_occupancy,
-    bench_scheduler,
     bench_workload_analysis,
     bench_thread_map,
     bench_fused_launch,

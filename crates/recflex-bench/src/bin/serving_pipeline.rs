@@ -38,11 +38,11 @@ use std::process::ExitCode;
 
 use recflex_bench::{CliOpts, Scale};
 use recflex_core::{feature_cost_estimates, RecFlexEngine};
-use recflex_data::{Dataset, ModelPreset, PipelineReport, Placement};
+use recflex_data::{Dataset, ModelPreset, Placement};
 use recflex_serve::{
-    BatchPolicy, BudgetedPolicy, Fault, FaultKind, FaultSpec, PipelineFaultSpec, PipelineRuntime,
-    PipelineSpec, Request, ServeConfig, ShardedServeRuntime, StageFault, StagePolicy, StageSpec,
-    WorkloadSpec,
+    BatchPolicy, BudgetedPolicy, Fault, FaultKind, FaultSpec, PipelineFaultSpec, PipelineReport,
+    PipelineRuntime, PipelineSpec, Request, ServeConfig, ShardedServeRuntime, StageFault,
+    StagePolicy, StageSpec, WorkloadSpec,
 };
 use recflex_sim::GpuArch;
 use serde::Serialize;

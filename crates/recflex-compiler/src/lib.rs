@@ -7,9 +7,10 @@
 //!
 //! * [`FusedKernelObject`] — the compiled artefact: deduplicated schedule
 //!   table (`schedule_map`, features with identical optimal schedules share
-//!   code, paper Figure 8), argument-offset table, shared-memory union
-//!   sizing, the `__launch_bounds__` resource union and the occupancy
-//!   control decision.
+//!   code, paper Figure 8), shared-memory union sizing, the
+//!   `__launch_bounds__` resource union and the occupancy control decision.
+//!   It holds no argument-offset table: the per-feature argument
+//!   indirection (`arg_offsets`) exists only in the printed CUDA source.
 //! * [`TaskMap`] — the `d_task_map` / `d_blocks_map` pair: for every block,
 //!   `(feature_idx, rel_bidx)`. Built per batch by
 //!   [`TaskMap::runtime`] from the host-side workload analysis (the
@@ -24,7 +25,6 @@
 //!   CUDA translation unit of Figure 8 (device functions, smem union,
 //!   if-else dispatch).
 
-pub mod args;
 pub mod cuda;
 pub mod fused;
 #[cfg(test)]
@@ -32,7 +32,6 @@ mod launch_oracle;
 pub mod thread_map;
 pub mod warp_map;
 
-pub use args::ArgPack;
 pub use fused::{BoundFusedKernel, DispatchMode, FusedKernelObject, FusedSpec};
 pub use thread_map::{MappingStrategy, TaskMap};
 pub use warp_map::{WarpMappedKernel, WarpTaskMap};

@@ -1,7 +1,7 @@
 //! The tuned, compiled, servable RecFlex engine.
 
 use recflex_baselines::{Backend, BackendError, BackendRun, CostReport};
-use recflex_compiler::{BoundFusedKernel, DispatchMode, FusedKernelObject, FusedSpec};
+use recflex_compiler::{BoundFusedKernel, FusedKernelObject, FusedSpec};
 use recflex_data::{Batch, Dataset, ModelConfig};
 use recflex_embedding::{FusedOutput, TableSet};
 use recflex_schedules::store::{
@@ -57,7 +57,6 @@ impl RecFlexEngine {
     pub fn from_tune_result(model: &ModelConfig, arch: &GpuArch, tune_result: TuneResult) -> Self {
         let mut spec = FusedSpec::new(tune_result.schedules.clone());
         spec.occupancy_target = tune_result.occupancy;
-        spec.dispatch = DispatchMode::IfElse;
         let object = FusedKernelObject::compile(spec);
         RecFlexEngine {
             model: model.clone(),
@@ -147,12 +146,8 @@ impl RecFlexEngine {
     /// against distribution shift (Section IV-A3). Returns the previous
     /// tuning decision.
     pub fn retune(&mut self, dataset: &Dataset, cfg: &TunerConfig) -> TuneResult {
-        let new = tune_two_stage(&self.model, dataset, &self.arch, cfg);
-        let old = std::mem::replace(&mut self.tune_result, new);
-        let mut spec = FusedSpec::new(self.tune_result.schedules.clone());
-        spec.occupancy_target = self.tune_result.occupancy;
-        self.object = FusedKernelObject::compile(spec);
-        old
+        let new = Self::tune(&self.model, dataset, &self.arch, cfg);
+        std::mem::replace(self, new).tune_result
     }
 
     /// The CUDA translation unit the deployment corresponds to (Figure 8).

@@ -14,7 +14,6 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Dataset {
     batches: Vec<Batch>,
-    seed: u64,
 }
 
 impl Dataset {
@@ -24,7 +23,7 @@ impl Dataset {
             .into_par_iter()
             .map(|i| Batch::generate(model, batch_size, seed.wrapping_add(i as u64 * 1_000_003)))
             .collect();
-        Dataset { batches, seed }
+        Dataset { batches }
     }
 
     /// Synthesize batches whose sizes vary over `sizes` round-robin —
@@ -35,12 +34,12 @@ impl Dataset {
             .enumerate()
             .map(|(i, &bs)| Batch::generate(model, bs, seed.wrapping_add(i as u64 * 1_000_003)))
             .collect();
-        Dataset { batches, seed }
+        Dataset { batches }
     }
 
     /// Wrap existing batches into a dataset (projections, replays).
     pub fn from_batches(batches: Vec<Batch>) -> Self {
-        Dataset { batches, seed: 0 }
+        Dataset { batches }
     }
 
     /// The batches.
@@ -56,18 +55,6 @@ impl Dataset {
     /// Whether the dataset is empty.
     pub fn is_empty(&self) -> bool {
         self.batches.is_empty()
-    }
-
-    /// A fresh evaluation dataset from the same distribution but disjoint
-    /// randomness (the paper tunes on historical data, then measures on
-    /// newly sampled batches).
-    pub fn evaluation_split(&self, model: &ModelConfig, n_batches: usize, batch_size: u32) -> Self {
-        Dataset::synthesize(
-            model,
-            n_batches,
-            batch_size,
-            self.seed ^ 0xDEAD_BEEF_CAFE_F00D,
-        )
     }
 }
 
@@ -107,13 +94,5 @@ mod tests {
         let d = Dataset::synthesize_varied(&m, &[16, 64, 256], 3);
         let sizes: Vec<u32> = d.batches().iter().map(|b| b.batch_size).collect();
         assert_eq!(sizes, vec![16, 64, 256]);
-    }
-
-    #[test]
-    fn evaluation_split_is_disjoint_randomness() {
-        let m = ModelPreset::A.scaled(0.01);
-        let tune = Dataset::synthesize(&m, 2, 32, 7);
-        let eval = tune.evaluation_split(&m, 2, 32);
-        assert_ne!(tune.batches()[0], eval.batches()[0]);
     }
 }

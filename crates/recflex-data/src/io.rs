@@ -149,7 +149,7 @@ mod tests {
         let (m2, ds2) = load_dataset(&path).unwrap();
         assert_models_equivalent(&m, &m2);
         // The CSR data is integral and must round-trip exactly.
-        assert_eq!(ds.batches(), ds2.batches());
+        assert_eq!(ds, ds2);
         let _ = fs::remove_file(path);
     }
 

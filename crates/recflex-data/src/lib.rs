@@ -27,7 +27,6 @@ pub mod distribution;
 pub mod feature;
 pub mod io;
 pub mod models;
-pub mod pipeline;
 pub mod placement;
 mod row_draw;
 pub mod shift;
@@ -38,6 +37,5 @@ pub use distribution::PoolingDist;
 pub use feature::{FeatureSpec, ModelConfig};
 pub use io::{load_dataset, load_model, save_dataset, save_model};
 pub use models::ModelPreset;
-pub use pipeline::{BreakerStateStat, PipelineReport, StageStats};
 pub use placement::{FleetAssignment, Placement};
 pub use shift::shift_distribution;

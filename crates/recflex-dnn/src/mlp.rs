@@ -96,18 +96,6 @@ impl Mlp {
         }
     }
 
-    /// Custom stack (hidden dims with ReLU, then a linear scalar head).
-    pub fn with_hidden(concat_dim: u32, hidden: &[u32]) -> Self {
-        let mut layers = Vec::with_capacity(hidden.len() + 1);
-        let mut prev = concat_dim;
-        for (i, &h) in hidden.iter().enumerate() {
-            layers.push(Linear::new(prev, h, true, 101 + i as u64));
-            prev = h;
-        }
-        layers.push(Linear::new(prev, 1, false, 200));
-        Mlp { layers }
-    }
-
     /// Functional forward pass; `x` is `batch × in_dim` row-major.
     pub fn forward(&self, x: &[f32], batch: usize) -> Vec<f32> {
         let mut cur = x.to_vec();
@@ -186,14 +174,5 @@ mod tests {
         let big = Mlp::paper_config(8192).latency_us(512, &arch);
         assert!(big > small);
         assert!(small > 0.0);
-    }
-
-    #[test]
-    fn custom_hidden_stack() {
-        let mlp = Mlp::with_hidden(100, &[50, 20]);
-        assert_eq!(mlp.layers.len(), 3);
-        assert_eq!(mlp.layers.last().unwrap().out_dim, 1);
-        let y = mlp.forward(&vec![0.2; 3 * 100], 3);
-        assert_eq!(y.len(), 3);
     }
 }

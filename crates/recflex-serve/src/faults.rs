@@ -207,6 +207,13 @@ const KIND_WEIGHTS: [f64; 4] = [3.0, 1.0, 1.0, 1.0];
 const SLOWDOWN_RATE: f64 = 0.4;
 /// Bandwidth-cut factor a drawn link degradation imposes.
 const LINK_FACTOR: f64 = 8.0;
+/// The most faults one [`FaultSpec::plan`] draws, the bound
+/// `elastic::MAX_EPOCHS` puts on a chaos run's epoch grid. The draw loop
+/// ends when the clock passes the horizon, so a mean gap tiny against
+/// the horizon would push faults until memory runs out (a 1e-3 µs gap
+/// over 1 000 µs already draws about a million), and one too small to
+/// move the clock at all would never end.
+const MAX_FAULTS: usize = 1 << 20;
 
 /// The statistical shape of a seeded fault schedule — the fault-side
 /// analogue of [`crate::WorkloadSpec`]. Fault starts are a Poisson
@@ -236,17 +243,26 @@ impl FaultSpec {
     /// Synthesize the fault schedule for `num_shards` shards over
     /// `[0, horizon_us)` from `seed`. Identical arguments produce
     /// byte-identical plans.
+    ///
+    /// A mean gap that is not finite and positive, or a horizon that is
+    /// not finite, never lets the clock pass the horizon: such a spec
+    /// yields no faults. At most 2^20 faults are drawn; a denser spec's
+    /// plan ends at the last of them. Both answer a hostile spec with a
+    /// plan rather than a [`ServeError`](crate::ServeError), because
+    /// [`PipelineFaultSpec::plans`] is infallible for its callers.
     pub fn plan(&self, num_shards: usize, horizon_us: f64, seed: u64) -> FaultPlan {
-        if num_shards == 0 || horizon_us <= 0.0 {
+        let gap = self.mean_time_between_us;
+        let passes_horizon = gap.is_finite() && gap > 0.0 && horizon_us.is_finite();
+        if num_shards == 0 || horizon_us <= 0.0 || !passes_horizon {
             return FaultPlan::none();
         }
         let [slowdown, stall, crash, link] = KIND_WEIGHTS;
         let mut rng = StdRng::seed_from_u64(seed ^ 0x000F_A017_5EED);
         let mut faults = Vec::new();
         let mut t = 0.0f64;
-        loop {
+        while faults.len() < MAX_FAULTS {
             let u: f64 = rng.gen_range(0.0..1.0);
-            t += -self.mean_time_between_us * (1.0 - u).ln();
+            t += -gap * (1.0 - u).ln();
             if t >= horizon_us {
                 break;
             }
@@ -650,6 +666,25 @@ mod tests {
                 assert!(s < 4);
             }
         }
+    }
+
+    #[test]
+    fn hostile_fault_specs_draw_a_bounded_plan() {
+        // A gap that is not finite and positive, or an infinite horizon,
+        // draws no faults.
+        for (gap, horizon) in [
+            (0.0, 1_000.0),
+            (-5.0, 1_000.0),
+            (f64::NAN, 1_000.0),
+            (f64::INFINITY, 1_000.0),
+            (100.0, f64::INFINITY),
+        ] {
+            let plan = FaultSpec::mixed(gap, 100.0).plan(2, horizon, 1);
+            assert!(plan.is_empty(), "gap {gap}, horizon {horizon}");
+        }
+        // A 1e-300 µs gap passes 1 000 µs only after about 1e303 draws.
+        let dense = FaultSpec::mixed(1e-300, 100.0).plan(2, 1_000.0, 1);
+        assert_eq!(dense.faults.len(), MAX_FAULTS);
     }
 
     #[test]

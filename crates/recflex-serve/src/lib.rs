@@ -69,7 +69,9 @@
 //!   ladder), or trips the per-stage [`CircuitBreaker`] and answers from
 //!   the stage fallback, flagged in a per-stage `degraded` mask instead
 //!   of shedding. The budgeted policy is fixed up to the SLO
-//!   ([`BudgetedPolicy::for_slo`]).
+//!   ([`BudgetedPolicy::for_slo`]). A run distills into a
+//!   [`PipelineReport`] of per-stage [`StageStats`], the numbers the
+//!   pipeline benches serialize.
 //!
 //! Serving is timing-only: every chunk, canary replay included, is priced
 //! with [`recflex_baselines::Backend::cost`], never `run`, so no pooled
@@ -114,8 +116,9 @@ pub use lifecycle::{
     OutcomePlan, RegressedBackend, RetuneOutcome,
 };
 pub use pipeline::{
-    BudgetedPolicy, CircuitBreaker, DeadlineBudget, PipelineOutcome, PipelineRecord,
-    PipelineRuntime, PipelineSpec, RetryBudget, StageKind, StagePolicy, StageSpec,
+    BreakerStateStat, BudgetedPolicy, CircuitBreaker, DeadlineBudget, PipelineOutcome,
+    PipelineRecord, PipelineReport, PipelineRuntime, PipelineSpec, RetryBudget, StageKind,
+    StagePolicy, StageSpec, StageStats,
 };
 pub use request::{Request, WorkloadSpec};
 pub use runtime::{BatchPolicy, ServeConfig, ServeError, TunedCandidate};

@@ -48,7 +48,8 @@ use crate::request::Request;
 use crate::runtime::ServeError;
 use crate::sharded::ShardedServeRuntime;
 use crate::stats::{percentile, ShardedReport, ShedReason};
-use recflex_data::{Batch, BreakerStateStat, PipelineReport, StageStats};
+use recflex_data::Batch;
+use serde::Serialize;
 
 /// Attempt waves per stage the runtime will serve before forcing an
 /// outcome — a determinism backstop, far above any sane retry policy.
@@ -263,10 +264,28 @@ impl RetryBudget {
             false
         }
     }
+}
 
-    /// Tokens currently available.
-    pub fn tokens(&self) -> f64 {
-        self.tokens
+/// Circuit-breaker state: a [`CircuitBreaker`]'s live state, and the
+/// final state [`StageStats`] reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+pub enum BreakerStateStat {
+    /// Traffic flows; failure pressure is below the trip threshold.
+    Closed,
+    /// Tripped: the stage is skipped and served by its fallback.
+    Open,
+    /// Cooldown elapsed: one probe execution decides reopen-or-close.
+    HalfOpen,
+}
+
+impl BreakerStateStat {
+    /// Stable lowercase label for reports.
+    pub fn label(self) -> &'static str {
+        match self {
+            BreakerStateStat::Closed => "closed",
+            BreakerStateStat::Open => "open",
+            BreakerStateStat::HalfOpen => "half-open",
+        }
     }
 }
 
@@ -443,6 +462,92 @@ impl PipelineRecord {
     }
 }
 
+/// One stage's aggregate statistics over a pipeline run.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct StageStats {
+    /// Stage label (`retrieval`, `filtering`, `ranking`, …).
+    pub name: String,
+    /// Chunks admitted into the stage (first attempts actually served —
+    /// fallback-skipped chunks are not admitted).
+    pub admitted: u64,
+    /// Chunks the stage executed, including retries. The retry-storm
+    /// gate bounds `executions / admitted`.
+    pub executions: u64,
+    /// Retry executions granted (naive: every failure until the attempt
+    /// cap; budgeted: only while the token bucket has budget).
+    pub retries: u64,
+    /// Retries the token bucket refused (budgeted policy only).
+    pub retries_denied: u64,
+    /// Chunks answered by the stage's fallback (ranking →
+    /// retrieval-order scores, filtering → skipped) instead of a shed.
+    pub fallbacks: u64,
+    /// Chunks that finished past the stage's deadline-budget share.
+    pub late: u64,
+    /// Chunks shed inside the stage (admission or fault).
+    pub faulted: u64,
+    /// Fraction of chunks that consumed no more than the stage's
+    /// budget share (per surviving chunk; 1.0 for an idle stage).
+    pub attainment: f64,
+    /// Closed → Open transitions over the run.
+    pub breaker_trips: u64,
+    /// Breaker state when the run ended.
+    pub breaker_final: BreakerStateStat,
+}
+
+impl StageStats {
+    /// An empty accumulator for one named stage.
+    pub fn named(name: impl Into<String>) -> Self {
+        StageStats {
+            name: name.into(),
+            admitted: 0,
+            executions: 0,
+            retries: 0,
+            retries_denied: 0,
+            fallbacks: 0,
+            late: 0,
+            faulted: 0,
+            attainment: 1.0,
+            breaker_trips: 0,
+            breaker_final: BreakerStateStat::Closed,
+        }
+    }
+}
+
+/// End-to-end statistics of one pipeline run, as the benches serialize
+/// them: the key names (`availability`, `p99_us`, …) are the ones the
+/// `bench_check` regression gate tracks.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct PipelineReport {
+    /// The end-to-end SLO every answer is measured against, µs.
+    pub slo_us: f64,
+    /// Requests offered to the pipeline.
+    pub offered: u64,
+    /// Requests that produced an answer (full-quality or degraded).
+    pub answered: u64,
+    /// Answers that landed within the end-to-end SLO.
+    pub answered_in_slo: u64,
+    /// Answers carrying at least one degraded-stage bit.
+    pub degraded_answers: u64,
+    /// `answered_in_slo / offered` — degraded answers count, late and
+    /// shed ones do not.
+    pub availability: f64,
+    /// Median end-to-end latency over answered requests, µs.
+    pub p50_us: f64,
+    /// 99th-percentile end-to-end latency over answered requests, µs.
+    pub p99_us: f64,
+    /// Last completion instant, µs.
+    pub makespan_us: f64,
+    /// Sum of [`StageStats::executions`] over all stages.
+    pub total_executions: u64,
+    /// Sum of [`StageStats::admitted`] over all stages.
+    pub total_admitted: u64,
+    /// `total_executions / total_admitted` — 1.0 means zero retry
+    /// amplification; the budgeted-policy gate caps this at 1.2.
+    pub amplification: f64,
+    /// Per-stage statistics, in pipeline order.
+    pub stages: Vec<StageStats>,
+}
+
 /// Everything a pipeline run produced.
 #[derive(Debug, Clone)]
 pub struct PipelineOutcome {
@@ -473,7 +578,7 @@ impl PipelineOutcome {
         ok as f64 / self.records.len() as f64
     }
 
-    /// Distill into the plain [`PipelineReport`] the benches serialize.
+    /// Distill into the [`PipelineReport`] the benches serialize.
     pub fn report(&self) -> PipelineReport {
         let offered = self.records.len() as u64;
         let answered = self.records.iter().filter(|r| !r.shed).count() as u64;
@@ -604,16 +709,6 @@ impl<'a> PipelineRuntime<'a> {
             }
         }
         Ok(PipelineRuntime { spec, tiers })
-    }
-
-    /// The spec this pipeline runs.
-    pub fn spec(&self) -> &PipelineSpec {
-        &self.spec
-    }
-
-    /// The per-stage serving tiers.
-    pub fn tiers(&self) -> &[ShardedServeRuntime<'a>] {
-        &self.tiers
     }
 
     /// Swap the failure policy between sweep cells (tiers stay built).
@@ -1226,6 +1321,13 @@ mod tests {
         assert!(rank.breaker_trips >= 1, "sustained failure must trip");
         assert!(budgeted.degraded_answers > 0);
         Ok(())
+    }
+
+    #[test]
+    fn breaker_labels_are_stable() {
+        assert_eq!(BreakerStateStat::Closed.label(), "closed");
+        assert_eq!(BreakerStateStat::Open.label(), "open");
+        assert_eq!(BreakerStateStat::HalfOpen.label(), "half-open");
     }
 
     #[test]

@@ -17,9 +17,7 @@
 //! identity), so the degenerate one-scenario fleet inherits the serving
 //! stack's bit-identity guarantees.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use recflex_data::{Batch, ModelConfig};
+use recflex_data::ModelConfig;
 
 use crate::request::{Request, WorkloadSpec};
 
@@ -141,35 +139,17 @@ impl FleetWorkload {
         self.seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
     }
 
-    /// Synthesize scenario `idx`'s stream against `model`. Mirrors
-    /// [`WorkloadSpec::stream`] draw for draw — same RNG construction,
-    /// same draw order, same batch seeds — with one difference: each
-    /// exponential gap is divided by the shape's rate multiplier at the
+    /// Synthesize scenario `idx`'s stream against `model`:
+    /// [`WorkloadSpec::stream`] from [`Self::scenario_seed`], with each
+    /// exponential gap divided by the shape's rate multiplier at the
     /// current time. A flat shape divides by exactly 1.0, leaving every
     /// bit unchanged.
     pub fn scenario_stream(&self, idx: usize, model: &ModelConfig) -> Vec<Request> {
         let sc = &self.scenarios[idx];
-        let spec = &sc.workload;
-        let seed = self.scenario_seed(idx);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_57EA);
-        let mut t = 0.0f64;
-        (0..sc.requests)
-            .map(|i| {
-                let u: f64 = rng.gen_range(0.0..1.0);
-                let gap = -spec.mean_interarrival_us * (1.0 - u).ln();
-                t += gap / sc.shape.multiplier(t);
-                let batch_size = (spec.size_dist.sample(&mut rng) * spec.size_unit).max(1);
-                let batch_seed = seed
-                    .wrapping_mul(0x2545_F491_4F6C_DD1D)
-                    .wrapping_add(i as u64)
-                    .rotate_left(23);
-                Request {
-                    id: i as u64,
-                    arrival_us: t,
-                    batch: Batch::generate(model, batch_size, batch_seed),
-                }
+        sc.workload
+            .shaped_stream(model, sc.requests, self.scenario_seed(idx), |t| {
+                sc.shape.multiplier(t)
             })
-            .collect()
     }
 
     /// Compose every scenario's stream into one merged arrival trace.

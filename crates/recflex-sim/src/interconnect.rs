@@ -66,14 +66,6 @@ impl Interconnect {
         }
     }
 
-    /// Time to move `bytes` over the link once, µs.
-    pub fn transfer_us(&self, bytes: u64) -> f64 {
-        if bytes == 0 {
-            return 0.0;
-        }
-        self.base_latency_us + bytes as f64 / (self.bandwidth_gbps * 1e9) * 1e6
-    }
-
     /// Time for an all-gather of `total_bytes` of pooled output spread
     /// across `num_devices`, µs. With one (or zero) devices there is
     /// nothing to exchange and the cost is exactly zero — a 1-shard
@@ -126,7 +118,6 @@ mod tests {
     #[test]
     fn ideal_link_is_free() {
         assert_eq!(Interconnect::ideal().all_gather_us(1 << 30, 8), 0.0);
-        assert_eq!(Interconnect::ideal().transfer_us(1 << 30), 0.0);
     }
 
     #[test]
@@ -153,12 +144,13 @@ mod tests {
     }
 
     #[test]
-    fn transfer_includes_base_latency() {
+    fn gather_includes_base_latency() {
         let link = Interconnect {
             bandwidth_gbps: 100.0,
             base_latency_us: 7.0,
         };
-        // 1e8 bytes at 100 GB/s = 1000 µs on the wire.
-        assert!((link.transfer_us(100_000_000) - 1007.0).abs() < 1e-9);
+        // A 2-device ring moves half of 2e8 bytes: 1e8 bytes at 100 GB/s
+        // = 1000 µs on the wire.
+        assert!((link.all_gather_us(200_000_000, 2) - 1007.0).abs() < 1e-9);
     }
 }

@@ -447,26 +447,22 @@ pub fn launch<K: SimKernel>(
         straggler_cycles: straggler,
     };
     let makespan = bounds.makespan();
-    let outcome = crate::scheduler::ScheduleOutcome {
-        makespan,
-        total_block_cycles: total_shared,
-        utilization: if makespan > 0.0 {
-            (throughput_bound.max(dram_bound)) / makespan
-        } else {
-            0.0
-        },
+    let utilization = if makespan > 0.0 {
+        (throughput_bound.max(dram_bound)) / makespan
+    } else {
+        0.0
     };
-    let latency_us = arch.cycles_to_us(outcome.makespan) + arch.kernel_launch_us;
+    let latency_us = arch.cycles_to_us(makespan) + arch.kernel_launch_us;
 
     // Phase 5: metrics.
-    let time_s = arch.cycles_to_us(outcome.makespan).max(1e-9) * 1e-6;
+    let time_s = arch.cycles_to_us(makespan).max(1e-9) * 1e-6;
     let memory_throughput_gbps = dram_total / time_s / 1e9;
     let max_bandwidth_pct = 100.0 * memory_throughput_gbps / arch.dram_bw_gbps;
     let l2_throughput_pct = 100.0 * (l2_total / time_s / 1e9) / arch.l2_bw_gbps;
     let l1_throughput_pct =
-        100.0 * trans_total as f64 / (outcome.makespan * arch.num_sms as f64 * arch.lsu_per_sm);
+        100.0 * trans_total as f64 / (makespan * arch.num_sms as f64 * arch.lsu_per_sm);
     let memory_busy_pct =
-        100.0 * mem_bound_cycles / (slots as f64 * outcome.makespan.max(1e-9)) / b_eff.max(1.0)
+        100.0 * mem_bound_cycles / (slots as f64 * makespan.max(1e-9)) / b_eff.max(1.0)
             * blocks_per_sm as f64;
 
     let metrics = KernelMetrics {
@@ -494,11 +490,11 @@ pub fn launch<K: SimKernel>(
     Ok(LaunchReport {
         name: kernel.name().to_string(),
         latency_us,
-        makespan_cycles: outcome.makespan,
+        makespan_cycles: makespan,
         block_times,
         block_solo_times,
         occupancy: occ,
-        utilization: outcome.utilization,
+        utilization,
         metrics,
         bounds,
     })
@@ -547,6 +543,54 @@ mod tests {
                 mlp: 1.0,
                 ..Default::default()
             },
+        }
+    }
+
+    /// Blocks that only issue instructions: 2 000 cycles each, no memory
+    /// traffic.
+    fn issue_bound_kernel(blocks: u32) -> UniformKernel {
+        UniformKernel {
+            name: "issuebound".into(),
+            blocks,
+            res: BlockResources::new(128, 40, 0),
+            profile: BlockProfile {
+                issue_cycles: 2_000.0,
+                active_warps: 4,
+                ..Default::default()
+            },
+        }
+    }
+
+    #[test]
+    fn makespan_meets_equation_2_and_graham_tail() {
+        let arch = GpuArch::v100();
+        for k in [
+            memory_bound_kernel(7),
+            memory_bound_kernel(500),
+            latency_bound_kernel(20_000),
+            issue_bound_kernel(100),
+            issue_bound_kernel(10_000),
+        ] {
+            let r = launch(&k, &arch, &LaunchConfig::default()).unwrap();
+            let slots = f64::from(arch.num_sms * r.occupancy.blocks_per_sm);
+            // Equation 2's `Σ l_b / slots` and the longest solo block.
+            let work = r.block_times.iter().sum::<f64>() / slots;
+            let straggler = r.block_solo_times.iter().copied().fold(0.0, f64::max);
+            let grid = k.blocks;
+            assert!(r.makespan_cycles >= work, "{} x{grid}", k.name);
+            assert!(r.makespan_cycles >= straggler, "{} x{grid}", k.name);
+            if r.bounds.binding() == "slots+tail" {
+                let graham = work + (1.0 - 1.0 / slots) * straggler;
+                let rel = (r.makespan_cycles - graham).abs() / graham;
+                assert!(rel < 1e-12, "{} x{grid}: {rel}", k.name);
+            }
+            if k.name == "issuebound" && grid == 10_000 {
+                // On a V100's 960 slots: a 500-cycle straggler tail on
+                // 62 500 cycles of work, 0.8 % above Equation 2.
+                assert_eq!(r.bounds.binding(), "slots+tail");
+                let above = r.makespan_cycles / work - 1.0;
+                assert!((0.0..0.01).contains(&above), "{above}");
+            }
         }
     }
 

@@ -6,11 +6,13 @@
 //!
 //! * an **occupancy calculator** identical in structure to the CUDA occupancy
 //!   rules (warp, block, register and shared-memory limits per SM),
-//! * a **non-preemptive block scheduler**: blocks are dispatched in grid order
-//!   to the earliest-free slot among `#SM × blocks_per_SM` slots and run to
-//!   completion, which makes the paper's approximation
-//!   `L ≈ Σ_b l_b / (#SM · O / W)` emerge naturally for large grids while
-//!   still modelling the tail effect for small ones,
+//! * the **Equation-2 slot bound with Graham's tail**: blocks are dispatched
+//!   non-preemptively onto `#SM × blocks_per_SM` slots, so the kernel takes
+//!   at least `Σ_b l_b / slots` (the paper's `L ≈ Σ_b l_b / (#SM · O / W)`)
+//!   plus `(1 − 1/slots) · max_b solo_b`, Graham's list-scheduling tail —
+//!   the term that dominates small grids and vanishes relative to the work
+//!   bound for large ones; the kernel latency is the largest of this and
+//!   the chip-wide memory, issue and supply bounds ([`launch()`]),
 //! * a **memory system model**: DRAM bandwidth shared between co-resident
 //!   blocks, memory latency hidden proportionally to resident warps and
 //!   per-warp memory-level parallelism, and an L2 working-set model that
@@ -34,7 +36,6 @@ pub mod memory;
 pub mod metrics;
 pub mod occupancy;
 pub mod profile;
-pub mod scheduler;
 
 pub use arch::GpuArch;
 pub use interconnect::Interconnect;
