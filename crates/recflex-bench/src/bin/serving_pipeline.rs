@@ -26,8 +26,11 @@
 //!
 //! `--check` enforces three gates:
 //!
-//! 1. **Degenerate identity** — a 1-stage pipeline must reproduce the
-//!    plain `ShardedServeRuntime` byte-for-byte (as JSON records).
+//! 1. **Degenerate identity** — a fault-free 1-stage pipeline, run on
+//!    the same staged path as every pipeline, answers each request on
+//!    its first attempt with no late, faulted or retried attempt, and its
+//!    records match the plain `ShardedServeRuntime`'s: the same ids,
+//!    arrival and answer instants bit for bit, shed and degraded flags.
 //! 2. **Stall availability** — under the scripted mid-run ranking-stage
 //!    stall the budgeted policy holds availability ≥ 0.95 and strictly
 //!    beats naive retry on both availability and p99.
@@ -92,8 +95,8 @@ struct PipelineBenchReport {
     slo_us: f64,
     retrieval_frac: f64,
     ranking_frac: f64,
-    /// Gate 1: the 1-stage pipeline reproduced the plain tier's records
-    /// byte-for-byte.
+    /// Gate 1: the 1-stage pipeline answered every request on its first
+    /// attempt, and its records matched the plain tier's.
     degenerate_identity: bool,
     rows: Vec<PipelineRow>,
 }
@@ -194,22 +197,10 @@ fn main() -> ExitCode {
         model.features.len(),
     );
 
-    // Gate 1: a 1-stage pipeline must be the plain tier, byte for byte.
-    let plain = ShardedServeRuntime::build(
-        &model,
-        &arch,
-        placement(),
-        stage_config,
-        scale.interconnect.clone(),
-        make_backend,
-    );
-    let plain_records = serde_json::to_string(
-        &plain
-            .serve(&stream)
-            .expect("pipeline config is valid")
-            .records,
-    )
-    .expect("serialize records");
+    // Gate 1: a fault-free 1-stage pipeline answers like the plain tier.
+    let plain = stage_tier()
+        .serve(&stream)
+        .expect("pipeline config is valid");
     let degenerate = PipelineRuntime::new(
         PipelineSpec {
             slo_us,
@@ -217,20 +208,28 @@ fn main() -> ExitCode {
             policy: StagePolicy::Budgeted(BudgetedPolicy::for_slo(slo_us)),
             seed: 11,
         },
-        vec![ShardedServeRuntime::build(
-            &model,
-            &arch,
-            placement(),
-            stage_config,
-            scale.interconnect.clone(),
-            make_backend,
-        )],
+        vec![stage_tier()],
     )
-    .expect("degenerate spec is valid");
-    let degenerate_out = degenerate.serve(&stream).expect("pipeline config is valid");
-    let degenerate_identity = serde_json::to_string(&degenerate_out.stage_wave0[0].records)
-        .expect("serialize records")
-        == plain_records;
+    .expect("degenerate spec is valid")
+    .serve(&stream)
+    .expect("pipeline config is valid");
+    let stage = &degenerate.stage_stats[0];
+    let degenerate_identity = stage.late == 0
+        && stage.faulted == 0
+        && stage.retries == 0
+        && degenerate.records.len() == plain.records.len()
+        && degenerate
+            .records
+            .iter()
+            .zip(&plain.records)
+            .all(|(rec, p)| {
+                rec.id == p.base.id
+                    && rec.arrival_us.to_bits() == p.base.arrival_us.to_bits()
+                    && rec.done_us.to_bits() == p.base.done_us.to_bits()
+                    && rec.shed == p.base.is_shed()
+                    && rec.degraded_stages == [p.degraded]
+                    && rec.attempts == 1
+            });
 
     // One two-stage pipeline, re-pointed per cell: the fault plans, the
     // failure policy and the ranking candidate count are the only
@@ -351,8 +350,9 @@ fn main() -> ExitCode {
 fn gates_hold(report: &PipelineBenchReport) -> bool {
     if !report.degenerate_identity {
         eprintln!(
-            "check FAILED: the 1-stage pipeline diverged from the plain serving \
-             tier — the pipeline machinery is not free"
+            "check FAILED: the fault-free 1-stage pipeline retried, missed its \
+             budget or diverged from the plain serving tier — the pipeline \
+             machinery is not free"
         );
         return false;
     }
@@ -402,7 +402,7 @@ fn gates_hold(report: &PipelineBenchReport) -> bool {
         return false;
     }
     println!(
-        "check passed: degenerate pipeline identical to the plain tier; stall availability \
+        "check passed: degenerate pipeline matches the plain tier; stall availability \
          {:.3} (budgeted) >= {AVAILABILITY_FLOOR} > {:.3} (naive), p99 {:.1} < {:.1} us, \
          amplification {:.3} <= {AMPLIFICATION_CAP}",
         budgeted.availability,

@@ -6,8 +6,11 @@
 //! overrides the process-wide `RECFLEX_THREADS` choice, so one test
 //! process covers both counts):
 //!
-//! * a 1-stage pipeline stays byte-identical to the plain sharded tier
-//!   at 1 and 4 workers;
+//! * the plain sharded tier's whole report serializes byte-identically,
+//!   and a 1-stage pipeline's records replay identically, at 1 and 4
+//!   workers and sequentially; the pipeline's records match the tier's
+//!   (same ids, arrival and answer instants bit for bit, shed and
+//!   degraded flags, one attempt each);
 //! * a 2-stage budgeted run under a mid-stream ranking stall replays
 //!   identically — records, per-stage stats, and the derived
 //!   `PipelineReport` — at 1 and 4 workers.
@@ -69,22 +72,41 @@ fn one_stage_pipeline_matches_the_plain_tier_at_one_and_four_workers() -> Result
             },
             vec![stage_tier(&m, &arch, 2, FaultPlan::none())],
         )?;
-        let out = pipe.serve(&reqs)?;
-        Ok::<_, ServeError>((
-            serde_json::to_string(&plain).ok(),
-            serde_json::to_string(&out.stage_wave0[0]).ok(),
-        ))
+        Ok::<_, ServeError>((plain, pipe.serve(&reqs)?.records))
     };
-    let (seq_plain, seq_pipe) = run()?;
+    let (seq_plain, seq_records) = run()?;
+    let seq_plain = serde_json::to_string(&seq_plain).ok();
     assert!(seq_plain.is_some(), "serialization must succeed");
-    assert_eq!(
-        seq_plain, seq_pipe,
-        "degenerate pipeline must reproduce the tier byte-for-byte"
-    );
     for &n in POOLS {
-        let pooled = ThreadPool::new(n).install(run)?;
-        assert_eq!(seq_plain, pooled.0, "plain tier diverged at {n} workers");
-        assert_eq!(seq_pipe, pooled.1, "pipeline diverged at {n} workers");
+        let (plain, records) = ThreadPool::new(n).install(run)?;
+        assert_eq!(
+            seq_plain,
+            serde_json::to_string(&plain).ok(),
+            "plain tier diverged at {n} workers"
+        );
+        assert_eq!(seq_records, records, "pipeline diverged at {n} workers");
+        assert_eq!(records.len(), plain.records.len(), "at {n} workers");
+        for (rec, p) in records.iter().zip(&plain.records) {
+            assert_eq!(
+                (
+                    rec.id,
+                    rec.arrival_us.to_bits(),
+                    rec.done_us.to_bits(),
+                    rec.shed,
+                    rec.degraded_stages.as_slice(),
+                    rec.attempts,
+                ),
+                (
+                    p.base.id,
+                    p.base.arrival_us.to_bits(),
+                    p.base.done_us.to_bits(),
+                    p.base.is_shed(),
+                    [p.degraded].as_slice(),
+                    1,
+                ),
+                "1-stage pipeline diverged from the plain tier at {n} workers"
+            );
+        }
     }
     Ok(())
 }

@@ -6,10 +6,7 @@ use rayon::prelude::*;
 use recflex_data::{Batch, ModelConfig};
 use recflex_embedding::{analyze_batch, FeatureWorkload, FusedOutput, TableSet};
 use recflex_schedules::ScheduleInstance;
-use recflex_sim::{
-    launch, BlockProfile, BlockResources, GpuArch, LaunchConfig, LaunchReport, ProfileCtx,
-    SimKernel,
-};
+use recflex_sim::{BlockProfile, BlockResources, LaunchConfig, ProfileCtx, SimKernel};
 
 use crate::thread_map::{static_counts, MappingStrategy, TaskMap};
 
@@ -151,23 +148,12 @@ impl FusedKernelObject {
         batch: &'a Batch,
         plan: &recflex_embedding::CachePlan,
     ) -> BoundFusedKernel<'a> {
-        let workloads: Vec<FeatureWorkload> = analyze_batch(model, batch)
+        let workloads = analyze_batch(model, batch)
             .into_iter()
             .enumerate()
-            .map(|(f, w)| {
-                let cold = plan.cold_fraction(f, &batch.features[f]);
-                w.with_uvm_cold_frac(cold)
-            })
+            .map(|(f, w)| w.with_uvm_cold_frac(plan.cold_fraction(f, &batch.features[f])))
             .collect();
-        let task_map = TaskMap::runtime(&self.spec.schedules, &workloads);
-        BoundFusedKernel {
-            obj: self,
-            model,
-            tables,
-            batch,
-            workloads,
-            task_map,
-        }
+        self.bind_analyzed(model, tables, batch, workloads)
     }
 
     /// Bind with a **static** mapping computed from historical workloads
@@ -194,20 +180,6 @@ impl FusedKernelObject {
             workloads,
             task_map,
         }
-    }
-
-    /// Run one batch end to end: simulate the launch and execute
-    /// functionally.
-    pub fn run(
-        &self,
-        model: &ModelConfig,
-        tables: &TableSet,
-        batch: &Batch,
-        arch: &GpuArch,
-    ) -> Result<(FusedOutput, LaunchReport), recflex_sim::launch::LaunchError> {
-        let bound = self.bind(model, tables, batch);
-        let report = launch(&bound, arch, &self.launch_config())?;
-        Ok((bound.execute(), report))
     }
 }
 
@@ -335,6 +307,7 @@ mod tests {
     use recflex_data::{Dataset, ModelPreset};
     use recflex_embedding::reference_model_output;
     use recflex_schedules::enumerate_candidates;
+    use recflex_sim::{launch, GpuArch};
 
     fn compile_first_candidates(model: &ModelConfig) -> FusedKernelObject {
         let schedules: Vec<ScheduleInstance> = model
@@ -378,9 +351,10 @@ mod tests {
         let tables = TableSet::for_model(&m);
         let batch = Batch::generate(&m, 48, 17);
         let obj = compile_first_candidates(&m);
-        let (out, report) = obj.run(&m, &tables, &batch, &GpuArch::v100()).unwrap();
+        let bound = obj.bind(&m, &tables, &batch);
+        let report = launch(&bound, &GpuArch::v100(), &obj.launch_config()).unwrap();
         let golden = reference_model_output(&m, &tables, &batch);
-        assert!(out.bits_eq(&golden));
+        assert!(bound.execute().bits_eq(&golden));
         assert!(report.latency_us > 0.0);
     }
 

@@ -34,11 +34,13 @@
 //! applied. Each pass is a pure function of its inputs and members run
 //! sequentially in member order, so the composition replays bit-for-bit
 //! at any `RECFLEX_THREADS`. The plain fleet ([`FleetRuntime::serve`])
-//! is the same member pass with no faults, no migrations and no ladder,
-//! and a trivial config short-circuits to it before touching any state —
-//! the no-fault path is byte-identical to the plain fleet by
-//! construction, and both invariants are gated by the
-//! `serving_fleet_chaos` experiment in CI.
+//! is the same member pass with no faults, no migrations and no ladder.
+//! A trivial config (no faults, no elasticity, no brownout) runs the
+//! general passes like any other: no observe pass, no telemetry pass,
+//! and a final pass with no landings and every epoch at rung 0. Its
+//! report with `chaos` cleared is therefore byte-identical to the plain
+//! fleet's, and its chaos stats record nothing; the
+//! `serving_fleet_chaos` experiment gates both invariants in CI.
 //!
 //! [`QueryGate`]: crate::fleet::QueryGate
 //! [`ShardedServeRuntime`]: crate::sharded::ShardedServeRuntime
@@ -101,14 +103,6 @@ pub struct FleetChaosConfig {
     /// Run the fleet brownout ladder; `false` never tightens a gate or
     /// answers at the fleet edge.
     pub brownout: bool,
-}
-
-impl FleetChaosConfig {
-    /// True when the config injects nothing and enables nothing — the
-    /// guard for the byte-identity fast path.
-    pub fn is_trivial(&self) -> bool {
-        self.faults.is_empty() && self.elasticity.is_none() && !self.brownout
-    }
 }
 
 /// One drain-and-migrate attempt, as reported.
@@ -204,9 +198,8 @@ impl<'a> FleetRuntime<'a> {
     /// Serve a merged fleet trace under a chaos config. `rebuild(m, c)`
     /// must build member `m`'s sharded runtime against device class `c`
     /// — it is invoked once per completed migration, in member order, for
-    /// its landing class. A trivial config short-circuits to
-    /// [`FleetRuntime::serve`] before mutating anything, so the no-fault
-    /// path stays byte-identical to the plain fleet.
+    /// its landing class. Every config, a trivial one included, runs the
+    /// same passes and is held to the same epoch-grid bound.
     ///
     /// `serve_chaos` owns each member runtime's fault plan: it installs
     /// [`FleetFaultPlan::class_plan`] for the member's *current* class,
@@ -226,9 +219,6 @@ impl<'a> FleetRuntime<'a> {
         // non-finite arrival up front.
         for a in arrivals {
             a.request.check_arrival()?;
-        }
-        if chaos.is_trivial() {
-            return self.serve(arrivals);
         }
         if (chaos.elasticity.is_some() || chaos.brownout)
             && !(chaos.epoch_us.is_finite() && chaos.epoch_us > 0.0)
@@ -251,7 +241,7 @@ impl<'a> FleetRuntime<'a> {
         }
 
         let streams = self.demux(arrivals)?;
-        self.check_shape(streams.len())?;
+        self.check_shape()?;
 
         let horizon_us = streams
             .iter()
@@ -771,14 +761,22 @@ mod tests {
             elasticity: None,
             brownout: false,
         };
-        assert!(chaos.is_trivial());
-        let chaotic = fleet.serve_chaos(&merged, &chaos, |_, _| panic!("must not rebuild"))?;
+        let mut chaotic = fleet.serve_chaos(&merged, &chaos, |_, _| panic!("must not rebuild"))?;
+        let stats = chaotic
+            .chaos
+            .take()
+            .ok_or(ServeError::Internal("chaos stats missing"))?;
         assert_eq!(
             serde_json::to_string(&plain).ok(),
             serde_json::to_string(&chaotic).ok(),
             "empty plan + disabled elasticity must reproduce serve byte-for-byte"
         );
-        assert!(chaotic.chaos.is_none());
+        assert!(stats.migrations.is_empty());
+        assert_eq!(stats.edge_degraded, 0);
+        assert_eq!(stats.drain_shed, 0);
+        assert_eq!(stats.outage_downtime_us, 0.0);
+        assert!(!stats.ladder.is_empty(), "a 1 ms epoch grades the run");
+        assert!(stats.ladder.iter().all(|&rung| rung == 0));
         Ok(())
     }
 

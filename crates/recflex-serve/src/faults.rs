@@ -364,11 +364,6 @@ impl FleetFaultPlan {
         FleetFaultPlan { class_windows }
     }
 
-    /// True when the plan injects nothing at all.
-    pub fn is_empty(&self) -> bool {
-        self.class_windows.is_empty()
-    }
-
     /// The concrete [`FaultPlan`] a member executes while pinned to
     /// device class `class` with `num_shards` shard lanes: every window
     /// on `class` expanded onto all of its lanes (Outage → crash,
@@ -734,7 +729,7 @@ mod tests {
     #[test]
     fn empty_fleet_plan_expands_to_empty_class_plans() {
         let plan = FleetFaultPlan::default();
-        assert!(plan.is_empty());
+        assert!(plan.class_windows.is_empty());
         for class in 0..3 {
             assert!(plan.class_plan(class, 4).is_empty());
         }
@@ -756,7 +751,6 @@ mod tests {
         ]);
         assert_eq!(plan.class_windows.len(), 2, "empty windows are dropped");
         assert_eq!(plan.class_windows[0].start_us, 500.0, "sorted by start");
-        assert!(!plan.is_empty());
 
         // A member on class 1 sees a crash on each of its lanes.
         let on_hit = plan.class_plan(1, 2);

@@ -15,13 +15,14 @@
 //!   enters the model's runtime,
 //! - per-model SLO deadlines and a fleet-wide attainment roll-up.
 //!
-//! Determinism: the fleet runs each member runtime on its demuxed slice
-//! of the merged trace, in member order. Every member run is itself a
-//! pure function of its inputs, so the fleet report is bit-reproducible
-//! and a degenerate one-model fleet (no gate, no deadline) serializes
-//! byte-identically to the underlying [`ShardedServeRuntime`] report —
-//! both invariants are gated by tests and by the `serving_fleet`
-//! experiment in CI.
+//! Determinism: [`FleetRuntime::serve`] demuxes the merged trace and
+//! runs each member runtime on its slice, in member order, through the
+//! member pass every chaos run also uses (`crate::elastic`). Every member
+//! run is itself a pure function of its inputs, so the fleet report is
+//! bit-reproducible and a degenerate one-model fleet (no gate, no
+//! deadline) serializes byte-identically to the underlying
+//! [`ShardedServeRuntime`] report — both invariants are gated by tests
+//! and by the `serving_fleet` experiment in CI.
 
 use serde::Serialize;
 
@@ -195,9 +196,28 @@ pub struct FleetReport {
 impl<'a> FleetRuntime<'a> {
     /// Serve a merged fleet trace: demux by scenario (preserving the
     /// merged order, which is already per-scenario arrival order) and
-    /// run every member on its slice.
+    /// run every member on its slice after its admission gate. Gate
+    /// rejections surface as [`ShedReason::Admission`] records in the
+    /// member report, so every offered request has a record. This is the
+    /// chaos member pass with no faults, no migrations and no brownout
+    /// ladder.
     pub fn serve(&self, arrivals: &[FleetArrival]) -> Result<FleetReport, ServeError> {
-        self.serve_streams(&self.demux(arrivals)?)
+        let streams = self.demux(arrivals)?;
+        self.check_shape()?;
+        // A gate rejection never reaches the tier that would refuse a
+        // non-finite arrival.
+        for r in streams.iter().flatten() {
+            r.check_arrival()?;
+        }
+        let pass = self.chaos_pass(&streams, &FleetChaosConfig::default(), &[], &[])?;
+        let class_of: Vec<usize> = self.members.iter().map(|m| m.class).collect();
+        Ok(self.assemble(
+            pass.models,
+            &class_of,
+            pass.attained_total,
+            pass.offered_total,
+            None,
+        ))
     }
 
     /// Demux a merged fleet trace into per-member request streams
@@ -222,44 +242,15 @@ impl<'a> FleetRuntime<'a> {
         Ok(streams)
     }
 
-    /// Reject a fleet that cannot serve `streams` request streams: it
-    /// needs one stream per member, and every member must be pinned to a
-    /// device class the fleet has.
-    pub(crate) fn check_shape(&self, streams: usize) -> Result<(), ServeError> {
-        if streams != self.members.len() {
-            return Err(ServeError::Policy(
-                "a fleet needs exactly one request stream per member",
-            ));
-        }
+    /// Reject a fleet with a member pinned to a device class it does not
+    /// have.
+    pub(crate) fn check_shape(&self) -> Result<(), ServeError> {
         if self.members.iter().any(|m| m.class >= self.classes.len()) {
             return Err(ServeError::Policy(
                 "a fleet member's device class is out of range",
             ));
         }
         Ok(())
-    }
-
-    /// Serve pre-demuxed per-member request streams. `streams[i]` goes
-    /// to member `i` after its admission gate; gate rejections surface
-    /// as [`ShedReason::Admission`] records in the member report, so
-    /// every offered request has a record. This is the chaos member pass
-    /// with no faults, no migrations and no brownout ladder.
-    pub fn serve_streams(&self, streams: &[Vec<Request>]) -> Result<FleetReport, ServeError> {
-        self.check_shape(streams.len())?;
-        // A gate rejection never reaches the tier that would refuse a
-        // non-finite arrival.
-        for r in streams.iter().flatten() {
-            r.check_arrival()?;
-        }
-        let pass = self.chaos_pass(streams, &FleetChaosConfig::default(), &[], &[])?;
-        let class_of: Vec<usize> = self.members.iter().map(|m| m.class).collect();
-        Ok(self.assemble(
-            pass.models,
-            &class_of,
-            pass.attained_total,
-            pass.offered_total,
-            None,
-        ))
     }
 
     /// Roll one member's finished report up into its fleet outcome,
@@ -660,8 +651,7 @@ mod tests {
         }
     }
 
-    /// A non-trivial chaos config, so `serve_chaos` runs its own passes
-    /// instead of short-circuiting to `serve`.
+    /// A chaos config with one class outage and nothing else enabled.
     fn outage_chaos() -> FleetChaosConfig {
         FleetChaosConfig {
             faults: FleetFaultPlan::scripted(vec![ClassFaultWindow {
@@ -757,20 +747,5 @@ mod tests {
             matches!(chaotic, Err(ServeError::Policy(_))),
             "serve_chaos: {chaotic:?}"
         );
-    }
-
-    #[test]
-    fn a_stream_count_mismatch_is_an_error_not_a_panic() {
-        let model = ModelPreset::A.scaled(0.01);
-        let arch = GpuArch::v100();
-        let fleet = fleet(&model, &arch, &[0, 0]);
-        let one = WorkloadSpec::long_tail(400.0).stream(&model, 4, 1);
-        for streams in [vec![], vec![one.clone()], vec![one; 3]] {
-            assert!(
-                matches!(fleet.serve_streams(&streams), Err(ServeError::Policy(_))),
-                "{} streams for 2 members",
-                streams.len()
-            );
-        }
     }
 }

@@ -32,9 +32,11 @@
 //! Determinism: stage attempts are served by the (bit-replayable)
 //! sharded tier, and all policy decisions run over the resulting
 //! completion/shed events in `(time, id)` order, so a pipeline run is a
-//! pure function of `(spec, stage tiers, stream)`. The degenerate
-//! 1-stage pipeline takes the plain [`ShardedServeRuntime::serve`] path
-//! and reproduces it byte-for-byte.
+//! pure function of `(spec, stage tiers, stream)`. Every pipeline of 1
+//! to 3 stages runs the same staged path under its SLO and policy. A
+//! 1-stage run whose attempts are never late or shed answers each
+//! request on its first attempt, at the instant the plain
+//! [`ShardedServeRuntime::serve`] answers it.
 //!
 //! Modeling note: retry waves are served as fresh passes over the stage
 //! tier at their absolute timestamps — retries see the stage's fault
@@ -47,7 +49,7 @@ use crate::faults::PressureTracker;
 use crate::request::Request;
 use crate::runtime::ServeError;
 use crate::sharded::ShardedServeRuntime;
-use crate::stats::{percentile, ShardedReport, ShedReason};
+use crate::stats::{percentile, ShedReason};
 use recflex_data::Batch;
 use serde::Serialize;
 
@@ -439,8 +441,8 @@ pub struct PipelineRecord {
     /// True when the pipeline produced no answer.
     pub shed: bool,
     /// Per-stage degradation mask: `degraded_stages[k]` is set when
-    /// stage `k` answered from its fallback or a shrunken candidate
-    /// count.
+    /// stage `k` answered from its fallback, from a shrunken candidate
+    /// count, or with a crashed shard zero-pooled by its tier.
     pub degraded_stages: Vec<bool>,
     /// Stage executions this request consumed (attempts, all stages).
     pub attempts: u32,
@@ -557,27 +559,9 @@ pub struct PipelineOutcome {
     pub records: Vec<PipelineRecord>,
     /// Per-stage aggregate statistics, in pipeline order.
     pub stage_stats: Vec<StageStats>,
-    /// Each stage's first-attempt (wave-0) tier report. For a 1-stage
-    /// pipeline, `stage_wave0[0]` is byte-identical to what
-    /// [`ShardedServeRuntime::serve`] returns on the same stream.
-    pub stage_wave0: Vec<ShardedReport>,
 }
 
 impl PipelineOutcome {
-    /// Fraction of offered requests answered within the SLO (degraded
-    /// answers count; late and shed ones do not).
-    pub fn availability(&self) -> f64 {
-        if self.records.is_empty() {
-            return 1.0;
-        }
-        let ok = self
-            .records
-            .iter()
-            .filter(|r| !r.shed && r.latency_us() <= self.slo_us + 1e-9)
-            .count();
-        ok as f64 / self.records.len() as f64
-    }
-
     /// Distill into the [`PipelineReport`] the benches serialize.
     pub fn report(&self) -> PipelineReport {
         let offered = self.records.len() as u64;
@@ -611,7 +595,11 @@ impl PipelineOutcome {
             answered,
             answered_in_slo,
             degraded_answers,
-            availability: self.availability(),
+            availability: if offered == 0 {
+                1.0
+            } else {
+                answered_in_slo as f64 / offered as f64
+            },
             p50_us: percentile(answered_latencies(), 0.5),
             p99_us: percentile(answered_latencies(), 0.99),
             makespan_us,
@@ -743,57 +731,6 @@ impl<'a> PipelineRuntime<'a> {
 
     /// Serve an offered request stream end to end.
     pub fn serve(&self, requests: &[Request]) -> Result<PipelineOutcome, ServeError> {
-        if self.spec.stages.len() == 1 {
-            return self.serve_degenerate(requests);
-        }
-        self.serve_staged(requests)
-    }
-
-    /// The 1-stage fast path: exactly [`ShardedServeRuntime::serve`],
-    /// wrapped — no deadline plumbing, no policy machinery, so the
-    /// report is byte-identical to the plain tier's.
-    fn serve_degenerate(&self, requests: &[Request]) -> Result<PipelineOutcome, ServeError> {
-        let report = self.tiers[0].serve(requests)?;
-        let mut stats = StageStats::named(self.spec.stages[0].kind.label());
-        let mut records = Vec::with_capacity(report.records.len());
-        let mut in_budget = 0u64;
-        for rec in &report.records {
-            let shed = rec.base.shed != ShedReason::None;
-            if shed {
-                stats.faulted += 1;
-            } else {
-                stats.admitted += 1;
-                stats.executions += 1;
-                let lat = rec.base.done_us - rec.base.arrival_us;
-                if lat <= self.spec.slo_us + 1e-9 {
-                    in_budget += 1;
-                } else {
-                    stats.late += 1;
-                }
-            }
-            records.push(PipelineRecord {
-                id: rec.base.id,
-                arrival_us: rec.base.arrival_us,
-                done_us: rec.base.done_us,
-                shed,
-                degraded_stages: vec![rec.degraded],
-                attempts: u32::from(!shed),
-            });
-        }
-        stats.attainment = if stats.admitted == 0 {
-            1.0
-        } else {
-            in_budget as f64 / stats.admitted as f64
-        };
-        Ok(PipelineOutcome {
-            slo_us: self.spec.slo_us,
-            records,
-            stage_stats: vec![stats],
-            stage_wave0: vec![report],
-        })
-    }
-
-    fn serve_staged(&self, requests: &[Request]) -> Result<PipelineOutcome, ServeError> {
         let num_stages = self.spec.stages.len();
         let shares = DeadlineBudget::stage_shares(
             self.spec.slo_us,
@@ -820,7 +757,6 @@ impl<'a> PipelineRuntime<'a> {
             StagePolicy::NaiveRetry => None,
         };
         let mut stage_stats = Vec::with_capacity(num_stages);
-        let mut stage_wave0 = Vec::with_capacity(num_stages);
 
         for (k, stage) in self.spec.stages.iter().enumerate() {
             let mut stats = StageStats::named(stage.kind.label());
@@ -911,12 +847,10 @@ impl<'a> PipelineRuntime<'a> {
                             let l = &mut live[e.ri];
                             l.budget.consume(done_us - l.ready_us);
                             l.ready_us = done_us;
-                            if e.attempt > 0 && e.candidates < stage.candidates {
-                                l.degraded[k] = true;
-                            }
-                            // Record a degraded full-quality answer when
-                            // a prior attempt shrank the ladder but this
-                            // one recovered: nothing to flag.
+                            // A shrunken candidate count or a tier that
+                            // zero-pooled a crashed shard answers degraded.
+                            l.degraded[k] |= (e.attempt > 0 && e.candidates < stage.candidates)
+                                || report.records[j].degraded;
                         }
                         AttemptOutcome::Late { .. } | AttemptOutcome::Shed { .. } => {
                             if let AttemptOutcome::Late { done_us, .. } = outcome {
@@ -973,11 +907,6 @@ impl<'a> PipelineRuntime<'a> {
                 in_budget as f64 / entered as f64
             };
             stage_stats.push(stats);
-            stage_wave0.push(ShardedReport::default());
-            // wave-0 reports are informational for multi-stage runs;
-            // the placeholder keeps the vec aligned without cloning a
-            // full report per stage. The degenerate path stores the
-            // real one.
         }
 
         let records = requests
@@ -999,7 +928,6 @@ impl<'a> PipelineRuntime<'a> {
             slo_us: self.spec.slo_us,
             records,
             stage_stats,
-            stage_wave0,
         })
     }
 
@@ -1195,7 +1123,7 @@ mod tests {
     }
 
     #[test]
-    fn one_stage_pipeline_is_byte_identical_to_the_plain_tier() -> Result<(), ServeError> {
+    fn one_stage_pipeline_matches_the_plain_tier() -> Result<(), ServeError> {
         let (m, arch) = setup();
         let reqs = WorkloadSpec::long_tail(300.0).stream(&m, 32, 42);
         let plain = stage_tier(&m, &arch, 2, FaultPlan::none()).serve(&reqs)?;
@@ -1204,16 +1132,112 @@ mod tests {
             vec![stage_tier(&m, &arch, 2, FaultPlan::none())],
         )?;
         let out = pipe.serve(&reqs)?;
-        assert_eq!(
-            serde_json::to_string(&plain).ok(),
-            serde_json::to_string(&out.stage_wave0[0]).ok(),
-            "degenerate pipeline must reproduce the tier byte-for-byte"
+        assert_eq!(out.records.len(), plain.records.len());
+        for (rec, p) in out.records.iter().zip(&plain.records) {
+            assert_eq!(
+                (
+                    rec.id,
+                    rec.arrival_us.to_bits(),
+                    rec.done_us.to_bits(),
+                    rec.shed,
+                    rec.degraded_stages.as_slice(),
+                    rec.attempts,
+                ),
+                (
+                    p.base.id,
+                    p.base.arrival_us.to_bits(),
+                    p.base.done_us.to_bits(),
+                    p.base.is_shed(),
+                    [p.degraded].as_slice(),
+                    1,
+                ),
+            );
+        }
+        Ok(())
+    }
+
+    /// A 1-stage pipeline on a mitigated tier keeps the tier's degraded
+    /// flag: an answer the tier zero-pooled around a crashed shard is a
+    /// degraded answer of the pipeline too.
+    #[test]
+    fn a_one_stage_pipeline_flags_answers_its_tier_zero_pooled() -> Result<(), ServeError> {
+        let (m, arch) = setup();
+        let reqs = WorkloadSpec::long_tail(200.0).stream(&m, 48, 29);
+        let slo_us = 50_000.0;
+        // Zero-pooling starts once the crashed shard's work piles three
+        // quarters of the tier's 2 ms SLO onto its replica.
+        let tier = || ShardedServeRuntime {
+            config: ServeConfig {
+                slo_deadline_us: Some(2_000.0),
+                ..stage_config()
+            },
+            mitigated: true,
+            ..stage_tier(
+                &m,
+                &arch,
+                2,
+                FaultPlan::scripted(vec![Fault {
+                    start_us: 1_500.0,
+                    end_us: 9_000.0,
+                    kind: FaultKind::Crash { shard: 0 },
+                }]),
+            )
+        };
+        // The one stage's attempt deadline is the whole SLO.
+        let deadlines: Vec<f64> = reqs.iter().map(|r| r.arrival_us + slo_us).collect();
+        let plain = tier().serve_with_deadlines(&reqs, &deadlines)?;
+        let zero_pooled = plain.records.iter().filter(|r| r.degraded).count() as u64;
+        assert!(zero_pooled > 0, "the crash must zero-pool some answers");
+        let out = PipelineRuntime::new(
+            budgeted_spec(slo_us, vec![StageSpec::retrieval(64, 1.0)]),
+            vec![tier()],
+        )?
+        .serve(&reqs)?;
+        for (rec, p) in out.records.iter().zip(&plain.records) {
+            assert_eq!(
+                (rec.id, rec.attempts, rec.degraded_stages.as_slice()),
+                (p.base.id, 1, [p.degraded].as_slice()),
+            );
+        }
+        assert_eq!(out.report().degraded_answers, zero_pooled);
+        Ok(())
+    }
+
+    /// A 1-stage pipeline runs its SLO and policy like any other: a stall
+    /// on the one tier makes attempts fail, the failures reach the retry
+    /// budget and breaker, and no answer lands past the SLO.
+    #[test]
+    fn a_one_stage_pipeline_holds_its_slo_under_a_stall() -> Result<(), ServeError> {
+        let (m, arch) = setup();
+        let reqs = WorkloadSpec::long_tail(300.0).stream(&m, 32, 42);
+        let span = reqs.last().map_or(0.0, |r| r.arrival_us);
+        let slo_us = 8_000.0;
+        let pipe = PipelineRuntime::new(
+            budgeted_spec(slo_us, vec![StageSpec::retrieval(64, 1.0)]),
+            vec![stage_tier(
+                &m,
+                &arch,
+                2,
+                FaultPlan::scripted(vec![stall(0, 0.2 * span, 0.9 * span)]),
+            )],
+        )?;
+        let out = pipe.serve(&reqs)?;
+        let stage = &out.stage_stats[0];
+        assert!(
+            stage.late + stage.faulted > 0,
+            "the stall must fail attempts"
         );
-        assert_eq!(out.records.len(), reqs.len());
-        for (rec, plain_rec) in out.records.iter().zip(&plain.records) {
-            assert_eq!(rec.id, plain_rec.base.id);
-            assert_eq!(rec.done_us, plain_rec.base.done_us);
-            assert_eq!(rec.shed, plain_rec.base.shed != ShedReason::None);
+        assert!(
+            stage.retries + stage.retries_denied > 0,
+            "failures must reach the retry policy: {stage:?}"
+        );
+        for rec in &out.records {
+            assert!(
+                rec.shed || rec.latency_us() <= slo_us + 1e-9,
+                "request {} answered {} us after arrival",
+                rec.id,
+                rec.latency_us()
+            );
         }
         Ok(())
     }
