@@ -27,7 +27,8 @@
 //!    edge records instead of shedding it.
 //!
 //! Determinism is structural, not incidental. A chaos run is three pure
-//! passes over the same demuxed streams: an *observe* pass (plain
+//! passes over the same demuxed streams, views that borrow the arrivals'
+//! payloads (no pass copies a batch): an *observe* pass (plain
 //! gate-filtered serving under the fault plans) whose records feed the
 //! health monitor; a *telemetry* pass with migrations applied whose
 //! records grade the brownout ladder; and the *final* pass with both
@@ -56,7 +57,7 @@ use crate::fleet::{
 use crate::sharded::ShardedServeRuntime;
 use crate::stats::{ShardedReport, ShardedRequestRecord, ShedReason};
 use crate::workload::FleetArrival;
-use crate::{Request, ServeError};
+use crate::{RequestRef, ServeError};
 
 /// The health monitor drains a member once its leaky-bucket shortfall
 /// (time constant half an epoch) exceeds this.
@@ -218,7 +219,7 @@ impl<'a> FleetRuntime<'a> {
         // tier, and the epoch grid spans the latest arrival: refuse a
         // non-finite arrival up front.
         for a in arrivals {
-            a.request.check_arrival()?;
+            a.request.view().check_arrival()?;
         }
         if (chaos.elasticity.is_some() || chaos.brownout)
             && !(chaos.epoch_us.is_finite() && chaos.epoch_us > 0.0)
@@ -472,7 +473,7 @@ impl<'a> FleetRuntime<'a> {
     /// is this pass with no landings and an empty ladder.
     pub(crate) fn chaos_pass(
         &self,
-        streams: &[Vec<Request>],
+        streams: &[Vec<RequestRef<'_>>],
         chaos: &FleetChaosConfig,
         landed: &[Option<Landing<'a>>],
         ladder: &[u8],
@@ -540,17 +541,17 @@ impl<'a> FleetRuntime<'a> {
                     }
                 }
                 match mig {
-                    Some(p) if t >= p.resume_us => post.push(r.clone()),
-                    _ => pre.push(r.clone()),
+                    Some(p) if t >= p.resume_us => post.push(*r),
+                    _ => pre.push(*r),
                 }
             }
             let gate_shed = edge
                 .iter()
                 .filter(|e| e.base.shed == ShedReason::Admission)
                 .count() as u64;
-            let pre_report = member.runtime.serve(&pre)?;
+            let pre_report = member.runtime.serve_refs(&pre)?;
             let mut report = match landing {
-                Some(l) => ShardedReport::merge(vec![pre_report, l.tier.serve(&post)?]),
+                Some(l) => ShardedReport::merge(vec![pre_report, l.tier.serve_refs(&post)?]),
                 None => pre_report,
             };
             splice_edge_records(&mut report, edge);

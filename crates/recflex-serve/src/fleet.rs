@@ -31,7 +31,7 @@ use crate::lifecycle::EngineTuning;
 use crate::sharded::ShardedServeRuntime;
 use crate::stats::{RequestRecord, ShardedReport, ShardedRequestRecord, ShedReason};
 use crate::workload::FleetArrival;
-use crate::Request;
+use crate::RequestRef;
 use crate::ServeError;
 use recflex_sim::GpuArch;
 
@@ -41,7 +41,11 @@ use recflex_sim::GpuArch;
 /// — zero queue, zero service, done at arrival. Keeps edge decisions
 /// visible in the same record stream the runtimes produce, so
 /// availability and shed-reason accounting see every offered request.
-pub(crate) fn edge_record(req: &Request, shed: ShedReason, degraded: bool) -> ShardedRequestRecord {
+pub(crate) fn edge_record(
+    req: &RequestRef<'_>,
+    shed: ShedReason,
+    degraded: bool,
+) -> ShardedRequestRecord {
     ShardedRequestRecord {
         base: RequestRecord {
             id: req.id,
@@ -222,10 +226,13 @@ impl<'a> FleetRuntime<'a> {
 
     /// Demux a merged fleet trace into per-member request streams
     /// (preserving the merged order, which is already per-scenario
-    /// arrival order). An arrival for a scenario no member serves is an
-    /// error.
-    pub(crate) fn demux(&self, arrivals: &[FleetArrival]) -> Result<Vec<Vec<Request>>, ServeError> {
-        let mut streams: Vec<Vec<Request>> = vec![Vec::new(); self.members.len()];
+    /// arrival order) of views that borrow the arrivals' payloads. An
+    /// arrival for a scenario no member serves is an error.
+    pub(crate) fn demux<'r>(
+        &self,
+        arrivals: &'r [FleetArrival],
+    ) -> Result<Vec<Vec<RequestRef<'r>>>, ServeError> {
+        let mut streams: Vec<Vec<RequestRef<'r>>> = vec![Vec::new(); self.members.len()];
         for a in arrivals {
             let stream = streams
                 .get_mut(a.scenario)
@@ -237,7 +244,7 @@ impl<'a> FleetRuntime<'a> {
                         self.members.len()
                     ),
                 })?;
-            stream.push(a.request.clone());
+            stream.push(a.request.view());
         }
         Ok(streams)
     }
@@ -364,7 +371,7 @@ mod tests {
     use crate::faults::{ClassFaultKind, ClassFaultWindow, FleetFaultPlan};
     use crate::runtime::{BatchPolicy, ServeConfig};
     use crate::workload::{FleetWorkload, ScenarioSpec, TrafficShape};
-    use crate::WorkloadSpec;
+    use crate::{Request, WorkloadSpec};
     use recflex_baselines::TorchRecBackend;
     use recflex_data::{ModelConfig, ModelPreset, Placement};
     use recflex_sim::Interconnect;
@@ -731,6 +738,33 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Each member's stream lends it the arrivals' own payloads: `demux`
+    /// copies no batch, so neither do the member passes built on it.
+    #[test]
+    fn demux_lends_members_the_arrivals_payloads() -> Result<(), ServeError> {
+        let model = ModelPreset::A.scaled(0.01);
+        let arch = GpuArch::v100();
+        let merged = scenarios(2).merged(&[&model, &model]);
+        let streams = fleet(&model, &arch, &[0, 0]).demux(&merged)?;
+        assert_eq!(streams.iter().map(Vec::len).sum::<usize>(), merged.len());
+        for (i, stream) in streams.iter().enumerate() {
+            let own: Vec<&Request> = merged
+                .iter()
+                .filter(|a| a.scenario == i)
+                .map(|a| &a.request)
+                .collect();
+            assert_eq!(stream.len(), own.len());
+            for (view, r) in stream.iter().zip(own) {
+                assert_eq!(
+                    (view.id, view.arrival_us.to_bits()),
+                    (r.id, r.arrival_us.to_bits())
+                );
+                assert!(std::ptr::eq(view.batch, &r.batch), "request {}", r.id);
+            }
+        }
+        Ok(())
     }
 
     #[test]

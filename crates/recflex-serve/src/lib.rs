@@ -8,7 +8,9 @@
 //!
 //! * [`WorkloadSpec`] / [`Request`] — seeded Poisson request streams
 //!   with heavy-tailed batch sizes drawn from the same
-//!   [`recflex_data::PoolingDist`] family as the data layer,
+//!   [`recflex_data::PoolingDist`] family as the data layer. The tier
+//!   serves [`RequestRef`] views, so a pipeline stage or fleet member
+//!   lends it payloads instead of copying them,
 //! * [`BatchPolicy`] — forward unsplit (DeepRecSys-style), split at a
 //!   cap (industrial practice), or dynamic batching that coalesces
 //!   small requests and splits oversized ones. Chunks are lists of
@@ -120,7 +122,7 @@ pub use pipeline::{
     PipelineRecord, PipelineReport, PipelineRuntime, PipelineSpec, RetryBudget, StageKind,
     StagePolicy, StageSpec, StageStats,
 };
-pub use request::{Request, WorkloadSpec};
+pub use request::{Request, RequestRef, WorkloadSpec};
 pub use runtime::{BatchPolicy, ServeConfig, ServeError, TunedCandidate};
 pub use sharded::{ShardLane, ShardedRetunePolicy, ShardedServeRuntime};
 pub use stats::{RequestRecord, ShardLaneStats, ShardedReport, ShardedRequestRecord, ShedReason};

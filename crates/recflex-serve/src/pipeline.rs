@@ -46,7 +46,7 @@
 //! cross-wave queue growth.
 
 use crate::faults::PressureTracker;
-use crate::request::Request;
+use crate::request::{Request, RequestRef};
 use crate::runtime::ServeError;
 use crate::sharded::ShardedServeRuntime;
 use crate::stats::{percentile, ShedReason};
@@ -644,8 +644,8 @@ struct LiveReq {
     budget: DeadlineBudget,
     degraded: Vec<bool>,
     attempts: u32,
-    /// Earliest completion of a late attempt (naive keeps it as the
-    /// answer when retries exhaust), ∞ when none finished.
+    /// Earliest completion of a late attempt in the current stage (naive
+    /// keeps it as the answer when retries exhaust), ∞ when none finished.
     best_late_done_us: f64,
     shed: bool,
 }
@@ -767,6 +767,10 @@ impl<'a> PipelineRuntime<'a> {
             // Where each surviving request stood when it entered the
             // stage, for per-stage budget attainment.
             let entry_ready: Vec<f64> = live.iter().map(|l| l.ready_us).collect();
+            // A late completion of an earlier stage answers nothing here.
+            for l in &mut live {
+                l.best_late_done_us = f64::INFINITY;
+            }
 
             let mut wave: Vec<Entry> = live
                 .iter()
@@ -785,18 +789,17 @@ impl<'a> PipelineRuntime<'a> {
 
             while !wave.is_empty() && wave_no < MAX_WAVES {
                 wave.sort_by(|a, b| a.ready_us.total_cmp(&b.ready_us).then(a.id.cmp(&b.id)));
-                let mut stream = Vec::with_capacity(wave.len());
-                let mut deadlines = Vec::with_capacity(wave.len());
-                for e in &wave {
-                    let share = shares[k].min(live[e.ri].budget.remaining_us());
-                    stream.push(Request {
-                        id: e.id,
-                        arrival_us: e.ready_us,
-                        batch: self.stage_batch(k, e, requests),
-                    });
-                    deadlines.push(e.ready_us + share);
-                }
-                let report = self.tiers[k].serve_with_deadlines(&stream, &deadlines)?;
+                let derived: Vec<Batch> = if k == 0 {
+                    Vec::new()
+                } else {
+                    wave.iter().map(|e| self.stage_batch(k, e)).collect()
+                };
+                let deadlines: Vec<f64> = wave
+                    .iter()
+                    .map(|e| e.ready_us + shares[k].min(live[e.ri].budget.remaining_us()))
+                    .collect();
+                let report = self.tiers[k]
+                    .serve_with_deadlines(&wave_views(k, &wave, requests, &derived), &deadlines)?;
                 stats.executions += wave.len() as u64;
                 if wave_no > 0 {
                     stats.retries += wave.len() as u64;
@@ -1000,7 +1003,7 @@ impl<'a> PipelineRuntime<'a> {
     }
 
     /// Terminal outcome for a naive request out of attempts: keep the
-    /// earliest late completion as the (late) answer, else shed.
+    /// stage's earliest late completion as the (late) answer, else shed.
     fn naive_terminal(k: usize, l: &mut LiveReq) {
         if l.best_late_done_us.is_finite() {
             let done = l.best_late_done_us;
@@ -1042,13 +1045,9 @@ impl<'a> PipelineRuntime<'a> {
         }
     }
 
-    /// The derived batch stage `k` scores for attempt `e`: the original
-    /// request payload for stage 0, a seeded candidate batch of the
-    /// attempt's candidate count for later stages.
-    fn stage_batch(&self, k: usize, e: &Entry, requests: &[Request]) -> Batch {
-        if k == 0 {
-            return requests[e.ri].batch.clone();
-        }
+    /// The derived batch stage `k > 0` scores for attempt `e`: a seeded
+    /// candidate batch of the attempt's candidate count.
+    fn stage_batch(&self, k: usize, e: &Entry) -> Batch {
         let seed = self
             .spec
             .seed
@@ -1057,6 +1056,30 @@ impl<'a> PipelineRuntime<'a> {
             ^ (u64::from(e.attempt) << 56);
         Batch::generate(self.tiers[k].model, e.candidates, seed)
     }
+}
+
+/// Stage `k`'s requests for `wave`, in wave order and with each
+/// attempt's ready time as its arrival. Stage 0 borrows the offered
+/// payloads; a later stage borrows `derived[j]`, the candidate batch drawn
+/// for `wave[j]`, which lives for the wave.
+fn wave_views<'r>(
+    k: usize,
+    wave: &[Entry],
+    requests: &'r [Request],
+    derived: &'r [Batch],
+) -> Vec<RequestRef<'r>> {
+    wave.iter()
+        .enumerate()
+        .map(|(j, e)| RequestRef {
+            id: e.id,
+            arrival_us: e.ready_us,
+            batch: if k == 0 {
+                &requests[e.ri].batch
+            } else {
+                &derived[j]
+            },
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1185,7 +1208,8 @@ mod tests {
         };
         // The one stage's attempt deadline is the whole SLO.
         let deadlines: Vec<f64> = reqs.iter().map(|r| r.arrival_us + slo_us).collect();
-        let plain = tier().serve_with_deadlines(&reqs, &deadlines)?;
+        let views: Vec<_> = reqs.iter().map(Request::view).collect();
+        let plain = tier().serve_with_deadlines(&views, &deadlines)?;
         let zero_pooled = plain.records.iter().filter(|r| r.degraded).count() as u64;
         assert!(zero_pooled > 0, "the crash must zero-pool some answers");
         let out = PipelineRuntime::new(
@@ -1404,6 +1428,101 @@ mod tests {
         assert!(!rb.take(1_000_000.0));
     }
 
+    /// Under naive retry a late completion answers only the stage it came
+    /// from. Request 1's first retrieval attempt is late (retrieval shard
+    /// 0 stalls across its deadline) and its retry succeeds; every
+    /// ranking attempt of it then sheds behind request 0, whose attempts
+    /// sit on the stalled ranking shard 0. Request 1 must end shed, not
+    /// answered from its late retrieval.
+    #[test]
+    fn a_late_attempt_answers_only_its_own_stage() -> Result<(), ServeError> {
+        let (m, arch) = setup();
+        let req = |id: u64, arrival_us: f64| Request {
+            id,
+            arrival_us,
+            batch: Batch::generate(&m, 64, 300 + id),
+        };
+        let reqs = [req(0, 0.0), req(1, 20_000.0)];
+        // Retrieval's share is 3.2 ms: request 1's first attempt is due
+        // at 23.2 ms, its retry is offered at 23.3 ms.
+        let pipe = PipelineRuntime::new(
+            PipelineSpec {
+                slo_us: 8_000.0,
+                stages: vec![StageSpec::retrieval(64, 0.4), StageSpec::ranking(32, 0.6)],
+                policy: StagePolicy::NaiveRetry,
+                seed: 11,
+            },
+            vec![
+                stage_tier(
+                    &m,
+                    &arch,
+                    2,
+                    FaultPlan::scripted(vec![stall(0, 19_990.0, 23_250.0)]),
+                ),
+                stage_tier(
+                    &m,
+                    &arch,
+                    2,
+                    FaultPlan::scripted(vec![stall(0, 0.0, 60_000.0)]),
+                ),
+            ],
+        )?;
+        let out = pipe.serve(&reqs)?;
+        let (retrieval, ranking) = (&out.stage_stats[0], &out.stage_stats[1]);
+        assert_eq!((retrieval.late, retrieval.faulted), (1, 0), "{retrieval:?}");
+        assert_eq!(
+            (ranking.late, ranking.faulted),
+            (u64::from(NAIVE_ATTEMPTS), u64::from(NAIVE_ATTEMPTS)),
+            "request 0 is late and request 1 shed on every ranking attempt: {ranking:?}"
+        );
+        let rec = &out.records[1];
+        assert_eq!(rec.attempts, 2 + NAIVE_ATTEMPTS);
+        assert!(rec.shed, "request 1 answered at {} us", rec.done_us);
+        assert!(
+            !out.records[0].shed,
+            "request 0 keeps its late ranking answer"
+        );
+        Ok(())
+    }
+
+    /// A stage-0 wave lends its tier the offered payloads, and a later
+    /// stage's wave the candidate batches drawn for it: no payload is
+    /// copied on the way to a stage tier.
+    #[test]
+    fn stage_waves_borrow_their_payloads() {
+        let (m, _) = setup();
+        let reqs = WorkloadSpec::long_tail(300.0).stream(&m, 8, 42);
+        // A retry wave: every other request, in reverse, 100 µs late.
+        let wave: Vec<Entry> = reqs
+            .iter()
+            .enumerate()
+            .rev()
+            .step_by(2)
+            .map(|(ri, r)| Entry {
+                ri,
+                id: r.id,
+                ready_us: r.arrival_us + 100.0,
+                candidates: 16,
+                attempt: 1,
+            })
+            .collect();
+        for (v, e) in wave_views(0, &wave, &reqs, &[]).iter().zip(&wave) {
+            assert_eq!((v.id, v.arrival_us.to_bits()), (e.id, e.ready_us.to_bits()));
+            assert!(std::ptr::eq(v.batch, &reqs[e.ri].batch), "request {}", e.id);
+        }
+        let derived: Vec<Batch> = wave
+            .iter()
+            .map(|e| Batch::generate(&m, e.candidates, e.id))
+            .collect();
+        let views = wave_views(1, &wave, &reqs, &derived);
+        assert_eq!(views.len(), derived.len());
+        for (v, d) in views.iter().zip(&derived) {
+            assert!(std::ptr::eq(v.batch, d), "request {}", v.id);
+        }
+    }
+
+    /// A bad stage-0 arrival or payload is the offered request's fault:
+    /// the stage tier validates the borrowed request and names its id.
     #[test]
     fn non_finite_arrivals_are_request_errors() -> Result<(), ServeError> {
         let (m, arch) = setup();
@@ -1422,17 +1541,31 @@ mod tests {
             ],
         )?;
         let bad = 3;
+        let expect_request_error = |reqs: &[Request], needle: &str| match pipe.serve(reqs) {
+            Err(ServeError::Request { id, reason }) => {
+                assert_eq!(id, reqs[bad].id);
+                assert!(reason.contains(needle), "{reason}");
+            }
+            other => panic!("{needle}: {:?}", other.map(|_| ())),
+        };
         for arrival in [f64::INFINITY, f64::NAN, f64::NEG_INFINITY] {
             let mut reqs = valid.clone();
             reqs[bad].arrival_us = arrival;
-            match pipe.serve(&reqs).map(|_| ()) {
-                Err(ServeError::Request { id, reason }) => {
-                    assert_eq!(id, reqs[bad].id);
-                    assert!(reason.contains("arrival_us"), "{reason}");
-                }
-                other => panic!("arrival {arrival}: {other:?}"),
-            }
+            expect_request_error(&reqs, "arrival_us");
         }
+        // Malformed payloads, in the first feature with lookups.
+        let f = valid[bad]
+            .batch
+            .features
+            .iter()
+            .position(|fb| !fb.indices.is_empty())
+            .expect("a long-tail request has lookups");
+        let mut reqs = valid.clone();
+        reqs[bad].batch.features[f].indices[0] = m.features[f].table_rows;
+        expect_request_error(&reqs, "out of table range");
+        let mut reqs = valid.clone();
+        reqs[bad].batch.features[f].indices.pop();
+        expect_request_error(&reqs, "last offset must equal indices length");
         Ok(())
     }
 

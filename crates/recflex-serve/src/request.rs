@@ -27,6 +27,31 @@ pub struct Request {
 }
 
 impl Request {
+    /// This request as the serving tier reads it, payload borrowed.
+    pub fn view(&self) -> RequestRef<'_> {
+        RequestRef {
+            id: self.id,
+            arrival_us: self.arrival_us,
+            batch: &self.batch,
+        }
+    }
+}
+
+/// One request as the serving tier reads it: a [`Request`] whose payload
+/// is borrowed. The tier's event loop runs over views, so a caller that
+/// offers a tier batches it already holds (a pipeline stage, a fleet
+/// member) lends them instead of copying them.
+#[derive(Debug, Clone, Copy)]
+pub struct RequestRef<'a> {
+    /// Stream-unique id, in arrival order.
+    pub id: u64,
+    /// Arrival time, µs since stream start (monotone within a stream).
+    pub arrival_us: f64,
+    /// The request payload.
+    pub batch: &'a Batch,
+}
+
+impl RequestRef<'_> {
     /// Reject a non-finite arrival time. At `+∞` the event loop would
     /// wait forever for the arrival; `NaN` and `−∞` would be served with
     /// a NaN or infinite latency.

@@ -88,7 +88,7 @@ use crate::faults::FaultPlan;
 use crate::lifecycle::{
     CanaryVerdict, LifecycleConfig, LifecycleMachine, RegressedBackend, RetuneOutcome, TimerAction,
 };
-use crate::request::Request;
+use crate::request::{Request, RequestRef};
 use crate::runtime::{BatchPolicy, ServeConfig, ServeError, TunedCandidate};
 use crate::stats::{
     RequestRecord, ShardLaneStats, ShardedReport, ShardedRequestRecord, ShedReason,
@@ -233,6 +233,15 @@ impl<'a> ShardedServeRuntime<'a> {
 
     /// Serve a request stream across all shards.
     pub fn serve(&self, requests: &[Request]) -> Result<ShardedReport, ServeError> {
+        self.serve_refs(&views(requests))
+    }
+
+    /// [`Self::serve`] over borrowed requests: how a pipeline stage or a
+    /// fleet member offers the tier payloads it does not own.
+    pub(crate) fn serve_refs(
+        &self,
+        requests: &[RequestRef<'_>],
+    ) -> Result<ShardedReport, ServeError> {
         self.run(requests, None, None)
     }
 
@@ -242,11 +251,11 @@ impl<'a> ShardedServeRuntime<'a> {
     /// gate: a request sheds at admission when its remaining time is
     /// already spent or the worst per-shard backlog exceeds it. This is
     /// the plumbing a pipeline stage uses to thread its share of the
-    /// end-to-end SLO budget through the tier. The vector must have one
-    /// non-NaN entry per request.
+    /// end-to-end SLO budget through the tier, over payloads it borrows.
+    /// The vector must have one non-NaN entry per request.
     pub fn serve_with_deadlines(
         &self,
-        requests: &[Request],
+        requests: &[RequestRef<'_>],
         deadlines: &[f64],
     ) -> Result<ShardedReport, ServeError> {
         self.run(requests, None, Some(deadlines))
@@ -259,12 +268,12 @@ impl<'a> ShardedServeRuntime<'a> {
         requests: &[Request],
         retune: &mut ShardedRetunePolicy<'_>,
     ) -> Result<ShardedReport, ServeError> {
-        self.run(requests, Some(retune), None)
+        self.run(&views(requests), Some(retune), None)
     }
 
     fn run(
         &self,
-        requests: &[Request],
+        requests: &[RequestRef<'_>],
         mut retune: Option<&mut ShardedRetunePolicy<'_>>,
         deadlines: Option<&[f64]>,
     ) -> Result<ShardedReport, ServeError> {
@@ -527,6 +536,12 @@ impl<'a> ShardedServeRuntime<'a> {
     }
 }
 
+/// Each request's view, in stream order: what the `&[Request]` entries
+/// hand the event loop.
+fn views(requests: &[Request]) -> Vec<RequestRef<'_>> {
+    requests.iter().map(Request::view).collect()
+}
+
 /// Which event fires next; declaration order is the tie-break priority
 /// for simultaneous events. `Lifecycle` follows `Completion` (and the
 /// gathers that completions start), so a blind-swap promotion lands at
@@ -787,13 +802,13 @@ impl ShardedRunState {
     fn price_slices(
         &self,
         rt: &ShardedServeRuntime<'_>,
-        requests: &[Request],
+        requests: &[RequestRef<'_>],
         parts: &[Part],
         engines: &[(usize, &dyn Backend)],
     ) -> Vec<Result<CostReport, BackendError>> {
         let ranges: Vec<(&Batch, Range<u32>)> = parts
             .iter()
-            .map(|(ri, r)| (&requests[*ri].batch, r.clone()))
+            .map(|(ri, r)| (requests[*ri].batch, r.clone()))
             .collect();
         let features_of = &self.features_of;
         cost_each(engines, |&(s, engine)| {
@@ -811,7 +826,7 @@ impl ShardedRunState {
         now: f64,
         rt: &ShardedServeRuntime<'_>,
         policy: &mut ShardedRetunePolicy<'_>,
-        requests: &[Request],
+        requests: &[RequestRef<'_>],
     ) {
         let outcome = match self.machine.as_mut() {
             Some(m) => m.begin_attempt(now),
@@ -831,7 +846,7 @@ impl ShardedRunState {
                     let projected: Vec<Batch> = self
                         .recent
                         .iter()
-                        .map(|&ri| rt.placement.project_batch(&requests[ri].batch, s))
+                        .map(|&ri| rt.placement.project_batch(requests[ri].batch, s))
                         .collect();
                     let tuned = (policy.retuner)(&rt.lanes[s].model, &projected);
                     if let (Some(t), Some(m)) = (tuned.tuning, self.machine.as_mut()) {
@@ -851,7 +866,7 @@ impl ShardedRunState {
 
     /// Install every shard's candidate at once (blind swap, or a canary
     /// window that cleared with no stagger).
-    fn promote_all_shards(&mut self, requests: &[Request]) -> Result<(), ServeError> {
+    fn promote_all_shards(&mut self, requests: &[RequestRef<'_>]) -> Result<(), ServeError> {
         for s in 0..self.candidates.len() {
             self.promote_shard(s, requests)?;
         }
@@ -861,7 +876,7 @@ impl ShardedRunState {
     /// Install one shard's candidate. During a staged rollout the engine
     /// it replaces is kept for an abort; once the rollout is complete the
     /// drift monitor rebases and the candidate set is the incumbent.
-    fn promote_shard(&mut self, s: usize, requests: &[Request]) -> Result<(), ServeError> {
+    fn promote_shard(&mut self, s: usize, requests: &[RequestRef<'_>]) -> Result<(), ServeError> {
         let candidate = self.candidates[s]
             .take()
             .ok_or(ServeError::Internal("promotion without a candidate engine"))?;
@@ -890,10 +905,10 @@ impl ShardedRunState {
 
     /// Re-anchor the drift monitor on the traffic the new engines were
     /// tuned for, so the mix that forced the retune reads as baseline.
-    fn rebase_monitor(&mut self, requests: &[Request]) {
+    fn rebase_monitor(&mut self, requests: &[RequestRef<'_>]) {
         if let Some(mon) = self.monitor.as_mut() {
             let (lk, sm) = self.recent.iter().fold((0.0, 0.0), |(l, s), &ri| {
-                let b = &requests[ri].batch;
+                let b = requests[ri].batch;
                 (l + b.total_lookups() as f64, s + b.batch_size as f64)
             });
             if sm > 0.0 {
@@ -907,7 +922,7 @@ impl ShardedRunState {
         ri: usize,
         now: f64,
         rt: &ShardedServeRuntime<'_>,
-        requests: &[Request],
+        requests: &[RequestRef<'_>],
         retune: &mut Option<&mut ShardedRetunePolicy<'_>>,
         deadlines: Option<&[f64]>,
     ) -> Result<(), ServeError> {
@@ -963,7 +978,7 @@ impl ShardedRunState {
             let drifted = self
                 .monitor
                 .as_mut()
-                .map(|m| m.observe(&req.batch))
+                .map(|m| m.observe(req.batch))
                 .unwrap_or(false);
             // The machine absorbs fires while an attempt, canary,
             // backoff or cooldown is active.
@@ -1061,7 +1076,7 @@ impl ShardedRunState {
         &mut self,
         now: f64,
         rt: &ShardedServeRuntime<'_>,
-        requests: &[Request],
+        requests: &[RequestRef<'_>],
     ) -> Result<(), ServeError> {
         if self.buffer.is_empty() {
             return Ok(());
@@ -1087,7 +1102,7 @@ impl ShardedRunState {
         owners: Vec<usize>,
         now: f64,
         rt: &ShardedServeRuntime<'_>,
-        requests: &[Request],
+        requests: &[RequestRef<'_>],
     ) -> Result<(), ServeError> {
         match rt.config.hot_shard_cap {
             Some(cap) if samples(parts) > cap => {
@@ -1111,7 +1126,7 @@ impl ShardedRunState {
         owners: Vec<usize>,
         now: f64,
         rt: &ShardedServeRuntime<'_>,
-        requests: &[Request],
+        requests: &[RequestRef<'_>],
     ) -> Result<(), ServeError> {
         let num_shards = rt.placement.num_devices;
         let chunk_id = self.next_chunk;
@@ -1282,7 +1297,7 @@ impl ShardedRunState {
         shard: usize,
         now: f64,
         rt: &ShardedServeRuntime<'_>,
-        requests: &[Request],
+        requests: &[RequestRef<'_>],
         counts_start: bool,
     ) -> Result<(), ServeError> {
         let Some(chunk) = self.chunks.get(&chunk_id) else {
@@ -1317,7 +1332,7 @@ impl ShardedRunState {
         shard: usize,
         now: f64,
         rt: &ShardedServeRuntime<'_>,
-        requests: &[Request],
+        requests: &[RequestRef<'_>],
     ) -> Result<(), ServeError> {
         let (siblings, resolved) = {
             let Some(chunk) = self.chunks.get_mut(&chunk_id) else {
@@ -1356,7 +1371,7 @@ impl ShardedRunState {
         s: usize,
         now: f64,
         rt: &ShardedServeRuntime<'_>,
-        requests: &[Request],
+        requests: &[RequestRef<'_>],
     ) -> Result<(), ServeError> {
         let num_shards = self.num_shards();
         let failed = self.executors[s].fail_all(now);
@@ -1399,7 +1414,7 @@ impl ShardedRunState {
         &mut self,
         now: f64,
         rt: &ShardedServeRuntime<'_>,
-        requests: &[Request],
+        requests: &[RequestRef<'_>],
     ) -> Result<(), ServeError> {
         let mut due: Vec<(f64, u64)> = Vec::new();
         self.pending_deadlines.retain(|&(t, id)| {
@@ -1442,7 +1457,7 @@ impl ShardedRunState {
         &mut self,
         now: f64,
         rt: &ShardedServeRuntime<'_>,
-        requests: &[Request],
+        requests: &[RequestRef<'_>],
     ) -> Result<(), ServeError> {
         for s in 0..self.num_shards() {
             let crashed = rt.faults.crashed(s, now);
@@ -1475,7 +1490,7 @@ impl ShardedRunState {
     fn collect_completions(
         &mut self,
         rt: &ShardedServeRuntime<'_>,
-        requests: &[Request],
+        requests: &[RequestRef<'_>],
     ) -> Result<(), ServeError> {
         loop {
             self.note_starts();
@@ -1538,7 +1553,7 @@ impl ShardedRunState {
         chunk_id: u64,
         fallback_t: f64,
         rt: &ShardedServeRuntime<'_>,
-        requests: &[Request],
+        requests: &[RequestRef<'_>],
     ) -> Result<(), ServeError> {
         let chunk = self
             .chunks
@@ -1585,7 +1600,7 @@ impl ShardedRunState {
     }
 
     /// Retire every gather due at `now` (submission order on ties).
-    fn retire_gathers(&mut self, now: f64, requests: &[Request]) -> Result<(), ServeError> {
+    fn retire_gathers(&mut self, now: f64, requests: &[RequestRef<'_>]) -> Result<(), ServeError> {
         let mut due: Vec<(f64, u64)> = Vec::new();
         self.pending_gathers.retain(|&(t, id)| {
             if t <= now {
@@ -1606,7 +1621,7 @@ impl ShardedRunState {
         Ok(())
     }
 
-    fn retire_chunk(&mut self, chunk: &ChunkState, done_us: f64, requests: &[Request]) {
+    fn retire_chunk(&mut self, chunk: &ChunkState, done_us: f64, requests: &[RequestRef<'_>]) {
         for &ri in &chunk.owners {
             self.remaining_chunks[ri] -= 1;
             self.last_done_us[ri] = self.last_done_us[ri].max(done_us);
@@ -1678,7 +1693,7 @@ impl ShardedRunState {
         }
     }
 
-    fn finalize(&mut self, ri: usize, requests: &[Request]) {
+    fn finalize(&mut self, ri: usize, requests: &[RequestRef<'_>]) {
         let arrival = self.arrival_eff_us[ri];
         let done = self.last_done_us[ri];
         // A request whose every chunk was fully zero-pooled never saw a
@@ -1706,7 +1721,7 @@ impl ShardedRunState {
         });
     }
 
-    fn finalize_empty(&mut self, ri: usize, now: f64, requests: &[Request]) {
+    fn finalize_empty(&mut self, ri: usize, now: f64, requests: &[RequestRef<'_>]) {
         self.records[ri] = Some(ShardedRequestRecord {
             base: RequestRecord {
                 id: requests[ri].id,
@@ -2294,7 +2309,8 @@ mod tests {
     #[test]
     fn nan_deadline_entry_is_a_policy_error() {
         let (m, arch) = setup();
-        let reqs = WorkloadSpec::long_tail(100.0).stream(&m, 4, 1);
+        let stream = WorkloadSpec::long_tail(100.0).stream(&m, 4, 1);
+        let reqs = views(&stream);
         let mut deadlines: Vec<f64> = reqs.iter().map(|r| r.arrival_us + 1e6).collect();
         deadlines[2] = f64::NAN;
         for shards in [1, 2] {

@@ -12,8 +12,8 @@
 use recflex_baselines::{Backend, TorchRecBackend};
 use recflex_data::{Batch, ModelConfig, ModelPreset, Placement};
 use recflex_serve::{
-    BatchPolicy, LifecycleConfig, OutcomePlan, RetuneOutcome, ServeConfig, ServeError,
-    ShardedRetunePolicy, ShardedServeRuntime, ShedReason, TunedCandidate, WorkloadSpec,
+    BatchPolicy, LifecycleConfig, OutcomePlan, Request, RequestRef, RetuneOutcome, ServeConfig,
+    ServeError, ShardedRetunePolicy, ShardedServeRuntime, ShedReason, TunedCandidate, WorkloadSpec,
 };
 use recflex_sim::{GpuArch, Interconnect};
 
@@ -29,6 +29,10 @@ fn config(slo: Option<f64>) -> ServeConfig {
         closed_loop: false,
         hot_shard_cap: None,
     }
+}
+
+fn views(reqs: &[Request]) -> Vec<RequestRef<'_>> {
+    reqs.iter().map(Request::view).collect()
 }
 
 fn tier<'a>(model: &'a ModelConfig, arch: &'a GpuArch, shards: usize) -> ShardedServeRuntime<'a> {
@@ -49,7 +53,7 @@ fn unbounded_deadlines_match_a_tier_without_an_slo_bit_for_bit() -> Result<(), S
     let rt = tier(&m, &arch, 2);
     let plain = rt.serve(&reqs)?;
     let deadlines = vec![f64::INFINITY; reqs.len()];
-    let budgeted = rt.serve_with_deadlines(&reqs, &deadlines)?;
+    let budgeted = rt.serve_with_deadlines(&views(&reqs), &deadlines)?;
     assert_eq!(
         serde_json::to_string(&plain).ok(),
         serde_json::to_string(&budgeted).ok(),
@@ -62,8 +66,8 @@ fn unbounded_deadlines_match_a_tier_without_an_slo_bit_for_bit() -> Result<(), S
 fn zero_window_deadlines_shed_queued_requests_at_admission() -> Result<(), ServeError> {
     let (m, arch) = setup();
     // Everything arrives at once: whoever finds backlog must shed.
-    let reqs: Vec<recflex_serve::Request> = (0..12)
-        .map(|i| recflex_serve::Request {
+    let reqs: Vec<Request> = (0..12)
+        .map(|i| Request {
             id: i,
             arrival_us: 0.0,
             batch: Batch::generate(&m, 256, 900 + i),
@@ -71,7 +75,7 @@ fn zero_window_deadlines_shed_queued_requests_at_admission() -> Result<(), Serve
         .collect();
     let rt = tier(&m, &arch, 2);
     let deadlines = vec![0.0; reqs.len()];
-    let report = rt.serve_with_deadlines(&reqs, &deadlines)?;
+    let report = rt.serve_with_deadlines(&views(&reqs), &deadlines)?;
     let shed = report
         .records
         .iter()
@@ -92,7 +96,7 @@ fn deadline_vector_length_must_match_the_stream() {
     let reqs = WorkloadSpec::long_tail(300.0).stream(&m, 4, 1);
     for shards in [1, 2] {
         assert!(matches!(
-            tier(&m, &arch, shards).serve_with_deadlines(&reqs, &[1_000.0]),
+            tier(&m, &arch, shards).serve_with_deadlines(&views(&reqs), &[1_000.0]),
             Err(ServeError::Policy(_))
         ));
     }
@@ -101,8 +105,8 @@ fn deadline_vector_length_must_match_the_stream() {
 #[test]
 fn single_device_deadlines_override_the_config_slo() -> Result<(), ServeError> {
     let (m, arch) = setup();
-    let reqs: Vec<recflex_serve::Request> = (0..10)
-        .map(|i| recflex_serve::Request {
+    let reqs: Vec<Request> = (0..10)
+        .map(|i| Request {
             id: i,
             arrival_us: i as f64,
             batch: Batch::generate(&m, 256, 300 + i),
@@ -120,14 +124,14 @@ fn single_device_deadlines_override_the_config_slo() -> Result<(), ServeError> {
     // …but generous per-request deadlines on the same config admit
     // everything: the vector overrides the tier SLO.
     let deadlines: Vec<f64> = reqs.iter().map(|r| r.arrival_us + 1e9).collect();
-    let open = tight.serve_with_deadlines(&reqs, &deadlines)?;
+    let open = tight.serve_with_deadlines(&views(&reqs), &deadlines)?;
     assert_eq!(open.shed_rate(), 0.0);
     Ok(())
 }
 
 /// In-distribution head, heavily shifted tail — drifts the monitor
 /// partway through (same shape as the lifecycle tests).
-fn drifting_stream(m: &ModelConfig) -> Vec<recflex_serve::Request> {
+fn drifting_stream(m: &ModelConfig) -> Vec<Request> {
     let shifted = recflex_data::shift_distribution(m, 2.5, 0.0);
     let mut reqs = WorkloadSpec::long_tail(400.0).stream(m, 16, 5);
     let mut tail = WorkloadSpec::long_tail(400.0).stream(&shifted, 24, 6);
