@@ -19,15 +19,15 @@
 //! mismatch across thread counts aborts with a non-zero exit even without
 //! `--check`** — nondeterminism is never a soft failure.
 //!
-//! `BENCH_parallel.json` in the repo root tracks this trajectory at smoke
-//! scale; the CI `bench-trajectory` job regenerates it and gates the
-//! tracked `speedup_4t` ratio with `bench_check`. Wall-clock fields are
-//! host-dependent and deliberately untracked.
+//! `BENCH_parallel.json` in the repo root records one run at smoke
+//! scale. Its wall-clock fields vary with the host, so CI compares only
+//! its two digests with a fresh run's, byte for byte.
 //!
-//! `--check` additionally enforces the acceptance floor — tuning-sweep
-//! speedup at 4 threads ≥ 1.5× — whenever the host has ≥ 4 cores (or
-//! `RECFLEX_REQUIRE_SPEEDUP=1` forces it; single-core hosts cannot
-//! express a wall-clock speedup and skip the floor with a notice).
+//! `--check` additionally enforces a speedup floor at 4 threads on each
+//! section — tuning sweep ≥ 1.5×, shard fan-out ≥ 0.743× — whenever the
+//! host has ≥ 4 cores (or `RECFLEX_REQUIRE_SPEEDUP=1` forces it;
+//! single-core hosts cannot express a wall-clock speedup and skip the
+//! floors with a notice).
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -39,8 +39,10 @@ use recflex_sim::GpuArch;
 
 /// Thread counts the trajectory sweeps.
 const THREADS: &[usize] = &[1, 2, 4, 8];
-/// Tuning-sweep speedup floor at 4 threads (acceptance criterion).
-const MIN_SPEEDUP_4T: f64 = 1.5;
+/// Each section's speedup floor at 4 threads. The tuning sweep must
+/// scale; the shard fan-out, whose committed 1-core record is 0.8253×,
+/// may lose no more than a tenth of that to pool overhead.
+const MIN_SPEEDUP_4T: [(&str, f64); 2] = [("tuning_sweep", 1.5), ("shard_fanout", 0.743)];
 
 #[derive(serde::Serialize)]
 struct RunReport {
@@ -239,30 +241,32 @@ fn main() -> ExitCode {
     if opts.check {
         let require =
             host_threads >= 4 || std::env::var("RECFLEX_REQUIRE_SPEEDUP").is_ok_and(|v| v == "1");
-        let tuning = report
-            .sections
-            .iter()
-            .find(|s| s.name == "tuning_sweep")
-            .expect("tuning section present");
         if !require {
             println!(
-                "check: speedup floor skipped — {host_threads} core(s) cannot express a \
+                "check: speedup floors skipped — {host_threads} core(s) cannot express a \
                  wall-clock speedup (set RECFLEX_REQUIRE_SPEEDUP=1 to force)"
             );
-        } else if tuning.speedup_4t < MIN_SPEEDUP_4T {
-            eprintln!(
-                "check FAILED: tuning-sweep speedup at 4 threads is {:.2}x, below the \
-                 {MIN_SPEEDUP_4T}x floor",
-                tuning.speedup_4t
-            );
-            return ExitCode::FAILURE;
-        } else {
-            println!(
-                "check passed: tuning-sweep speedup {:.2}x >= {MIN_SPEEDUP_4T}x, digests \
-                 bit-identical across {:?} threads",
-                tuning.speedup_4t, THREADS
-            );
+            return ExitCode::SUCCESS;
         }
+        for (name, floor) in MIN_SPEEDUP_4T {
+            let section = report
+                .sections
+                .iter()
+                .find(|s| s.name == name)
+                .expect("every floored section runs");
+            if section.speedup_4t < floor {
+                eprintln!(
+                    "check FAILED: {name} speedup at 4 threads is {:.2}x, below the \
+                     {floor}x floor",
+                    section.speedup_4t
+                );
+                return ExitCode::FAILURE;
+            }
+        }
+        println!(
+            "check passed: speedups at 4 threads hold their floors {MIN_SPEEDUP_4T:?}, \
+             digests bit-identical across {THREADS:?} threads"
+        );
     }
     ExitCode::SUCCESS
 }

@@ -25,8 +25,9 @@
 //! fleet-wide number the strategies are graded on.
 //!
 //! Everything is seeded: two runs print identical numbers, and the CI
-//! `threads-replay` job asserts it by diffing `--json` outputs. `--check`
-//! enforces the acceptance gates:
+//! `threads-replay` job asserts it by diffing `--json` outputs across
+//! thread counts and against the committed smoke-scale
+//! `BENCH_fleet.json`. `--check` enforces the acceptance gates:
 //!
 //! 1. **Placement wins** — `hetero` fleet-wide SLO attainment is strictly
 //!    higher than both `round_robin` and `homogeneous`.
@@ -41,8 +42,7 @@ use recflex_bench::{CliOpts, Scale};
 use recflex_core::RecFlexEngine;
 use recflex_data::{Batch, Dataset, FleetAssignment, ModelConfig, ModelPreset, Placement};
 use recflex_serve::{
-    BatchPolicy, ClassFaultKind, ClassFaultWindow, DeviceClass, DiurnalCurve, ElasticityConfig,
-    FlashCrowd, FleetChaosConfig, FleetFaultPlan, FleetMember, FleetReport, FleetRuntime,
+    BatchPolicy, DeviceClass, DiurnalCurve, FlashCrowd, FleetMember, FleetReport, FleetRuntime,
     QueryGate, ScenarioSpec, ServeConfig, ShardedServeRuntime, TrafficShape, WorkloadSpec,
 };
 use recflex_sim::GpuArch;
@@ -92,17 +92,6 @@ struct StrategyRow {
     classes: Vec<ClassRow>,
 }
 
-/// Chaos-scenario trajectory metrics: a compact two-member fleet under a
-/// mid-run V100-class outage with drain-and-migrate and the brownout
-/// ladder enabled. `bench_check` tracks both leaves higher-better; the
-/// full acceptance gates live in the `serving_fleet_chaos` experiment.
-#[derive(Serialize)]
-struct ChaosSummary {
-    availability: f64,
-    slo_attainment: f64,
-    migrations_completed: u32,
-}
-
 #[derive(Serialize)]
 struct FleetBenchReport {
     scenarios: Vec<String>,
@@ -115,7 +104,6 @@ struct FleetBenchReport {
     /// Gate 2: the degenerate 1-model/1-class fleet reproduced the plain
     /// sharded tier byte-for-byte.
     degenerate_identity: bool,
-    chaos: ChaosSummary,
     rows: Vec<StrategyRow>,
 }
 
@@ -313,113 +301,6 @@ fn degenerate_identity(scale: &Scale) -> bool {
         .expect("direct tier serves");
     serde_json::to_string(&via_fleet.models[0].report).expect("serialize")
         == serde_json::to_string(&direct).expect("serialize")
-}
-
-/// The chaos trajectory cell: model A pinned to a dying V100 class with
-/// one spare A100 to escape to, model C healthy on A100.
-fn chaos_summary(scale: &Scale) -> ChaosSummary {
-    let models = [
-        ModelPreset::A.scaled(scale.model_frac),
-        ModelPreset::C.scaled(scale.model_frac),
-    ];
-    let v100 = GpuArch::v100();
-    let a100 = GpuArch::a100();
-    let archs = [&v100, &a100];
-    let pinned = [0usize, 1];
-    let n = (scale.eval_batches * 8).clamp(16, 32);
-    // Anchor gaps and SLOs on a probed mean-request cost so the cell
-    // stays underloaded (and the health monitor fault-driven) at every
-    // harness scale.
-    let costs: Vec<f64> = models
-        .iter()
-        .zip(pinned)
-        .map(|(model, class)| {
-            let tables = recflex_embedding::TableSet::for_model(model);
-            let backend = TorchRecBackend::compile(model);
-            let probe = Batch::generate(model, 32, 0xF1EE7);
-            recflex_baselines::Backend::cost(&backend, model, &tables, &probe, archs[class])
-                .expect("probe batch runs")
-                .latency_us
-        })
-        .collect();
-    let slos: Vec<f64> = costs.iter().map(|c| 8.0 * c).collect();
-    let workload = recflex_serve::FleetWorkload {
-        scenarios: models
-            .iter()
-            .zip(&costs)
-            .map(|(model, cost)| ScenarioSpec {
-                name: model.name.clone(),
-                workload: WorkloadSpec::long_tail(cost / 0.35),
-                shape: TrafficShape::flat(),
-                requests: n,
-            })
-            .collect(),
-        seed: SEED,
-    };
-    let span = costs.iter().fold(0.0f64, |a, c| a.max(c / 0.35)) * n as f64;
-    let epoch_us = span / 16.0;
-    let tier = |m: usize, class: usize| {
-        ShardedServeRuntime::build(
-            &models[m],
-            archs[class],
-            Placement::balance(&models[m], 1),
-            ServeConfig {
-                streams: 4,
-                policy: BatchPolicy::Split { cap: 256 },
-                slo_deadline_us: Some(slos[m]),
-                closed_loop: false,
-                hot_shard_cap: None,
-            },
-            scale.interconnect.clone(),
-            |sub| Box::new(TorchRecBackend::compile(sub)),
-        )
-    };
-    let mut fleet = FleetRuntime {
-        classes: vec![
-            DeviceClass {
-                name: "V100".to_string(),
-                arch: &v100,
-                devices: 1,
-            },
-            DeviceClass {
-                name: "A100".to_string(),
-                arch: &a100,
-                devices: 2,
-            },
-        ],
-        members: (0..models.len())
-            .map(|m| FleetMember {
-                name: models[m].name.clone(),
-                class: pinned[m],
-                runtime: tier(m, pinned[m]),
-                slo_deadline_us: Some(slos[m]),
-                gate: None,
-                tuning: None,
-            })
-            .collect(),
-    };
-    let chaos = FleetChaosConfig {
-        faults: FleetFaultPlan::scripted(vec![ClassFaultWindow {
-            class: 0,
-            kind: ClassFaultKind::Outage,
-            start_us: 0.35 * span,
-            end_us: 0.7 * span,
-        }]),
-        epoch_us,
-        elasticity: Some(ElasticityConfig {
-            cost_matrix_us: (0..models.len()).map(|m| vec![costs[m]; 2]).collect(),
-        }),
-        brownout: true,
-    };
-    let report = fleet
-        .serve_chaos(&workload.merged(&[&models[0], &models[1]]), &chaos, tier)
-        .expect("chaos cell serves");
-    let stats = report.chaos.expect("chaos cell carries stats");
-    ChaosSummary {
-        availability: stats.availability,
-        slo_attainment: report.slo_attainment,
-        migrations_completed: stats.migrations_completed,
-    }
 }
 
 fn strategy_row(strategy: &str, report: &FleetReport) -> StrategyRow {
@@ -630,12 +511,6 @@ fn main() -> ExitCode {
     let degenerate = degenerate_identity(&scale);
     println!("degenerate 1-model/1-class fleet identical to plain tier: {degenerate}");
 
-    let chaos = chaos_summary(&scale);
-    println!(
-        "chaos cell: availability {:.3} attainment {:.3} migrations {}",
-        chaos.availability, chaos.slo_attainment, chaos.migrations_completed
-    );
-
     let report = FleetBenchReport {
         scenarios: portfolio.names.clone(),
         requests_per_scenario: n_requests,
@@ -643,7 +518,6 @@ fn main() -> ExitCode {
         cost_matrix_us: costs,
         class_names: class_names.iter().map(|s| s.to_string()).collect(),
         degenerate_identity: degenerate,
-        chaos,
         rows,
     };
     opts.write_json(&report);

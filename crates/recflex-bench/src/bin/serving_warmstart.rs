@@ -28,10 +28,11 @@
 //!   report must surface both members' tuning accounting.
 //!
 //! The whole harness runs twice and `--check` asserts the serialized
-//! reports are byte-identical (the CI `warmstart-replay` job repeats the
-//! diff across `RECFLEX_THREADS`). The `warm_speedup` ratio
-//! (cold evaluations over warm evaluations) is the tracked
-//! `BENCH_lifecycle.json` headline.
+//! reports are byte-identical (the CI `threads-replay` matrix repeats the
+//! diff across `RECFLEX_THREADS`). The report leads with the
+//! `warm_speedup` ratio (cold evaluations over warm evaluations), and CI
+//! diffs the whole report against the committed smoke-scale
+//! `BENCH_lifecycle.json`.
 
 use std::cell::RefCell;
 use std::process::ExitCode;

@@ -372,173 +372,6 @@ pub fn long_tail_batch(model: &ModelConfig) -> Batch {
     Batch::generate(model, 2560, 0x1077A11)
 }
 
-/// The bench-trajectory regression gate behind the `bench_check` binary.
-///
-/// Compares a freshly generated `BENCH_*.json` against the committed
-/// baseline and reports every **tracked metric** that regressed beyond a
-/// tolerance (CI uses 10%). Tracked metrics are recognized by key name
-/// wherever they appear in the document, so new report shapes get gated
-/// for free as long as they reuse the naming conventions:
-///
-/// * higher is better: `slo_attainment`, `availability`, `speedup_4t`,
-///   `hit_rate`, `warm_speedup`
-/// * lower is better: `p50_us`, `p99_us`, `makespan_us`, `latency_us`
-///
-/// Wall-clock fields (`wall_ms`) are deliberately untracked — they vary
-/// with the host; only dimensionless ratios derived from them
-/// (`speedup_4t`) are gated.
-pub mod trajectory {
-    use serde_json::Value;
-
-    const HIGHER_BETTER: &[&str] = &[
-        "slo_attainment",
-        "availability",
-        "speedup_4t",
-        "hit_rate",
-        "warm_speedup",
-    ];
-    const LOWER_BETTER: &[&str] = &["p50_us", "p99_us", "makespan_us", "latency_us"];
-
-    /// One tracked metric that moved the wrong way (or disappeared).
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct Regression {
-        /// JSON path of the metric (e.g. `$.rows[2].slo_attainment`).
-        pub path: String,
-        /// Baseline value (`None` when the structure itself changed).
-        pub baseline: Option<f64>,
-        /// Current value (`None` when the metric vanished).
-        pub current: Option<f64>,
-    }
-
-    impl std::fmt::Display for Regression {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            match (self.baseline, self.current) {
-                (Some(b), Some(c)) => write!(f, "{}: {b} -> {c}", self.path),
-                (Some(b), None) => write!(f, "{}: {b} -> <missing>", self.path),
-                _ => write!(f, "{}: structural change", self.path),
-            }
-        }
-    }
-
-    fn as_num(v: &Value) -> Option<f64> {
-        match v {
-            Value::UInt(u) => Some(*u as f64),
-            Value::Int(i) => Some(*i as f64),
-            Value::Float(f) => Some(*f),
-            _ => None,
-        }
-    }
-
-    /// Collect every tracked-metric regression of `current` vs `baseline`.
-    pub fn compare(baseline: &Value, current: &Value, tolerance: f64) -> Vec<Regression> {
-        let mut out = Vec::new();
-        walk("$", baseline, current, tolerance, &mut out);
-        out
-    }
-
-    fn walk(path: &str, base: &Value, cur: &Value, tol: f64, out: &mut Vec<Regression>) {
-        match (base, cur) {
-            (Value::Obj(be), Value::Obj(ce)) => {
-                for (k, bv) in be {
-                    let here = format!("{path}.{k}");
-                    match ce.iter().find(|(ck, _)| ck == k) {
-                        Some((_, cv)) => {
-                            check_metric(&here, k, bv, cv, tol, out);
-                            walk(&here, bv, cv, tol, out);
-                        }
-                        None if is_tracked(k) => out.push(Regression {
-                            path: here,
-                            baseline: as_num(bv),
-                            current: None,
-                        }),
-                        None => {}
-                    }
-                }
-            }
-            (Value::Arr(ba), Value::Arr(ca)) => {
-                // Pairwise over the common prefix: a shorter current array
-                // only fails if it drops tracked metrics, which the object
-                // arm above reports element-wise.
-                for (i, (bv, cv)) in ba.iter().zip(ca).enumerate() {
-                    walk(&format!("{path}[{i}]"), bv, cv, tol, out);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn is_tracked(key: &str) -> bool {
-        HIGHER_BETTER.contains(&key) || LOWER_BETTER.contains(&key)
-    }
-
-    fn check_metric(
-        path: &str,
-        key: &str,
-        base: &Value,
-        cur: &Value,
-        tol: f64,
-        out: &mut Vec<Regression>,
-    ) {
-        let (Some(b), Some(c)) = (as_num(base), as_num(cur)) else {
-            return;
-        };
-        // Tiny absolute slack keeps near-zero latencies from tripping on
-        // relative noise alone.
-        let regressed = if HIGHER_BETTER.contains(&key) {
-            c < b * (1.0 - tol) - 1e-9
-        } else if LOWER_BETTER.contains(&key) {
-            c > b * (1.0 + tol) + 1e-9
-        } else {
-            false
-        };
-        if regressed {
-            out.push(Regression {
-                path: path.to_string(),
-                baseline: Some(b),
-                current: Some(c),
-            });
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        fn parse(s: &str) -> Value {
-            serde_json::from_str(s).unwrap()
-        }
-
-        #[test]
-        fn flags_higher_better_drop_beyond_tolerance() {
-            let base = parse(r#"{"rows":[{"slo_attainment":0.9,"p99_us":100.0}]}"#);
-            let ok = parse(r#"{"rows":[{"slo_attainment":0.85,"p99_us":105.0}]}"#);
-            assert!(compare(&base, &ok, 0.10).is_empty());
-            let bad = parse(r#"{"rows":[{"slo_attainment":0.7,"p99_us":100.0}]}"#);
-            let regs = compare(&base, &bad, 0.10);
-            assert_eq!(regs.len(), 1);
-            assert_eq!(regs[0].path, "$.rows[0].slo_attainment");
-        }
-
-        #[test]
-        fn flags_lower_better_rise_and_missing_metric() {
-            let base = parse(r#"{"p99_us":100.0,"speedup_4t":2.0}"#);
-            let slow = parse(r#"{"p99_us":150.0,"speedup_4t":2.0}"#);
-            assert_eq!(compare(&base, &slow, 0.10).len(), 1);
-            let gone = parse(r#"{"p99_us":100.0}"#);
-            let regs = compare(&base, &gone, 0.10);
-            assert_eq!(regs.len(), 1);
-            assert_eq!(regs[0].current, None);
-        }
-
-        #[test]
-        fn untracked_fields_and_improvements_pass() {
-            let base = parse(r#"{"wall_ms":50.0,"speedup_4t":1.0,"p50_us":80.0}"#);
-            let cur = parse(r#"{"wall_ms":500.0,"speedup_4t":3.1,"p50_us":20.0}"#);
-            assert!(compare(&base, &cur, 0.10).is_empty());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

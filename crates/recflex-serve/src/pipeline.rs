@@ -516,8 +516,7 @@ impl StageStats {
 }
 
 /// End-to-end statistics of one pipeline run, as the benches serialize
-/// them: the key names (`availability`, `p99_us`, …) are the ones the
-/// `bench_check` regression gate tracks.
+/// them.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PipelineReport {
     /// The end-to-end SLO every answer is measured against, µs.

@@ -84,7 +84,7 @@ use recflex_sim::{GpuArch, Interconnect};
 
 use crate::drift::{self, DriftMonitor};
 use crate::executor::DeviceExecutor;
-use crate::faults::FaultPlan;
+use crate::faults::{FaultKind, FaultPlan};
 use crate::lifecycle::{
     CanaryVerdict, LifecycleConfig, LifecycleMachine, RegressedBackend, RetuneOutcome, TimerAction,
 };
@@ -317,6 +317,37 @@ impl<'a> ShardedServeRuntime<'a> {
             return Err(ServeError::Policy(
                 "a mitigated tier derives its thresholds from slo_deadline_us, which must be set",
             ));
+        }
+        // A zero bandwidth or an infinite base latency prices every gather
+        // at +∞; a NaN bandwidth or a negative base latency prices it at
+        // 0 µs or less.
+        let link = &self.interconnect;
+        if link.bandwidth_gbps.is_nan() || link.bandwidth_gbps <= 0.0 {
+            return Err(ServeError::Policy(
+                "interconnect bandwidth_gbps must be positive",
+            ));
+        }
+        if !link.base_latency_us.is_finite() || link.base_latency_us < 0.0 {
+            return Err(ServeError::Policy(
+                "interconnect base_latency_us must be finite and >= 0",
+            ));
+        }
+        for fault in &self.faults.faults {
+            if fault.kind.shard().is_some_and(|s| s >= self.lanes.len()) {
+                return Err(ServeError::Policy(
+                    "a fault names a shard the tier does not have",
+                ));
+            }
+            match fault.kind {
+                FaultKind::LinkDegrade { factor } if !factor.is_finite() => {
+                    return Err(ServeError::Policy("a LinkDegrade factor must be finite"));
+                }
+                // A NaN rate stalls the lane without counting downtime.
+                FaultKind::Slowdown { rate, .. } if rate.is_nan() => {
+                    return Err(ServeError::Policy("a Slowdown rate must not be NaN"));
+                }
+                _ => {}
+            }
         }
         // Requests before deadlines: a pipeline stage derives each
         // deadline from its request's arrival, and a bad arrival is the
@@ -2323,6 +2354,81 @@ mod tests {
                 rt.serve_with_deadlines(&reqs, &deadlines[..3]),
                 Err(ServeError::Policy(_))
             ));
+        }
+    }
+
+    #[test]
+    fn links_and_faults_the_tier_cannot_honour_are_policy_errors() {
+        // Served, each of these answers every request at +∞ latency,
+        // prices every gather at 0 µs, ignores a fault outright, or stalls
+        // a lane for the whole window without reporting downtime.
+        let (m, arch) = setup();
+        let reqs = WorkloadSpec::long_tail(300.0).stream(&m, 8, 3);
+        let link = |bandwidth_gbps, base_latency_us| Interconnect {
+            bandwidth_gbps,
+            base_latency_us,
+        };
+        for bad in [
+            link(0.0, 5.0),
+            link(-1.0, 5.0),
+            link(f64::NAN, 5.0),
+            link(120.0, f64::INFINITY),
+            link(120.0, -1e9),
+            link(120.0, f64::NAN),
+        ] {
+            let rt = tier(&m, &arch, 2, ServeConfig::default(), bad.clone());
+            let err = rt.serve(&reqs);
+            assert!(
+                matches!(err, Err(ServeError::Policy(_))),
+                "{bad:?}: {err:?}"
+            );
+        }
+        let window = |kind| {
+            FaultPlan::scripted(vec![Fault {
+                start_us: 0.0,
+                end_us: 1e9,
+                kind,
+            }])
+        };
+        for bad in [
+            FaultKind::LinkDegrade {
+                factor: f64::INFINITY,
+            },
+            FaultKind::LinkDegrade { factor: f64::NAN },
+            FaultKind::Crash { shard: 5 },
+            FaultKind::Stall { shard: 2 },
+            FaultKind::Slowdown {
+                shard: 0,
+                rate: f64::NAN,
+            },
+        ] {
+            let rt = faulty_tier(&m, &arch, 2, ServeConfig::default(), window(bad), false);
+            let err = rt.serve(&reqs);
+            assert!(
+                matches!(err, Err(ServeError::Policy(_))),
+                "{bad:?}: {err:?}"
+            );
+        }
+        // The presets and in-range faults still serve.
+        for good in [
+            Interconnect::nvlink(),
+            Interconnect::pcie(),
+            Interconnect::ideal(),
+        ] {
+            assert!(tier(&m, &arch, 2, ServeConfig::default(), good)
+                .serve(&reqs)
+                .is_ok());
+        }
+        for good in [
+            FaultKind::LinkDegrade { factor: 8.0 },
+            FaultKind::Crash { shard: 1 },
+            FaultKind::Slowdown {
+                shard: 0,
+                rate: 0.4,
+            },
+        ] {
+            let rt = faulty_tier(&m, &arch, 2, ServeConfig::default(), window(good), false);
+            assert!(rt.serve(&reqs).is_ok(), "{good:?}");
         }
     }
 
