@@ -16,8 +16,9 @@
 //! * `host/chunk_slices_8x64` — the eight shard slices of one coalesced
 //!   chunk, by `Batch::merge` plus `Placement::project_batch` and by
 //!   `Batch::gather` from the requests' sample ranges;
-//! * `sim/profile_blocks/*` — block profiling inline and on a 2-worker
-//!   pool around the grid size below which `launch` stays inline;
+//! * `sim/profile_blocks/*` — the grid profiling `launch` does, one
+//!   block per class of identical blocks, inline and on a 2-worker pool,
+//!   for the kernels the host benchmark's workloads launch;
 //! * `exec/reference_pooling_50f_128b` and `exec/fused_execute_50f_128b` —
 //!   one batch pooled by the scalar reference and by the fused kernel's
 //!   task-map executor;
@@ -239,45 +240,68 @@ fn bench_unique_rows(c: &mut Criterion) {
     });
 }
 
-fn bench_profile_crossover(c: &mut Criterion) {
-    // Block profiling, the part of `launch` that may run on the pool, for
-    // one tuned serving shard (model A at 0.03 over 2 shards) at 16 to 256
-    // samples: where the pool starts to pay.
+fn bench_profile_grid(c: &mut Criterion) {
+    // The grid profiling `launch` does (`SimKernel::profile_grid`: sort
+    // the blocks into classes of identical blocks, then profile one block
+    // per class), on the calling thread and with the classes profiled on
+    // a 2-worker pool, for the kernels the host benchmark's workloads
+    // launch: a tuned `serve-longtail` shard (model A at 0.03 over 2
+    // shards) at its chunk sizes up to the 256-sample split cap, and at
+    // 384 and 512 samples to place the crossover; a tuned `serve-smallreq`
+    // shard (model A at 0.05 over 8 shards) at its chunk sizes up to 64
+    // samples; and `tune-kernel`'s 200-feature kernel at its batch sizes.
+    // Each name gives the grid's blocks and classes: where the pool starts
+    // to pay.
     let arch = GpuArch::v100();
-    let m = ModelPreset::A.scaled(0.03);
-    let shard = Placement::balance(&m, 2).sub_model(&m, 0);
-    let history = Dataset::synthesize(&shard, 3, 256, 1);
     let cfg = TunerConfig {
         occupancy_levels: Some(vec![1, 2, 4, 8, 16]),
         tuning_batches: 3,
         pad_fill: 2.0,
     };
-    let engine = recflex_core::RecFlexEngine::tune(&shard, &history, &arch, &cfg);
+    let shard = |frac: f64, shards: usize| {
+        let m = ModelPreset::A.scaled(frac);
+        let history = Dataset::synthesize(&m, 3, 256, 1);
+        let costs = recflex_core::feature_cost_estimates(&m, &history, &arch);
+        Placement::balance_by_cost(shards, &costs).sub_model(&m, 0)
+    };
+    let kernels = [
+        ("longtail", shard(0.03, 2), vec![32, 64, 128, 256, 384, 512]),
+        ("smallreq", shard(0.05, 8), vec![8, 16, 32, 64]),
+        ("tune", ModelPreset::A.scaled(0.2), vec![32, 64, 128, 256]),
+    ];
     let pool = rayon::ThreadPool::new(2);
     let ctx = ProfileCtx::default();
     let mut g = c.benchmark_group("sim/profile_blocks");
-    g.sample_size(2000);
-    for samples in [16, 32, 64, 96, 128, 192, 256] {
-        let batch = Batch::generate(&shard, samples, 7);
-        let bound = engine.object.bind(&shard, &engine.tables, &batch);
-        let grid = bound.grid_blocks();
-        g.bench_function(&format!("{grid}_inline"), |b| {
-            b.iter(|| {
-                (0..grid)
-                    .map(|i| bound.profile_block(i, &ctx))
-                    .collect::<Vec<_>>()
-            })
-        });
-        g.bench_function(&format!("{grid}_pool2"), |b| {
-            b.iter(|| {
-                pool.install(|| {
-                    (0..grid)
-                        .into_par_iter()
-                        .map(|i| bound.profile_block(i, &ctx))
+    g.sample_size(500);
+    for (name, m, sizes) in &kernels {
+        let history = Dataset::synthesize(m, 3, 256, 1);
+        let engine = RecFlexEngine::tune(m, &history, &arch, &cfg);
+        for &samples in sizes {
+            let batch = Batch::generate(m, samples, 7);
+            let bound = engine.object.bind(m, &engine.tables, &batch);
+            let classes = bound.block_classes().representatives().len();
+            let id = format!("{name}_{}b_{classes}c", bound.grid_blocks());
+            g.bench_function(&format!("{id}_inline"), |b| {
+                b.iter(|| {
+                    let classes = bound.block_classes();
+                    let reps = classes.representatives();
+                    reps.iter()
+                        .map(|&i| bound.profile_block(i, &ctx))
                         .collect::<Vec<_>>()
                 })
-            })
-        });
+            });
+            g.bench_function(&format!("{id}_pool2"), |b| {
+                b.iter(|| {
+                    let classes = bound.block_classes();
+                    let reps = classes.representatives();
+                    pool.install(|| {
+                        reps.par_iter()
+                            .map(|&i| bound.profile_block(i, &ctx))
+                            .collect::<Vec<_>>()
+                    })
+                })
+            });
+        }
     }
     g.finish();
 }
@@ -368,7 +392,7 @@ criterion_group!(
     bench_shard_fanout,
     bench_chunk_slices,
     bench_unique_rows,
-    bench_profile_crossover,
+    bench_profile_grid,
     bench_local_stage,
     bench_cache_plan,
     bench_batch_split,

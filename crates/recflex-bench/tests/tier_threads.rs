@@ -1,13 +1,14 @@
-//! Thread-invariance gate for the sharded tier's parallel shard pricing.
+//! Thread-invariance gate for the sharded tier's parallel work.
 //!
-//! The tier prices every shard of a chunk at once on the vendored-`rayon`
-//! pool and folds the results in shard order. When two shards' backends
-//! fail, the error returned must be the lower shard's, as a sequential
-//! loop would return, at any worker count. The test runs under explicitly
-//! sized pools (`install` overrides the process-wide `RECFLEX_THREADS`
-//! choice, so one test process covers both counts). That reports replay
-//! byte-identically across worker counts is pinned by `pipeline_threads`
-//! and by CI's `threads-replay` matrix.
+//! The tier checks every request's batch and prices every shard of a
+//! chunk at once on the vendored-`rayon` pool, and folds the results in
+//! order. When two requests are malformed, or two shards' backends fail,
+//! the error returned must be the earlier request's or the lower shard's,
+//! as a sequential loop would return, at any worker count. The tests run
+//! under explicitly sized pools (`install` overrides the process-wide
+//! `RECFLEX_THREADS` choice, so one test process covers both counts). That
+//! reports replay byte-identically across worker counts is pinned by
+//! `pipeline_threads` and by CI's `threads-replay` matrix.
 
 use std::cell::Cell;
 
@@ -73,6 +74,48 @@ fn the_lowest_failing_shard_names_the_error_at_any_thread_count() {
     let expected = Err(ServeError::Backend(BackendError::Launch(
         "shard 1 refused".to_string(),
     )));
+    assert_eq!(run(), expected);
+    for &n in POOLS {
+        assert_eq!(ThreadPool::new(n).install(run), expected, "{n} workers");
+    }
+}
+
+#[test]
+fn the_first_malformed_request_names_the_error_at_any_thread_count() {
+    let m = ModelPreset::A.scaled(0.01);
+    let arch = GpuArch::v100();
+    let mut reqs = WorkloadSpec::long_tail(300.0).stream(&m, 8, 42);
+    // Request 2 looks up a row past its table; request 5, later, arrives
+    // at NaN. Checked one after another, request 2 fails first.
+    let f = (0..m.features.len())
+        .find(|&f| !reqs[2].batch.features[f].indices.is_empty())
+        .expect("request 2 looks up some row");
+    reqs[2].batch.features[f].indices[0] = m.features[f].table_rows;
+    reqs[5].arrival_us = f64::NAN;
+    let run = || {
+        let tier = ShardedServeRuntime::build(
+            &m,
+            &arch,
+            Placement::balance(&m, 2),
+            ServeConfig {
+                streams: 2,
+                policy: BatchPolicy::Split { cap: 256 },
+                slo_deadline_us: None,
+                closed_loop: false,
+                hot_shard_cap: None,
+            },
+            Interconnect::nvlink(),
+            |sub| -> Box<dyn Backend> { Box::new(TorchRecBackend::compile(sub)) },
+        );
+        tier.serve(&reqs).map(|_| ())
+    };
+    let expected = Err(ServeError::Request {
+        id: reqs[2].id,
+        reason: format!(
+            "feature {f}: index {} out of table range {}",
+            m.features[f].table_rows, m.features[f].table_rows
+        ),
+    });
     assert_eq!(run(), expected);
     for &n in POOLS {
         assert_eq!(ThreadPool::new(n).install(run), expected, "{n} workers");

@@ -6,7 +6,9 @@ use rayon::prelude::*;
 use recflex_data::{Batch, ModelConfig};
 use recflex_embedding::{analyze_batch, FeatureWorkload, FusedOutput, TableSet};
 use recflex_schedules::ScheduleInstance;
-use recflex_sim::{BlockProfile, BlockResources, LaunchConfig, ProfileCtx, SimKernel};
+use recflex_sim::{
+    BlockClasses, BlockProfile, BlockResources, GridProfile, LaunchConfig, ProfileCtx, SimKernel,
+};
 
 use crate::thread_map::{static_counts, MappingStrategy, TaskMap};
 
@@ -295,6 +297,53 @@ impl SimKernel for BoundFusedKernel<'_> {
             }
         }
         p
+    }
+
+    /// Profiled once per class of [`Self::block_classes`].
+    fn profile_grid(&self, ctx: &ProfileCtx) -> GridProfile {
+        GridProfile::of_classes(self, self.block_classes(), ctx)
+    }
+}
+
+impl BoundFusedKernel<'_> {
+    /// The grid's classes of identical blocks. A block that runs one
+    /// logical block, of a feature whose schedule keys its block profiles
+    /// ([`ScheduleInstance::profile_key`]: the one-sample `SamplePerBlock`
+    /// blocks), shares its class with the feature's other blocks of that
+    /// key: the dispatch cost [`SimKernel::profile_block`] adds is the
+    /// feature's too. A table per feature, indexed by pooling factor up
+    /// to the feature's `max_pf`, finds the class. Every other block is a
+    /// class of its own.
+    pub fn block_classes(&self) -> BlockClasses {
+        let schedules = &self.obj.spec.schedules;
+        // Whether each block of a feature runs at most one logical block:
+        // a runtime map allocates exactly the required blocks, a static
+        // map may allocate fewer and serialize extra rounds.
+        let one_round: Vec<bool> = schedules
+            .iter()
+            .zip(&self.workloads)
+            .zip(&self.task_map.blocks_per_feature)
+            .map(|((sched, w), &allocated)| allocated >= sched.required_blocks(w))
+            .collect();
+        let mut by_pf: Vec<Vec<Option<u32>>> = vec![Vec::new(); schedules.len()];
+        let mut classes = BlockClasses::with_capacity(self.task_map.entries.len());
+        for &(f, rel) in &self.task_map.entries {
+            let f = f as usize;
+            let key = one_round[f]
+                .then(|| schedules[f].profile_key(&self.batch.features[f], rel))
+                .flatten();
+            match key {
+                None => classes.push_own(),
+                Some(pf) => {
+                    let table = &mut by_pf[f];
+                    if table.capacity() == 0 {
+                        table.reserve_exact(self.workloads[f].max_pf as usize + 1);
+                    }
+                    classes.push_keyed(table, pf);
+                }
+            }
+        }
+        classes
     }
 }
 

@@ -1,16 +1,20 @@
 //! `recflex_sim::launch`'s aggregation before its one-pass rewrite, kept as
 //! the oracle: every report `launch` gives must equal, field for field and
-//! bit for bit, the one this multi-pass version gives. It lives here
-//! rather than in `recflex-sim` because the kernels worth comparing on —
-//! fused kernels of random schedules, UVM-bound ones among them — are
-//! built in this crate.
+//! bit for bit, the one this multi-pass version gives. The oracle profiles
+//! every block with `profile_block` and never asks a kernel for its
+//! classes of identical blocks (`SimKernel::profile_grid`), so it also
+//! checks the classes `launch` folds. It lives here rather than in
+//! `recflex-sim` because the kernels worth comparing on — fused kernels of
+//! random schedules, UVM-bound ones among them, and `SamplePerBlock`
+//! kernels whose blocks collapse into few classes — are built in this
+//! crate.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use recflex_data::{Batch, Dataset, ModelConfig, ModelPreset};
-use recflex_embedding::{CachePlan, TableSet};
-use recflex_schedules::{enumerate_candidates, ScheduleInstance};
+use recflex_data::{Batch, Dataset, ModelConfig, ModelPreset, PoolingDist};
+use recflex_embedding::{analyze_batch, CachePlan, FeatureWorkload, TableSet};
+use recflex_schedules::{enumerate_candidates, ScheduleInstance, ScheduleKind, ScheduleParams};
 use recflex_sim::kernel::UniformKernel;
 use recflex_sim::launch::{BoundBreakdown, LaunchError};
 use recflex_sim::occupancy::{control_occupancy, occupancy};
@@ -19,10 +23,11 @@ use recflex_sim::{
     LaunchReport, MemorySystem, Occupancy, ProfileCtx, SimKernel,
 };
 
-use crate::{DispatchMode, FusedKernelObject, FusedSpec};
+use crate::{DispatchMode, FusedKernelObject, FusedSpec, MappingStrategy};
 
-/// `launch` as it was: profile every block, then one pass over the
-/// profiles per sum, recomputing each block's DRAM and L2 bytes each time.
+/// `launch` as it was: profile every block on its own with
+/// `profile_block`, then one pass over the profiles per sum, recomputing
+/// each block's DRAM and L2 bytes each time.
 fn multi_pass_launch<K: SimKernel>(
     kernel: &K,
     arch: &GpuArch,
@@ -465,4 +470,150 @@ fn grids_that_move_no_memory_and_one_block_grids_report_what_the_oracle_does() {
         }
         assert_matches_oracle(&bound, &arch, &obj.launch_config(), &case);
     }
+}
+
+/// Model A at 0.02 cut to its first six features, every one of which pools
+/// `pooling` in a `coverage` share of its samples.
+fn pooled_model(pooling: PoolingDist, coverage: f64) -> ModelConfig {
+    let mut m = ModelPreset::A.scaled(0.02);
+    m.features.truncate(6);
+    for f in &mut m.features {
+        f.pooling = pooling;
+        f.coverage = coverage;
+    }
+    m
+}
+
+/// One `SamplePerBlock` schedule per feature of `m`: 128 or 256 threads,
+/// loads of up to 4 floats, the pooling loop unrolled `unroll` times (at 4
+/// the registers spill under a high occupancy target).
+fn sample_per_block(m: &ModelConfig, unroll: u32) -> Vec<ScheduleInstance> {
+    m.features
+        .iter()
+        .enumerate()
+        .map(|(i, f)| {
+            let threads = [128, 256][i % 2];
+            ScheduleInstance {
+                kind: ScheduleKind::SamplePerBlock,
+                params: ScheduleParams {
+                    threads_per_block: threads,
+                    group_size: threads,
+                    vector_width: 4.min(f.emb_dim),
+                    unroll,
+                    stage_rows: 0,
+                },
+                emb_dim: f.emb_dim,
+            }
+        })
+        .collect()
+}
+
+/// Whether `obj`'s occupancy target caps registers below some schedule's
+/// natural demand, so its blocks spill.
+fn spills(obj: &FusedKernelObject, arch: &GpuArch) -> bool {
+    let cap = obj
+        .spec
+        .occupancy_target
+        .and_then(|k| control_occupancy(&obj.resources, arch, k))
+        .and_then(|ctl| ctl.reg_cap);
+    cap.is_some_and(|cap| obj.spec.schedules.iter().any(|s| s.natural_regs() > cap))
+}
+
+#[test]
+fn sample_per_block_kernels_collapse_into_classes_and_report_what_the_oracle_does() {
+    let arch = GpuArch::v100();
+    let ctx = ProfileCtx::default();
+    let mut spilled = 0;
+    for (pooling, coverage) in [
+        (PoolingDist::Fixed(24), 1.0),
+        (PoolingDist::OneHot, 1.0),
+        (PoolingDist::OneHot, 0.5),
+    ] {
+        let m = pooled_model(pooling, coverage);
+        let tables = TableSet::for_model(&m);
+        for unroll in [1, 4] {
+            for (level, fnptr) in [(None, false), (Some(2), true), (Some(16), false)] {
+                let mut spec = FusedSpec::new(sample_per_block(&m, unroll));
+                spec.occupancy_target = level;
+                if fnptr {
+                    spec.dispatch = DispatchMode::FnPtrArray;
+                }
+                let obj = FusedKernelObject::compile(spec);
+                spilled += spills(&obj, &arch) as usize;
+                for batch_size in [0, 1, 37, 300] {
+                    let batch = Batch::generate(&m, batch_size, 21 + u64::from(batch_size));
+                    let bound = obj.bind(&m, &tables, &batch);
+                    let classes = bound.profile_grid(&ctx).classes.len();
+                    let case = format!(
+                        "{pooling:?} at coverage {coverage}, unroll {unroll}, level {level:?}, \
+                         batch {batch_size}: {classes} classes"
+                    );
+                    let features = m.features.len();
+                    if batch_size == 0 {
+                        // One block per feature, with no sample to pool.
+                        assert_eq!(classes, features, "{case}");
+                    } else if coverage == 1.0 {
+                        // Every sample of a feature pools the same rows count.
+                        assert_eq!(classes, features, "{case}");
+                    } else {
+                        assert!(classes <= 2 * features, "{case}");
+                    }
+                    assert_matches_oracle(&bound, &arch, &obj.launch_config(), &case);
+                }
+            }
+        }
+    }
+    assert!(spilled > 0, "some level must spill a schedule's registers");
+}
+
+#[test]
+fn uvm_and_static_bindings_of_sample_per_block_kernels_report_what_the_oracle_does() {
+    let arch = GpuArch::v100();
+    let ctx = ProfileCtx::default();
+    let m = pooled_model(
+        PoolingDist::PowerLaw {
+            alpha: 1.3,
+            max: 60,
+        },
+        0.8,
+    );
+    let tables = TableSet::for_model(&m);
+    let obj = FusedKernelObject::compile(FusedSpec::new(sample_per_block(&m, 1)));
+    let history: Vec<Vec<FeatureWorkload>> = [64, 128, 256]
+        .iter()
+        .enumerate()
+        .map(|(i, &n)| analyze_batch(&m, &Batch::generate(&m, n, 40 + i as u64)))
+        .collect();
+    let plan = CachePlan::plan(
+        &m,
+        Dataset::synthesize(&m, 3, 128, 11).batches(),
+        CachePlan::full_model_bytes(&m) / 2,
+    );
+    let mut collapsed = 0;
+    for batch_size in [0, 100, 300] {
+        let batch = Batch::generate(&m, batch_size, 50 + u64::from(batch_size));
+        let uvm = obj.bind_uvm(&m, &tables, &batch, &plan);
+        let average = obj.bind_static(
+            &m,
+            &tables,
+            &batch,
+            &history,
+            MappingStrategy::StaticAverage,
+        );
+        let max = obj.bind_static(&m, &tables, &batch, &history, MappingStrategy::StaticMax);
+        for (name, bound) in [("uvm", &uvm), ("average", &average), ("max", &max)] {
+            let classes = bound.profile_grid(&ctx).classes.len();
+            collapsed += (classes < bound.grid_blocks() as usize) as usize;
+            for level in [0, 4] {
+                let case = format!("{name} map, batch {batch_size}, level {level}");
+                assert_matches_oracle(bound, &arch, &config(level, 1), &case);
+            }
+        }
+    }
+    // Both non-empty batches under the runtime map of `bind_uvm`, and the
+    // 100-sample batch under both static maps, which allocate at least its
+    // 100 blocks per feature. The 300-sample batch overruns them (149 and
+    // 256 blocks), so each of their blocks serializes rounds and is a class
+    // of its own; the empty batch's blocks pool no sample.
+    assert_eq!(collapsed, 4);
 }

@@ -408,6 +408,18 @@ impl Batch {
         }
     }
 
+    /// Run `check` on every one of `items` at once on the pool and return
+    /// the first error in item order: the one a loop over `items` that
+    /// stops at its first error returns, at any pool size. A serving tier
+    /// checks the requests it is handed this way, each with
+    /// [`Self::validate`] of its batch.
+    pub fn validate_each<T: Sync, E: Send>(
+        items: &[T],
+        check: impl Fn(&T) -> Result<(), E> + Send + Sync,
+    ) -> Result<(), E> {
+        items.par_iter().map(check).collect()
+    }
+
     /// Validate every feature CSR against the model.
     pub fn validate(&self, model: &ModelConfig) -> Result<(), String> {
         if self.features.len() != model.features.len() {

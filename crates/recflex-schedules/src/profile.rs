@@ -121,6 +121,23 @@ impl ScheduleInstance {
         p
     }
 
+    /// The pooling factor that alone decides block `rel_bidx`'s profile
+    /// over `fb`, for a schedule whose blocks each pool one sample
+    /// (`SamplePerBlock`): everything else its [`Self::block_profile`] and
+    /// [`Self::base_block_profile`] read — the schedule, the register cap,
+    /// the feature's reuse and UVM share — is the same for every block of
+    /// one feature in one launch. So two such blocks of one feature with
+    /// one key profile alike. `None` for other schedules, whose blocks pool
+    /// several samples, and for a block past the batch.
+    pub fn profile_key(&self, fb: &FeatureBatch, rel_bidx: u32) -> Option<u32> {
+        match self.kind {
+            ScheduleKind::SamplePerBlock => self
+                .block_samples(fb, rel_bidx)
+                .map(|(s, _)| fb.pooling_factor(s)),
+            _ => None,
+        }
+    }
+
     /// The profile of samples `s0..s1` before the finishing step.
     fn unfinished_profile(
         &self,
@@ -610,6 +627,42 @@ mod tests {
             }
         }
         assert!(spilled > 0, "the caps must spill some schedule");
+    }
+
+    #[test]
+    fn blocks_with_one_profile_key_profile_alike() {
+        let mut s = spec(64, 0);
+        s.pooling = PoolingDist::PowerLaw {
+            alpha: 1.1,
+            max: 40,
+        };
+        s.coverage = 0.7;
+        let fb = FeatureBatch::generate(&s, 400, 12);
+        let block = inst(ScheduleKind::SamplePerBlock, 128, 128, 2, 1, 0, 64);
+        let mut keyed = 0;
+        for cold in [0.0, 0.4] {
+            let w = workload(&fb, 64).with_uvm_cold_frac(cold);
+            for cap in [None, Some(24)] {
+                let mut by_key = std::collections::HashMap::new();
+                for b in 0..block.required_blocks(&w) + 2 {
+                    let p = block.block_profile(&fb, &w, b, cap);
+                    match block.profile_key(&fb, b) {
+                        None => assert!(b >= fb.batch_size(), "block {b} has a sample"),
+                        Some(key) => {
+                            assert_eq!(key, fb.pooling_factor(b));
+                            let first = *by_key.entry(key).or_insert(p);
+                            assert_eq!(p, first, "block {b}, key {key}, cap {cap:?}");
+                            keyed += 1;
+                        }
+                    }
+                }
+                assert!(by_key.len() > 3, "{} keys", by_key.len());
+            }
+        }
+        assert_eq!(keyed, 4 * 400);
+        // Blocks of every other schedule pool several samples: no key.
+        let warp = inst(ScheduleKind::SamplePerWarp, 128, 32, 1, 1, 0, 64);
+        assert_eq!(warp.profile_key(&fb, 0), None);
     }
 
     #[test]

@@ -351,13 +351,16 @@ impl<'a> ShardedServeRuntime<'a> {
         }
         // Requests before deadlines: a pipeline stage derives each
         // deadline from its request's arrival, and a bad arrival is the
-        // fault to name.
-        for r in requests {
+        // fault to name. Every request is checked at once on the pool,
+        // arrival then batch, and the first bad request in the stream names
+        // the error, as checking them one after another would.
+        let model = self.model;
+        Batch::validate_each(requests, |r| {
             r.check_arrival()?;
             r.batch
-                .validate(self.model)
-                .map_err(|reason| ServeError::Request { id: r.id, reason })?;
-        }
+                .validate(model)
+                .map_err(|reason| ServeError::Request { id: r.id, reason })
+        })?;
         if let Some(d) = deadlines {
             if d.len() != requests.len() {
                 return Err(ServeError::Policy(

@@ -24,29 +24,18 @@
 //! cannot help chains or saturated DRAM, and forcing residency up via
 //! register capping adds spill traffic.
 //!
-//! Serving prices every chunk with a launch, so after profiling [`launch`]
-//! reads each block profile in two passes only: one for the grid's bytes,
-//! which set the memory model, and one that times every block and folds
-//! every sum the bounds and metrics need.
-
-use rayon::prelude::*;
+//! Serving prices every chunk with a launch, so [`launch`] profiles and
+//! times one block per class of identical blocks
+//! ([`SimKernel::profile_grid`]), then passes over the blocks twice: once
+//! for the grid's bytes, which set the memory model, and once to fold, in
+//! block order, every sum the bounds and metrics need.
 
 use crate::arch::GpuArch;
-use crate::kernel::{ProfileCtx, SimKernel};
+use crate::kernel::{GridProfile, ProfileCtx, SimKernel};
 use crate::memory::MemorySystem;
 use crate::metrics::KernelMetrics;
 use crate::occupancy::{control_occupancy, occupancy, Occupancy};
 use crate::profile::BlockProfile;
-
-/// Grids smaller than this are profiled on the calling thread, where
-/// dispatching their blocks to a pool costs more than profiling them.
-/// `sim/profile_blocks` in `recflex-bench`'s micro-benchmarks (a tuned
-/// shard of model A at 0.03 over 2 devices, 2-worker pool, 2-vCPU x86-64
-/// VM, three runs) puts the crossover near 500 blocks: time on the pool
-/// over time inline was 1.05–1.33 at 332 blocks, 0.96–1.03 at 498 and
-/// 0.88–0.94 at 664. Whole launches of 200-feature kernels crossed between
-/// 744 blocks (1.13) and 1 488 (0.81).
-const INLINE_PROFILE_BLOCKS: u32 = 512;
 
 /// Launch-time options.
 #[derive(Debug, Clone, Copy, Default)]
@@ -296,6 +285,37 @@ impl<'a> BlockTimer<'a> {
     }
 }
 
+/// What each block of one class adds to a launch's `f64` sums: its times
+/// and its DRAM and L2 bytes under the launch's memory system, computed
+/// once per class.
+struct ClassTerms {
+    time: BlockTime,
+    dram_b: f64,
+    l2_b: f64,
+    /// DRAM plus L2 bytes moved.
+    moved: f64,
+    /// Bytes moved, weighted by the block's MLP.
+    mlp_moved: f64,
+    /// Bytes moved, weighted by the block's active warps.
+    warp_moved: f64,
+}
+
+impl ClassTerms {
+    #[inline]
+    fn new(timer: &BlockTimer<'_>, p: &BlockProfile) -> Self {
+        let (dram_b, l2_b) = (timer.mem.dram_bytes(p), timer.mem.l2_bytes(p));
+        let moved = dram_b + l2_b;
+        ClassTerms {
+            time: timer.time_moving(p, dram_b, l2_b),
+            dram_b,
+            l2_b,
+            moved,
+            mlp_moved: moved * p.mlp.max(1.0),
+            warp_moved: moved * p.active_warps.max(1) as f64,
+        }
+    }
+}
+
 /// Launch `kernel` on `arch` under `cfg`.
 pub fn launch<K: SimKernel>(
     kernel: &K,
@@ -331,17 +351,20 @@ pub fn launch<K: SimKernel>(
 
     let ctx = ProfileCtx { reg_cap };
 
-    // Phase 1: profile every block (pure, so the pool changes no bit).
-    let profile = |b| kernel.profile_block(b, &ctx);
-    let profiles: Vec<BlockProfile> = if grid < INLINE_PROFILE_BLOCKS {
-        (0..grid).map(profile).collect()
-    } else {
-        (0..grid).into_par_iter().map(profile).collect()
-    };
+    // Phase 1: profile the grid, one block per class of identical blocks.
+    let GridProfile { classes, class_of } = kernel.profile_grid(&ctx);
+    assert_eq!(
+        class_of.len(),
+        grid as usize,
+        "kernel `{}` classed {} of its {grid} blocks",
+        kernel.name(),
+        class_of.len()
+    );
 
-    // Phase 2: grid-level memory behaviour.
+    // Phase 2: grid-level memory behaviour, from the bytes of every block.
     let (mut total_bytes, mut unique_bytes) = (0u64, 0u64);
-    for p in &profiles {
+    for &c in &class_of {
+        let p = &classes[c as usize];
         total_bytes += p.bytes_accessed;
         unique_bytes += p.unique_bytes;
     }
@@ -355,11 +378,14 @@ pub fn launch<K: SimKernel>(
     );
     let (mem, b_eff, issue_mult) = (timer.mem, timer.b_eff, timer.issue_mult);
 
-    // Phase 3: one pass times every block under the launch environment and
-    // folds, in block order, every sum the bounds and metrics read. Each f64
-    // sum starts at -0.0, as `Iterator::sum` does, except the memory-busy
-    // total, which starts at 0.0: so each is bit for bit the sum a pass of
-    // its own over the blocks takes.
+    // Phase 3: each class's bytes and times under the launch environment.
+    let terms: Vec<ClassTerms> = classes.iter().map(|p| ClassTerms::new(&timer, p)).collect();
+
+    // Phase 4: one pass folds, per block in block order, every sum the
+    // bounds and metrics read. Each f64 sum starts at -0.0, as
+    // `Iterator::sum` does, except the memory-busy total, which starts at
+    // 0.0: so each is bit for bit the sum a pass of its own over the
+    // blocks takes, whatever the classes.
     let mut block_times = Vec::with_capacity(grid as usize);
     let mut block_solo_times = Vec::with_capacity(grid as usize);
     let (mut total_shared, mut mem_bound_cycles, mut straggler) = (-0.0f64, 0.0f64, 0.0f64);
@@ -368,21 +394,19 @@ pub fn launch<K: SimKernel>(
     let (mut membytes, mut mlp_bytes, mut warp_bytes) = (-0.0f64, -0.0f64, -0.0f64);
     let (mut trans_total, mut uvm_total, mut flops) = (0u64, 0u64, 0u64);
     let (mut active_sum, mut useful_sum, mut slot_sum) = (0u64, 0u64, 0u64);
-    for p in &profiles {
-        let (dram_b, l2_b) = (mem.dram_bytes(p), mem.l2_bytes(p));
-        let t = timer.time_moving(p, dram_b, l2_b);
-        block_times.push(t.steady);
-        block_solo_times.push(t.solo);
-        total_shared += t.steady;
-        mem_bound_cycles += t.mem;
-        straggler = straggler.max(t.solo);
-        dram_total += dram_b;
-        l2_total += l2_b;
+    for &c in &class_of {
+        let (p, t) = (&classes[c as usize], &terms[c as usize]);
+        block_times.push(t.time.steady);
+        block_solo_times.push(t.time.solo);
+        total_shared += t.time.steady;
+        mem_bound_cycles += t.time.mem;
+        straggler = straggler.max(t.time.solo);
+        dram_total += t.dram_b;
+        l2_total += t.l2_b;
         issue_total += p.issue_cycles;
-        let moved = dram_b + l2_b;
-        membytes += moved;
-        mlp_bytes += moved * p.mlp.max(1.0);
-        warp_bytes += moved * p.active_warps.max(1) as f64;
+        membytes += t.moved;
+        mlp_bytes += t.mlp_moved;
+        warp_bytes += t.warp_moved;
         trans_total += p.mem_transactions;
         uvm_total += p.uvm_bytes;
         flops += p.flops;
@@ -391,7 +415,7 @@ pub fn launch<K: SimKernel>(
         slot_sum += p.thread_slot_sum;
     }
 
-    // Phase 4: kernel time = the maximum of all lower bounds.
+    // Phase 5: kernel time = the maximum of all lower bounds.
     // * Slot bound: total steady-state block time over `#SM × B` slots —
     //   exactly Equation 2.
     // * Machine bounds: aggregate DRAM bytes, L2 bytes, issue slots and
@@ -454,7 +478,7 @@ pub fn launch<K: SimKernel>(
     };
     let latency_us = arch.cycles_to_us(makespan) + arch.kernel_launch_us;
 
-    // Phase 5: metrics.
+    // Phase 6: metrics.
     let time_s = arch.cycles_to_us(makespan).max(1e-9) * 1e-6;
     let memory_throughput_gbps = dram_total / time_s / 1e9;
     let max_bandwidth_pct = 100.0 * memory_throughput_gbps / arch.dram_bw_gbps;
@@ -770,9 +794,9 @@ mod tests {
         let (one, two) = (rayon::ThreadPool::new(1), rayon::ThreadPool::new(2));
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for grid in [
-            INLINE_PROFILE_BLOCKS - 1,
-            INLINE_PROFILE_BLOCKS,
-            INLINE_PROFILE_BLOCKS + 1,
+            crate::kernel::INLINE_PROFILE_CLASSES - 1,
+            crate::kernel::INLINE_PROFILE_CLASSES,
+            crate::kernel::INLINE_PROFILE_CLASSES + 1,
         ] {
             let k = RampKernel(grid);
             let a = one.install(|| launch(&k, &arch, &cfg)).unwrap();

@@ -39,7 +39,7 @@ pub mod profile;
 
 pub use arch::GpuArch;
 pub use interconnect::Interconnect;
-pub use kernel::{ProfileCtx, SimKernel};
+pub use kernel::{BlockClasses, GridProfile, ProfileCtx, SimKernel};
 pub use launch::{launch, BlockTime, BlockTimer, LaunchConfig, LaunchReport};
 pub use memory::MemorySystem;
 pub use metrics::KernelMetrics;

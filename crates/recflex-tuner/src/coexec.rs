@@ -11,7 +11,7 @@
 use recflex_data::FeatureBatch;
 use recflex_embedding::FeatureWorkload;
 use recflex_schedules::{BaseBlockProfile, ScheduleInstance};
-use recflex_sim::{BlockProfile, BlockResources, ProfileCtx, SimKernel};
+use recflex_sim::{BlockClasses, BlockProfile, BlockResources, GridProfile, ProfileCtx, SimKernel};
 use std::ops::Range;
 
 /// A synthetic profile standing in for "one average block of the rest of
@@ -119,17 +119,46 @@ impl<'a> CoExecKernel<'a> {
         self.segments.last().map(|r| r.end).unwrap_or(0)
     }
 
-    /// Every work block's profile before occupancy control, in grid order:
-    /// what the local stage profiles once and finishes per level.
-    pub fn base_profiles(&self) -> Vec<BaseBlockProfile> {
-        let mut out = Vec::with_capacity(self.work_blocks() as usize);
+    /// The work blocks' classes of identical blocks, in grid order: per
+    /// candidate that keys its block profiles
+    /// ([`ScheduleInstance::profile_key`], `SamplePerBlock`), one class
+    /// per pooling factor, found through a table indexed up to the
+    /// workload's `max_pf`; every other block is a class of its own.
+    pub(crate) fn work_classes(&self) -> BlockClasses {
+        let mut classes = BlockClasses::with_capacity(self.grid_blocks() as usize);
+        let mut by_pf: Vec<Option<u32>> = Vec::with_capacity(self.workload.max_pf as usize + 1);
         for (cand, seg) in self.candidates.iter().zip(&self.segments) {
-            out.extend(
-                seg.clone()
-                    .map(|b| cand.base_block_profile(self.fb, self.workload, b - seg.start)),
-            );
+            by_pf.clear();
+            for rel in 0..seg.end - seg.start {
+                match cand.profile_key(self.fb, rel) {
+                    None => classes.push_own(),
+                    Some(pf) => classes.push_keyed(&mut by_pf, pf),
+                }
+            }
         }
-        out
+        classes
+    }
+
+    /// Per class of `classes` (from [`Self::work_classes`]), its
+    /// candidate's index and its representative's profile before
+    /// occupancy control: what the local stage profiles once and finishes
+    /// per level.
+    pub(crate) fn class_bases(&self, classes: &BlockClasses) -> Vec<(usize, BaseBlockProfile)> {
+        // Representatives rise with their classes and segments with their
+        // candidates, so one walk finds every representative's candidate.
+        let mut i = 0;
+        classes
+            .representatives()
+            .iter()
+            .map(|&b| {
+                while !self.segments[i].contains(&b) {
+                    i += 1;
+                }
+                let rel = b - self.segments[i].start;
+                let base = self.candidates[i].base_block_profile(self.fb, self.workload, rel);
+                (i, base)
+            })
+            .collect()
     }
 }
 
@@ -158,6 +187,41 @@ impl SimKernel for CoExecKernel<'_> {
             }
         }
         unreachable!("block {block_idx} outside all segments")
+    }
+
+    /// The work blocks' classes, the ones the local stage scores: per
+    /// candidate that keys its block profiles
+    /// ([`ScheduleInstance::profile_key`], `SamplePerBlock`), one class per
+    /// pooling factor; and one class of every padding block.
+    fn profile_grid(&self, ctx: &ProfileCtx) -> GridProfile {
+        let mut classes = self.work_classes();
+        let mut pad = None;
+        for _ in 0..self.pad_blocks {
+            classes.push_into(&mut pad);
+        }
+        GridProfile::of_classes(self, classes, ctx)
+    }
+}
+
+/// `K` with every block profiled on its own: it forwards everything but
+/// [`SimKernel::profile_grid`], so a launch of it is the per-block oracle
+/// of a launch of `K`.
+#[cfg(test)]
+pub(crate) struct PerBlock<K>(pub K);
+
+#[cfg(test)]
+impl<K: SimKernel> SimKernel for PerBlock<K> {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn grid_blocks(&self) -> u32 {
+        self.0.grid_blocks()
+    }
+    fn resources(&self) -> BlockResources {
+        self.0.resources()
+    }
+    fn profile_block(&self, block_idx: u32, ctx: &ProfileCtx) -> BlockProfile {
+        self.0.profile_block(block_idx, ctx)
     }
 }
 
@@ -223,6 +287,37 @@ mod tests {
             let score = report.block_time_sum(k.segment(i));
             assert!(score.is_finite() && score > 0.0, "candidate {i}");
         }
+    }
+
+    #[test]
+    fn classes_launch_as_every_block_profiled_alone_does() {
+        // Model C's heavy features have `SamplePerBlock` candidates, whose
+        // blocks collapse into one class per pooling factor.
+        let m = ModelPreset::C.scaled(0.02);
+        let b = Batch::generate(&m, 96, 4);
+        let ws = analyze_batch(&m, &b);
+        let pad = padding_profile(std::slice::from_ref(&ws));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut collapsed = 0;
+        for (f, feature) in m.features.iter().enumerate() {
+            let cs = enumerate_candidates(f, feature).unwrap();
+            for pad_blocks in [0, 300] {
+                let k = CoExecKernel::new(&cs.candidates, &b.features[f], &ws[f], pad_blocks, pad);
+                let grid = k.profile_grid(&ProfileCtx::default());
+                assert_eq!(grid.class_of.len(), k.grid_blocks() as usize);
+                let work = k.work_classes().representatives().len();
+                collapsed += (work < k.work_blocks() as usize) as usize;
+                for cfg in [LaunchConfig::default(), LaunchConfig::with_occupancy(16)] {
+                    let got = launch(&k, &GpuArch::v100(), &cfg).unwrap();
+                    let want = launch(&PerBlock(&k), &GpuArch::v100(), &cfg).unwrap();
+                    let case = format!("feature {f}, {pad_blocks} padding blocks, {cfg:?}");
+                    assert_eq!(format!("{got:?}"), format!("{want:?}"), "{case}");
+                    assert_eq!(bits(&got.block_times), bits(&want.block_times), "{case}");
+                    assert_eq!(got.latency_us.to_bits(), want.latency_us.to_bits());
+                }
+            }
+        }
+        assert!(collapsed > 0, "some candidate set must collapse");
     }
 
     #[test]

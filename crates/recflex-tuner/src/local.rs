@@ -6,19 +6,23 @@
 //! across batches — Equations 3 + 5. The feature loop is embarrassingly
 //! parallel (the paper farms it over eight GPUs; we farm it over cores).
 //!
-//! All levels are simulated in one pass per (feature, batch): every
-//! candidate block is profiled once without a register cap, and each level
-//! then finishes those profiles for its own cap and times only the
-//! candidate blocks, the padding entering through the grid's memory totals
-//! alone. The scores are bit for bit those of scoring a full [`launch`] of
-//! each level's [`CoExecKernel`] (DESIGN.md §5 says why).
+//! All levels are simulated in one pass per (feature, batch): the
+//! candidate blocks are sorted once into the classes of identical blocks
+//! that [`CoExecKernel`] reports to [`launch`], and each class is profiled
+//! once without a register cap. Each level then finishes and times each
+//! class once for its own cap, the padding entering through the grid's
+//! memory totals alone, and folds every candidate's score block by block.
+//! The scores are bit for bit those of scoring a full [`launch`] of each
+//! level's [`CoExecKernel`] (DESIGN.md §5 says why).
 //!
 //! [`launch`]: recflex_sim::launch()
 
 use rayon::prelude::*;
 use recflex_schedules::BaseBlockProfile;
 use recflex_sim::occupancy::control_occupancy;
-use recflex_sim::{BlockProfile, BlockTimer, GpuArch, LaunchConfig, SimKernel};
+use recflex_sim::{
+    BlockClasses, BlockProfile, BlockTime, BlockTimer, GpuArch, LaunchConfig, SimKernel,
+};
 
 use crate::coexec::{padding_profile, CoExecKernel};
 use crate::{TunerConfig, TuningContext};
@@ -63,10 +67,10 @@ pub(crate) fn local_scores(
                 let w = &ctx.history[bi][f];
                 let fb = &batch.features[f];
                 let mut kern = CoExecKernel::new(&cs.candidates, fb, w, 0, pad);
-                let base = kern.base_profiles();
+                let work = WorkClasses::of(&kern);
                 for (&k, scores) in levels.iter().zip(&mut scores) {
                     kern.pad_blocks = pad_target(ctx.arch, k, cfg);
-                    score_level(&kern, &base, ctx.arch, k, &mut finished, scores);
+                    score_level(&kern, &work, ctx.arch, k, &mut finished, scores);
                 }
             }
             scores
@@ -80,12 +84,40 @@ fn pad_target(arch: &GpuArch, k: u32, cfg: &TunerConfig) -> u32 {
     (slots * cfg.pad_fill).ceil() as u32
 }
 
+/// A co-execution kernel's work blocks sorted into classes of identical
+/// blocks, each profiled once before occupancy control: what every level
+/// finishes and times.
+struct WorkClasses {
+    /// The classes ([`CoExecKernel::work_classes`]).
+    classes: BlockClasses,
+    /// Per class, its candidate and its base profile.
+    base: Vec<(usize, BaseBlockProfile)>,
+    /// Per class, its number of blocks.
+    blocks: Vec<u64>,
+}
+
+impl WorkClasses {
+    fn of(kern: &CoExecKernel<'_>) -> Self {
+        let classes = kern.work_classes();
+        let base = kern.class_bases(&classes);
+        let mut blocks = vec![0u64; base.len()];
+        for &c in classes.class_of() {
+            blocks[c as usize] += 1;
+        }
+        WorkClasses {
+            classes,
+            base,
+            blocks,
+        }
+    }
+}
+
 /// Add each candidate's score from `kern` launched at occupancy `k` to
-/// `scores`, given its work blocks' `base` profiles; `finished` is scratch.
-/// Adds nothing when the candidate union cannot launch at `k`.
+/// `scores`, given its work blocks' classes; `finished` is scratch. Adds
+/// nothing when the candidate union cannot launch at `k`.
 fn score_level(
     kern: &CoExecKernel<'_>,
-    base: &[BaseBlockProfile],
+    work: &WorkClasses,
     arch: &GpuArch,
     k: u32,
     finished: &mut Vec<BlockProfile>,
@@ -97,22 +129,23 @@ fn score_level(
     let Some(ctl) = control_occupancy(&kern.resources(), arch, k) else {
         return;
     };
-    // This level's register cap decides each block's spill.
+    // This level's register cap decides each class's spill.
     finished.clear();
-    for (i, cand) in kern.candidates.iter().enumerate() {
-        finished.extend(
-            base[kern.segment(i)]
-                .iter()
-                .map(|b| cand.finish_block_profile(b, kern.workload, ctl.reg_cap)),
-        );
-    }
+    finished.extend(work.base.iter().map(|(i, base)| {
+        kern.candidates[*i].finish_block_profile(base, kern.workload, ctl.reg_cap)
+    }));
     // Padding blocks reach the candidates only through the grid's memory
-    // totals and size: every one reports the same uncapped profile.
+    // totals and size: every one reports the same uncapped profile. The
+    // totals are exact integers, so each class may add its bytes times its
+    // block count.
     let pad = u64::from(kern.pad_blocks);
     let pad_total = pad.saturating_mul(kern.pad_profile.bytes_accessed);
     let pad_unique = pad.saturating_mul(kern.pad_profile.unique_bytes);
-    let total = finished.iter().map(|p| p.bytes_accessed).sum::<u64>();
-    let unique = finished.iter().map(|p| p.unique_bytes).sum::<u64>();
+    let (mut total, mut unique) = (0u64, 0u64);
+    for (p, &n) in finished.iter().zip(&work.blocks) {
+        total += n * p.bytes_accessed;
+        unique += n * p.unique_bytes;
+    }
     let timer = BlockTimer::new(
         arch,
         &LaunchConfig::with_occupancy(k),
@@ -121,6 +154,9 @@ fn score_level(
         total.saturating_add(pad_total),
         unique.saturating_add(pad_unique),
     );
+    // Each class is timed once; the sums below fold its times per block.
+    let times: Vec<BlockTime> = finished.iter().map(|p| timer.time(p)).collect();
+    let class_of = work.classes.class_of();
     let slots = (arch.num_sms as f64 * k as f64).max(1.0);
     for (i, score) in scores.iter_mut().enumerate() {
         // The candidate's contribution to the fused two-bound makespan: its
@@ -128,10 +164,10 @@ fn score_level(
         // its own worst straggler block. For saturating workloads the sum
         // term dominates and this reduces to the paper's Eq. 3.
         let mut straggler = 0.0f64;
-        let sum: f64 = finished[kern.segment(i)]
+        let sum: f64 = class_of[kern.segment(i)]
             .iter()
-            .map(|p| {
-                let t = timer.time(p);
+            .map(|&c| {
+                let t = &times[c as usize];
                 straggler = straggler.max(t.solo);
                 t.steady
             })
@@ -158,12 +194,14 @@ pub(crate) fn argmin(scores: &[f64]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coexec::PerBlock;
     use recflex_data::{Dataset, ModelPreset};
     use recflex_sim::{launch, GpuArch};
 
     /// The scorer before the one-pass rewrite, kept as the oracle: launch
-    /// each feature's full padded co-execution kernel at `k` per batch and
-    /// score every candidate segment from the report. `[feature][candidate]`.
+    /// each feature's full padded co-execution kernel at `k` per batch,
+    /// profiling every block on its own, and score every candidate segment
+    /// from the report. `[feature][candidate]`.
     fn launch_scores(ctx: &TuningContext<'_>, k: u32, cfg: &TunerConfig) -> Vec<Vec<f64>> {
         let pad = padding_profile(&ctx.history);
         let slots = ctx.arch.num_sms as f64 * k as f64;
@@ -179,7 +217,7 @@ mod tests {
                     let fb = &batch.features[f];
                     let kern = CoExecKernel::new(&cs.candidates, fb, w, pad_target, pad);
                     let config = LaunchConfig::with_occupancy(k);
-                    let Ok(report) = launch(&kern, ctx.arch, &config) else {
+                    let Ok(report) = launch(&PerBlock(&kern), ctx.arch, &config) else {
                         continue;
                     };
                     for (i, score) in scores.iter_mut().enumerate() {
@@ -207,7 +245,7 @@ mod tests {
         narrow.max_regs_per_thread = 64;
         let pools = [rayon::ThreadPool::new(1), rayon::ThreadPool::new(2)];
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let (mut spilled, mut skipped) = (0, 0);
+        let (mut spilled, mut skipped, mut collapsed) = (0, 0, 0);
         for (preset, scale) in [
             (ModelPreset::A, 0.01),
             (ModelPreset::C, 0.008),
@@ -219,6 +257,18 @@ mod tests {
                 let cfg = TunerConfig::fast();
                 let ctx = TuningContext::new(&m, &ds, &arch, &cfg);
                 for cs in &ctx.candidates {
+                    let f = cs.feature_idx;
+                    for (bi, batch) in ctx.tuning_batches().iter().enumerate() {
+                        let kern = CoExecKernel::new(
+                            &cs.candidates,
+                            &batch.features[f],
+                            &ctx.history[bi][f],
+                            0,
+                            BlockProfile::idle(),
+                        );
+                        let classes = kern.work_classes().representatives().len();
+                        collapsed += (classes < kern.work_blocks() as usize) as usize;
+                    }
                     let union = cs
                         .candidates
                         .iter()
@@ -264,6 +314,10 @@ mod tests {
         assert!(
             skipped > 0,
             "some level must leave a candidate union unlaunchable"
+        );
+        assert!(
+            collapsed > 0,
+            "some feature's candidate blocks must collapse into classes"
         );
     }
 
